@@ -341,10 +341,10 @@ def run_ensembles(cfg: ExperimentConfig) -> int:
     rows = []
     for n in cfg.n_list:
         if model.spec.homogeneous_degree is not None:
-            batch = sampler.sample_surface_scaling(model, n, cfg.count, cfg.seed)
+            batch = sampler.sample_surface_scaling(model, n, cfg.count, cfg.seed, keep=tf.k)
         else:
             delta = cfg.delta if cfg.delta is not None else 0.5 * math.sqrt(model.sigma2 / n)
-            batch = sampler.sample_surface_rejection(model, n, delta, cfg.count, cfg.seed)
+            batch = sampler.sample_surface_rejection(model, n, delta, cfg.count, cfg.seed, keep=tf.k)
         rep = sampler.ensemble_expectation_gap(model, n, tf.k, tf, batch, cfg.canonical_count, cfg.seed + 1)
         rows.append([rep.n, rep.k, rep.testfn, rep.e_micro, rep.e_canon, rep.gap, rep.se_micro, rep.se_canon])
     write_csv(cfg.out, ["n", "k", "testfn", "E_micro", "E_canon", "gap", "se_micro", "se_canon"], rows)
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _SUBCOMMANDS[args.subcommand](cfg)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

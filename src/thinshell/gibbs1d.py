@@ -160,6 +160,8 @@ def _mean_energy(spec: HamiltonianSpec, c: float) -> float:
 def solve_energy(spec: HamiltonianSpec, t: float, rtol: float = 1e-10) -> GibbsModel:
     """Unique c with mean energy t, via bracket doubling on the strictly
     decreasing map ``c -> E f(X)`` and Brent refinement."""
+    if not math.isfinite(t):
+        raise ValueError(f"target energy must be finite; got {t!r}")
     if t <= 0:
         raise ValueError("target energy must be positive")
     lo = hi = 1.0

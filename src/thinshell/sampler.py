@@ -49,7 +49,10 @@ _METHODS = ("scaling", "rejection")
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Points on the surface, one per row, plus the sampling metadata."""
+    """Points on the surface, one per row, plus the sampling metadata.
+
+    ``n`` is the surface dimension; ``points`` may hold only the first
+    ``m <= n`` coordinates of each point."""
 
     points: np.ndarray
     n: int
@@ -63,8 +66,8 @@ class SampleBatch:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.points.ndim != 2 or self.points.shape[1] != self.n:
-            raise ValueError("points must be a (count, n) matrix")
+        if self.points.ndim != 2 or not 1 <= self.points.shape[1] <= self.n:
+            raise ValueError("points must be a (count, m) matrix with 1 <= m <= n")
 
     @property
     def count(self) -> int:
@@ -76,7 +79,12 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _row_energies(spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
-    return np.sum(f_values(spec, points), axis=1)
+    """``R_n`` of each row, ``_BLOCK`` rows at a time so that the
+    temporaries of ``f`` stay small; each row's sum is the same either way."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _BLOCK):
+        out[start : start + _BLOCK] = np.sum(f_values(spec, points[start : start + _BLOCK]), axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +176,11 @@ class _CoordinateSampler:
             return rng.exponential(1.0 / c, shape)
         if spec.kind == "power":
             mag = rng.gamma(1.0 / spec.p, 1.0 / c, shape) ** (1.0 / spec.p)
-            if spec.support == SYMMETRIC:
-                return np.where(rng.random(shape) < 0.5, -mag, mag)
-            return mag
-        mag = self._pchip(rng.random(shape))
+        else:
+            mag = self._pchip(rng.random(shape))
         if spec.support == SYMMETRIC:
-            return np.where(rng.random(shape) < 0.5, -mag, mag)
+            # in place: the same values as np.where(u < 0.5, -mag, mag)
+            np.negative(mag, out=mag, where=rng.random(shape) < 0.5)
         return mag
 
 
@@ -181,22 +188,39 @@ class _CoordinateSampler:
 # surface samplers
 
 
-def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int) -> SampleBatch:
+def _check_keep(n: int, keep: int | None) -> int:
+    keep = n if keep is None else keep
+    if not 1 <= keep <= n:
+        raise ValueError(f"keep must satisfy 1 <= keep <= n; got keep={keep}, n={n}")
+    return keep
+
+
+def _store_block(spec: HamiltonianSpec, rows: np.ndarray, target: float, points: np.ndarray, start: int) -> None:
+    """Project one block of draws onto the surface (in place), check it, and
+    copy its first ``points.shape[1]`` columns to ``points[start:]``."""
+    rows *= _project_rows(spec, rows, target)[:, None]
+    resid = np.max(np.abs(_row_energies(spec, rows) - target))
+    if resid > 1e-9 * target:
+        raise RuntimeError(f"batch off the surface: residual {resid:.2e}")
+    points[start : start + rows.shape[0]] = rows[:, : points.shape[1]]
+
+
+def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, keep: int | None = None) -> SampleBatch:
     """Exact sampler for homogeneous energies: product draws radially
-    projected onto the surface."""
+    projected onto the surface.  Only the first ``keep`` coordinates of each
+    point are kept (all ``n`` by default); block by block, so memory is
+    O(count*keep + block*n)."""
     spec = model.spec
     if spec.homogeneous_degree is None:
         raise ValueError(f"{spec.label} is not homogeneous; use the rejection sampler")
+    keep = _check_keep(n, keep)
     sampler = _CoordinateSampler(model)
     target = n * model.mu
-    points = np.empty((count, n))
+    points = np.empty((count, keep))
     for block, start in enumerate(range(0, count, _BLOCK)):
-        stop = min(start + _BLOCK, count)
-        rng = _block_rng(seed, block)
-        rows = sampler.draw(rng, (stop - start, n))
-        kappa = _project_rows(spec, rows, target)
-        points[start:stop] = kappa[:, None] * rows
-    batch = SampleBatch(
+        rows = sampler.draw(_block_rng(seed, block), (min(_BLOCK, count - start), n))
+        _store_block(spec, rows, target, points, start)
+    return SampleBatch(
         points=points,
         n=n,
         t=model.mu,
@@ -206,8 +230,6 @@ def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int) -> 
         acceptance_rate=1.0,
         seed=seed,
     )
-    _check_on_surface(spec, batch)
-    return batch
 
 
 def sample_surface_rejection(
@@ -217,16 +239,20 @@ def sample_surface_rejection(
     count: int,
     seed: int,
     max_draws: int = 20_000_000,
+    keep: int | None = None,
 ) -> SampleBatch:
     """General sampler: keep product draws inside the energy shell
-    ``|R_n/n - t| <= delta``, then project the survivors to the surface."""
+    ``|R_n/n - t| <= delta``, then project the survivors to the surface.
+    Only the first ``keep`` coordinates of each point are kept (all ``n`` by
+    default)."""
     if delta <= 0:
         raise ValueError("shell width must be positive")
     spec = model.spec
+    keep = _check_keep(n, keep)
     sampler = _CoordinateSampler(model)
     t = model.mu
     target = n * t
-    rows_kept = []
+    points = np.empty((count, keep))
     kept = 0
     drawn = 0
     block = 0
@@ -239,7 +265,7 @@ def sample_surface_rejection(
         energies = _row_energies(spec, rows) / n
         accept = np.abs(energies - t) <= delta
         if np.any(accept):
-            rows_kept.append(rows[accept])
+            _store_block(spec, rows[accept][: count - kept], target, points, kept)
             kept += int(np.count_nonzero(accept))
         if drawn >= max_draws:
             rate = kept / drawn
@@ -249,12 +275,8 @@ def sample_surface_rejection(
                 )
             if kept < count:
                 raise RuntimeError(f"draw budget exhausted at {kept}/{count} accepted; widen the shell or budget")
-    rows = np.concatenate(rows_kept)[:count] if rows_kept else np.empty((0, n))
-    if count:
-        kappa = _project_rows(spec, rows, target)
-        rows = kappa[:, None] * rows
-    batch = SampleBatch(
-        points=rows,
+    return SampleBatch(
+        points=points,
         n=n,
         t=t,
         c=model.c,
@@ -263,17 +285,6 @@ def sample_surface_rejection(
         acceptance_rate=kept / drawn if drawn else 1.0,
         seed=seed,
     )
-    _check_on_surface(spec, batch)
-    return batch
-
-
-def _check_on_surface(spec: HamiltonianSpec, batch: SampleBatch) -> None:
-    if batch.count == 0:
-        return
-    target = batch.n * batch.t
-    resid = np.max(np.abs(_row_energies(spec, batch.points) - target))
-    if resid > 1e-9 * target:
-        raise RuntimeError(f"batch off the surface: residual {resid:.2e}")
 
 
 def shell_mass(model: GibbsModel, n: int, delta: float, params: GridParams | None = None) -> float:
@@ -335,6 +346,8 @@ def ensemble_expectation_gap(
         raise ValueError("test function uses more coordinates than requested")
     if batch.n != n:
         raise ValueError("batch dimension mismatch")
+    if batch.points.shape[1] < k:
+        raise ValueError(f"batch keeps {batch.points.shape[1]} coordinates, fewer than k={k}")
     micro_vals = np.asarray(testfn.fn(batch.points[:, :k]), dtype=float)
     e_micro = float(np.mean(micro_vals))
     se_micro = float(np.std(micro_vals, ddof=1) / math.sqrt(len(micro_vals))) if len(micro_vals) > 1 else 0.0
@@ -391,7 +404,11 @@ def empirical_projection_check(batch: SampleBatch, reference: DensityGrid) -> fl
 
 def save_batch(batch: SampleBatch, path) -> None:
     """Flat little-endian layout: magic, (n, count, t, c, method, delta,
-    seed) header, then float64 rows."""
+    seed) header, then float64 rows of all n coordinates."""
+    if batch.points.shape[1] != batch.n:
+        raise ValueError(
+            f"cannot save a batch that keeps {batch.points.shape[1]} of {batch.n} coordinates; sample it in full"
+        )
     header = _HEADER.pack(
         batch.n,
         batch.count,

@@ -160,6 +160,17 @@ class TestSubcommands:
         assert code == 0
         assert sampler.load_batch(out).method == "rejection"
 
+    def test_solve_c_rejects_nan_energy(self, capsys):
+        assert run(["solve-c", "--kind", "quadratic", "--t", "nan"]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
+    def test_overflowing_tilt_reports_error(self, capsys):
+        code = run(["bounds", "--kind", "quadratic", "--n-list", "50", "--k-list", "1", "--alpha-list", "100"])
+        assert code == 1
+        assert "error: tilt normalizer overflows" in capsys.readouterr().err
+
     def test_seventeen_digit_floats(self, tmp_path):
         out = tmp_path / "solve.csv"
         run(["solve-c", "--kind", "linear_half", "--t", "3", "--out", str(out)])

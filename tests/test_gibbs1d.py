@@ -71,6 +71,13 @@ class TestSolveEnergy:
         model = gibbs1d.solve_energy(ham.quartic_perturbed(0.5), 2.5)
         assert abs(model.mu - 2.5) <= 1e-10 * 2.5
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, t):
+        """nan fails every comparison in the bracketing, so without the
+        check it would come back as c = 1."""
+        with pytest.raises(ValueError, match="finite"):
+            gibbs1d.solve_energy(ham.quadratic(), t)
+
     def test_mean_energy_strictly_decreasing(self):
         """20-point scan of c -> E f(X) over [0.1, 10]."""
         cs = np.linspace(0.1, 10.0, 20)

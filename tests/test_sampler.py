@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,75 @@ class TestScalingSampler:
     def test_inhomogeneous_rejected(self, quartic_model):
         with pytest.raises(ValueError):
             sampler.sample_surface_scaling(quartic_model, 4, 8, seed=1)
+
+
+class TestStreamedColumns:
+    def test_scaling_keep_is_bitwise_prefix(self, lin_model):
+        """2500 rows: two full 1024-row blocks and a partial one."""
+        full = sampler.sample_surface_scaling(lin_model, 30, 2500, seed=8)
+        cut = sampler.sample_surface_scaling(lin_model, 30, 2500, seed=8, keep=2)
+        assert cut.points.shape == (2500, 2) and cut.n == 30
+        assert np.array_equal(cut.points, full.points[:, :2])
+
+    def test_rejection_keep_matches_first_column(self, quartic_model):
+        """The bisection stops per block, so agreement is to rounding only."""
+        full = sampler.sample_surface_rejection(quartic_model, 10, 0.2, 3000, seed=4)
+        cut = sampler.sample_surface_rejection(quartic_model, 10, 0.2, 3000, seed=4, keep=1)
+        assert cut.points.shape == (3000, 1)
+        assert cut.acceptance_rate == full.acceptance_rate
+        np.testing.assert_allclose(cut.points[:, 0], full.points[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("method", ["scaling", "rejection"])
+    def test_off_surface_block_raises(self, monkeypatch, quad_model, method):
+        project = sampler._project_rows
+        monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, target: 1.001 * project(spec, rows, target))
+        with pytest.raises(RuntimeError, match="off the surface"):
+            if method == "scaling":
+                sampler.sample_surface_scaling(quad_model, 8, 100, seed=1, keep=1)
+            else:
+                sampler.sample_surface_rejection(quad_model, 8, 0.5, 100, seed=1, keep=1)
+
+    def test_memory_bounded_by_kept_columns(self, lin_model):
+        """One full (20000, 500) matrix is 76 MiB; keeping two columns needs
+        the (20000, 2) result plus a few 1024-row blocks."""
+        tracemalloc.start()
+        try:
+            batch = sampler.sample_surface_scaling(lin_model, 500, 20_000, seed=1, keep=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.points.shape == (20_000, 2)
+        assert peak < 32 * 2**20
+
+    def test_row_energies_match_whole_array_sum(self, quartic_model):
+        rows = sampler._CoordinateSampler(quartic_model).draw(sampler._block_rng(6, 0), (2500, 9))
+        reference = np.sum(ham.f_values(quartic_model.spec, rows), axis=1)
+        assert np.array_equal(sampler._row_energies(quartic_model.spec, rows), reference)
+
+    @pytest.mark.parametrize("spec", [ham.power(3, ham.SYMMETRIC), ham.quartic_perturbed(1.0)], ids=["power3", "quartic"])
+    def test_symmetric_sign_flip_matches_where(self, spec):
+        """The in-place sign flip draws the same uniforms and gives the same
+        values as ``np.where(u < 0.5, -mag, mag)``."""
+        model = gibbs1d.solve_energy(spec, 1.0)
+        coord = sampler._CoordinateSampler(model)
+        got = coord.draw(sampler._block_rng(3, 0), (500, 7))
+        rng = sampler._block_rng(3, 0)
+        if spec.kind == "power":
+            mag = rng.gamma(1.0 / spec.p, 1.0 / model.c, (500, 7)) ** (1.0 / spec.p)
+        else:
+            mag = coord._pchip(rng.random((500, 7)))
+        assert np.array_equal(got, np.where(rng.random((500, 7)) < 0.5, -mag, mag))
+
+    @pytest.mark.parametrize("keep", [0, 9])
+    def test_keep_out_of_range_rejected(self, quad_model, keep):
+        with pytest.raises(ValueError, match="keep"):
+            sampler.sample_surface_scaling(quad_model, 8, 10, seed=1, keep=keep)
+
+    def test_gap_needs_k_columns(self, quad_model):
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0] * rows[:, 1], k=2, name="x1x2", growth="bounded")
+        batch = sampler.sample_surface_scaling(quad_model, 10, 100, seed=1, keep=1)
+        with pytest.raises(ValueError, match="fewer than k=2"):
+            sampler.ensemble_expectation_gap(quad_model, 10, 2, fn, batch, 100, seed=2)
 
 
 class TestRejectionSampler:
@@ -191,6 +261,13 @@ class TestBatchFile:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             sampler.load_batch(path)
+
+    def test_column_reduced_batch_refused(self, tmp_path, quad_model):
+        batch = sampler.sample_surface_scaling(quad_model, 6, 64, seed=5, keep=2)
+        path = tmp_path / "cut.thnshl"
+        with pytest.raises(ValueError, match="2 of 6 coordinates"):
+            sampler.save_batch(batch, path)
+        assert not path.exists()
 
     def test_scaling_roundtrip_without_shell(self, tmp_path, quad_model):
         batch = sampler.sample_surface_scaling(quad_model, 3, 64, seed=5)
