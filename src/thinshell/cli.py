@@ -68,6 +68,12 @@ class ExperimentConfig:
                     raise ConfigError(f"every k must satisfy 1 <= k < n; got k={k}, n={n}")
         if len(self.mixture_t_list) != len(self.mixture_weights):
             raise ConfigError("mixture_t_list and mixture_weights differ in length")
+        for name in ("c_override", "delta", "grid_extent"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0; got {value!r}")
+        if self.grid_size is not None and self.grid_size < 2:
+            raise ConfigError(f"grid_size must be >= 2; got {self.grid_size!r}")
 
     def spec(self):
         raw = {"kind": self.kind}

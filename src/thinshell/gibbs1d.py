@@ -59,6 +59,16 @@ class GridParams:
     sd_extent: float = 12.0
     pad_sd: float = 4.0
 
+    def __post_init__(self):
+        for name in ("size", "sum_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2; got {value!r}")
+        for name in ("sd_extent", "pad_sd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0; got {value!r}")
+
 
 @dataclass(frozen=True)
 class GibbsModel:
@@ -291,16 +301,41 @@ def y_density(model: GibbsModel, params: GridParams | None = None) -> DensityGri
 # characteristic function
 
 
-def _edge_transform(model: GibbsModel, u: np.ndarray) -> np.ndarray:
-    """Fourier transform of the two-term edge model over y > 0; each power
-    law ``a y^b exp(-c y)`` maps to ``a Gamma(b+1) (c - iu)^{-(b+1)}``."""
+def _log_c_minus_iu(c: float, u: np.ndarray) -> np.ndarray:
+    """Principal ``log(c - iu)`` from real arithmetic: modulus and angle."""
+    return 0.5 * np.log(c * c + u * u) - 1j * np.arctan2(u, c)
+
+
+def _edge_transform(model: GibbsModel, base: np.ndarray) -> np.ndarray:
+    """Fourier transform of the two-term edge model over y > 0, given
+    ``base = log(c - iu)``; each power law ``a y^b exp(-c y)`` maps to
+    ``a Gamma(b+1) (c - iu)^{-(b+1)} = exp(log(a Gamma(b+1)) - (b+1) base)``."""
     edge = _edge_model(model)
     a = edge.beta + 1.0
-    out = np.exp(edge.log_k + gammaln(a)) * (model.c - 1j * u) ** (-a)
+    out = np.exp(edge.log_k + gammaln(a) - a * base)
     if edge.beta2 is not None and edge.coef2 != 0.0:
         a2 = edge.beta2 + 1.0
-        out = out + edge.coef2 * math.gamma(a2) * (model.c - 1j * u) ** (-a2)
+        sign2 = 1.0 if edge.coef2 > 0 else -1.0
+        out += sign2 * np.exp(math.log(abs(edge.coef2)) + gammaln(a2) - a2 * base)
     return out
+
+
+def _conjugate_phi(model: GibbsModel, m: int, dx: float, rem: np.ndarray | None):
+    """phi at the nonnegative angular frequencies conjugate to an m-point,
+    dx-spaced grid on [0, (m-1) dx], plus ``log(c - iu)`` there.
+
+    ``rem`` holds the density minus the edge model on nodes 1..m-1, or is
+    None when the caller found it negligible.  Its trapezoid transform (half
+    weight on the right endpoint; the left one is 0) comes from one rFFT,
+    which covers the whole resolvable band.
+    """
+    us = 2.0 * math.pi * np.fft.rfftfreq(m, d=dx)
+    base = _log_c_minus_iu(model.c, us)
+    phi = _edge_transform(model, base)
+    if rem is not None:
+        phi += np.conj(np.fft.rfft(np.concatenate(([0.0], rem)))) * dx
+        phi -= 0.5 * dx * rem[-1] * np.exp(1j * us * (dx * (m - 1)))
+    return us, base, phi
 
 
 def _grid_remainder(model: GibbsModel, ys: np.ndarray) -> np.ndarray:
@@ -329,7 +364,7 @@ def characteristic_function(model: GibbsModel, u):
     u_lim = 0.95 * math.pi / grid.dx
     if np.any(np.abs(u_arr) > u_lim):
         raise ValueError(f"|u| beyond the resolvable band ({u_lim:.3g}) for this grid")
-    out = _edge_transform(model, u_arr)
+    out = _edge_transform(model, _log_c_minus_iu(model.c, u_arr))
     if not negligible:
         ys = grid.points()[1:]
         # trapezoid: interior nodes full weight, endpoints half (the left
@@ -345,23 +380,12 @@ def characteristic_function(model: GibbsModel, u):
 
 
 def _phi_fft(model: GibbsModel) -> tuple[np.ndarray, np.ndarray]:
-    """|phi| sampled on the y-grid's conjugate nonnegative frequencies.
-
-    One rFFT of the grid remainder covers the whole resolvable band, which
-    is what the integrability scan needs.
-    """
+    """phi sampled on the y-grid's conjugate nonnegative frequencies, the
+    whole resolvable band the integrability scan needs."""
     if "phi_fft" in model._cache:
         return model._cache["phi_fft"]
     grid, rem, negligible = _cached_remainder(model)
-    n = len(grid.values)
-    us = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.dx)
-    phi = _edge_transform(model, us)
-    if not negligible:
-        full = np.concatenate(([0.0], rem))
-        spectrum = np.conj(np.fft.rfft(full)) * grid.dx
-        y_end = grid.dx * (n - 1)
-        spectrum -= 0.5 * grid.dx * rem[-1] * np.exp(1j * us * y_end)
-        phi = phi + spectrum
+    us, _, phi = _conjugate_phi(model, len(grid.values), grid.dx, None if negligible else rem)
     out = (us, phi)
     model._cache["phi_fft"] = out
     return out

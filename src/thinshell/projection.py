@@ -45,10 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProjectionContext:
-    """Solved model plus the three sum densities an (n, k) cell needs.
+    """Solved model plus the sum densities an (n, k) cell needs.
 
     Closed-form families evaluate ``log w_{n-k}`` and ``log w_n(nt)``
-    exactly; otherwise the FFT grids interpolate in log space.
+    exactly, so only the ``w_k`` grid is built and ``wn``/``wnk`` are None;
+    otherwise the FFT grids interpolate in log space.
     ``clt_ok`` records whether ``n - k`` reaches the scanned integrability
     order (the exact small cases deliberately run below it).
     """
@@ -57,9 +58,9 @@ class ProjectionContext:
     n: int
     k: int
     t: float
-    wn: DensityGrid
+    wn: DensityGrid | None
     wk: DensityGrid
-    wnk: DensityGrid
+    wnk: DensityGrid | None
     log_wn_at_nt: float
     r_used: int
     clt_ok: bool
@@ -87,13 +88,14 @@ def make_context(
     if require_clt and not clt_ok:
         raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
     exact = model.spec.has_closed_wn
-    wn = w_density(model, n, params)
     wk = w_density(model, k, params)
-    wnk = w_density(model, n - k, params)
     nt = n * model.mu
     if exact:
+        wn = wnk = None
         log_wn_at_nt = float(log_w_exact(model, n, np.asarray([nt]))[0])
     else:
+        wn = w_density(model, n, params)
+        wnk = w_density(model, n - k, params)
         log_wn_at_nt = float(wn.log_at(nt)[0])
     if not math.isfinite(log_wn_at_nt):
         raise ValueError("w_n vanishes at the surface level nt; context is degenerate")
@@ -337,6 +339,8 @@ def _df_bound(spec_kind: str, n: int, k: int) -> float | None:
 
 
 def bound_report(ctx: ProjectionContext, C: float, alpha: float = 0.0) -> BoundReport:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"local-CLT constant C must be finite and > 0; got {C!r}")
     if math.sqrt(ctx.n) / C <= 1.0:
         raise ValueError("bound inapplicable: need sqrt(n)/C > 1")
     if alpha == 0.0:

@@ -245,8 +245,8 @@ def sample_surface_rejection(
     ``|R_n/n - t| <= delta``, then project the survivors to the surface.
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
     default)."""
-    if delta <= 0:
-        raise ValueError("shell width must be positive")
+    if not delta > 0:
+        raise ValueError(f"shell width must be positive; got delta={delta!r}")
     spec = model.spec
     keep = _check_keep(n, keep)
     sampler = _CoordinateSampler(model)

@@ -3,17 +3,20 @@ product measure.
 
 Two routes: closed Gamma forms for the quadratic and half-line linear
 families, and a characteristic-function route (sample phi on the output
-grid's conjugate frequencies, raise to the n-th power in polar form,
-invert by FFT).  The leading edge behavior ``A y^gamma exp(-cy)`` of the
-n-fold convolution is known from the single-summand edge model, so when
-``gamma < 2`` (jump/kink/singularity at the support edge) that term is
-subtracted in the frequency domain and added back in closed form; a plain
-inversion would ring against the discontinuity.
+grid's nonnegative conjugate frequencies, raise to the n-th power in polar
+form, invert by a real inverse FFT, since w_n is real).  The leading edge
+behavior ``A y^gamma exp(-cy)`` of the n-fold convolution is known from
+the single-summand edge model, so when ``gamma < 2`` (jump/kink/singularity
+at the support edge) that term is subtracted in the frequency domain and
+added back in closed form; a plain inversion would ring against the
+discontinuity.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,8 @@ from scipy.special import gammaln
 from .gibbs1d import (
     GibbsModel,
     GridParams,
+    _conjugate_phi,
     _edge_model,
-    _edge_transform,
     _grid_remainder,
     clt_prerequisites,
     log_y_density,
@@ -109,32 +112,17 @@ def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> Dens
 # characteristic-function route
 
 
-def _phi_on_conjugate_grid(model: GibbsModel, m: int, ds: float) -> tuple[np.ndarray, np.ndarray]:
-    """phi at the angular frequencies conjugate to an m-point, ds-spaced grid."""
-    us = 2.0 * math.pi * np.fft.fftfreq(m, d=ds)
-    phi = _edge_transform(model, us)
-    ys = ds * np.arange(1, m)
-    rem = _grid_remainder(model, ys)
-    if np.max(np.abs(rem)) > 1e-14 * float(np.max(np.exp(log_y_density(model, ys[:: max(1, m // 512)])))):
-        full = np.concatenate(([0.0], rem))
-        # trapezoid transform: sum with half-weight endpoints (left one is 0)
-        spectrum = np.conj(np.fft.fft(full)) * ds
-        spectrum -= 0.5 * ds * rem[-1] * np.exp(1j * us * ys[-1])
-        phi = phi + spectrum
-    return us, phi
-
-
 def _polar_power(phi: np.ndarray, n: int) -> np.ndarray:
-    """phi**n computed as exp(n log|phi| + i n unwrapped-phase)."""
-    shifted = np.fft.fftshift(phi)
-    mod = np.abs(shifted)
+    """phi**n on nonnegative frequencies, computed as exp(n log|phi| + i n
+    phase) with the phase unwrapped upward from u = 0."""
+    mod = np.abs(phi)
     log_mod = np.log(np.maximum(mod, 1e-300))
-    phase = np.unwrap(np.angle(shifted))
-    phase -= phase[len(phase) // 2]  # phi(0)=1 anchors the branch
+    phase = np.unwrap(np.angle(phi))
+    phase -= phase[0]  # phi(0)=1 anchors the branch
     with np.errstate(over="ignore", under="ignore"):
         powered = np.exp(n * log_mod + 1j * n * phase)
     powered[mod == 0.0] = 0.0
-    return np.fft.ifftshift(powered)
+    return powered
 
 
 def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
@@ -154,13 +142,18 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     for _ in range(4):
         m = params.sum_size
         ds = length / m
-        us, phi = _phi_on_conjugate_grid(model, m, ds)
+        ys = ds * np.arange(1, m)
+        rem = _grid_remainder(model, ys)
+        if np.max(np.abs(rem)) <= 1e-14 * float(np.max(np.exp(log_y_density(model, ys[:: max(1, m // 512)])))):
+            rem = None
+        # base = log(c - iu): every edge term below is exp(log_amp - a base)
+        _, base, phi = _conjugate_phi(model, m, ds, rem)
         psi = _polar_power(phi, n)
         gamma = n * (beta + 1.0) - 1.0
         a_log = n * (log_k + gammaln(beta + 1.0)) - gammaln(gamma + 1.0)
         edge_term = gamma < 2.0
         if edge_term:
-            psi = psi - np.exp(a_log + gammaln(gamma + 1.0)) * (c - 1j * us) ** (-(gamma + 1.0))
+            psi -= np.exp(a_log + gammaln(gamma + 1.0) - (gamma + 1.0) * base)
         # second-order edge term of the convolution: n * lead^{n-1} * next
         efit = _edge_model(model)
         gamma2 = math.inf
@@ -175,17 +168,17 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
             sign2 = 1.0 if efit.coef2 > 0 else -1.0
         edge_term2 = gamma2 < 2.0
         if edge_term2:
-            psi = psi - sign2 * np.exp(amp2_log) * (c - 1j * us) ** (-(gamma2 + 1.0))
-        w = np.fft.fft(psi).real / (m * ds)
-        ss = ds * np.arange(1, m)
+            psi -= sign2 * np.exp(amp2_log - (gamma2 + 1.0) * base)
+        # psi is Hermitian in u, so the inversion needs only u >= 0
+        w = np.fft.irfft(np.conj(psi), m) / ds
         if edge_term:
             with np.errstate(over="ignore", under="ignore"):
-                w[1:] += np.exp(a_log + gamma * np.log(ss) - c * ss)
+                w[1:] += np.exp(a_log + gamma * np.log(ys) - c * ys)
             # |gamma| at roundoff scale is a genuine jump at the edge
             w[0] = math.exp(a_log) if abs(gamma) <= 1e-9 else 0.0
         if edge_term2:
             with np.errstate(over="ignore", under="ignore"):
-                w[1:] += sign2 * np.exp(amp2_log - gammaln(gamma2 + 1.0) + gamma2 * np.log(ss) - c * ss)
+                w[1:] += sign2 * np.exp(amp2_log - gammaln(gamma2 + 1.0) + gamma2 * np.log(ys) - c * ys)
             if abs(gamma2) <= 1e-9:
                 w[0] += sign2 * math.exp(amp2_log - gammaln(gamma2 + 1.0))
         # wrap-around guard: the mass sitting in the top of the grid (which
@@ -221,11 +214,36 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     return grid.normalized()
 
 
+# guards the per-key futures in every model's cache
+_W_LOCK = threading.Lock()
+
+
 def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
-    """Closed form when the family has one, FFT route otherwise."""
+    """Closed form when the family has one, FFT route otherwise.
+
+    FFT grids are memoised on the model under ``("w", n, params)``, so every
+    caller gets the same grid; concurrent requests for one key share a
+    single build, and a build that raises is evicted so the next call
+    retries.  Closed-form grids are not kept: a sweep holding them all
+    costs more memory than rebuilding them costs time.
+    """
     if model.spec.has_closed_wn:
         return w_exact(model, n, params)
-    return w_fft(model, n, params)
+    key = ("w", n, params or GridParams())
+    with _W_LOCK:
+        future = model._cache.get(key)
+        build = future is None
+        if build:
+            future = model._cache[key] = Future()
+    if build:
+        try:
+            future.set_result(w_fft(model, n, params))
+        except BaseException as exc:
+            with _W_LOCK:
+                del model._cache[key]
+            future.set_exception(exc)
+            raise
+    return future.result()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,32 @@ class TestConfig:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,key",
+        [
+            ("--grid-extent", "grid_extent"),
+            ("--c-override", "c_override"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_bounds_number_rejected(self, option, key, value, capsys):
+        code = run(["bounds", "--kind", "quadratic", "--n-list", "50", "--k-list", "1", option, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and key in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "0"])
+    def test_bad_shell_width_rejected(self, value, capsys):
+        code = run(["ensembles", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20",
+                    "--count", "100", "--delta", value])
+        assert code == 2
+        assert "delta" in capsys.readouterr().err
+
+    def test_grid_size_below_two_rejected(self, capsys):
+        assert run(["wn", "--kind", "quadratic", "--n", "4", "--grid-size", "1"]) == 2
+        assert "grid_size" in capsys.readouterr().err
+
     def test_cli_overrides_file(self, lin_config, tmp_path, capsys):
         out = tmp_path / "row.csv"
         assert run(["solve-c", "--config", lin_config, "--kind", "quadratic", "--t", "0.5", "--out", str(out)]) == 0

@@ -85,6 +85,31 @@ class TestSolveEnergy:
         assert np.all(np.diff(mus) < 0)
 
 
+class TestGridParams:
+    def test_defaults_accepted(self):
+        params = gibbs1d.GridParams()
+        assert params.sum_size == 2**17 and params.sd_extent == 12.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"size": 1},
+            {"sum_size": 0},
+            {"sum_size": 1024.0},
+            {"sum_size": True},
+            {"sd_extent": math.nan},
+            {"sd_extent": math.inf},
+            {"sd_extent": 0.0},
+            {"pad_sd": -1.0},
+            {"pad_sd": math.nan},
+        ],
+    )
+    def test_bad_fields_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            gibbs1d.GridParams(**kwargs)
+
+
 class TestYDensity:
     def test_exponential_density(self, lin_model):
         grid = gibbs1d.y_density(lin_model)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thinshell import gibbs1d, hamiltonians as ham, projection
+from thinshell import gibbs1d, hamiltonians as ham, projection, sumdensity
 
 # frozen oracles for the two-exponential surface (n=2, k=1, t=1):
 # the projected coordinate is uniform on [0, 2], the divergence integrates
@@ -33,6 +33,25 @@ class TestContext:
 
     def test_energy_matched(self, small_ctx):
         assert small_ctx.t == pytest.approx(1.0, rel=1e-10)
+
+    def test_closed_form_builds_only_wk(self, quad_model):
+        """Closed-form contexts evaluate w_n and w_{n-k} exactly, so no grid
+        is built for them; kl/tv are frozen values from a build that still
+        made all three grids."""
+        for (n, k), (kl, tv) in {
+            (100, 3): (0.00038792858788929687, 0.017895031857477997),
+            (50, 1): (0.00031234547723868163, 0.014330078602606388),
+        }.items():
+            ctx = projection.make_context(quad_model, n, k)
+            assert ctx.wn is ctx.wnk is None
+            assert projection.kl_to_gibbs(ctx) == pytest.approx(kl, rel=1e-12)
+            assert projection.tv_to_gibbs(ctx) == pytest.approx(tv, rel=1e-12)
+
+    def test_fft_context_reads_memoised_grids(self, quartic_model):
+        ctx = projection.make_context(quartic_model, 20, 3)
+        assert ctx.wn is sumdensity.w_density(quartic_model, 20)
+        assert ctx.wnk is sumdensity.w_density(quartic_model, 17)
+        assert ctx.log_wn_at_nt == float(ctx.wn.log_at(20 * quartic_model.mu)[0])
 
 
 class TestExactSmallCase:
@@ -222,6 +241,12 @@ class TestBoundReport:
         ctx = projection.make_context(quad_model, 100, 1)
         with pytest.raises(ValueError):
             projection.bound_report(ctx, C=20.0)
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_constant_rejected(self, quad_model, C):
+        ctx = projection.make_context(quad_model, 100, 1)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            projection.bound_report(ctx, C=C)
 
 
 class TestConverse:

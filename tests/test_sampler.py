@@ -171,6 +171,11 @@ class TestRejectionSampler:
         batch = sampler.sample_surface_rejection(quad_model, 10, 10.0, 200, seed=9)
         assert batch.acceptance_rate > 0.999
 
+    @pytest.mark.parametrize("delta", [math.nan, 0.0, -0.1])
+    def test_bad_shell_width_rejected_before_drawing(self, quad_model, delta):
+        with pytest.raises(ValueError, match="shell width"):
+            sampler.sample_surface_rejection(quad_model, 10, delta, 10, seed=1, max_draws=100)
+
     def test_narrow_shell_aborts_with_advice(self, quad_model):
         with pytest.raises(RuntimeError, match="delta|budget"):
             sampler.sample_surface_rejection(quad_model, 50, 1e-7, 50_000, seed=1, max_draws=200_000)

@@ -1,10 +1,15 @@
 import math
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
-from thinshell import gibbs1d, sumdensity
+from thinshell import gibbs1d, hamiltonians as ham, sumdensity
 
 
 def _window_error(exact, fft, center, half):
@@ -80,7 +85,7 @@ class TestFftRoute:
         for a in (1, 2, 4):
             wa = sumdensity.w_fft(lin_model, a)
             w2a = sumdensity.w_fft(lin_model, 2 * a)
-            conv = np.convolve(wa.values, wa.values)[: len(wa)] * wa.dx
+            conv = fftconvolve(wa.values, wa.values)[: len(wa)] * wa.dx
             err = float(np.max(np.abs(conv - w2a.at(wa.points()))))
             assert err < 1e-3
 
@@ -89,6 +94,81 @@ class TestFftRoute:
         grid = sumdensity.w_fft(quartic_model, n)
         assert grid.mean() == pytest.approx(n * quartic_model.mu, rel=1e-3)
         assert grid.var() == pytest.approx(n * quartic_model.sigma2, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_power_family_against_gamma_oracle(self, p):
+        """f = x^p on x >= 0 makes R_n Gamma(n/p, rate c); the relative error
+        is checked wherever the reference is at least 1e-3 of its peak."""
+        model = gibbs1d.solve_energy(ham.power(p), 1.0)
+        for n in (1, 2, 5, 50):
+            grid = sumdensity.w_fft(model, n)
+            s = grid.points()[1:]
+            ref = gamma_dist.pdf(s, n / p, scale=1.0 / model.c)
+            mask = ref >= 1e-3 * ref.max()
+            err = float(np.max(np.abs(grid.values[1:][mask] - ref[mask]) / ref[mask]))
+            assert err <= 1e-4, (p, n, err)
+
+
+class TestFftMemo:
+    def test_concurrent_requests_share_one_build(self, quartic_model, monkeypatch):
+        model = replace(quartic_model, _cache={})
+        calls = []
+        built = object()
+
+        def fake_w_fft(m, n, params=None):
+            calls.append(n)
+            time.sleep(0.05)  # keep the build open while the others arrive
+            return built
+
+        monkeypatch.setattr(sumdensity, "w_fft", fake_w_fft)
+        start = threading.Barrier(8, timeout=10.0)
+        results = [None] * 8
+
+        def request(i):
+            start.wait()
+            results[i] = sumdensity.w_density(model, 37)
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert calls == [37]
+        assert all(r is built for r in results)
+        assert sumdensity.w_density(model, 37) is built and calls == [37]
+
+    def test_failed_build_is_retried(self, quartic_model, monkeypatch):
+        model = replace(quartic_model, _cache={})
+        calls = []
+
+        def flaky_w_fft(m, n, params=None):
+            calls.append(n)
+            if len(calls) == 1:
+                raise sumdensity.GridTooCoarseError("first build fails")
+            return "grid"
+
+        monkeypatch.setattr(sumdensity, "w_fft", flaky_w_fft)
+        with pytest.raises(sumdensity.GridTooCoarseError):
+            sumdensity.w_density(model, 5)
+        assert sumdensity.w_density(model, 5) == "grid"
+        assert sumdensity.w_density(model, 5) == "grid"
+        assert calls == [5, 5]
+
+    def test_keyed_by_grid_params(self, quartic_model, monkeypatch):
+        model = replace(quartic_model, _cache={})
+        monkeypatch.setattr(sumdensity, "w_fft", lambda m, n, params=None: object())
+        default = sumdensity.w_density(model, 3)
+        assert sumdensity.w_density(model, 3, gibbs1d.GridParams()) is default
+        assert sumdensity.w_density(model, 3, gibbs1d.GridParams(sum_size=2**12)) is not default
+
+    def test_closed_forms_not_kept(self, lin_model):
+        assert sumdensity.w_density(lin_model, 4) is not sumdensity.w_density(lin_model, 4)
 
 
 class TestLocalCltScan:
