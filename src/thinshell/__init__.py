@@ -67,6 +67,7 @@ from .sumdensity import (
     RatioBoundReport,
     local_clt_scan,
     log_ratio_bound_check,
+    log_w,
     log_w_exact,
     w_density,
     w_exact,

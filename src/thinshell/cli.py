@@ -14,6 +14,8 @@ import argparse
 import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -74,6 +76,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite and > 0; got {value!r}")
         if self.grid_size is not None and self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2; got {self.grid_size!r}")
+        for name in ("count", "canonical_count"):
+            value = getattr(self, name)
+            if value < 2:
+                raise ConfigError(f"{name} must be >= 2 (a standard error needs two draws); got {value!r}")
+        if not all(math.isfinite(a) for a in self.alpha_list):
+            raise ConfigError(f"alpha_list entries must be finite; got {self.alpha_list!r}")
+        if self.method not in sampler._METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; choose from {list(sampler._METHODS)}")
+        if self.testfn not in _TESTFNS:
+            raise ConfigError(f"unknown testfn {self.testfn!r}; choose from {sorted(_TESTFNS)}")
 
     def spec(self):
         raw = {"kind": self.kind}
@@ -94,32 +106,34 @@ class ExperimentConfig:
         return params
 
 
-_LIST_KEYS = {"n_list", "k_list", "alpha_list", "clt_n_list", "mixture_t_list", "mixture_weights"}
-_INT_KEYS = {"n", "grid_size", "count", "canonical_count", "seed"}
-_FLOAT_KEYS = {"p", "epsilon", "t", "c_override", "grid_extent", "delta", "eps", "k_frac"}
+def _converter(hint):
+    """Text-to-value conversion for one field's type: ``X | None`` converts
+    as X, ``tuple[X, ...]`` as a comma-separated list of X, and ``bool``
+    as a yes/no word."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return lambda value: tuple(item(v.strip()) for v in value.split(",") if v.strip())
+    if hint is bool:
+        return lambda value: value.lower() in ("1", "true", "yes")
+    return hint
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# one converter per config key, in field order (which is also flag order)
+_CONVERTERS = {f.name: _converter(_HINTS[f.name]) for f in fields(ExperimentConfig)}
 
 
 def _convert(key: str, value: str, where: str):
     try:
-        if key in _LIST_KEYS:
-            parts = [v.strip() for v in value.split(",") if v.strip()]
-            if key in ("n_list", "k_list", "clt_n_list"):
-                return tuple(int(v) for v in parts)
-            return tuple(float(v) for v in parts)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key == "strict":
-            return value.lower() in ("1", "true", "yes")
+        return _CONVERTERS[key](value)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {value!r} ({exc})") from None
-    return value
 
 
 def parse_config_file(path: str) -> dict:
     out = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
     except OSError as exc:
@@ -131,7 +145,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
+        if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _convert(key, value, f"{path}:{lineno}")
     return out
@@ -141,15 +155,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for opt in ("kind", "p", "epsilon", "support", "t", "n", "n_list", "k_list", "alpha_list",
-                "clt_n_list", "c_override", "grid_size", "grid_extent", "count", "canonical_count",
-                "delta", "method", "testfn", "eps", "k_frac", "mixture_t_list", "mixture_weights",
-                "seed", "out"):
-        val = getattr(args, opt, None)
-        if val is not None:
-            values[opt] = _convert(opt, val, "command line") if isinstance(val, str) else val
-    if getattr(args, "strict", False):
-        values["strict"] = True
+    for key in _CONVERTERS:
+        val = getattr(args, key, None)
+        if isinstance(val, str):
+            values[key] = _convert(key, val, "command line")
+        elif val:  # a store_true flag that was given
+            values[key] = True
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -252,7 +263,7 @@ def run_wn(cfg: ExperimentConfig) -> int:
     ss = grid.points()
     header = ["s", "w_n", "log_w_n"]
     cols = [ss, grid.values, grid.log_values]
-    if model.spec.has_closed_wn:
+    if model.spec.closed_form:
         exact = w_exact(model, n, cfg.grid_params())
         header += ["w_exact", "log_w_exact"]
         cols += [exact.values, exact.log_values]
@@ -341,8 +352,6 @@ _TESTFNS = {
 
 def run_ensembles(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
-    if cfg.testfn not in _TESTFNS:
-        raise ConfigError(f"unknown testfn {cfg.testfn!r}; choose from {sorted(_TESTFNS)}")
     tf = _TESTFNS[cfg.testfn](model.spec)
     rows = []
     for n in cfg.n_list:
@@ -362,11 +371,9 @@ def run_sample(cfg: ExperimentConfig) -> int:
     n = cfg.n if cfg.n is not None else cfg.n_list[0]
     if cfg.method == "scaling":
         batch = sampler.sample_surface_scaling(model, n, cfg.count, cfg.seed)
-    elif cfg.method == "rejection":
+    else:
         delta = cfg.delta if cfg.delta is not None else 0.5 * math.sqrt(model.sigma2 / n)
         batch = sampler.sample_surface_rejection(model, n, delta, cfg.count, cfg.seed)
-    else:
-        raise ConfigError(f"unknown method {cfg.method!r} (scaling or rejection)")
     if cfg.out:
         sampler.save_batch(batch, cfg.out)
         print(f"wrote {batch.count} points to {cfg.out}")
@@ -412,31 +419,13 @@ def _parser() -> argparse.ArgumentParser:
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--kind")
-        p.add_argument("--p")
-        p.add_argument("--epsilon")
-        p.add_argument("--support")
-        p.add_argument("--t")
-        p.add_argument("--n")
-        p.add_argument("--n-list", dest="n_list")
-        p.add_argument("--k-list", dest="k_list")
-        p.add_argument("--alpha-list", dest="alpha_list")
-        p.add_argument("--clt-n-list", dest="clt_n_list")
-        p.add_argument("--c-override", dest="c_override")
-        p.add_argument("--grid-size", dest="grid_size")
-        p.add_argument("--grid-extent", dest="grid_extent")
-        p.add_argument("--count")
-        p.add_argument("--canonical-count", dest="canonical_count")
-        p.add_argument("--delta")
-        p.add_argument("--method")
-        p.add_argument("--testfn")
-        p.add_argument("--eps")
-        p.add_argument("--k-frac", dest="k_frac")
-        p.add_argument("--mixture-t-list", dest="mixture_t_list")
-        p.add_argument("--mixture-weights", dest="mixture_weights")
-        p.add_argument("--seed")
-        p.add_argument("--out")
-        p.add_argument("--strict", action="store_true")
+        # one flag per config key; --n-list stores to n_list, and so on
+        for key in _CONVERTERS:
+            flag = "--" + key.replace("_", "-")
+            if _HINTS[key] is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag)
     return parser
 
 

@@ -116,16 +116,15 @@ def _halfline_integral(spec: HamiltonianSpec, c: float, weight, x_max: float, po
 
 
 def partition_function(spec: HamiltonianSpec, c: float) -> float:
-    """``Z_c = \\int exp(-c f) dx`` over the finiteness set (closed form when
-    the spec provides one)."""
+    """``Z_c = \\int exp(-c f) dx`` over the finiteness set; closed-form
+    families of degree d have ``Z = s Gamma(1 + 1/d) c^(-1/d)``, with s = 2
+    on symmetric support."""
     if c <= 0:
         raise ValueError("inverse temperature must be positive")
-    if spec.has_closed_z:
-        if spec.kind == "quadratic":
-            return math.sqrt(math.pi / c)
-        if spec.kind == "linear_half":
-            return 1.0 / c
     factor = 2.0 if spec.support == SYMMETRIC else 1.0
+    if spec.closed_form:
+        d = spec.homogeneous_degree
+        return factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
     x_max, _ = _truncation(spec, c)
     return factor * _halfline_integral(spec, c, None, x_max)
 

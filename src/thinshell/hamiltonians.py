@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "CLOSED_FORMS",
     "HALF_LINE",
     "SYMMETRIC",
     "HamiltonianSpec",
@@ -44,6 +45,12 @@ SYMMETRIC = "symmetric"
 
 _KINDS = ("quadratic", "linear_half", "power", "quartic_perturbed", "custom")
 
+# (homogeneous degree d, support) -> Diaconis-Freedman offset j.  For these
+# families R_n is Gamma(n/d, rate c) and the projection distance obeys
+# 2(k+j)/(n-k-j): d = 2 on symmetric support is the sphere, d = 1 on the
+# half-line the simplex.  Being listed here is what "closed form" means.
+CLOSED_FORMS = {(2.0, SYMMETRIC): 3.0, (1.0, HALF_LINE): 1.0}
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -61,8 +68,6 @@ class HamiltonianSpec:
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     dfn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
     ifn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
-    has_closed_z: bool = False
-    has_closed_wn: bool = False
     homogeneous_degree: float | None = None
 
     def __post_init__(self):
@@ -81,6 +86,11 @@ class HamiltonianSpec:
             return f"quartic_perturbed(eps={self.eps:g})"
         return self.kind
 
+    @property
+    def closed_form(self) -> bool:
+        """Whether ``(homogeneous_degree, support)`` is in CLOSED_FORMS."""
+        return (self.homogeneous_degree, self.support) in CLOSED_FORMS
+
 
 def quadratic() -> HamiltonianSpec:
     return HamiltonianSpec(
@@ -89,8 +99,6 @@ def quadratic() -> HamiltonianSpec:
         fn=lambda x: x * x,
         dfn=lambda x: 2.0 * x,
         ifn=lambda y: np.sqrt(y),
-        has_closed_z=True,
-        has_closed_wn=True,
         homogeneous_degree=2.0,
     )
 
@@ -102,8 +110,6 @@ def linear_half() -> HamiltonianSpec:
         fn=lambda x: np.asarray(x, dtype=float).copy(),
         dfn=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         ifn=lambda y: np.asarray(y, dtype=float).copy(),
-        has_closed_z=True,
-        has_closed_wn=True,
         homogeneous_degree=1.0,
     )
 

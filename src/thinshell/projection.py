@@ -22,8 +22,8 @@ import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
 from .grids import DensityGrid, EdgeModel, make_grid
-from .hamiltonians import SYMMETRIC, f_values, finv_values
-from .sumdensity import log_w_exact, w_density
+from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
+from .sumdensity import log_w, w_density
 
 __all__ = [
     "ProjectionContext",
@@ -47,9 +47,9 @@ __all__ = [
 class ProjectionContext:
     """Solved model plus the sum densities an (n, k) cell needs.
 
-    Closed-form families evaluate ``log w_{n-k}`` and ``log w_n(nt)``
-    exactly, so only the ``w_k`` grid is built and ``wn``/``wnk`` are None;
-    otherwise the FFT grids interpolate in log space.
+    Only the ``w_k`` grid is held; ``log w_{n-k}`` and ``log w_n(nt)`` come
+    from :func:`sumdensity.log_w`, which decides between the closed form and
+    the memoised FFT grid.
     ``clt_ok`` records whether ``n - k`` reaches the scanned integrability
     order (the exact small cases deliberately run below it).
     """
@@ -58,19 +58,15 @@ class ProjectionContext:
     n: int
     k: int
     t: float
-    wn: DensityGrid | None
+    params: GridParams
     wk: DensityGrid
-    wnk: DensityGrid | None
     log_wn_at_nt: float
     r_used: int
     clt_ok: bool
-    exact: bool
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def log_wnk(self, s) -> np.ndarray:
-        if self.exact:
-            return log_w_exact(self.model, self.n - self.k, s)
-        return self.wnk.log_at(s)
+        return log_w(self.model, self.n - self.k, s, self.params)
 
 
 def make_context(
@@ -87,16 +83,8 @@ def make_context(
     clt_ok = (n - k) >= r_used
     if require_clt and not clt_ok:
         raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
-    exact = model.spec.has_closed_wn
     wk = w_density(model, k, params)
-    nt = n * model.mu
-    if exact:
-        wn = wnk = None
-        log_wn_at_nt = float(log_w_exact(model, n, np.asarray([nt]))[0])
-    else:
-        wn = w_density(model, n, params)
-        wnk = w_density(model, n - k, params)
-        log_wn_at_nt = float(wn.log_at(nt)[0])
+    log_wn_at_nt = float(log_w(model, n, np.asarray([n * model.mu]), params)[0])
     if not math.isfinite(log_wn_at_nt):
         raise ValueError("w_n vanishes at the surface level nt; context is degenerate")
     return ProjectionContext(
@@ -104,13 +92,11 @@ def make_context(
         n=n,
         k=k,
         t=model.mu,
-        wn=wn,
+        params=params,
         wk=wk,
-        wnk=wnk,
         log_wn_at_nt=log_wn_at_nt,
         r_used=r_used,
         clt_ok=clt_ok,
-        exact=exact,
     )
 
 
@@ -174,66 +160,41 @@ def project_uniform_k1(ctx: ProjectionContext, params: GridParams | None = None)
 
 
 # ---------------------------------------------------------------------------
-# divergences of the uniform projection
+# divergences against the Gibbs product density
 
 
-def _log_ratio_fn(ctx: ProjectionContext):
-    nt = ctx.n * ctx.t
+def _log_ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0):
+    """Log likelihood ratio of the projection tilted by ``exp(alpha s)``
+    against g_k, as a function of the partial energy s:
+    ``alpha s + log w_{n-k}(nt - s) - log w_n(nt) - log_norm``.
 
-    def fn(ss):
-        lr = ctx.log_wnk(nt - np.asarray(ss, dtype=float)) - ctx.log_wn_at_nt
-        return lr
-
-    return fn
-
-
-def kl_to_gibbs(ctx: ProjectionContext) -> float:
-    """``D(p_{n,k,t} || g_k) = \\int r_k(s) log(w_{n-k}(nt-s)/w_n(nt)) ds``.
-
-    Contributions where the ratio vanishes carry zero r_k mass and are
-    dropped; a negative result beyond -1e-8 signals inconsistent grids.
+    Where ``w_{n-k}`` vanishes the surface density has no mass; there the
+    log term reads 0 and the returned mask is False.
     """
-    rk = rk_conditional_density(ctx)
-    lr = _log_ratio_fn(ctx)
-
-    def fn(ss):
-        out = lr(ss)
-        return np.where(np.isfinite(out), out, 0.0)
-
-    kl = rk.integrate(fn)
-    if kl < -1e-8:
-        raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
-    return max(kl, 0.0)
+    ss = np.asarray(ss, dtype=float)
+    lr = ctx.log_wnk(ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
+    finite = np.isfinite(lr)
+    return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
 
 
-def tv_to_gibbs(ctx: ProjectionContext) -> float:
-    """``d_TV(p_{n,k,t}, g_k) = \\int w_k(s) |w_{n-k}(nt-s)/w_n(nt) - 1| ds``
-    in the L1 convention (range [0, 2]); regions where the surface density
-    has no support contribute their full w_k mass."""
-    lr = _log_ratio_fn(ctx)
-
-    def fn(ss):
-        out = lr(ss)
-        with np.errstate(over="ignore"):
-            ratio = np.where(np.isfinite(out), np.exp(np.where(np.isfinite(out), out, 0.0)), 0.0)
-        return np.abs(ratio - 1.0)
-
-    tv = ctx.wk.integrate(fn)
-    if not -1e-9 <= tv <= 2.0 + 1e-9:
-        raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
-    return float(min(max(tv, 0.0), 2.0))
-
-
-# ---------------------------------------------------------------------------
-# tilted surface densities (k = 1)
+def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0) -> np.ndarray:
+    """The likelihood ratio itself, 0 where the surface density has no mass."""
+    lr, finite = _log_ratio(ctx, ss, alpha, log_norm)
+    with np.errstate(over="ignore"):
+        return np.where(finite, np.exp(lr), 0.0)
 
 
 def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
     """Energy density under the tilt exp(alpha * s), its log-normalizer, and
-    the surface-level divergence of the tilt."""
+    the surface-level divergence of the tilt; ``r_k`` itself at alpha = 0.
+    Built once per context and alpha."""
+    key = ("rk", alpha)
+    if key in ctx._cache:
+        return ctx._cache[key]
     rk = rk_conditional_density(ctx)
     if alpha == 0.0:
-        return rk, 0.0, 0.0
+        ctx._cache[key] = out = (rk, 0.0, 0.0)
+        return out
     if alpha * rk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
     norm = rk.integrate(lambda s: np.exp(alpha * s))
@@ -250,7 +211,39 @@ def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
     d_surface = alpha * tilted.integrate(lambda s: s) - log_norm
-    return tilted, log_norm, d_surface
+    ctx._cache[key] = out = (tilted, log_norm, d_surface)
+    return out
+
+
+def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
+    """``D(p || g_k) = \\int r(s) log(ratio(s)) ds`` for the projection p
+    tilted by ``exp(alpha s)`` (the uniform surface density at alpha = 0),
+    with r the tilted ``r_k`` and ratio as in :func:`_log_ratio`.
+
+    Contributions where the ratio vanishes carry zero r mass and are
+    dropped; a negative result beyond -1e-8 signals inconsistent grids.
+    """
+    tilted, log_norm, _ = _tilted_rk(ctx, alpha)
+    kl = tilted.integrate(lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0])
+    if kl < -1e-8:
+        raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
+    return max(kl, 0.0)
+
+
+def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
+    """``d_TV(p, g_k) = \\int w_k(s) |ratio(s) - 1| ds`` in the L1 convention
+    (range [0, 2]) for the projection tilted by ``exp(alpha s)``; regions
+    where the surface density has no support contribute their full w_k
+    mass.  The untilted distance needs no ``r_k`` grid."""
+    log_norm = 0.0 if alpha == 0.0 else _tilted_rk(ctx, alpha)[1]
+    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0))
+    if not -1e-9 <= tv <= 2.0 + 1e-9:
+        raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
+    return float(min(max(tv, 0.0), 2.0))
+
+
+# ---------------------------------------------------------------------------
+# tilted surface densities (k = 1)
 
 
 def project_tilted(ctx: ProjectionContext, alpha: float, params: GridParams | None = None) -> tuple[DensityGrid, float]:
@@ -267,30 +260,6 @@ def project_tilted(ctx: ProjectionContext, alpha: float, params: GridParams | No
     return grid.normalized(), d_surface
 
 
-def _tilted_divergences(ctx: ProjectionContext, alpha: float) -> tuple[float, float, float]:
-    """(kl, tv, d_surface) of the tilted projection against g_k."""
-    tilted, log_norm, d_surface = _tilted_rk(ctx, alpha)
-    lr = _log_ratio_fn(ctx)
-
-    def kl_fn(ss):
-        out = lr(ss)
-        out = np.where(np.isfinite(out), out, 0.0)
-        return alpha * ss + out - log_norm
-
-    kl = tilted.integrate(kl_fn)
-    if kl < -1e-8:
-        raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
-
-    def tv_fn(ss):
-        out = lr(ss)
-        with np.errstate(over="ignore"):
-            ratio = np.where(np.isfinite(out), np.exp(alpha * ss + np.where(np.isfinite(out), out, 0.0) - log_norm), 0.0)
-        return np.abs(ratio - 1.0)
-
-    tv = ctx.wk.integrate(tv_fn)
-    return max(kl, 0.0), float(min(max(tv, 0.0), 2.0)), d_surface
-
-
 # ---------------------------------------------------------------------------
 # bound assembly
 
@@ -301,9 +270,10 @@ class BoundReport:
 
     ``kl_bound`` is the surface divergence plus ``log(n/(n-k)) +
     2/(sqrt(n)/C - 1)`` with the empirical constant C; ``df_bound`` is the
-    dimension-free total-variation bound available in the two closed-form
-    families.  ``pass_tv`` checks against ``df_bound`` when present and
-    against the Pinsker transform of ``kl_bound`` otherwise.
+    dimension-free total-variation bound ``2(k+j)/(n-k-j)`` of the
+    closed-form families (offset j from ``CLOSED_FORMS``).  ``pass_tv``
+    checks against ``df_bound`` when present and against the Pinsker
+    transform of ``kl_bound`` otherwise.
     """
 
     n: int
@@ -330,11 +300,10 @@ class BoundReport:
             raise ValueError(f"Pinsker relation violated: tv={self.tv!r} > sqrt(2 kl)={self.tv_from_kl!r}")
 
 
-def _df_bound(spec_kind: str, n: int, k: int) -> float | None:
-    if spec_kind == "quadratic" and n - k - 3 > 0:
-        return 2.0 * (k + 3) / (n - k - 3)
-    if spec_kind == "linear_half" and n - k - 1 > 0:
-        return 2.0 * (k + 1) / (n - k - 1)
+def _df_bound(spec: HamiltonianSpec, n: int, k: int) -> float | None:
+    j = CLOSED_FORMS.get((spec.homogeneous_degree, spec.support))
+    if j is not None and n - k - j > 0:
+        return 2.0 * (k + j) / (n - k - j)
     return None
 
 
@@ -343,15 +312,15 @@ def bound_report(ctx: ProjectionContext, C: float, alpha: float = 0.0) -> BoundR
         raise ValueError(f"local-CLT constant C must be finite and > 0; got {C!r}")
     if math.sqrt(ctx.n) / C <= 1.0:
         raise ValueError("bound inapplicable: need sqrt(n)/C > 1")
-    if alpha == 0.0:
-        kl, tv, d_surface = kl_to_gibbs(ctx), tv_to_gibbs(ctx), 0.0
-    else:
-        kl, tv, d_surface = _tilted_divergences(ctx, alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"tilt alpha must be finite; got {alpha!r}")
+    d_surface = _tilted_rk(ctx, alpha)[2]
+    kl, tv = kl_to_gibbs(ctx, alpha), tv_to_gibbs(ctx, alpha)
     kl_bound = d_surface + math.log(ctx.n / (ctx.n - ctx.k)) + 2.0 / (math.sqrt(ctx.n) / C - 1.0)
     tv_from_kl = math.sqrt(2.0 * kl)
     # the dimension-free distance bounds cover the uniform surface density
     # only, so tilted rows fall back to the Pinsker transform of kl_bound
-    df = _df_bound(ctx.model.spec.kind, ctx.n, ctx.k) if alpha == 0.0 else None
+    df = _df_bound(ctx.model.spec, ctx.n, ctx.k) if alpha == 0.0 else None
     pass_tv = tv <= df if df is not None else tv <= math.sqrt(2.0 * kl_bound)
     return BoundReport(
         n=ctx.n,
@@ -388,18 +357,13 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
     ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, plus the direct
     ``d_TV(r_k, w_k)`` for comparison (projection only reduces TV)."""
-    nt = ctx.n * ctx.t
     center = ctx.k * ctx.t
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
-    lr = _log_ratio_fn(ctx)
 
     def fn(ss):
         ss = np.asarray(ss, dtype=float)
-        out = lr(ss)
-        with np.errstate(over="ignore"):
-            ratio = np.where(np.isfinite(out), np.exp(np.where(np.isfinite(out), out, 0.0)), 0.0)
-        gain = np.clip(ratio - 1.0, 0.0, None)
+        gain = np.clip(_ratio(ctx, ss) - 1.0, 0.0, None)
         return np.where((ss >= lo) & (ss <= hi), gain, 0.0)
 
     lower = 2.0 * ctx.wk.integrate(fn)

@@ -348,9 +348,12 @@ def ensemble_expectation_gap(
         raise ValueError("batch dimension mismatch")
     if batch.points.shape[1] < k:
         raise ValueError(f"batch keeps {batch.points.shape[1]} coordinates, fewer than k={k}")
+    # a standard error needs at least two draws on each side
+    if batch.count < 2 or canonical_count < 2:
+        raise ValueError(f"need >= 2 surface and canonical draws; got {batch.count} and {canonical_count}")
     micro_vals = np.asarray(testfn.fn(batch.points[:, :k]), dtype=float)
     e_micro = float(np.mean(micro_vals))
-    se_micro = float(np.std(micro_vals, ddof=1) / math.sqrt(len(micro_vals))) if len(micro_vals) > 1 else 0.0
+    se_micro = float(np.std(micro_vals, ddof=1) / math.sqrt(len(micro_vals)))
 
     sampler = _CoordinateSampler(model)
     sums = 0.0

@@ -1,8 +1,9 @@
 """Densities of the total energy ``R_n = Y_1 + ... + Y_n`` under the Gibbs
 product measure.
 
-Two routes: closed Gamma forms for the quadratic and half-line linear
-families, and a characteristic-function route (sample phi on the output
+Two routes: closed Gamma forms for the families listed in
+``hamiltonians.CLOSED_FORMS`` (keyed on homogeneous degree and support),
+and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
 form, invert by a real inverse FFT, since w_n is real).  The leading edge
 behavior ``A y^gamma exp(-cy)`` of the n-fold convolution is known from
@@ -40,6 +41,7 @@ __all__ = [
     "RatioBoundReport",
     "GridTooCoarseError",
     "gamma_shape",
+    "log_w",
     "log_w_exact",
     "w_exact",
     "w_fft",
@@ -58,13 +60,11 @@ class GridTooCoarseError(RuntimeError):
 
 
 def gamma_shape(model: GibbsModel, n: int) -> float:
-    """Gamma shape of R_n (rate is c) for the closed-form families."""
+    """Gamma shape ``n/d`` of R_n (rate is c) for the closed-form families."""
     spec = model.spec
-    if spec.kind == "quadratic":
-        return 0.5 * n
-    if spec.kind == "linear_half":
-        return float(n)
-    raise ValueError(f"no closed-form sum density for {spec.label}")
+    if not spec.closed_form:
+        raise ValueError(f"no closed-form sum density for {spec.label}")
+    return n / spec.homogeneous_degree
 
 
 def log_w_exact(model: GibbsModel, n: int, s) -> np.ndarray:
@@ -227,7 +227,7 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
     retries.  Closed-form grids are not kept: a sweep holding them all
     costs more memory than rebuilding them costs time.
     """
-    if model.spec.has_closed_wn:
+    if model.spec.closed_form:
         return w_exact(model, n, params)
     key = ("w", n, params or GridParams())
     with _W_LOCK:
@@ -244,6 +244,14 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
             future.set_exception(exc)
             raise
     return future.result()
+
+
+def log_w(model: GibbsModel, n: int, s, params: GridParams | None = None) -> np.ndarray:
+    """``log w_n(s)``: exact for closed-form families, interpolated on the
+    memoised FFT grid otherwise; -inf off the support."""
+    if model.spec.closed_form:
+        return log_w_exact(model, n, s)
+    return w_density(model, n, params).log_at(s)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +339,7 @@ def log_ratio_bound_check(model: GibbsModel, n: int, k: int, C: float, params: G
         lhs_sup = math.inf  # singular density: unbounded mode
     else:
         lhs_sup = float(np.max(wnk.log_values))
-    if model.spec.has_closed_wn:
-        log_wn_mean = float(log_w_exact(model, n, np.asarray([n * model.mu]))[0])
-    else:
-        log_wn_mean = float(w_density(model, n, params).log_at(n * model.mu)[0])
+    log_wn_mean = float(log_w(model, n, np.asarray([n * model.mu]), params)[0])
     lhs = lhs_sup - log_wn_mean
     rhs = math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / C - 1.0)
     return RatioBoundReport(n, k, C, lhs, rhs, True, order_ok, lhs <= rhs)

@@ -1,10 +1,58 @@
+import dataclasses
+import hashlib
 import os
+import typing
 
 import pytest
 
 from thinshell import cli, sampler
 
 BOUNDS_HEADER = "n,k,t,c,alpha,kl,tv,kl_bound,tv_from_kl,df_bound,C_used,pass_kl,pass_tv"
+
+# sha256 of each subcommand's --help at 80 columns; deriving the flags from
+# ExperimentConfig must not change a byte of it
+HELP_SHA256 = {
+    "analyze-f": "ed37c26d80e5f80d09418014bb902f94266bb0bb42479a75b55c4e53a3042acb",
+    "solve-c": "1f5c8945969546a72a3c17b88edbeb61c78f539726e49b6d5395e73d9667cedc",
+    "wn": "6dd65f68c539f514d240c7365cdd34a2b76a70475d4fe69e7569fee95db8d999",
+    "clt-scan": "ff04456385daefbe72046dbd5e7b97df75a0da1da98c4705bcf366680ca2127c",
+    "bounds": "c9456160dbb3b38a92c2f1b62f17fbe4220f2c00531c4fc8bced5cb58f77c5c8",
+    "converse": "cd12a53306d35e4577e047645ec1aed6c4c703f1d907658aeff4ce013d82c823",
+    "ensembles": "c88073278922eb15af2e2e34f8242c2f51f1115e7e172ce8e6483c1abd9bf4b2",
+    "sample": "d491b1debebf035dde5399aab271d25777ff69b8fbc4260c405fc638473da163",
+    "mixture": "43bcf5eb8e8892c3da74a173cb6fe2296556982735c156ea0413cee409ae06bc",
+}
+
+# the options block every subcommand prints, for a readable diff
+OPTIONS_HELP = """options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value config file
+  --kind KIND
+  --p P
+  --epsilon EPSILON
+  --support SUPPORT
+  --t T
+  --n N
+  --n-list N_LIST
+  --k-list K_LIST
+  --alpha-list ALPHA_LIST
+  --clt-n-list CLT_N_LIST
+  --c-override C_OVERRIDE
+  --grid-size GRID_SIZE
+  --grid-extent GRID_EXTENT
+  --count COUNT
+  --canonical-count CANONICAL_COUNT
+  --delta DELTA
+  --method METHOD
+  --testfn TESTFN
+  --eps EPS
+  --k-frac K_FRAC
+  --mixture-t-list MIXTURE_T_LIST
+  --mixture-weights MIXTURE_WEIGHTS
+  --seed SEED
+  --out OUT
+  --strict
+"""
 
 
 def run(args):
@@ -72,6 +120,34 @@ class TestConfig:
         assert code == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["--count", "0"], "count"),
+            (["--count", "1"], "count"),
+            (["--canonical-count", "0"], "canonical_count"),
+            (["--canonical-count", "1"], "canonical_count"),
+            (["--testfn", "bogus"], "testfn"),
+        ],
+    )
+    def test_bad_ensemble_setting_rejected(self, args, key, capsys):
+        code = run(["ensembles", "--kind", "linear_half", "--n-list", "50", "--count", "200"] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and key in captured.err
+
+    def test_bad_sample_method_rejected(self, capsys):
+        assert run(["sample", "--kind", "quadratic", "--n", "3", "--count", "100", "--method", "bogus"]) == 2
+        assert "method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "0,inf"])
+    def test_non_finite_tilt_rejected(self, value, capsys):
+        code = run(["bounds", "--kind", "quadratic", "--n-list", "50", "--k-list", "1", "--alpha-list", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "alpha_list" in captured.err
+
     def test_grid_size_below_two_rejected(self, capsys):
         assert run(["wn", "--kind", "quadratic", "--n", "4", "--grid-size", "1"]) == 2
         assert "grid_size" in capsys.readouterr().err
@@ -83,6 +159,48 @@ class TestConfig:
         assert text.splitlines()[0] == "t,c,Z,mu,sigma2,m"
         row = text.splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(1.0, rel=1e-9)  # quadratic at t=1/2
+
+
+class TestDeclaration:
+    """Each option is declared once, as an ExperimentConfig field."""
+
+    @pytest.mark.parametrize("name", list(HELP_SHA256))
+    def test_help_unchanged(self, name, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([name, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert text.endswith("\n\n" + OPTIONS_HELP)
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[name]
+
+    def test_every_field_has_a_flag_and_a_config_key(self, tmp_path):
+        """Each field parses from a config line and from its flag in every
+        subcommand, to the same value."""
+        samples = {int: "3", float: "0.5", str: "x", bool: "true",
+                   tuple[int, ...]: "2,3", tuple[float, ...]: "0.25,0.75"}
+        hints = typing.get_type_hints(cli.ExperimentConfig)
+        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+        texts = {}
+        for name in names:
+            hint = hints[name]
+            if type(None) in typing.get_args(hint):
+                (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+            texts[name] = samples[hint]
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{name}={texts[name]}\n" for name in names), encoding="utf-8")
+        from_file = cli.parse_config_file(str(path))
+        assert list(from_file) == names
+
+        subparsers = next(a for a in cli._parser()._actions if a.dest == "subcommand")
+        for sub, parser in subparsers.choices.items():
+            for name in names:
+                flag = "--" + name.replace("_", "-")
+                argv = [flag] if hints[name] is bool else [flag, texts[name]]
+                value = getattr(parser.parse_args(argv), name)
+                if isinstance(value, str):
+                    value = cli._convert(name, value, "command line")
+                assert value == from_file[name], (sub, flag)
 
 
 class TestSubcommands:

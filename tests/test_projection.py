@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -34,24 +35,88 @@ class TestContext:
     def test_energy_matched(self, small_ctx):
         assert small_ctx.t == pytest.approx(1.0, rel=1e-10)
 
-    def test_closed_form_builds_only_wk(self, quad_model):
-        """Closed-form contexts evaluate w_n and w_{n-k} exactly, so no grid
-        is built for them; kl/tv are frozen values from a build that still
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Record the n of every w_exact / w_fft grid built from here on."""
+        built = {"w_exact": [], "w_fft": []}
+        for name in built:
+            original = getattr(sumdensity, name)
+
+            def counted(model, n, params=None, _original=original, _log=built[name]):
+                _log.append(n)
+                return _original(model, n, params)
+
+            monkeypatch.setattr(sumdensity, name, counted)
+        return built
+
+    def test_closed_form_builds_only_wk(self, quad_model, monkeypatch):
+        """Closed-form contexts evaluate w_n and w_{n-k} exactly, so the only
+        grid built is w_k; kl/tv are frozen values from a build that still
         made all three grids."""
         for (n, k), (kl, tv) in {
             (100, 3): (0.00038792858788929687, 0.017895031857477997),
             (50, 1): (0.00031234547723868163, 0.014330078602606388),
         }.items():
+            built = self._count_builds(monkeypatch)
             ctx = projection.make_context(quad_model, n, k)
-            assert ctx.wn is ctx.wnk is None
             assert projection.kl_to_gibbs(ctx) == pytest.approx(kl, rel=1e-12)
             assert projection.tv_to_gibbs(ctx) == pytest.approx(tv, rel=1e-12)
+            assert built == {"w_exact": [k], "w_fft": []}
+            monkeypatch.undo()
 
-    def test_fft_context_reads_memoised_grids(self, quartic_model):
-        ctx = projection.make_context(quartic_model, 20, 3)
-        assert ctx.wn is sumdensity.w_density(quartic_model, 20)
-        assert ctx.wnk is sumdensity.w_density(quartic_model, 17)
-        assert ctx.log_wn_at_nt == float(ctx.wn.log_at(20 * quartic_model.mu)[0])
+    def test_fft_context_reads_memoised_grids(self, quartic_model, monkeypatch):
+        """A fresh model builds w_k, w_n and w_{n-k} once each; a second
+        context for the same cell reuses all three."""
+        model = dataclasses.replace(quartic_model, _cache={})
+        built = self._count_builds(monkeypatch)
+        first = projection.make_context(model, 20, 3)
+        kl, tv = projection.kl_to_gibbs(first), projection.tv_to_gibbs(first)
+        assert built["w_exact"] == [] and sorted(built["w_fft"]) == [3, 17, 20]
+        second = projection.make_context(model, 20, 3)
+        assert projection.kl_to_gibbs(second) == kl and projection.tv_to_gibbs(second) == tv
+        assert sorted(built["w_fft"]) == [3, 17, 20]
+        assert second.wk is sumdensity.w_density(model, 3)
+        assert second.log_wn_at_nt == float(sumdensity.w_density(model, 20).log_at(20 * model.mu)[0])
+        ss = np.linspace(0.0, 40.0, 9)
+        np.testing.assert_array_equal(second.log_wnk(ss), sumdensity.w_density(model, 17).log_at(ss))
+
+
+class TestClosedFormsByDegree:
+    """Closed forms are keyed on (homogeneous degree, support), not on the
+    constructor: the same model under another name takes the Gamma route
+    and gets the same numbers and the same distance bound."""
+
+    @pytest.mark.parametrize(
+        "reference,spec",
+        [
+            ("quad_model", ham.power(2.0, ham.SYMMETRIC)),
+            ("quad_model", ham.quartic_perturbed(0.0)),
+            ("lin_model", ham.power(1.0, ham.HALF_LINE)),
+        ],
+        ids=["power2_symmetric", "quartic_eps0", "power1_half_line"],
+    )
+    def test_same_model_same_numbers(self, request, reference, spec):
+        ref_model = request.getfixturevalue(reference)
+        model = gibbs1d.model_at(spec, ref_model.c)
+        assert spec.closed_form
+        assert model.z == pytest.approx(ref_model.z, rel=1e-15)
+        assert sumdensity.w_density(model, 3).meta["kind"] == "w_exact"
+        for n, k in ((50, 1), (100, 3), (200, 5)):
+            want = projection.bound_report(projection.make_context(ref_model, n, k), 2.0)
+            got = projection.bound_report(projection.make_context(model, n, k), 2.0)
+            assert got.kl == pytest.approx(want.kl, rel=1e-12)
+            assert got.tv == pytest.approx(want.tv, rel=1e-12)
+            assert got.df_bound is not None
+            assert got.df_bound == pytest.approx(want.df_bound, rel=1e-12)
+
+    def test_unlisted_families_take_the_fft_route(self):
+        for spec in (ham.power(3.0), ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3)):
+            assert not spec.closed_form
+        model = gibbs1d.model_at(ham.power(3.0), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="no closed-form"):
+            sumdensity.gamma_shape(model, 4)
+        report = projection.bound_report(projection.make_context(model, 50, 1), 2.0)
+        assert report.df_bound is None
 
 
 class TestExactSmallCase:
@@ -178,6 +243,46 @@ class TestTilted:
         assert d_surface == pytest.approx(d_oracle, abs=1e-4)
         ys = np.linspace(0.05, 1.95, 64)
         np.testing.assert_allclose(tilted.at(ys), 0.5 * np.exp(0.5 * ys) / norm_oracle, rtol=1e-3)
+
+    # (kl, tv, d_surface, kl_bound) at C = 2 from the build that computed
+    # tilted rows through their own integrands
+    FROZEN = {
+        ("quad_model", 100, 0.2): (0.0686814817292509, 0.2452083829485729, 0.07105273745462326, 0.5811030733081248),
+        ("quad_model", 100, -0.2): (0.024532502361769536, 0.15724805124737457, 0.025112276148391593, 0.5351626120018931),
+        ("lin_model", 100, 0.2): (0.025474666556049352, 0.1657001146723188, 0.025948129832481986, 0.5359984656859835),
+        ("lin_model", 100, -0.2): (0.015221151306599278, 0.12963015507836154, 0.015469244800874665, 0.5255195806543762),
+        ("quartic_model", 20, 0.2): (0.08154344354846597, 0.29369141296743506, 0.08147761563272576, 1.750804898770171),
+        ("quartic_model", 20, -0.2): (0.02461670243251684, 0.13809691160283205, 0.028154502968643774, 1.697481786106089),
+    }
+
+    @pytest.mark.parametrize("key", list(FROZEN), ids=lambda key: f"{key[0]}-n{key[1]}-alpha{key[2]:+g}")
+    def test_tilted_row_frozen(self, request, monkeypatch, key):
+        """Tilted rows go through the same integrand as untilted ones, build
+        their tilted r_k once, and keep their values."""
+        name, n, alpha = key
+        ctx = projection.make_context(request.getfixturevalue(name), n, 1)
+        tilts = []
+        original = projection.make_grid
+
+        def counted(*args, **kwargs):
+            if (kwargs.get("meta") or {}).get("kind") == "rk_tilted":
+                tilts.append(kwargs["meta"]["alpha"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "make_grid", counted)
+        report = projection.bound_report(ctx, 2.0, alpha=alpha)
+        assert tilts == [alpha]
+        got = (report.kl, report.tv, report.d_surface, report.kl_bound)
+        assert got == pytest.approx(self.FROZEN[key], rel=1e-12)
+        assert report.df_bound is None
+        assert projection.kl_to_gibbs(ctx, alpha) == report.kl
+        assert projection.tv_to_gibbs(ctx, alpha) == report.tv
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_rejected(self, quad_model, alpha):
+        ctx = projection.make_context(quad_model, 100, 1)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            projection.bound_report(ctx, 2.0, alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [0.2, -0.2])
     def test_full_inequality(self, quad_model, quad_scan, alpha):

@@ -153,6 +153,14 @@ class TestStreamedColumns:
         with pytest.raises(ValueError, match="fewer than k=2"):
             sampler.ensemble_expectation_gap(quad_model, 10, 2, fn, batch, 100, seed=2)
 
+    @pytest.mark.parametrize("count,canonical_count", [(1, 100), (100, 1), (100, 0)])
+    def test_gap_needs_two_draws_per_side(self, quad_model, count, canonical_count):
+        """One draw has no standard error; zero canonical draws no mean."""
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
+        batch = sampler.sample_surface_scaling(quad_model, 10, count, seed=1, keep=1)
+        with pytest.raises(ValueError, match=">= 2 surface and canonical draws"):
+            sampler.ensemble_expectation_gap(quad_model, 10, 1, fn, batch, canonical_count, seed=2)
+
 
 class TestRejectionSampler:
     def test_acceptance_matches_shell_mass(self, quad_model):
