@@ -70,7 +70,14 @@ class ExperimentConfig:
                     raise ConfigError(f"every k must satisfy 1 <= k < n; got k={k}, n={n}")
         if len(self.mixture_t_list) != len(self.mixture_weights):
             raise ConfigError("mixture_t_list and mixture_weights differ in length")
-        for name in ("c_override", "delta", "grid_extent"):
+        if not all(math.isfinite(t) and t > 0 for t in self.mixture_t_list):
+            raise ConfigError(f"mixture_t_list entries must be finite and > 0; got {self.mixture_t_list!r}")
+        weights = self.mixture_weights
+        if not (all(w >= 0 for w in weights) and abs(math.fsum(weights) - 1.0) <= 1e-12):
+            raise ConfigError(f"mixture_weights must be finite, nonnegative and sum to 1; got {weights!r}")
+        if not 0 < self.k_frac < 1:
+            raise ConfigError(f"k_frac must lie strictly between 0 and 1; got {self.k_frac!r}")
+        for name in ("c_override", "delta", "grid_extent", "eps"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0; got {value!r}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .grids import DensityGrid, EdgeModel, make_grid
 from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values, finv_values, fprime_values
@@ -31,7 +30,6 @@ __all__ = [
     "model_at",
     "solve_energy",
     "log_y_density",
-    "y_edge_fit",
     "y_density",
     "characteristic_function",
     "clt_prerequisites",
@@ -40,6 +38,7 @@ __all__ = [
 
 _QUAD_ABS = 1e-12
 _QUAD_REL = 1e-10
+_Y_GRID_SIZE = 2**18
 
 
 @dataclass(frozen=True)
@@ -52,22 +51,17 @@ class QuadratureInfo:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Grid sizing knobs shared by the density builders."""
+    """Sizing of the sum-density grids: ``sum_size`` nodes reaching at
+    least ``sd_extent`` standard deviations of R_n past its mean."""
 
-    size: int = 2**18
     sum_size: int = 2**17
     sd_extent: float = 12.0
-    pad_sd: float = 4.0
 
     def __post_init__(self):
-        for name in ("size", "sum_size"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 2:
-                raise ValueError(f"{name} must be an integer >= 2; got {value!r}")
-        for name in ("sd_extent", "pad_sd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0; got {value!r}")
+        if not isinstance(self.sum_size, (int, np.integer)) or self.sum_size < 2:
+            raise ValueError(f"sum_size must be an integer >= 2; got {self.sum_size!r}")
+        if not (math.isfinite(self.sd_extent) and self.sd_extent > 0):
+            raise ValueError(f"sd_extent must be finite and > 0; got {self.sd_extent!r}")
 
 
 @dataclass(frozen=True)
@@ -219,31 +213,21 @@ def log_y_density(model: GibbsModel, y) -> np.ndarray:
     return out
 
 
-def y_edge_fit(model: GibbsModel) -> tuple[float, float]:
-    """Power-law fit ``log g(y) ~ log_k + beta log y - c y`` at the origin.
-
-    Fitted from the density itself at two tiny ordinates; exact whenever g
-    is exactly a power law times an exponential (all built-ins except the
-    perturbed quartic, where it is the leading term).
-    """
-    if "edge_fit" not in model._cache:
-        ya, yb = 1e-9, 5e-10
-        la = float(log_y_density(model, np.asarray([ya]))[0]) + model.c * ya
-        lb = float(log_y_density(model, np.asarray([yb]))[0]) + model.c * yb
-        beta = (la - lb) / (math.log(ya) - math.log(yb))
-        if abs(beta) < 1e-12:
-            beta = 0.0
-        log_k = la - beta * math.log(ya)
-        model._cache["edge_fit"] = (beta, log_k)
-    return model._cache["edge_fit"]
-
-
 def _edge_model(model: GibbsModel) -> EdgeModel:
-    """Two-term origin model for the energy density: the fitted leading
-    power law plus the next-order power fitted from the residual."""
+    """Two-term origin model for the energy density: the leading power law
+    ``log g(y) ~ log_k + beta log y - c y``, fitted from the density itself
+    at two tiny ordinates, plus the next-order power fitted from the
+    residual.  The leading fit is exact whenever g is exactly a power law
+    times an exponential (all built-ins except the perturbed quartic)."""
     if "edge_model" in model._cache:
         return model._cache["edge_model"]
-    beta, log_k = y_edge_fit(model)
+    ya, yb = 1e-9, 5e-10
+    la = float(log_y_density(model, np.asarray([ya]))[0]) + model.c * ya
+    lb = float(log_y_density(model, np.asarray([yb]))[0]) + model.c * yb
+    beta = (la - lb) / (math.log(ya) - math.log(yb))
+    if abs(beta) < 1e-12:
+        beta = 0.0
+    log_k = la - beta * math.log(ya)
     lead = EdgeModel(beta, log_k, model.c)
     ya, yb = np.asarray([1e-5]), np.asarray([5e-6])
     ra = float(np.exp(log_y_density(model, ya))[0] - lead.density(ya)[0])
@@ -269,15 +253,13 @@ def _y_max(model: GibbsModel) -> float:
     raise RuntimeError("could not find a grid cutoff with negligible tail mass")
 
 
-def y_density(model: GibbsModel, params: GridParams | None = None) -> DensityGrid:
+def y_density(model: GibbsModel) -> DensityGrid:
     """Density grid of Y on [0, y_max] with unit mass (raw mass within 1e-6
     of 1 is enforced before normalizing)."""
-    params = params or GridParams()
-    key = ("ygrid", params.size)
-    if key in model._cache:
-        return model._cache[key]
+    if "ygrid" in model._cache:
+        return model._cache["ygrid"]
     y_max = _y_max(model)
-    n = params.size
+    n = _Y_GRID_SIZE
     dy = y_max / (n - 1)
     ys = dy * np.arange(1, n)
     values = np.empty(n)
@@ -292,7 +274,7 @@ def y_density(model: GibbsModel, params: GridParams | None = None) -> DensityGri
     if abs(grid.mass - 1.0) > 1e-6:
         raise RuntimeError(f"y-density mass off by {grid.mass - 1.0:.3e} (> 1e-6)")
     out = grid.normalized()
-    model._cache[key] = out
+    model._cache["ygrid"] = out
     return out
 
 
@@ -303,20 +285,6 @@ def y_density(model: GibbsModel, params: GridParams | None = None) -> DensityGri
 def _log_c_minus_iu(c: float, u: np.ndarray) -> np.ndarray:
     """Principal ``log(c - iu)`` from real arithmetic: modulus and angle."""
     return 0.5 * np.log(c * c + u * u) - 1j * np.arctan2(u, c)
-
-
-def _edge_transform(model: GibbsModel, base: np.ndarray) -> np.ndarray:
-    """Fourier transform of the two-term edge model over y > 0, given
-    ``base = log(c - iu)``; each power law ``a y^b exp(-c y)`` maps to
-    ``a Gamma(b+1) (c - iu)^{-(b+1)} = exp(log(a Gamma(b+1)) - (b+1) base)``."""
-    edge = _edge_model(model)
-    a = edge.beta + 1.0
-    out = np.exp(edge.log_k + gammaln(a) - a * base)
-    if edge.beta2 is not None and edge.coef2 != 0.0:
-        a2 = edge.beta2 + 1.0
-        sign2 = 1.0 if edge.coef2 > 0 else -1.0
-        out += sign2 * np.exp(math.log(abs(edge.coef2)) + gammaln(a2) - a2 * base)
-    return out
 
 
 def _conjugate_phi(model: GibbsModel, m: int, dx: float, rem: np.ndarray | None):
@@ -330,7 +298,7 @@ def _conjugate_phi(model: GibbsModel, m: int, dx: float, rem: np.ndarray | None)
     """
     us = 2.0 * math.pi * np.fft.rfftfreq(m, d=dx)
     base = _log_c_minus_iu(model.c, us)
-    phi = _edge_transform(model, base)
+    phi = _edge_model(model).transform(base)
     if rem is not None:
         phi += np.conj(np.fft.rfft(np.concatenate(([0.0], rem)))) * dx
         phi -= 0.5 * dx * rem[-1] * np.exp(1j * us * (dx * (m - 1)))
@@ -344,7 +312,7 @@ def _grid_remainder(model: GibbsModel, ys: np.ndarray) -> np.ndarray:
 
 
 def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
-    grid = y_density(model, GridParams())
+    grid = y_density(model)
     if "rem" not in model._cache:
         rem = _grid_remainder(model, grid.points()[1:])
         negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(grid.values))
@@ -363,7 +331,7 @@ def characteristic_function(model: GibbsModel, u):
     u_lim = 0.95 * math.pi / grid.dx
     if np.any(np.abs(u_arr) > u_lim):
         raise ValueError(f"|u| beyond the resolvable band ({u_lim:.3g}) for this grid")
-    out = _edge_transform(model, _log_c_minus_iu(model.c, u_arr))
+    out = _edge_model(model).transform(_log_c_minus_iu(model.c, u_arr))
     if not negligible:
         ys = grid.points()[1:]
         # trapezoid: interior nodes full weight, endpoints half (the left

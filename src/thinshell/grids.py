@@ -12,6 +12,7 @@ power-law part never sees the rule that would diverge on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,7 +43,9 @@ class EdgeModel:
 
     The leading term has ``beta > -1`` (finite mass); the optional second
     term captures the next order of the expansion so the sampled remainder
-    is smooth enough for the trapezoid rule.
+    is smooth enough for the trapezoid rule.  Every power law ``a v^b
+    exp(-rate v)`` of the model is handled in closed form: its mass, its
+    Fourier transform and its self-convolution.
     """
 
     beta: float
@@ -54,6 +57,14 @@ class EdgeModel:
     def __post_init__(self):
         if not self.beta > -1.0:
             raise ValueError(f"edge exponent must exceed -1, got {self.beta}")
+
+    @property
+    def _terms(self) -> list[tuple[float, float, float]]:
+        """``(exponent, log|amplitude|, sign)`` of each power law."""
+        terms = [(self.beta, self.log_k, 1.0)]
+        if self.beta2 is not None and self.coef2 != 0.0:
+            terms.append((self.beta2, math.log(abs(self.coef2)), math.copysign(1.0, self.coef2)))
+        return terms
 
     def log_density(self, v) -> np.ndarray:
         """Leading term only; used for log interpolation inside the first cell."""
@@ -69,10 +80,43 @@ class EdgeModel:
                 out = out + self.coef2 * v**self.beta2 * np.exp(-self.rate * v)
         return out
 
-    def _term_mass(self, log_c: float, sign: float, a: float, v: float) -> float:
-        if self.rate > 0:
-            return sign * float(np.exp(log_c + gammaln(a) - a * np.log(self.rate)) * gammainc(a, self.rate * v))
-        return sign * float(np.exp(log_c) * v**a / a)
+    def edge_value(self) -> float:
+        """Height of a jump at the edge: the amplitudes of the terms with
+        exponent 0 (within 1e-9); vanishing and singular terms add nothing."""
+        return sum((sign * math.exp(log_a) for b, log_a, sign in self._terms if abs(b) <= 1e-9), 0.0)
+
+    def transform(self, base: np.ndarray) -> np.ndarray:
+        """``\\int_0^inf model(v) exp(iuv) dv`` given ``base = log(rate - iu)``:
+        each ``a v^b exp(-rate v)`` maps to ``a Gamma(b+1) (rate - iu)^{-(b+1)}
+        = exp(log(a Gamma(b+1)) - (b+1) base)``."""
+        out = 0.0
+        for b, log_a, sign in self._terms:
+            out = out + sign * np.exp(log_a + gammaln(b + 1.0) - (b + 1.0) * base)
+        return out
+
+    def convolve(self, n: int, below: float = math.inf) -> "EdgeModel | None":
+        """Leading two terms of the n-fold self-convolution, ``lead^{*n}``
+        and ``n lead^{*(n-1)} * next``, from the Beta integral ``v^{a-1} *
+        v^{b-1} = B(a, b) v^{a+b-1}`` (all terms share ``exp(-rate v)``).
+        Terms with exponent ``>= below`` are dropped; None if the lead is."""
+        (beta, log_k, _), *rest = self._terms
+        exponent = n * (beta + 1.0) - 1.0
+        if not exponent < below:
+            return None
+        log_lead = log_k + gammaln(beta + 1.0)  # log(K Gamma(beta+1))
+        log_a = n * log_lead - gammaln(exponent + 1.0)
+        for b, log_b, sign in rest:
+            exponent2 = (n - 1) * (beta + 1.0) + b
+            if exponent2 < below:
+                log_a2 = math.log(n) + (n - 1) * log_lead + log_b + gammaln(b + 1.0) - gammaln(exponent2 + 1.0)
+                return EdgeModel(exponent, log_a, self.rate, beta2=exponent2, coef2=sign * math.exp(log_a2))
+        return EdgeModel(exponent, log_a, self.rate)
+
+    def scaled(self, log_factor: float, rate_shift: float = 0.0) -> "EdgeModel":
+        """The model times ``exp(log_factor + rate_shift * v)``."""
+        return EdgeModel(
+            self.beta, self.log_k + log_factor, self.rate - rate_shift, self.beta2, self.coef2 * math.exp(log_factor)
+        )
 
     def mass_below(self, v: float) -> float:
         """Exact ``\\int_0^v model(u) du``: incomplete gamma functions for a
@@ -80,10 +124,13 @@ class EdgeModel:
         (a growing exponential has no incomplete-gamma form)."""
         if self.rate < 0:
             return self.first_cell_integral(v, lambda u: np.ones_like(u))
-        out = self._term_mass(self.log_k, 1.0, self.beta + 1.0, v)
-        if self.beta2 is not None and self.coef2 != 0.0:
-            sign = 1.0 if self.coef2 > 0 else -1.0
-            out += self._term_mass(np.log(abs(self.coef2)), sign, self.beta2 + 1.0, v)
+        out = 0.0
+        for b, log_a, sign in self._terms:
+            a = b + 1.0
+            if self.rate > 0:
+                out += sign * float(np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * gammainc(a, self.rate * v))
+            else:
+                out += sign * float(np.exp(log_a) * v**a / a)
         return out
 
     def first_cell_integral(self, dx: float, fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -200,9 +247,7 @@ class DensityGrid:
         scale = 1.0 / self.mass
         meta = dict(self.meta or {})
         meta["norm_defect"] = abs(self.mass - 1.0)
-        edge = self.edge
-        if edge is not None:
-            edge = EdgeModel(edge.beta, edge.log_k + np.log(scale), edge.rate, edge.beta2, edge.coef2 * scale)
+        edge = None if self.edge is None else self.edge.scaled(math.log(scale))
         return make_grid(self.x0, self.dx, self.values * scale, edge=edge, meta=meta)
 
 

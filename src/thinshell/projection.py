@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
-from .grids import DensityGrid, EdgeModel, make_grid
+from .grids import DensityGrid, make_grid
 from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
 from .sumdensity import log_w, w_density
 
@@ -119,9 +119,7 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
         values = np.where(np.isfinite(log_ratio), ctx.wk.values * np.exp(log_ratio), 0.0)
     edge = None
     if ctx.wk.edge is not None:
-        shift = float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt
-        e = ctx.wk.edge
-        edge = EdgeModel(e.beta, e.log_k + shift, e.rate, e.beta2, e.coef2 * math.exp(shift))
+        edge = ctx.wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
         values[0] = 0.0
     grid = make_grid(ctx.wk.x0, ctx.wk.dx, values, edge=edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
     defect = abs(grid.mass - 1.0)
@@ -204,8 +202,7 @@ def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float
     values = rk.values * np.exp(alpha * rk.points() - log_norm)
     edge = None
     if rk.edge is not None:
-        e = rk.edge
-        edge = EdgeModel(e.beta, e.log_k - log_norm, e.rate - alpha, e.beta2, e.coef2 * math.exp(-log_norm))
+        edge = rk.edge.scaled(-log_norm, alpha)
         values[0] = 0.0
     tilted = make_grid(rk.x0, rk.dx, values, edge=edge, meta={"kind": "rk_tilted", "alpha": alpha}).normalized()
     # tilt weight depends on projected coordinates only, so the divergence
@@ -357,6 +354,8 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
     ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, plus the direct
     ``d_TV(r_k, w_k)`` for comparison (projection only reduces TV)."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"interval half-width eps must be finite and > 0; got {eps!r}")
     center = ctx.k * ctx.t
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
@@ -399,8 +398,9 @@ def mixture_bound_check(entries, n: int, k: int, params: GridParams | None = Non
     against ``sqrt(2k/(n-k))``; entries are (model, t, weight) triples with
     each model energy-matched to its t."""
     weights = np.asarray([w for (_, _, w) in entries], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    # written so that a nan or infinite weight fails too
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"weights must be finite, nonnegative and sum to 1; got {weights.tolist()!r}")
     terms = []
     for model, t, _ in entries:
         if abs(model.mu - t) > 1e-8 * max(t, 1.0):

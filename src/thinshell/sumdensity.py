@@ -6,9 +6,10 @@ Two routes: closed Gamma forms for the families listed in
 and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
 form, invert by a real inverse FFT, since w_n is real).  The leading edge
-behavior ``A y^gamma exp(-cy)`` of the n-fold convolution is known from
-the single-summand edge model, so when ``gamma < 2`` (jump/kink/singularity
-at the support edge) that term is subtracted in the frequency domain and
+behavior of the n-fold convolution, ``A y^gamma exp(-cy)`` plus its
+next-order term, is the convolved single-summand edge model
+(``EdgeModel.convolve``), so its terms with ``gamma < 2`` (jump, kink or
+singularity at the support edge) are subtracted in the frequency domain and
 added back in closed form; a plain inversion would ring against the
 discontinuity.
 """
@@ -32,7 +33,6 @@ from .gibbs1d import (
     clt_prerequisites,
     log_y_density,
     y_density,
-    y_edge_fit,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
 
@@ -81,9 +81,13 @@ def log_w_exact(model: GibbsModel, n: int, s) -> np.ndarray:
     return out
 
 
+# standard deviations of padding past ``GridParams.sd_extent``
+_PAD_SD = 4.0
+
+
 def _sum_grid_extent(model: GibbsModel, n: int, params: GridParams) -> float:
-    reach = n * model.mu + (params.sd_extent + params.pad_sd) * math.sqrt(n * model.sigma2)
-    return max(reach, y_density(model, params).x_end)
+    reach = n * model.mu + (params.sd_extent + _PAD_SD) * math.sqrt(n * model.sigma2)
+    return max(reach, y_density(model).x_end)
 
 
 def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
@@ -136,8 +140,8 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     params = params or GridParams()
     if n < 1:
         raise ValueError("need n >= 1")
-    beta, log_k = y_edge_fit(model)
-    c = model.c
+    # edge terms of w_n that would ring in a plain inversion
+    conv = _edge_model(model).convolve(n, below=2.0)
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
         m = params.sum_size
@@ -146,41 +150,16 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
         rem = _grid_remainder(model, ys)
         if np.max(np.abs(rem)) <= 1e-14 * float(np.max(np.exp(log_y_density(model, ys[:: max(1, m // 512)])))):
             rem = None
-        # base = log(c - iu): every edge term below is exp(log_amp - a base)
+        # base = log(c - iu), from which every edge transform is computed
         _, base, phi = _conjugate_phi(model, m, ds, rem)
         psi = _polar_power(phi, n)
-        gamma = n * (beta + 1.0) - 1.0
-        a_log = n * (log_k + gammaln(beta + 1.0)) - gammaln(gamma + 1.0)
-        edge_term = gamma < 2.0
-        if edge_term:
-            psi -= np.exp(a_log + gammaln(gamma + 1.0) - (gamma + 1.0) * base)
-        # second-order edge term of the convolution: n * lead^{n-1} * next
-        efit = _edge_model(model)
-        gamma2 = math.inf
-        if efit.beta2 is not None and efit.coef2 != 0.0:
-            gamma2 = (n - 1) * (beta + 1.0) + efit.beta2
-            amp2_log = (
-                math.log(n)
-                + (n - 1) * (log_k + gammaln(beta + 1.0))
-                + math.log(abs(efit.coef2))
-                + gammaln(efit.beta2 + 1.0)
-            )
-            sign2 = 1.0 if efit.coef2 > 0 else -1.0
-        edge_term2 = gamma2 < 2.0
-        if edge_term2:
-            psi -= sign2 * np.exp(amp2_log - (gamma2 + 1.0) * base)
+        if conv is not None:
+            psi -= conv.transform(base)
         # psi is Hermitian in u, so the inversion needs only u >= 0
         w = np.fft.irfft(np.conj(psi), m) / ds
-        if edge_term:
-            with np.errstate(over="ignore", under="ignore"):
-                w[1:] += np.exp(a_log + gamma * np.log(ys) - c * ys)
-            # |gamma| at roundoff scale is a genuine jump at the edge
-            w[0] = math.exp(a_log) if abs(gamma) <= 1e-9 else 0.0
-        if edge_term2:
-            with np.errstate(over="ignore", under="ignore"):
-                w[1:] += sign2 * np.exp(amp2_log - gammaln(gamma2 + 1.0) + gamma2 * np.log(ys) - c * ys)
-            if abs(gamma2) <= 1e-9:
-                w[0] += sign2 * math.exp(amp2_log - gammaln(gamma2 + 1.0))
+        if conv is not None:
+            w[1:] += conv.density(ys)
+            w[0] = conv.edge_value()
         # wrap-around guard: the mass sitting in the top of the grid (which
         # is what leaks back in under periodization) must be negligible;
         # pointwise checks would trip on the inversion's noise floor
@@ -197,16 +176,13 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
         raise GridTooCoarseError(f"negative ripple mass {l1_clip:.2e} > 1e-3; increase sum_size")
     w = np.clip(w, 0.0, None)
     edge = None
-    if edge_term and gamma < -1e-9:
+    if conv is not None and conv.beta < -1e-9:
         w[0] = 0.0
-        if edge_term2:
-            edge = EdgeModel(gamma, a_log, c, beta2=gamma2, coef2=sign2 * math.exp(amp2_log - gammaln(gamma2 + 1.0)))
-        else:
-            edge = EdgeModel(gamma, a_log, c)
+        edge = conv
     meta = {
         "kind": "w_fft",
         "n": n,
-        "c": c,
+        "c": model.c,
         "l1_clip": l1_clip,
         "below_r_used": n < clt_prerequisites(model).r_used,
     }

@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import os
+import pathlib
 import typing
 
 import pytest
@@ -151,6 +154,46 @@ class TestConfig:
     def test_grid_size_below_two_rejected(self, capsys):
         assert run(["wn", "--kind", "quadratic", "--n", "4", "--grid-size", "1"]) == 2
         assert "grid_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["--eps", "nan"], "eps"),
+            (["--eps", "inf"], "eps"),
+            (["--eps", "0"], "eps"),
+            (["--eps", "-1"], "eps"),
+            (["--k-frac", "nan"], "k_frac"),
+            (["--k-frac", "0"], "k_frac"),
+            (["--k-frac", "1"], "k_frac"),
+            (["--k-frac", "1.5"], "k_frac"),
+        ],
+    )
+    def test_bad_converse_setting_rejected(self, args, key, capsys):
+        code = run(["converse", "--kind", "quadratic", "--n-list", "20"] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and key in captured.err
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["--mixture-weights", "nan,0.5"], "mixture_weights"),
+            (["--mixture-weights", "inf,0"], "mixture_weights"),
+            (["--mixture-weights=-0.5,1.5"], "mixture_weights"),
+            (["--mixture-weights", "0.6,0.6"], "mixture_weights"),
+            (["--mixture-t-list", "nan,1"], "mixture_t_list"),
+            (["--mixture-t-list", "0,1"], "mixture_t_list"),
+            (["--mixture-t-list=-1,1"], "mixture_t_list"),
+        ],
+    )
+    def test_bad_mixture_setting_rejected(self, args, key, capsys):
+        code = run(["mixture", "--kind", "quadratic", "--n", "100", "--k-list", "2",
+                    "--mixture-t-list", "0.5,1", "--mixture-weights", "0.5,0.5"] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and key in captured.err
 
     def test_cli_overrides_file(self, lin_config, tmp_path, capsys):
         out = tmp_path / "row.csv"
@@ -341,3 +384,25 @@ class TestShippedConfigs:
     def test_mixture_recipe_runs(self, tmp_path):
         out = tmp_path / "mix.csv"
         assert run(["mixture", "--config", "configs/mixture_quadratic.cfg", "--strict", "--out", str(out)]) == 0
+
+
+class TestReferenceOutputs:
+    """The shipped FFT sweep whose single-summand edge model has two terms
+    (the perturbed quartic) against the benchmark's recorded CSV."""
+
+    def test_quartic_sweep_matches_reference(self, tmp_path):
+        out = tmp_path / "quartic.csv"
+        code = run(["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "50,100,200",
+                    "--k-list", "1,3,5", "--strict", "--out", str(out)])
+        assert code == 0
+        reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "bounds_fft" / "quartic.csv"
+        got = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        want = list(csv.reader(io.StringIO(reference.read_text(encoding="utf-8"))))
+        assert got[0] == want[0] and len(got) == len(want) == 10
+        for row_got, row_want in zip(got[1:], want[1:]):
+            assert len(row_got) == len(row_want)
+            for a, b in zip(row_got, row_want):
+                if a in ("true", "false", "nan") or b in ("true", "false", "nan"):
+                    assert a == b
+                else:
+                    assert float(a) == pytest.approx(float(b), rel=1e-9, abs=0.0), (row_want[:2], a, b)

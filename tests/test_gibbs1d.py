@@ -93,15 +93,12 @@ class TestGridParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"size": 1},
             {"sum_size": 0},
             {"sum_size": 1024.0},
             {"sum_size": True},
             {"sd_extent": math.nan},
             {"sd_extent": math.inf},
             {"sd_extent": 0.0},
-            {"pad_sd": -1.0},
-            {"pad_sd": math.nan},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):

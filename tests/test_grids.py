@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from thinshell import gibbs1d, hamiltonians as ham
 from thinshell.grids import DensityGrid, EdgeModel, make_grid
 
 
@@ -101,3 +102,57 @@ class TestCdfAndNormalize:
         normed = scaled.normalized()
         assert normed.mass == pytest.approx(1.0, abs=1e-12)
         assert normed.meta["norm_defect"] == pytest.approx(0.01, rel=1e-3)
+
+
+class TestEdgeModelAlgebra:
+    """The closed-form operations on an edge model against independent
+    oracles: Gamma laws, quadrature of the model's defining formula."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_convolution_of_power_edge_is_gamma_lead(self, p, n):
+        """|X|^p under exp(-c|x|^p) is Gamma(1/p, c), so the n-fold sum is
+        Gamma(n/p, c): exponent n/p - 1, amplitude c^(n/p) / Gamma(n/p)."""
+        model = gibbs1d.solve_energy(ham.power(p), 1.0)
+        conv = gibbs1d._edge_model(model).convolve(n)
+        assert conv.beta == pytest.approx(n / p - 1.0, abs=1e-9)
+        assert conv.log_k == pytest.approx((n / p) * math.log(model.c) - math.lgamma(n / p), abs=1e-9)
+        assert conv.rate == model.c
+
+    def test_convolution_keeps_terms_below_the_cut(self):
+        edge = EdgeModel(-0.5, 0.0, 1.0, beta2=0.5, coef2=0.25)
+        assert edge.convolve(3, below=2.0).beta2 == pytest.approx(1.5, abs=1e-15)
+        lead_only = edge.convolve(4, below=2.0)
+        assert lead_only.beta == pytest.approx(1.0, abs=1e-15) and lead_only.beta2 is None
+        assert edge.convolve(6, below=2.0) is None
+
+    @pytest.mark.parametrize("coef2", [0.25, -0.25])
+    @pytest.mark.parametrize("u", [0.0, 0.7, 3.0])
+    def test_transform_matches_quadrature(self, coef2, u):
+        """``\\int model(v) e^{iuv} dv`` by quadrature, with v = s^2 taking
+        the v^(-1/2) singularity out of the integrand."""
+        edge = EdgeModel(-0.5, 0.3, 1.3, beta2=0.5, coef2=coef2)
+
+        def part(trig):
+            # model(s^2) * 2s = 2 (e^0.3 + coef2 s^2) e^{-1.3 s^2}
+            fn = lambda s: 2.0 * (math.exp(0.3) + coef2 * s * s) * math.exp(-1.3 * s * s) * trig(u * s * s)
+            return quad(fn, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+
+        oracle = complex(part(math.cos), part(math.sin))
+        got = complex(edge.transform(np.log(np.asarray([1.3 - 1j * u])))[0])
+        assert abs(got - oracle) <= 1e-9 * abs(oracle)
+
+    @pytest.mark.parametrize("coef2", [0.25, -0.25])
+    @pytest.mark.parametrize("rate_shift", [0.4, 2.0])
+    def test_scaled_density_and_mass(self, coef2, rate_shift):
+        """``scaled(f, r)`` is ``exp(f + r v) * model(v)``; its mass below
+        v agrees with quadrature, also when the shifted rate turns negative."""
+        edge = EdgeModel(-0.5, 0.3, 1.3, beta2=0.5, coef2=coef2)
+        f = 0.7
+        scaled = edge.scaled(f, rate_shift)
+        vs = np.array([1e-3, 0.1, 1.0, 5.0])
+        np.testing.assert_allclose(scaled.density(vs), np.exp(f + rate_shift * vs) * edge.density(vs), rtol=1e-12)
+        # weight='alg' integrates g(v) v^(-1/2) with the singularity in the rule
+        g = lambda v: math.exp(f + rate_shift * v) * (math.exp(0.3) + coef2 * v) * math.exp(-1.3 * v)
+        oracle, _ = quad(g, 0.0, 2.0, weight="alg", wvar=(-0.5, 0.0), epsabs=1e-13, epsrel=1e-12)
+        assert scaled.mass_below(2.0) == pytest.approx(oracle, rel=1e-9)

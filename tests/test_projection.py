@@ -382,6 +382,12 @@ class TestConverse:
         rep = projection.converse_lower_bound(ctx, 1e-9)
         assert rep.lower_bound == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_half_width(self, quad_model, eps):
+        ctx = projection.make_context(quad_model, 20, 10)
+        with pytest.raises(ValueError, match="eps"):
+            projection.converse_lower_bound(ctx, eps)
+
     def test_vanishes_at_fixed_k(self, quad_model):
         small = projection.converse_lower_bound(projection.make_context(quad_model, 50, 2), 1.0)
         large = projection.converse_lower_bound(projection.make_context(quad_model, 800, 2), 1.0)
@@ -408,6 +414,12 @@ class TestMixture:
     def test_rejects_bad_weights(self, quad_model):
         with pytest.raises(ValueError):
             projection.mixture_bound_check([(quad_model, 1.0, 0.7)], 100, 2)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.5), (math.inf, 0.0), (math.inf, -math.inf), (math.nan, math.nan)])
+    def test_rejects_non_finite_weights(self, quad_model, weights):
+        entries = [(quad_model, 1.0, w) for w in weights]
+        with pytest.raises(ValueError, match="weights"):
+            projection.mixture_bound_check(entries, 100, 2)
 
 
 class TestLogSum:
