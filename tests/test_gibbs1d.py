@@ -93,6 +93,7 @@ class TestGridParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"sum_size": 1},
             {"sum_size": 0},
             {"sum_size": 1024.0},
             {"sum_size": True},
