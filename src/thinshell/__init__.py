@@ -20,15 +20,12 @@ from .hamiltonians import (
     SYMMETRIC,
     HamiltonianSpec,
     MembershipReport,
-    ScanParams,
     check_class_f,
     custom,
     derivative,
     evaluate,
-    format_spec,
     inverse,
     linear_half,
-    parse_spec,
     power,
     quadratic,
     quartic_perturbed,

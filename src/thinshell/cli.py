@@ -23,7 +23,7 @@ import numpy as np
 
 from . import projection, sampler
 from .gibbs1d import GibbsModel, GridParams, solve_energy
-from .hamiltonians import check_class_f, f_values, spec_from_fields
+from .hamiltonians import HALF_LINE, check_class_f, f_values, linear_half, power, quadratic, quartic_perturbed
 from .sumdensity import local_clt_scan, w_exact, w_fft
 
 __all__ = ["ExperimentConfig", "main"]
@@ -61,13 +61,27 @@ class ExperimentConfig:
     out: str | None = None
     strict: bool = False
 
-    def validate(self) -> None:
+    def converse_k(self, n: int) -> int:
+        """The k that ``converse`` pairs with n, a fixed fraction of it."""
+        return max(1, round(self.k_frac * n))
+
+    def validate(self, subcommand: str | None = None) -> None:
+        """Refuse settings no run could use; ``converse`` pairs each n with
+        ``converse_k(n)`` instead of ``k_list``, so its pairs are checked."""
         if not self.n_list or not self.k_list:
             raise ConfigError("n_list and k_list must be nonempty")
-        for n in self.n_list:
-            for k in self.k_list:
+        if not 0 < self.k_frac < 1:
+            raise ConfigError(f"k_frac must lie strictly between 0 and 1; got {self.k_frac!r}")
+        if subcommand == "converse":
+            for n in self.n_list:
+                k = self.converse_k(n)
                 if not 1 <= k < n:
-                    raise ConfigError(f"every k must satisfy 1 <= k < n; got k={k}, n={n}")
+                    raise ConfigError(f"k_frac={self.k_frac!r} gives k={k} at n={n}; need 1 <= k < n")
+        else:
+            for n in self.n_list:
+                for k in self.k_list:
+                    if not 1 <= k < n:
+                        raise ConfigError(f"every k must satisfy 1 <= k < n; got k={k}, n={n}")
         if len(self.mixture_t_list) != len(self.mixture_weights):
             raise ConfigError("mixture_t_list and mixture_weights differ in length")
         if not all(math.isfinite(t) and t > 0 for t in self.mixture_t_list):
@@ -75,8 +89,6 @@ class ExperimentConfig:
         weights = self.mixture_weights
         if not (all(w >= 0 for w in weights) and abs(math.fsum(weights) - 1.0) <= 1e-12):
             raise ConfigError(f"mixture_weights must be finite, nonnegative and sum to 1; got {weights!r}")
-        if not 0 < self.k_frac < 1:
-            raise ConfigError(f"k_frac must lie strictly between 0 and 1; got {self.k_frac!r}")
         for name in ("c_override", "delta", "grid_extent", "eps"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -95,14 +107,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown testfn {self.testfn!r}; choose from {sorted(_TESTFNS)}")
 
     def spec(self):
-        raw = {"kind": self.kind}
-        if self.p is not None:
-            raw["p"] = str(self.p)
-        if self.epsilon is not None:
-            raw["epsilon"] = str(self.epsilon)
-        if self.support is not None:
-            raw["support"] = self.support
-        return spec_from_fields(raw)
+        if self.kind == "quadratic":
+            return quadratic()
+        if self.kind == "linear_half":
+            return linear_half()
+        if self.kind == "power":
+            if self.p is None:
+                raise ValueError("power specs need key 'p'")
+            return power(self.p, support=self.support or HALF_LINE)
+        if self.kind == "quartic_perturbed":
+            if self.epsilon is None:
+                raise ValueError("quartic_perturbed specs need key 'epsilon'")
+            return quartic_perturbed(self.epsilon)
+        raise ValueError(f"unknown kind {self.kind!r}")
 
     def grid_params(self) -> GridParams:
         params = GridParams()
@@ -169,7 +186,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         elif val:  # a store_true flag that was given
             values[key] = True
     cfg = ExperimentConfig(**values)
-    cfg.validate()
+    cfg.validate(args.subcommand)
     return cfg
 
 
@@ -335,7 +352,7 @@ def run_converse(cfg: ExperimentConfig) -> int:
     params = cfg.grid_params()
     rows = []
     for n in cfg.n_list:
-        k = max(1, round(cfg.k_frac * n))
+        k = cfg.converse_k(n)
         ctx = projection.make_context(model, n, k, params)
         tv = projection.tv_to_gibbs(ctx)
         rep = projection.converse_lower_bound(ctx, cfg.eps)
@@ -387,7 +404,7 @@ def run_sample(cfg: ExperimentConfig) -> int:
     print(f"acceptance_rate = {_fmt(batch.acceptance_rate)}")
     if batch.count >= 100 and n >= 2:
         ctx = projection.make_context(model, n, 1, cfg.grid_params())
-        ref = projection.project_uniform_k1(ctx, cfg.grid_params())
+        ref = projection.project_uniform_k1(ctx)
         ks = sampler.empirical_projection_check(batch, ref)
         print(f"ks_vs_reference = {_fmt(ks)}")
     return 0

@@ -39,6 +39,10 @@ __all__ = [
 _QUAD_ABS = 1e-12
 _QUAD_REL = 1e-10
 _Y_GRID_SIZE = 2**18
+# relative miss of the mean energy that solve_energy treats as failure
+_MATCH_RTOL = 1e-10
+# integrability orders r tried for |phi|^r, smallest first
+_R_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def _mean_energy(spec: HamiltonianSpec, c: float) -> float:
     return factor * _halfline_integral(spec, c, lambda f: f, x_max) / z
 
 
-def solve_energy(spec: HamiltonianSpec, t: float, rtol: float = 1e-10) -> GibbsModel:
+def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
     """Unique c with mean energy t, via bracket doubling on the strictly
     decreasing map ``c -> E f(X)`` and Brent refinement."""
     if not math.isfinite(t):
@@ -190,7 +194,7 @@ def solve_energy(spec: HamiltonianSpec, t: float, rtol: float = 1e-10) -> GibbsM
     else:
         c = 1.0
     model = model_at(spec, c)
-    if abs(model.mu - t) > rtol * t:
+    if abs(model.mu - t) > _MATCH_RTOL * t:
         raise RuntimeError(f"energy matching missed the target: mu={model.mu!r} vs t={t!r}")
     return model
 
@@ -312,13 +316,14 @@ def _grid_remainder(model: GibbsModel, ys: np.ndarray) -> np.ndarray:
 
 
 def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
-    grid = y_density(model)
+    """The y-grid, the remainder on its positive nodes, and whether that
+    remainder is noise; decided once per model for every transform of it."""
     if "rem" not in model._cache:
+        grid = y_density(model)
         rem = _grid_remainder(model, grid.points()[1:])
         negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(grid.values))
-        model._cache["rem"] = (rem, negligible)
-    rem, negligible = model._cache["rem"]
-    return grid, rem, negligible
+        model._cache["rem"] = (grid, rem, negligible)
+    return model._cache["rem"]
 
 
 def characteristic_function(model: GibbsModel, u):
@@ -376,10 +381,9 @@ class CltPrereqs:
     tail_exponent: float
 
 
-def clt_prerequisites(model: GibbsModel, r_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> CltPrereqs:
-    key = ("prereqs", tuple(r_grid))
-    if key in model._cache:
-        return model._cache[key]
+def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
+    if "prereqs" in model._cache:
+        return model._cache["prereqs"]
     us, phi = _phi_fft(model)
     us, phi_abs = us[: -len(us) // 20], np.abs(phi[: -len(us) // 20])
 
@@ -388,7 +392,7 @@ def clt_prerequisites(model: GibbsModel, r_grid: tuple[int, ...] = (1, 2, 3, 4, 
     gamma = -np.polyfit(np.log(us[dec]), np.log(np.maximum(phi_abs[dec], 1e-300)), 1)[0]
 
     r_used, i_value = None, math.inf
-    for r in sorted(r_grid):
+    for r in range(1, _R_MAX + 1):
         if gamma * r <= 1.05:
             continue  # tail not integrable (or too close to call)
         window = np.trapezoid(phi_abs**r, us)
@@ -396,7 +400,7 @@ def clt_prerequisites(model: GibbsModel, r_grid: tuple[int, ...] = (1, 2, 3, 4, 
         r_used, i_value = int(r), 2.0 * (window + tail)
         break
     if r_used is None:
-        raise RuntimeError("no r in the grid makes |phi|^r integrable; hypotheses fail")
+        raise RuntimeError(f"no r <= {_R_MAX} makes |phi|^r integrable; hypotheses fail")
 
     threshold = model.sigma2 / model.m3
     above = us > threshold
@@ -411,7 +415,7 @@ def clt_prerequisites(model: GibbsModel, r_grid: tuple[int, ...] = (1, 2, 3, 4, 
         phi_tail=float(phi_abs[-1]),
         tail_exponent=float(gamma),
     )
-    model._cache[key] = out
+    model._cache["prereqs"] = out
     return out
 
 

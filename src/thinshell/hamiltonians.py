@@ -23,7 +23,6 @@ __all__ = [
     "SYMMETRIC",
     "HamiltonianSpec",
     "MembershipReport",
-    "ScanParams",
     "quadratic",
     "linear_half",
     "power",
@@ -36,8 +35,6 @@ __all__ = [
     "fprime_values",
     "finv_values",
     "check_class_f",
-    "format_spec",
-    "parse_spec",
 ]
 
 HALF_LINE = "half_line"
@@ -205,7 +202,11 @@ def _tail_witness(spec: HamiltonianSpec) -> tuple[float, float] | None:
     return report.tail_slope
 
 
-def finv_values(spec: HamiltonianSpec, y, rtol: float = 1e-12) -> np.ndarray:
+# relative width at which the inverse bisection stops
+_FINV_RTOL = 1e-12
+
+
+def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
     """Unique x >= 0 with f(x) = y; bisection for custom specs."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0.0):
@@ -223,7 +224,7 @@ def finv_values(spec: HamiltonianSpec, y, rtol: float = 1e-12) -> np.ndarray:
         high = spec.fn(mid) > y
         hi = np.where(high, mid, hi)
         lo = np.where(high, lo, mid)
-        if np.all(hi - lo <= rtol * np.maximum(hi, 1.0)):
+        if np.all(hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0)):
             break
     else:
         raise RuntimeError("inverse bisection did not converge in 200 steps")
@@ -238,17 +239,14 @@ def inverse(spec: HamiltonianSpec, y: float) -> float:
 # class membership
 
 
-@dataclass(frozen=True)
-class ScanParams:
-    origin_lo: float = 1e-8
-    origin_hi: float = 1e-1
-    tail_lo: float = 1.0
-    tail_hi: float = 1e6
-    points_per_decade: int = 8
-    q_grid: tuple[float, ...] = tuple(np.round(np.linspace(1.05, 1.95, 19), 2))
-    a3_threshold: float = 1e-6
-    # f' decaying like x**e with e below this is treated as sinking to zero
-    decay_exponent_floor: float = -0.05
+# scan grids of check_class_f: log-spaced points near the origin and far out
+_ORIGIN_LO, _ORIGIN_HI = 1e-8, 1e-1
+_TAIL_LO, _TAIL_HI = 1.0, 1e6
+_POINTS_PER_DECADE = 8
+_Q_GRID = tuple(np.round(np.linspace(1.05, 1.95, 19), 2))
+_A3_THRESHOLD = 1e-6
+# f' decaying like x**e with e below this is treated as sinking to zero
+_DECAY_EXPONENT_FLOOR = -0.05
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,7 @@ def _log_grid(lo: float, hi: float, per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def check_class_f(spec: HamiltonianSpec, scan: ScanParams | None = None) -> MembershipReport:
+def check_class_f(spec: HamiltonianSpec) -> MembershipReport:
     """Certify admissibility numerically and record the witnesses.
 
     The tail condition passes when the sampled slope stays positive and its
@@ -285,11 +283,10 @@ def check_class_f(spec: HamiltonianSpec, scan: ScanParams | None = None) -> Memb
     condition searches the q grid and keeps the witness with the largest
     margin ``min f'(x)**q / f(x)``.
     """
-    scan = scan or ScanParams()
     f0_ok = evaluate(spec, 0.0) == 0.0
 
-    origin = _log_grid(scan.origin_lo, scan.origin_hi, scan.points_per_decade)
-    tail = _log_grid(scan.tail_lo, scan.tail_hi, scan.points_per_decade)
+    origin = _log_grid(_ORIGIN_LO, _ORIGIN_HI, _POINTS_PER_DECADE)
+    tail = _log_grid(_TAIL_LO, _TAIL_HI, _POINTS_PER_DECADE)
     xs = np.concatenate([origin, tail])
     fx = spec.fn(xs)
     monotone_ok = bool(np.all(np.diff(fx) > 0.0)) and bool(np.all(fx > 0.0))
@@ -303,21 +300,21 @@ def check_class_f(spec: HamiltonianSpec, scan: ScanParams | None = None) -> Memb
     tail_slope = None
     slopes = fprime_values(spec, tail)
     if monotone_ok and np.all(slopes > 0.0):
-        two_decades = tail >= scan.tail_hi / 100.0
+        two_decades = tail >= _TAIL_HI / 100.0
         trend = np.polyfit(np.log(tail[two_decades]), np.log(slopes[two_decades]), 1)[0]
-        if trend >= scan.decay_exponent_floor:
-            tail_slope = (float(np.min(slopes) / 2.0), float(scan.tail_lo))
+        if trend >= _DECAY_EXPONENT_FLOOR:
+            tail_slope = (float(np.min(slopes) / 2.0), float(_TAIL_LO))
 
     origin_exponent = None
     if monotone_ok:
         fp0 = fprime_values(spec, origin)
         f0 = spec.fn(origin)
         best_q, best_a3 = None, -math.inf
-        for q in scan.q_grid:
+        for q in _Q_GRID:
             a3 = float(np.min(fp0**q / f0))
             if a3 > best_a3:
                 best_q, best_a3 = float(q), a3
-        if best_q is not None and best_a3 >= scan.a3_threshold:
+        if best_q is not None and best_a3 >= _A3_THRESHOLD:
             origin_exponent = (best_q, best_a3)
 
     return MembershipReport(
@@ -327,52 +324,3 @@ def check_class_f(spec: HamiltonianSpec, scan: ScanParams | None = None) -> Memb
         tail_slope=tail_slope,
         origin_exponent=origin_exponent,
     )
-
-
-# ---------------------------------------------------------------------------
-# key=value serialization for config files
-
-
-def format_spec(spec: HamiltonianSpec) -> str:
-    if spec.kind == "custom":
-        raise ValueError("custom specs carry callables and cannot be serialized")
-    lines = [f"kind={spec.kind}"]
-    if spec.p is not None:
-        lines.append(f"p={spec.p:g}")
-    if spec.eps is not None:
-        lines.append(f"epsilon={spec.eps:g}")
-    lines.append(f"support={spec.support}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_spec(text: str) -> HamiltonianSpec:
-    fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
-    return spec_from_fields(fields)
-
-
-def spec_from_fields(fields: dict[str, str]) -> HamiltonianSpec:
-    kind = fields.get("kind")
-    if kind is None:
-        raise ValueError("missing key 'kind'")
-    support = fields.get("support")
-    if kind == "quadratic":
-        return quadratic()
-    if kind == "linear_half":
-        return linear_half()
-    if kind == "power":
-        if "p" not in fields:
-            raise ValueError("power specs need key 'p'")
-        return power(float(fields["p"]), support=support or HALF_LINE)
-    if kind == "quartic_perturbed":
-        if "epsilon" not in fields:
-            raise ValueError("quartic_perturbed specs need key 'epsilon'")
-        return quartic_perturbed(float(fields["epsilon"]))
-    raise ValueError(f"unknown kind {kind!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
 from .grids import DensityGrid, make_grid
 from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
-from .sumdensity import log_w, w_density
+from .sumdensity import _check_count, log_w, w_density
 
 __all__ = [
     "ProjectionContext",
@@ -76,7 +76,9 @@ def make_context(
     params: GridParams | None = None,
     require_clt: bool = False,
 ) -> ProjectionContext:
-    if not 1 <= k < n:
+    _check_count("n", n)
+    _check_count("k", k)
+    if not k < n:
         raise ValueError("need 1 <= k < n")
     params = params or GridParams()
     r_used = clt_prerequisites(model).r_used
@@ -130,16 +132,15 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     return out
 
 
-def project_uniform_k1(ctx: ProjectionContext, params: GridParams | None = None) -> DensityGrid:
+def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
     """Coordinate-space density of the first coordinate under the uniform
     surface density: ``g_1(y) * w_{n-1}(nt - f(y)) / w_n(nt)`` (k = 1)."""
     if ctx.k != 1:
         raise ValueError("explicit coordinate-space output is built for k = 1")
-    params = params or GridParams()
     model, spec = ctx.model, ctx.model.spec
     nt = ctx.n * ctx.t
     y_cap = float(finv_values(spec, np.asarray([min(nt, ctx.wk.x_end)]))[0])
-    m = params.sum_size
+    m = ctx.params.sum_size
     if spec.support == SYMMETRIC:
         ys = np.linspace(-y_cap, y_cap, m)
     else:
@@ -243,13 +244,13 @@ def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
 # tilted surface densities (k = 1)
 
 
-def project_tilted(ctx: ProjectionContext, alpha: float, params: GridParams | None = None) -> tuple[DensityGrid, float]:
+def project_tilted(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float]:
     """Tilted projected density ``p_a(y) = e^{a f(y)} p(y) / E[e^{a f}]`` and
     its divergence from the uniform surface density."""
     if ctx.k != 1:
         raise ValueError("tilts act on the first coordinate: k must be 1")
     _, log_norm, d_surface = _tilted_rk(ctx, alpha)
-    base = project_uniform_k1(ctx, params)
+    base = project_uniform_k1(ctx)
     ys = base.points()
     fy = f_values(ctx.model.spec, ys)
     values = base.values * np.exp(alpha * fy - log_norm)
@@ -347,13 +348,11 @@ class ConverseReport:
     k: int
     eps: float
     lower_bound: float
-    tv_rk_wk: float
 
 
 def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
-    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, plus the direct
-    ``d_TV(r_k, w_k)`` for comparison (projection only reduces TV)."""
+    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"interval half-width eps must be finite and > 0; got {eps!r}")
     center = ctx.k * ctx.t
@@ -366,17 +365,7 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
         return np.where((ss >= lo) & (ss <= hi), gain, 0.0)
 
     lower = 2.0 * ctx.wk.integrate(fn)
-
-    # independent route: difference of the two densities on the shared grid
-    rk = rk_conditional_density(ctx)
-    diff = np.abs(rk.values - ctx.wk.values)
-    tv_direct = float(np.trapezoid(diff[1:], dx=ctx.wk.dx))
-    if ctx.wk.edge is not None and rk.edge is not None:
-        scale = abs(math.exp(rk.edge.log_k - ctx.wk.edge.log_k) - 1.0)
-        tv_direct += scale * ctx.wk.edge.mass_below(ctx.wk.dx)
-    else:
-        tv_direct += 0.5 * ctx.wk.dx * (diff[0] + diff[1])
-    return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower, tv_rk_wk=tv_direct)
+    return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 
 # ---------------------------------------------------------------------------

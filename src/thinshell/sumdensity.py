@@ -27,11 +27,11 @@ from scipy.special import gammaln
 from .gibbs1d import (
     GibbsModel,
     GridParams,
+    _cached_remainder,
     _conjugate_phi,
     _edge_model,
     _grid_remainder,
     clt_prerequisites,
-    log_y_density,
     y_density,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
@@ -59,8 +59,15 @@ class GridTooCoarseError(RuntimeError):
 # closed forms
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a number of summands (n, k, ...) that is not an integer >= 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1; got {value!r}")
+
+
 def gamma_shape(model: GibbsModel, n: int) -> float:
     """Gamma shape ``n/d`` of R_n (rate is c) for the closed-form families."""
+    _check_count("n", n)
     spec = model.spec
     if not spec.closed_form:
         raise ValueError(f"no closed-form sum density for {spec.label}")
@@ -93,8 +100,6 @@ def _sum_grid_extent(model: GibbsModel, n: int, params: GridParams) -> float:
 def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
     """Gamma sum density on a uniform grid, edge-aware for shape < 1."""
     params = params or GridParams()
-    if n < 1:
-        raise ValueError("need n >= 1")
     a = gamma_shape(model, n)
     c = model.c
     length = _sum_grid_extent(model, n, params)
@@ -138,18 +143,16 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     flagged in ``meta``.
     """
     params = params or GridParams()
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count("n", n)
     # edge terms of w_n that would ring in a plain inversion
     conv = _edge_model(model).convolve(n, below=2.0)
+    negligible = _cached_remainder(model)[2]
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
         m = params.sum_size
         ds = length / m
         ys = ds * np.arange(1, m)
-        rem = _grid_remainder(model, ys)
-        if np.max(np.abs(rem)) <= 1e-14 * float(np.max(np.exp(log_y_density(model, ys[:: max(1, m // 512)])))):
-            rem = None
+        rem = None if negligible else _grid_remainder(model, ys)
         # base = log(c - iu), from which every edge transform is computed
         _, base, phi = _conjugate_phi(model, m, ds, rem)
         psi = _polar_power(phi, n)

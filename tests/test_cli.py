@@ -175,6 +175,25 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and key in captured.err
 
+    @pytest.mark.parametrize("k_frac,n", [("0.9", 2), ("0.75", 2), ("0.01", 1)])
+    def test_converse_checks_its_derived_k(self, k_frac, n, capsys):
+        """converse pairs each n with k = max(1, round(k_frac n)); a pair
+        with k >= n is a config error naming k_frac and n."""
+        code = run(["converse", "--kind", "quadratic", "--n-list", f"{n},20", "--k-list", "1", "--k-frac", k_frac])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert f"k_frac={float(k_frac)!r}" in captured.err and f"n={n};" in captured.err
+
+    def test_converse_ignores_k_list(self, tmp_path):
+        """k_list plays no part in converse, so a k_list entry above some n
+        does not refuse the run."""
+        out = tmp_path / "converse.csv"
+        assert run(["converse", "--kind", "quadratic", "--n-list", "2,20", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("2,1,") and rows[2].startswith("20,10,")
+
     @pytest.mark.parametrize(
         "args,key",
         [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thinshell import hamiltonians as ham
+from thinshell import cli, hamiltonians as ham
 
 
 class TestEvaluate:
@@ -129,24 +129,36 @@ class TestClassMembership:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
-        spec = ham.power(3, support=ham.SYMMETRIC)
-        text = ham.format_spec(spec)
-        parsed = ham.parse_spec(text)
-        assert parsed.kind == "power" and parsed.p == 3.0 and parsed.support == ham.SYMMETRIC
+    """A spec is written as the config keys kind, p, epsilon and support,
+    and built from ExperimentConfig's typed fields."""
 
-    def test_quartic_roundtrip(self):
-        text = ham.format_spec(ham.quartic_perturbed(0.5))
-        assert ham.parse_spec(text).eps == 0.5
+    @staticmethod
+    def _spec_from_text(tmp_path, text):
+        path = tmp_path / "spec.cfg"
+        path.write_text(text, encoding="utf-8")
+        return cli.ExperimentConfig(**cli.parse_config_file(str(path))).spec()
 
-    def test_bad_line_reports_position(self):
-        with pytest.raises(ValueError, match="line 2"):
-            ham.parse_spec("kind=quadratic\nnot a pair\n")
+    def test_roundtrip(self, tmp_path):
+        spec = self._spec_from_text(tmp_path, "kind=power\np=3\nsupport=symmetric\n")
+        assert spec.kind == "power" and spec.p == 3.0 and spec.support == ham.SYMMETRIC
+
+    def test_quartic_roundtrip(self, tmp_path):
+        assert self._spec_from_text(tmp_path, "kind=quartic_perturbed\nepsilon=0.5\n").eps == 0.5
+
+    def test_bad_line_reports_position(self, tmp_path):
+        with pytest.raises(ValueError, match="spec.cfg:2"):
+            self._spec_from_text(tmp_path, "kind=quadratic\nnot a pair\n")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
-            ham.parse_spec("kind=cubic\n")
+            cli.ExperimentConfig(kind="cubic").spec()
 
     def test_custom_not_serializable(self):
-        with pytest.raises(ValueError):
-            ham.format_spec(ham.custom(lambda x: x))
+        """Custom specs carry callables, so no config names one."""
+        with pytest.raises(ValueError, match="unknown kind 'custom'"):
+            cli.ExperimentConfig(kind="custom").spec()
+
+    @pytest.mark.parametrize("kind,key", [("power", "p"), ("quartic_perturbed", "epsilon")])
+    def test_missing_parameter(self, kind, key):
+        with pytest.raises(ValueError, match=f"need key '{key}'"):
+            cli.ExperimentConfig(kind=kind).spec()

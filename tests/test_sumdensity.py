@@ -171,6 +171,63 @@ class TestFftMemo:
         assert sumdensity.w_density(lin_model, 4) is not sumdensity.w_density(lin_model, 4)
 
 
+class TestRemainderDecision:
+    """Whether the remainder is noise is decided once per model, and w_fft
+    then skips sampling it on each new grid."""
+
+    @pytest.mark.parametrize(
+        "fixture,negligible", [("quad_model", True), ("lin_model", True), ("quartic_model", False)]
+    )
+    def test_w_fft_reads_the_model_flag(self, request, fixture, negligible, monkeypatch):
+        model = replace(request.getfixturevalue(fixture), _cache={})
+        assert gibbs1d._cached_remainder(model)[2] is negligible
+        sampled = []
+        original = sumdensity._grid_remainder
+
+        def counted(m, ys):
+            sampled.append(len(ys))
+            return original(m, ys)
+
+        monkeypatch.setattr(sumdensity, "_grid_remainder", counted)
+        sumdensity.w_fft(model, 4)
+        assert bool(sampled) is not negligible
+
+
+BAD_COUNTS = [0, -2, 2.5, 3.0, np.float64(3.0), "3", None]
+
+
+class TestCountRefusals:
+    """Both routes refuse a summand count that is not an integer >= 1, with
+    one message."""
+
+    @pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+    def test_closed_form_route(self, quad_model, n):
+        s = np.array([0.5, 1.0])
+        for call in (
+            lambda: sumdensity.gamma_shape(quad_model, n),
+            lambda: sumdensity.log_w_exact(quad_model, n, s),
+            lambda: sumdensity.w_density(quad_model, n),
+            lambda: sumdensity.log_w(quad_model, n, s),
+        ):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
+                call()
+
+    @pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
+    def test_fft_route(self, quartic_model, n):
+        for call in (
+            lambda: sumdensity.w_fft(quartic_model, n),
+            lambda: sumdensity.w_density(quartic_model, n),
+            lambda: sumdensity.log_w(quartic_model, n, np.array([0.5, 1.0])),
+        ):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
+                call()
+        assert ("w", n, gibbs1d.GridParams()) not in quartic_model._cache
+
+    def test_numpy_integers_accepted(self, quad_model):
+        got = sumdensity.log_w(quad_model, np.int64(3), np.array([1.5]))
+        assert got == pytest.approx(sumdensity.log_w(quad_model, 3, np.array([1.5])), rel=1e-15)
+
+
 class TestLocalCltScan:
     def test_deviations_decay_like_root_n(self, lin_scan):
         devs = np.asarray(lin_scan.sup_devs)
