@@ -65,9 +65,15 @@ class ExperimentConfig:
         """The k that ``converse`` pairs with n, a fixed fraction of it."""
         return max(1, round(self.k_frac * n))
 
+    def mixture_pair(self) -> tuple[int, int]:
+        """The one (n, k) that ``mixture`` runs: ``n`` (else the first of
+        ``n_list``) with the first of ``k_list``."""
+        return (self.n if self.n is not None else self.n_list[0]), self.k_list[0]
+
     def validate(self, subcommand: str | None = None) -> None:
         """Refuse settings no run could use; ``converse`` pairs each n with
-        ``converse_k(n)`` instead of ``k_list``, so its pairs are checked."""
+        ``converse_k(n)`` instead of ``k_list``, and ``mixture`` runs one
+        pair, so those are the pairs checked."""
         if not self.n_list or not self.k_list:
             raise ConfigError("n_list and k_list must be nonempty")
         if not 0 < self.k_frac < 1:
@@ -77,6 +83,10 @@ class ExperimentConfig:
                 k = self.converse_k(n)
                 if not 1 <= k < n:
                     raise ConfigError(f"k_frac={self.k_frac!r} gives k={k} at n={n}; need 1 <= k < n")
+        elif subcommand == "mixture":
+            n, k = self.mixture_pair()
+            if not 1 <= k < n:
+                raise ConfigError(f"mixture pairs n={n} with k_list[0]={k}; need 1 <= k < n")
         else:
             for n in self.n_list:
                 for k in self.k_list:
@@ -412,8 +422,7 @@ def run_sample(cfg: ExperimentConfig) -> int:
 
 def run_mixture(cfg: ExperimentConfig) -> int:
     spec = cfg.spec()
-    n = cfg.n if cfg.n is not None else cfg.n_list[0]
-    k = cfg.k_list[0]
+    n, k = cfg.mixture_pair()
     entries = [
         (solve_energy(spec, t), t, w) for t, w in zip(cfg.mixture_t_list, cfg.mixture_weights)
     ]

@@ -268,6 +268,8 @@ def y_density(model: GibbsModel) -> DensityGrid:
     ys = dy * np.arange(1, n)
     values = np.empty(n)
     values[1:] = np.exp(log_y_density(model, ys))
+    # the raw density on the positive nodes, kept for _cached_remainder
+    model._cache["y_raw"] = values[1:]
     edge = _edge_model(model)
     if edge.beta < -1e-6:
         values[0] = 0.0
@@ -320,7 +322,7 @@ def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]
     remainder is noise; decided once per model for every transform of it."""
     if "rem" not in model._cache:
         grid = y_density(model)
-        rem = _grid_remainder(model, grid.points()[1:])
+        rem = model._cache["y_raw"] - _edge_model(model).density(grid.points()[1:])
         negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(grid.values))
         model._cache["rem"] = (grid, rem, negligible)
     return model._cache["rem"]

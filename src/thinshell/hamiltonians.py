@@ -154,7 +154,7 @@ def custom(
     ifn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> HamiltonianSpec:
     """User-supplied f on ``x >= 0`` (vectorized); derivative and inverse
-    fall back to finite differences and bisection when not given."""
+    fall back to finite differences and safeguarded Newton when not given."""
     return HamiltonianSpec(kind="custom", support=support, fn=fn, dfn=dfn, ifn=ifn)
 
 
@@ -202,33 +202,61 @@ def _tail_witness(spec: HamiltonianSpec) -> tuple[float, float] | None:
     return report.tail_slope
 
 
-# relative width at which the inverse bisection stops
+# Newton correction (relative to max(x, 1)) at which the inverse stops
 _FINV_RTOL = 1e-12
+# nodes of the geometric table that seeds the inverse, and the ratio of its
+# first positive abscissa to its last
+_FINV_TABLE = 8192
+_FINV_TABLE_SPAN = 1e-16
 
 
 def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
-    """Unique x >= 0 with f(x) = y; bisection for custom specs."""
+    """Unique x >= 0 with f(x) = y; safeguarded Newton for custom specs.
+
+    Without an inverse, each node starts from monotone interpolation in a
+    geometric table of f over the bracket ``[0, max(1, y)/a1 + a2]`` that
+    the tail witness guarantees, then takes Newton steps on f'.  Every f
+    evaluation shrinks the node's bracket; a step that leaves it, or is
+    not finite, is replaced by bisection.  A node stops once its Newton
+    correction, which is applied, is at most ``_FINV_RTOL * max(x, 1)``, or
+    its bracket is that narrow.  ``f^{-1}(0) = 0`` exactly.
+    """
     y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError("inverse requires y >= 0")
+    if not np.all(y >= 0.0):
+        raise ValueError("inverse requires y >= 0 (not nan)")
     if spec.ifn is not None:
         return spec.ifn(y)
     witness = _tail_witness(spec)
     if witness is None:
         raise ValueError("cannot bracket the inverse: no tail slope witness")
     a1, a2 = witness
-    hi = np.maximum(1.0, y) / a1 + a2
-    lo = np.zeros_like(y)
-    for step in range(200):
-        mid = 0.5 * (lo + hi)
-        high = spec.fn(mid) > y
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.all(hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0)):
-            break
-    else:
-        raise RuntimeError("inverse bisection did not converge in 200 steps")
-    return 0.5 * (lo + hi)
+    out = np.zeros(y.size)
+    idx = np.flatnonzero(y > 0.0)
+    target = y.ravel()[idx]
+    hi = np.maximum(1.0, target) / a1 + a2
+    lo = np.zeros_like(target)
+    top = float(np.max(hi, initial=1.0 / a1 + a2))
+    x_tab = np.concatenate(([0.0], np.geomspace(_FINV_TABLE_SPAN * top, top, _FINV_TABLE - 1)))
+    x = np.interp(target, spec.fn(x_tab), x_tab)
+    for _ in range(200):
+        if not idx.size:
+            return out.reshape(y.shape)
+        # only points strictly inside the bracket are evaluated (f' needs x > 0)
+        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+        fx = spec.fn(x)
+        hi = np.where(fx >= target, x, hi)
+        lo = np.where(fx <= target, x, lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = (fx - target) / fprime_values(spec, x)
+        newton_done = np.abs(step) <= _FINV_RTOL * np.maximum(x, 1.0)
+        done = newton_done | (hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0))
+        x = x - step
+        if np.any(done):
+            final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+            out[idx[done]] = final[done]
+            keep = ~done
+            idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
+    raise RuntimeError("inverse did not converge in 200 steps")
 
 
 def inverse(spec: HamiltonianSpec, y: float) -> float:

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from thinshell import gibbs1d, hamiltonians, sumdensity
 
 CLT_SCAN_NS = (8, 16, 32, 64, 128, 256)
+
+# property tests draw the same examples on every run and stay small enough
+# for the tier-1 budget
+settings.register_profile("thinshell", derandomize=True, max_examples=50, deadline=None)
+settings.load_profile("thinshell")
 
 
 @pytest.fixture(scope="session")

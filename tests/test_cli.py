@@ -194,6 +194,25 @@ class TestConfig:
         rows = out.read_text().splitlines()
         assert rows[1].startswith("2,1,") and rows[2].startswith("20,10,")
 
+    @pytest.mark.parametrize("args", [["--n", "3", "--k-list", "5"], ["--n-list", "4,200", "--k-list", "4"]])
+    def test_mixture_checks_its_pair(self, args, capsys):
+        """mixture runs n (else the first of n_list) with the first of
+        k_list; a pair with k >= n is a config error naming both."""
+        code = run(["mixture", "--kind", "quadratic"] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "n=" in captured.err and "k_list" in captured.err
+
+    def test_mixture_ignores_unused_pairs(self, tmp_path):
+        """Only the pair mixture runs is checked: a k_list entry past the
+        rest of n_list does not refuse it."""
+        out = tmp_path / "mixture.csv"
+        assert run(["mixture", "--kind", "quadratic", "--n", "20", "--n-list", "2", "--k-list", "1,5",
+                    "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("20,1,")
+
     @pytest.mark.parametrize(
         "args,key",
         [

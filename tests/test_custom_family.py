@@ -1,5 +1,5 @@
 """Whole-pipeline run on a user-supplied energy function, exercising the
-finite-difference derivative, the bisection inverse, and the tabulated
+finite-difference derivative, the Newton inverse, and the tabulated
 inverse-CDF sampler."""
 
 import numpy as np
@@ -49,3 +49,18 @@ def test_rejection_sampler_and_prediction(cubic_plus_linear):
     predicted = sampler.shell_mass(model, 30, 0.2)
     assert predicted / 1.5 <= batch.acceptance_rate <= predicted * 1.5
     assert sampler.empirical_projection_check(batch, ref) < 0.03
+
+
+@pytest.fixture(scope="module")
+def power_pair():
+    """power(1.5) and the same f given as a custom spec with its exact
+    derivative but no inverse: the two differ only in how f^-1 is found."""
+    spec = ham.custom(lambda x: np.power(x, 1.5), dfn=lambda x: 1.5 * np.power(x, 0.5))
+    return gibbs1d.solve_energy(ham.power(1.5), 1.0), gibbs1d.solve_energy(spec, 1.0)
+
+
+@pytest.mark.parametrize("n,k", [(50, 1), (50, 3), (100, 1), (100, 3)])
+def test_divergences_match_closed_inverse(power_pair, n, k):
+    ref, cus = (projection.make_context(model, n, k) for model in power_pair)
+    assert projection.kl_to_gibbs(cus) == pytest.approx(projection.kl_to_gibbs(ref), rel=1e-9, abs=0)
+    assert projection.tv_to_gibbs(cus) == pytest.approx(projection.tv_to_gibbs(ref), rel=1e-9, abs=0)
