@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -118,20 +119,26 @@ class EdgeModel:
             self.beta, self.log_k + log_factor, self.rate - rate_shift, self.beta2, self.coef2 * math.exp(log_factor)
         )
 
-    def mass_below(self, v: float) -> float:
-        """Exact ``\\int_0^v model(u) du``: incomplete gamma functions for a
-        positive rate, pure power laws at rate zero, quadrature otherwise
-        (a growing exponential has no incomplete-gamma form)."""
+    def mass_below(self, v):
+        """Exact ``\\int_0^v model(u) du`` at each ``v``, a float for a scalar
+        ``v``.  A positive rate gives incomplete gamma functions, taken on the
+        whole array at once.  At rate zero the terms are pure power laws, and
+        a growing exponential has no incomplete-gamma form, so it takes
+        quadrature; those two go one point at a time."""
+        v = np.asarray(v, dtype=float)
+        if self.rate > 0:
+            out = np.zeros(v.shape)
+            for b, log_a, sign in self._terms:
+                a = b + 1.0
+                out += sign * (np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * gammainc(a, self.rate * v))
+        else:
+            out = np.array([self._mass_below_at(x) for x in v.ravel().tolist()]).reshape(v.shape)
+        return out if out.ndim else float(out)
+
+    def _mass_below_at(self, v: float) -> float:
         if self.rate < 0:
             return self.first_cell_integral(v, lambda u: np.ones_like(u))
-        out = 0.0
-        for b, log_a, sign in self._terms:
-            a = b + 1.0
-            if self.rate > 0:
-                out += sign * float(np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * gammainc(a, self.rate * v))
-            else:
-                out += sign * float(np.exp(log_a) * v**a / a)
-        return out
+        return sum((sign * float(np.exp(log_a) * v ** (b + 1.0) / (b + 1.0)) for b, log_a, sign in self._terms), 0.0)
 
     def first_cell_integral(self, dx: float, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """``\\int_0^dx model(v) fn(v) dv`` for smooth ``fn``.
@@ -164,15 +171,13 @@ class EdgeModel:
 class DensityGrid:
     """Nonnegative density sampled on ``x0 + dx * arange(len(values))``.
 
-    ``log_values[i]`` is ``log(values[i])`` where positive and ``-inf``
-    otherwise.  ``mass`` is the integral over the grid; when ``edge`` is set
-    the node at ``x0`` is a 0 sentinel and integrals are edge-aware.
+    ``mass`` is the integral over the grid; when ``edge`` is set the node at
+    ``x0`` is a 0 sentinel and integrals are edge-aware.
     """
 
     x0: float
     dx: float
     values: np.ndarray
-    log_values: np.ndarray = field(repr=False)
     mass: float
     edge: EdgeModel | None = None
     meta: dict | None = field(default=None, compare=False)
@@ -186,6 +191,13 @@ class DensityGrid:
 
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self.values))
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """``log(values[i])`` where positive and ``-inf`` otherwise, taken on
+        first read: most grids are only integrated and never need it."""
+        with np.errstate(divide="ignore"):
+            return np.where(self.values > 0, np.log(np.where(self.values > 0, self.values, 1.0)), _LOG_ZERO)
 
     def log_at(self, x) -> np.ndarray:
         """Log-density at arbitrary points: linear interpolation of the log
@@ -216,9 +228,16 @@ class DensityGrid:
         with np.errstate(over="ignore"):
             return np.exp(self.log_at(x))
 
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-        """``\\int fn(x) density(x) dx`` over the grid (``fn=None`` -> mass)."""
-        return _integrate(self.dx, self.x0, self.values, self.edge, fn)
+    def integrate(
+        self, fn: Callable[[np.ndarray], np.ndarray] | None = None, at_nodes: np.ndarray | None = None
+    ) -> float:
+        """``\\int fn(x) density(x) dx`` over the grid (``fn=None`` -> mass).
+
+        ``at_nodes`` is ``fn`` already evaluated at :meth:`points`; given it,
+        ``fn`` is called only where the edge model needs points between the
+        nodes.
+        """
+        return _integrate(self.dx, self.x0, self.values, self.edge, fn, at_nodes)
 
     def mean(self) -> float:
         return self.integrate(lambda x: x) / self.mass
@@ -234,7 +253,7 @@ class DensityGrid:
         if self.edge is not None:
             m = min(_MODEL_CELLS, len(self.values) - 1)
             vs = self.points()[: m + 1] - self.x0
-            model_cum = np.array([self.edge.mass_below(v) for v in vs])
+            model_cum = self.edge.mass_below(vs)
             rem = self.values[: m + 1] - self.edge.density(vs)
             rem[0] = 0.0
             rem_inc = 0.5 * self.dx * (rem[1:] + rem[:-1])
@@ -251,9 +270,12 @@ class DensityGrid:
         return make_grid(self.x0, self.dx, self.values * scale, edge=edge, meta=meta)
 
 
-def _integrate(dx, x0, values, edge, fn):
-    xs = x0 + dx * np.arange(len(values))
-    weighted = values if fn is None else values * fn(xs)
+def _integrate(dx, x0, values, edge, fn, at_nodes=None):
+    if fn is None and at_nodes is not None:
+        raise ValueError("node values need the pointwise fn they sample")
+    if fn is not None and at_nodes is None:
+        at_nodes = fn(x0 + dx * np.arange(len(values)))
+    weighted = values if fn is None else values * at_nodes
     if edge is None:
         return float(np.trapezoid(weighted, dx=dx))
     # model part in closed form over the leading cells, trapezoid on the
@@ -261,9 +283,9 @@ def _integrate(dx, x0, values, edge, fn):
     m = min(_MODEL_CELLS, len(values) - 1)
     shifted = None if fn is None else (lambda v: fn(x0 + v))
     model_part = edge.prefix_integral(dx, m, shifted)
-    vs = xs[: m + 1] - x0
+    vs = (x0 + dx * np.arange(m + 1)) - x0  # rounded as points() - x0 rounds them
     with np.errstate(invalid="ignore"):
-        rem = weighted[: m + 1] - edge.density(vs) * (1.0 if fn is None else fn(xs[: m + 1]))
+        rem = weighted[: m + 1] - edge.density(vs) * (1.0 if fn is None else at_nodes[: m + 1])
     rem[0] = 0.0  # sentinel node: the model term is singular there
     rem_part = float(np.trapezoid(rem, dx=dx))
     bulk = float(np.trapezoid(weighted[m:], dx=dx))
@@ -282,7 +304,5 @@ def make_grid(
         values = np.clip(values, 0.0, None)
     if edge is not None and values[0] != 0.0:
         raise ValueError("singular-edge grids use a 0 sentinel at node 0")
-    with np.errstate(divide="ignore"):
-        log_values = np.where(values > 0, np.log(np.where(values > 0, values, 1.0)), _LOG_ZERO)
     mass = _integrate(dx, x0, values, edge, None)
-    return DensityGrid(x0=x0, dx=dx, values=values, log_values=log_values, mass=float(mass), edge=edge, meta=meta)
+    return DensityGrid(x0=x0, dx=dx, values=values, mass=float(mass), edge=edge, meta=meta)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class ProjectionContext:
 
     Only the ``w_k`` grid is held; ``log w_{n-k}`` and ``log w_n(nt)`` come
     from :func:`sumdensity.log_w`, which decides between the closed form and
-    the memoised FFT grid.
+    the memoised FFT grid.  ``node_log_ratio`` is the one pass of the log
+    likelihood ratio over the ``w_k`` nodes, which the ``r_k`` grid, its
+    tilts and every divergence of the cell share.
     ``clt_ok`` records whether ``n - k`` reaches the scanned integrability
     order (the exact small cases deliberately run below it).
     """
@@ -67,6 +70,13 @@ class ProjectionContext:
 
     def log_wnk(self, s) -> np.ndarray:
         return log_w(self.model, self.n - self.k, s, self.params)
+
+    @cached_property
+    def node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        """``log w_{n-k}(nt - s) - log w_n(nt)`` at the ``w_k`` nodes s, and
+        where it is finite; evaluated on first use."""
+        lr = self.log_wnk(self.n * self.t - self.wk.points()) - self.log_wn_at_nt
+        return lr, np.isfinite(lr)
 
 
 def make_context(
@@ -115,10 +125,9 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     if "rk" in ctx._cache:
         return ctx._cache["rk"]
     nt = ctx.n * ctx.t
-    ss = ctx.wk.points()
-    log_ratio = ctx.log_wnk(nt - ss) - ctx.log_wn_at_nt
+    log_ratio, finite = ctx.node_log_ratio
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.where(np.isfinite(log_ratio), ctx.wk.values * np.exp(log_ratio), 0.0)
+        values = np.where(finite, ctx.wk.values * np.exp(log_ratio), 0.0)
     edge = None
     if ctx.wk.edge is not None:
         edge = ctx.wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
@@ -167,13 +176,26 @@ def _log_ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float =
     against g_k, as a function of the partial energy s:
     ``alpha s + log w_{n-k}(nt - s) - log w_n(nt) - log_norm``.
 
+    ``ss=None`` means the ``w_k`` nodes and reads ``ctx.node_log_ratio``;
+    other points (the edge model's quadrature nodes) are evaluated here.
     Where ``w_{n-k}`` vanishes the surface density has no mass; there the
     log term reads 0 and the returned mask is False.
     """
-    ss = np.asarray(ss, dtype=float)
-    lr = ctx.log_wnk(ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
-    finite = np.isfinite(lr)
+    if ss is None:
+        ss = ctx.wk.points()
+        lr, finite = ctx.node_log_ratio
+    else:
+        ss = np.asarray(ss, dtype=float)
+        lr = ctx.log_wnk(ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
+        finite = np.isfinite(lr)
     return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
+
+
+def _integrate_ratio(grid: DensityGrid, fn) -> float:
+    """``grid.integrate(fn)`` for an integrand of the log ratio on a grid
+    that shares the ``w_k`` nodes: ``fn(None)`` gives its node values from
+    the cached pass."""
+    return grid.integrate(fn, fn(None))
 
 
 def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0) -> np.ndarray:
@@ -222,7 +244,7 @@ def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     dropped; a negative result beyond -1e-8 signals inconsistent grids.
     """
     tilted, log_norm, _ = _tilted_rk(ctx, alpha)
-    kl = tilted.integrate(lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0])
+    kl = _integrate_ratio(tilted, lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0])
     if kl < -1e-8:
         raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
     return max(kl, 0.0)
@@ -234,7 +256,7 @@ def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     where the surface density has no support contribute their full w_k
     mass.  The untilted distance needs no ``r_k`` grid."""
     log_norm = 0.0 if alpha == 0.0 else _tilted_rk(ctx, alpha)[1]
-    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0))
+    tv = _integrate_ratio(ctx.wk, lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0))
     if not -1e-9 <= tv <= 2.0 + 1e-9:
         raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
     return float(min(max(tv, 0.0), 2.0))
@@ -360,11 +382,11 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     lo, hi = center - half, center + half
 
     def fn(ss):
-        ss = np.asarray(ss, dtype=float)
         gain = np.clip(_ratio(ctx, ss) - 1.0, 0.0, None)
+        ss = ctx.wk.points() if ss is None else np.asarray(ss, dtype=float)
         return np.where((ss >= lo) & (ss <= hi), gain, 0.0)
 
-    lower = 2.0 * ctx.wk.integrate(fn)
+    lower = 2.0 * _integrate_ratio(ctx.wk, fn)
     return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 

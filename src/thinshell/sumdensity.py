@@ -60,8 +60,9 @@ class GridTooCoarseError(RuntimeError):
 
 
 def _check_count(name: str, value) -> None:
-    """Refuse a number of summands (n, k, ...) that is not an integer >= 1."""
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    """Refuse a number of summands (n, k, ...) that is not an integer >= 1;
+    a bool is not a count."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1; got {value!r}")
 
 
@@ -200,14 +201,14 @@ _W_LOCK = threading.Lock()
 def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
     """Closed form when the family has one, FFT route otherwise.
 
-    FFT grids are memoised on the model under ``("w", n, params)``, so every
-    caller gets the same grid; concurrent requests for one key share a
-    single build, and a build that raises is evicted so the next call
-    retries.  Closed-form grids are not kept: a sweep holding them all
-    costs more memory than rebuilding them costs time.
+    Grids of both routes are memoised on the model under ``("w", n,
+    params)``, so every caller gets the same grid; concurrent requests for
+    one key share a single build, and a build that raises is evicted so the
+    next call retries.  ``n`` is checked before the memo is read, so a float
+    or bool that hashes like a memoised count is refused too.
     """
-    if model.spec.closed_form:
-        return w_exact(model, n, params)
+    _check_count("n", n)
+    build_grid = w_exact if model.spec.closed_form else w_fft
     key = ("w", n, params or GridParams())
     with _W_LOCK:
         future = model._cache.get(key)
@@ -216,7 +217,7 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
             future = model._cache[key] = Future()
     if build:
         try:
-            future.set_result(w_fft(model, n, params))
+            future.set_result(build_grid(model, n, params))
         except BaseException as exc:
             with _W_LOCK:
                 del model._cache[key]
@@ -228,6 +229,7 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
 def log_w(model: GibbsModel, n: int, s, params: GridParams | None = None) -> np.ndarray:
     """``log w_n(s)``: exact for closed-form families, interpolated on the
     memoised FFT grid otherwise; -inf off the support."""
+    _check_count("n", n)
     if model.spec.closed_form:
         return log_w_exact(model, n, s)
     return w_density(model, n, params).log_at(s)

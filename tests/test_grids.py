@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaln
 from scipy.stats import gamma as gamma_dist
 
 from thinshell import gibbs1d, hamiltonians as ham
@@ -61,6 +62,15 @@ class TestLogInterpolation:
         np.testing.assert_allclose(grid.log_values[pos], np.log(grid.values[pos]))
         assert np.isneginf(grid.log_values[~pos]).all()
 
+    def test_log_values_taken_on_first_read(self):
+        """Neither ``make_grid`` nor ``normalized`` takes the log; the first
+        read does, once."""
+        grid = _gamma_grid(0.5, 1.0)
+        normed = grid.normalized()
+        assert "log_values" not in grid.__dict__ and "log_values" not in normed.__dict__
+        first = normed.log_values
+        assert normed.log_values is first and "log_values" not in grid.__dict__
+
 
 class TestIntegrate:
     def test_moments_of_singular_gamma(self):
@@ -74,6 +84,24 @@ class TestIntegrate:
         got = grid.integrate(lambda x: np.cos(x))
         oracle, _ = quad(lambda x: math.cos(x) * gamma_dist.pdf(x, 0.5, scale=0.5), 0, 30, limit=200)
         assert got == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", [0.5, 2.0], ids=["edge", "plain"])
+    def test_node_values_stand_in_for_fn(self, shape):
+        """Given fn's node values, the integral is the one fn alone gives;
+        fn is then called only off the nodes, and node values without fn
+        are refused."""
+        grid = _gamma_grid(shape, 2.0)
+        seen = []
+
+        def fn(x):
+            seen.append(len(x))
+            return np.cos(x)
+
+        want = grid.integrate(np.cos)
+        assert grid.integrate(fn, np.cos(grid.points())) == want
+        assert len(grid) not in seen and (seen != []) == (grid.edge is not None)
+        with pytest.raises(ValueError, match="pointwise fn"):
+            grid.integrate(None, np.cos(grid.points()))
 
     def test_two_term_edge_model(self):
         """Adding the next-order power to the model keeps closed-form mass."""
@@ -95,6 +123,35 @@ class TestCdfAndNormalize:
         got = grid.cdf_values()[idx]
         oracle = gamma_dist.cdf(grid.points()[idx], 0.5, scale=1.0)
         np.testing.assert_allclose(got, oracle, atol=5e-7)
+
+    def test_cdf_model_part_is_the_pointwise_mass(self):
+        """The vectorised model mass in ``cdf_values`` equals, bit for bit,
+        the incomplete-gamma formula taken at one node at a time."""
+        grid = _gamma_grid(0.5, 1.0)
+        edge = EdgeModel(-0.5, -0.5 * math.log(math.pi), 1.0, beta2=0.5, coef2=0.25)
+        grid = make_grid(grid.x0, grid.dx, grid.values, edge=edge)
+        vs = grid.points()[:257]
+
+        def pointwise(v):
+            out = 0.0
+            for b, log_a, sign in edge._terms:
+                a = b + 1.0
+                out += sign * float(np.exp(log_a + gammaln(a) - a * np.log(edge.rate)) * gammainc(a, edge.rate * v))
+            return out
+
+        want = np.array([pointwise(v) for v in vs])
+        np.testing.assert_array_equal(edge.mass_below(vs), want)
+        rem = grid.values[:257] - edge.density(vs)
+        rem[0] = 0.0
+        np.testing.assert_array_equal(grid.cdf_values()[:257], want + np.concatenate(([0.0], np.cumsum(0.5 * grid.dx * (rem[1:] + rem[:-1])))))
+
+    @pytest.mark.parametrize("rate_shift", [0.4, 1.3, 2.0], ids=["positive", "zero", "negative"])
+    def test_mass_below_array_matches_scalars(self, rate_shift):
+        edge = EdgeModel(-0.5, 0.3, 1.3, beta2=0.5, coef2=0.25).scaled(0.0, rate_shift)
+        vs = 0.0123 * np.arange(257)
+        got = edge.mass_below(vs)
+        assert got.shape == vs.shape and isinstance(edge.mass_below(1.0), float)
+        np.testing.assert_array_equal(got, [edge.mass_below(float(v)) for v in vs])
 
     def test_normalized_mass_and_defect(self):
         grid = _gamma_grid(0.5, 1.0)

@@ -29,7 +29,7 @@ class TestContext:
     @pytest.mark.parametrize(
         "n,k,name",
         [(50.5, 1.5, "n"), (50.0, 1, "n"), (np.float64(50), 1, "n"), (0, 1, "n"),
-         (50, 1.0, "k"), (50, np.float64(1), "k"), (50, 0, "k"), (50, -1, "k")],
+         (50, 1.0, "k"), (50, np.float64(1), "k"), (50, 0, "k"), (50, -1, "k"), (50, True, "k")],
         ids=repr,
     )
     def test_rejects_non_integer_counts(self, lin_model, n, k, name):
@@ -68,12 +68,13 @@ class TestContext:
         """Closed-form contexts evaluate w_n and w_{n-k} exactly, so the only
         grid built is w_k; kl/tv are frozen values from a build that still
         made all three grids."""
+        model = dataclasses.replace(quad_model, _cache={})
         for (n, k), (kl, tv) in {
             (100, 3): (0.00038792858788929687, 0.017895031857477997),
             (50, 1): (0.00031234547723868163, 0.014330078602606388),
         }.items():
             built = self._count_builds(monkeypatch)
-            ctx = projection.make_context(quad_model, n, k)
+            ctx = projection.make_context(model, n, k)
             assert projection.kl_to_gibbs(ctx) == pytest.approx(kl, rel=1e-12)
             assert projection.tv_to_gibbs(ctx) == pytest.approx(tv, rel=1e-12)
             assert built == {"w_exact": [k], "w_fft": []}
@@ -178,6 +179,82 @@ class TestConditionalDensity:
     def test_defect_recorded(self, quad_model):
         ctx = projection.make_context(quad_model, 30, 3)
         assert projection.rk_conditional_density(ctx).meta["norm_defect"] < 1e-4
+
+
+def _pointwise_log_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
+    """The log likelihood ratio evaluated afresh at ss, as every integrand
+    did before the shared node pass."""
+    ss = np.asarray(ss, dtype=float)
+    lr = sumdensity.log_w(ctx.model, ctx.n - ctx.k, ctx.n * ctx.t - ss, ctx.params) - ctx.log_wn_at_nt
+    finite = np.isfinite(lr)
+    return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
+
+
+def _pointwise_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
+    lr, finite = _pointwise_log_ratio(ctx, ss, alpha, log_norm)
+    with np.errstate(over="ignore"):
+        return np.where(finite, np.exp(lr), 0.0)
+
+
+class TestSharedLogRatioPass:
+    """``r_k``, kl, tv and the converse bound read one pass of the log ratio
+    on the w_k nodes; each equals, bit for bit, the integral of the
+    pointwise integrand."""
+
+    CELLS = [("quad_model", 50, 1), ("quad_model", 100, 3), ("lin_model", 50, 3), ("quartic_model", 20, 1)]
+
+    @pytest.mark.parametrize("name,n,k", CELLS, ids=str)
+    def test_equals_pointwise_integrands(self, request, name, n, k):
+        ctx = projection.make_context(request.getfixturevalue(name), n, k)
+        assert (ctx.wk.edge is not None) == (k == 1)
+        wk, nt = ctx.wk, ctx.n * ctx.t
+        lr = ctx.log_wnk(nt - wk.points()) - ctx.log_wn_at_nt
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.where(np.isfinite(lr), wk.values * np.exp(lr), 0.0)
+        edge = None
+        if wk.edge is not None:
+            edge = wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
+            values[0] = 0.0
+        rk = projection.make_grid(wk.x0, wk.dx, values, edge=edge).normalized()
+        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, rk.values)
+
+        for alpha in (0.0, 0.2, -0.2):
+            tilted, log_norm, _ = projection._tilted_rk(ctx, alpha)
+            kl = tilted.integrate(lambda ss: _pointwise_log_ratio(ctx, ss, alpha, log_norm)[0])
+            tv = wk.integrate(lambda ss: np.abs(_pointwise_ratio(ctx, ss, alpha, log_norm) - 1.0))
+            assert projection.kl_to_gibbs(ctx, alpha) == max(kl, 0.0)
+            assert projection.tv_to_gibbs(ctx, alpha) == min(max(tv, 0.0), 2.0)
+
+        half = math.sqrt(ctx.n - ctx.k)
+        lo, hi = ctx.k * ctx.t - half, ctx.k * ctx.t + half
+
+        def gain(ss):
+            ss = np.asarray(ss, dtype=float)
+            return np.where((ss >= lo) & (ss <= hi), np.clip(_pointwise_ratio(ctx, ss) - 1.0, 0.0, None), 0.0)
+
+        assert projection.converse_lower_bound(ctx, 1.0).lower_bound == 2.0 * wk.integrate(gain)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_full_grid_log_w_pass_per_cell(self, quad_model, monkeypatch, k):
+        """A closed-form cell evaluates log w_{n-k} on the whole w_k grid once,
+        however many tilts and divergences it reports; only the edge model's
+        quadrature points come on top."""
+        ctx = projection.make_context(quad_model, 100, k)
+        sizes = []
+        original = sumdensity.log_w_exact
+
+        def counted(model, n, s):
+            sizes.append(np.size(s))
+            return original(model, n, s)
+
+        monkeypatch.setattr(sumdensity, "log_w_exact", counted)
+        for alpha in (0.0, 0.2, -0.2):
+            projection.bound_report(ctx, 2.0, alpha)
+        projection.converse_lower_bound(ctx, 1.0)
+        projection.rk_conditional_density(ctx)
+        assert sizes.count(len(ctx.wk)) == 1
+        assert all(size < 4096 for size in sizes if size != len(ctx.wk))
+        assert (len(sizes) > 1) == (ctx.wk.edge is not None)
 
 
 class TestDimensionFreeBounds:

@@ -167,8 +167,21 @@ class TestFftMemo:
         assert sumdensity.w_density(model, 3, gibbs1d.GridParams()) is default
         assert sumdensity.w_density(model, 3, gibbs1d.GridParams(sum_size=2**12)) is not default
 
-    def test_closed_forms_not_kept(self, lin_model):
-        assert sumdensity.w_density(lin_model, 4) is not sumdensity.w_density(lin_model, 4)
+    def test_closed_forms_kept(self, lin_model, monkeypatch):
+        """Closed-form grids share the memo: one build per key."""
+        model = replace(lin_model, _cache={})
+        calls = []
+        original = sumdensity.w_exact
+
+        def counted(m, n, params=None):
+            calls.append(n)
+            return original(m, n, params)
+
+        monkeypatch.setattr(sumdensity, "w_exact", counted)
+        grid = sumdensity.w_density(model, 4)
+        assert grid.meta["kind"] == "w_exact"
+        assert sumdensity.w_density(model, 4) is grid and sumdensity.w_density(model, 4, gibbs1d.GridParams()) is grid
+        assert calls == [4]
 
 
 class TestRemainderDecision:
@@ -222,6 +235,21 @@ class TestCountRefusals:
             with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
                 call()
         assert ("w", n, gibbs1d.GridParams()) not in quartic_model._cache
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), True], ids=repr)
+    @pytest.mark.parametrize("fixture", ["quad_model", "quartic_model"])
+    def test_warm_memo(self, request, fixture, n):
+        """A float or bool that hashes like a memoised count is refused, not
+        served the memoised grid."""
+        model = replace(request.getfixturevalue(fixture), _cache={})
+        sumdensity.w_density(model, int(n))
+        assert ("w", n, gibbs1d.GridParams()) in model._cache
+        for call in (
+            lambda: sumdensity.w_density(model, n),
+            lambda: sumdensity.log_w(model, n, np.array([0.5, 1.0])),
+        ):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
+                call()
 
     def test_numpy_integers_accepted(self, quad_model):
         got = sumdensity.log_w(quad_model, np.int64(3), np.array([1.5]))
