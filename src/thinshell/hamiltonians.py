@@ -163,10 +163,17 @@ def custom(
 
 
 def f_values(spec: HamiltonianSpec, x) -> np.ndarray:
-    """Vectorized f with +inf outside the finiteness set."""
+    """Vectorized f with +inf outside the finiteness set, as a fresh array.
+
+    On the half-line, input that lies wholly in ``x >= 0`` (nan does not)
+    goes to ``fn`` in one call; only mixed-sign or nan input is masked."""
     x = np.asarray(x, dtype=float)
     if spec.support == SYMMETRIC:
         return spec.fn(np.abs(x))
+    if np.all(x >= 0.0):
+        out = np.asarray(spec.fn(x), dtype=float)
+        # an fn such as the identity hands back its argument
+        return out.copy() if np.may_share_memory(out, x) else out
     out = np.full(x.shape, math.inf)
     ok = x >= 0.0
     if np.any(ok):

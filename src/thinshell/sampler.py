@@ -7,6 +7,14 @@ projecting them onto the surface is exact.  In general that independence
 fails; the general route conditions on a thin shell ``|R_n/n - t| <= delta``
 before projecting, trading a bias of order delta for tractability.
 
+The projection scales each row by kappa with ``R_n(kappa x) = nt``.  A
+homogeneous energy of degree d has the closed form ``kappa = (nt/R_n)^(1/d)``.
+Otherwise kappa solves ``sum f(kappa |x_i|) = nt`` by Newton's method from
+kappa = 1 (rejection rows start in the shell, close to the root), with
+``f'`` from ``fprime_values``; each row keeps a bracket, and a step that
+leaves it or is not finite is replaced by doubling or bisection.  Every
+projected block is checked on the surface to relative 1e-9.
+
 Randomness uses counter-based Philox streams derived from ``(seed, block
 index)``, so identical configurations reproduce batches bit for bit.
 """
@@ -24,7 +32,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values, fprime_values
 from .sumdensity import w_density
 
 __all__ = [
@@ -95,27 +103,56 @@ def _project_rows(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np.
     """Scale factors kappa with ``R_n(kappa x) = target`` per row."""
     if spec.homogeneous_degree is not None:
         return (target / _row_energies(spec, rows)) ** (1.0 / spec.homogeneous_degree)
-    lo = np.full(rows.shape[0], 0.0)
-    hi = np.full(rows.shape[0], 1.0)
-    # expand the upper bracket until every row overshoots
-    for _ in range(200):
-        r = _row_energies(spec, hi[:, None] * rows)
-        under = r < target
-        if not np.any(under):
-            break
-        lo[under] = hi[under]
-        hi[under] *= 2.0
-    else:
-        raise RuntimeError("bracket expansion failed in central projection")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        over = _row_energies(spec, mid[:, None] * rows) > target
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-        if np.max((hi - lo) / hi) < 1e-13:
-            break
-    kappa = 0.5 * (lo + hi)
+    kappa = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _BLOCK):
+        kappa[start : start + _BLOCK] = _newton_scales(spec, rows[start : start + _BLOCK], target)
     return kappa
+
+
+# Newton correction (relative to kappa) at which a row's scale factor stops,
+# and the number of steps after which the projection gives up
+_KAPPA_RTOL = 1e-14
+_KAPPA_STEPS = 200
+
+
+def _newton_scales(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np.ndarray:
+    """Safeguarded Newton for ``g(kappa) = sum f(kappa |x_i|) - target`` per
+    row, from kappa = 1, with ``g'(kappa) = sum |x_i| f'(kappa |x_i|)``.
+
+    Each evaluation of g shrinks the row's bracket ``[lo, hi]`` (``hi``
+    starts at +inf); a step that leaves the bracket, or is not finite, is
+    replaced by doubling while ``hi`` is infinite and by bisection after.
+    A row stops once its Newton correction, which is applied, is at most
+    ``_KAPPA_RTOL * kappa``, or its bracket is that narrow."""
+    # half-line rows keep their sign, so a negative coordinate gives g = +inf
+    a = np.abs(rows) if spec.support == SYMMETRIC else rows
+    out = np.empty(a.shape[0])
+    idx = np.arange(a.shape[0])
+    kappa = np.ones(a.shape[0])
+    lo = np.zeros(a.shape[0])
+    hi = np.full(a.shape[0], math.inf)
+    for _ in range(_KAPPA_STEPS):
+        y = kappa[:, None] * a
+        g = np.sum(f_values(spec, y), axis=1) - target
+        hi = np.where(g >= 0.0, kappa, hi)
+        lo = np.where(g <= 0.0, kappa, lo)
+        # f' needs x > 0; zero coordinates add 0 * f'(1) to the slope
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            dg = np.sum(a * fprime_values(spec, np.where(a > 0.0, y, 1.0)), axis=1)
+            step = g / dg
+        done = (np.abs(step) <= _KAPPA_RTOL * kappa) | (hi - lo <= _KAPPA_RTOL * kappa)
+        new = kappa - step
+        fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+        if np.any(done):
+            final = np.where((new >= lo) & (new <= hi), new, fallback)
+            out[idx[done]] = final[done]
+            keep = ~done
+            idx, a, new, fallback, lo, hi = idx[keep], a[keep], new[keep], fallback[keep], lo[keep], hi[keep]
+        # only points strictly inside the bracket are evaluated again
+        kappa = np.where((new > lo) & (new < hi), new, fallback)
+        if not idx.size:
+            return out
+    raise RuntimeError(f"central projection did not converge in {_KAPPA_STEPS} steps")
 
 
 def central_projection(spec: HamiltonianSpec, x: np.ndarray, t: float) -> np.ndarray:

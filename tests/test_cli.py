@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 import os
 import pathlib
 import typing
@@ -424,23 +425,53 @@ class TestShippedConfigs:
         assert run(["mixture", "--config", "configs/mixture_quadratic.cfg", "--strict", "--out", str(out)]) == 0
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "bench" / "reference"
+
+
+def assert_matches_reference(out: pathlib.Path, reference: pathlib.Path, rows: int, rel: float) -> None:
+    """Same header, shape and flags as the recorded CSV; numbers within ``rel``."""
+    got = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+    want = list(csv.reader(io.StringIO(reference.read_text(encoding="utf-8"))))
+    assert got[0] == want[0] and len(got) == len(want) == rows + 1
+    for row_got, row_want in zip(got[1:], want[1:]):
+        assert len(row_got) == len(row_want)
+        for a, b in zip(row_got, row_want):
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                assert a == b
+                continue
+            if math.isnan(x) or math.isnan(y):
+                assert a == b
+            else:
+                assert x == pytest.approx(y, rel=rel, abs=0.0), (row_want[:2], a, b)
+
+
 class TestReferenceOutputs:
-    """The shipped FFT sweep whose single-summand edge model has two terms
-    (the perturbed quartic) against the benchmark's recorded CSV."""
+    """Shipped runs against the benchmark's recorded CSVs."""
 
     def test_quartic_sweep_matches_reference(self, tmp_path):
+        """The FFT sweep whose single-summand edge model has two terms (the
+        perturbed quartic)."""
         out = tmp_path / "quartic.csv"
         code = run(["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "50,100,200",
                     "--k-list", "1,3,5", "--strict", "--out", str(out)])
         assert code == 0
-        reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "bounds_fft" / "quartic.csv"
-        got = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
-        want = list(csv.reader(io.StringIO(reference.read_text(encoding="utf-8"))))
-        assert got[0] == want[0] and len(got) == len(want) == 10
-        for row_got, row_want in zip(got[1:], want[1:]):
-            assert len(row_got) == len(row_want)
-            for a, b in zip(row_got, row_want):
-                if a in ("true", "false", "nan") or b in ("true", "false", "nan"):
-                    assert a == b
-                else:
-                    assert float(a) == pytest.approx(float(b), rel=1e-9, abs=0.0), (row_want[:2], a, b)
+        assert_matches_reference(out, REFERENCE / "bounds_fft" / "quartic.csv", 9, rel=1e-9)
+
+    def test_exponential_ensembles_match_reference(self, tmp_path):
+        """Scaling sampler at n = 50 and 500: pins the Philox stream and the
+        homogeneous projection."""
+        out = tmp_path / "exponential.csv"
+        assert run(["ensembles", "--config", str(ROOT / "configs" / "ensembles_exponential.cfg"), "--out", str(out)]) == 0
+        assert_matches_reference(out, REFERENCE / "ensembles" / "exponential.csv", 2, rel=1e-12)
+
+    def test_quartic_ensembles_match_reference(self, tmp_path):
+        """Rejection sampler at n = 20 and 50: pins the Philox stream, the
+        shell and the Newton projection."""
+        out = tmp_path / "quartic.csv"
+        code = run(["ensembles", "--kind", "quartic_perturbed", "--epsilon", "1", "--t", "1", "--n-list", "20,50",
+                    "--count", "20000", "--canonical-count", "100000", "--seed", "1009", "--out", str(out)])
+        assert code == 0
+        assert_matches_reference(out, REFERENCE / "ensembles" / "quartic.csv", 2, rel=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import wrightomega
 
 from thinshell import cli, hamiltonians as ham
@@ -28,6 +29,39 @@ class TestEvaluate:
     def test_zero_at_origin(self):
         for spec in (ham.quadratic(), ham.linear_half(), ham.power(1.5), ham.quartic_perturbed(1.0)):
             assert ham.evaluate(spec, 0.0) == 0.0
+
+
+def masked_f_values(spec, x):
+    """The half-line f_values written out: +inf wherever x >= 0 fails."""
+    out = np.full(x.shape, math.inf)
+    ok = x >= 0.0
+    out[ok] = spec.fn(x[ok])
+    return out
+
+
+HALF_LINE_SPECS = {
+    "linear_half": ham.linear_half(),
+    "power3": ham.power(3),
+    "identity": ham.custom(lambda x: x),
+}
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6)
+# zeros, negatives and nan mixed in, or every entry in the support
+MIXED = hnp.arrays(float, SHAPES, elements=st.sampled_from([0.0, -0.0, -1.5, -1e-300, math.nan, 0.25, 3.0, 1e100]))
+NONNEGATIVE = hnp.arrays(float, SHAPES, elements=st.floats(0.0, 1e100))
+
+
+class TestHalfLineValues:
+    @pytest.mark.parametrize("name", HALF_LINE_SPECS)
+    @given(x=st.one_of(MIXED, NONNEGATIVE))
+    def test_matches_masked_route_in_a_fresh_array(self, name, x):
+        spec = HALF_LINE_SPECS[name]
+        before = x.copy()
+        out = ham.f_values(spec, x)
+        np.testing.assert_array_equal(out, masked_f_values(spec, x))
+        assert out.shape == x.shape and out.dtype == np.float64
+        assert not np.shares_memory(out, x)
+        out[...] = 7.0
+        np.testing.assert_array_equal(x, before)
 
 
 class TestDerivative:

@@ -45,6 +45,77 @@ class TestCentralProjection:
             sampler.central_projection(ham.linear_half(), np.array([1.0, -1.0]), 1.0)
 
 
+def quartic_kappa(rows, eps, target):
+    """Closed-form scale factor of the perturbed quartic: kappa^2 solves
+    eps*B*u^2 + A*u - target = 0 with A = sum x^2 and B = sum x^4."""
+    a, b = np.sum(rows**2, axis=1), np.sum(rows**4, axis=1)
+    return np.sqrt(2.0 * target / (a + np.sqrt(a * a + 4.0 * eps * b * target)))
+
+
+def oracle_rows(scale, n=12, count=2500, seed=5):
+    """Normal rows times ``scale``, with a block of zero coordinates in every
+    other row; 2500 rows span three projection blocks."""
+    rows = scale * np.random.default_rng(seed).normal(size=(count, n))
+    rows[::2, : n // 2] = 0.0
+    return rows
+
+
+class TestNewtonProjection:
+    """``_project_rows`` without a homogeneous degree, against closed forms."""
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3], ids=["shell", "kappa_large", "kappa_small"])
+    def test_quartic_matches_closed_form(self, eps, scale):
+        rows = oracle_rows(scale)
+        target = 12.0
+        kappa = sampler._project_rows(ham.quartic_perturbed(eps), rows, target)
+        np.testing.assert_allclose(kappa, quartic_kappa(rows, eps, target), rtol=1e-13, atol=0.0)
+
+    def test_few_sweeps_near_the_shell(self, monkeypatch):
+        """Rows within 3% of the surface (as rejection leaves them) converge
+        in at most 6 evaluations of f per row; bisection took about 45."""
+        spec = ham.quartic_perturbed(1.0)
+        rows = oracle_rows(1.0, count=1000)
+        rows *= (quartic_kappa(rows, 1.0, 12.0) * np.random.default_rng(8).uniform(0.97, 1.03, 1000))[:, None]
+        evaluated = []
+        f_values = sampler.f_values
+        monkeypatch.setattr(sampler, "f_values", lambda s, x: evaluated.append(x.shape[0]) or f_values(s, x))
+        kappa = sampler._project_rows(spec, rows, 12.0)
+        assert sum(evaluated) <= 6 * rows.shape[0]
+        np.testing.assert_allclose(kappa, quartic_kappa(rows, 1.0, 12.0), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_custom_finite_difference_on_surface(self, scale):
+        """A custom f without dfn takes the finite-difference f'."""
+        spec = ham.custom(lambda x: x + x**3 / 3.0)
+        rows = np.abs(oracle_rows(scale))
+        kappa = sampler._project_rows(spec, rows, 12.0)
+        energies = np.sum(ham.f_values(spec, kappa[:, None] * rows), axis=1)
+        np.testing.assert_allclose(energies, 12.0, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3], ids=["shell", "kappa_large", "kappa_small"])
+    def test_nan_slope_falls_back_to_bisection(self, monkeypatch, scale):
+        monkeypatch.setattr(sampler, "fprime_values", lambda spec, x: np.full(np.shape(x), np.nan))
+        rows = oracle_rows(scale, count=300)
+        kappa = sampler._project_rows(ham.quartic_perturbed(1.0), rows, 12.0)
+        np.testing.assert_allclose(kappa, quartic_kappa(rows, 1.0, 12.0), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("nan_slope", [False, True])
+    def test_unreachable_root_raises(self, monkeypatch, nan_slope):
+        """kappa near 1e-70 is beyond the step cap from kappa = 1, with or
+        without f'; the projection raises instead of returning a point off
+        the surface."""
+        if nan_slope:
+            monkeypatch.setattr(sampler, "fprime_values", lambda spec, x: np.full(np.shape(x), np.nan))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sampler._project_rows(ham.quartic_perturbed(1.0), oracle_rows(1e70, count=4), 12.0)
+
+    def test_negative_half_line_coordinate_raises(self):
+        spec = ham.custom(lambda x: x + x**3 / 3.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            sampler._project_rows(spec, np.array([[1.0, -0.5, 2.0]]), 3.0)
+
+
 class TestScalingSampler:
     def test_on_surface(self, quad_model):
         batch = sampler.sample_surface_scaling(quad_model, 12, 512, seed=3)

@@ -227,14 +227,16 @@ class TestCountRefusals:
 
     @pytest.mark.parametrize("n", BAD_COUNTS, ids=repr)
     def test_fft_route(self, quartic_model, n):
+        # a fresh memo: the session model may already hold w_3, and 3.0 == 3
+        model = replace(quartic_model, _cache={})
         for call in (
-            lambda: sumdensity.w_fft(quartic_model, n),
-            lambda: sumdensity.w_density(quartic_model, n),
-            lambda: sumdensity.log_w(quartic_model, n, np.array([0.5, 1.0])),
+            lambda: sumdensity.w_fft(model, n),
+            lambda: sumdensity.w_density(model, n),
+            lambda: sumdensity.log_w(model, n, np.array([0.5, 1.0])),
         ):
             with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
                 call()
-        assert ("w", n, gibbs1d.GridParams()) not in quartic_model._cache
+        assert ("w", n, gibbs1d.GridParams()) not in model._cache
 
     @pytest.mark.parametrize("n", [3.0, np.float64(3.0), True], ids=repr)
     @pytest.mark.parametrize("fixture", ["quad_model", "quartic_model"])
