@@ -5,14 +5,14 @@ with every key overridable from the command line; experiments are sweeps,
 so the file is the unit of reproducibility.  Floating-point output is
 fixed at 17 significant digits so equal configs produce byte-identical
 CSVs.  ``--strict`` turns any failed bound check into a nonzero exit for
-CI consumption.  ``THINSHELL_THREADS`` caps the sweep worker pool.
+CI consumption.  ``THINSHELL_THREADS`` caps the sweep worker pool and the
+samplers' threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import types
 import typing
@@ -24,6 +24,7 @@ import numpy as np
 from . import projection, sampler
 from .gibbs1d import GibbsModel, GridParams, solve_energy
 from .hamiltonians import HALF_LINE, check_class_f, f_values, linear_half, power, quadratic, quartic_perturbed
+from .sampler import _pool_size
 from .sumdensity import local_clt_scan, w_exact, w_fft
 
 __all__ = ["ExperimentConfig", "main"]
@@ -221,12 +222,6 @@ def write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _pool_size(cells: int) -> int:
-    cap = os.environ.get("THINSHELL_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(cells, limit))
 
 
 def _solved(cfg: ExperimentConfig) -> GibbsModel:
@@ -470,6 +465,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        _pool_size(1)  # refuse a bad THINSHELL_THREADS before any work
         return _SUBCOMMANDS[args.subcommand](cfg)
     except (ValueError, RuntimeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

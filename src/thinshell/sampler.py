@@ -13,16 +13,35 @@ Otherwise kappa solves ``sum f(kappa |x_i|) = nt`` by Newton's method from
 kappa = 1 (rejection rows start in the shell, close to the root), with
 ``f'`` from ``fprime_values``; each row keeps a bracket, and a step that
 leaves it or is not finite is replaced by doubling or bisection.  Every
-projected block is checked on the surface to relative 1e-9.
+projected block is checked on the surface to relative 1e-9.  Rows kept by
+the rejection sampler bring the ``R_n`` of its shell test into the first
+Newton sweep (or the closed form), so it is not evaluated twice.
+
+Families without an exact transform draw coordinates by a PCHIP inverse
+CDF.  Its polynomial is evaluated by indexed search (Chen & Asau 1974;
+Devroye 1986, section III.2): a guide table over ``2**16`` equal bins of
+``[0, 1)`` gives, for ``j = floor(u * 2**16)``, the knot interval holding
+``j / 2**16``; at most two steps to the right, or a binary search in the
+few bins wider than that, find ``u``'s interval.  That is the interval
+``PchipInterpolator`` finds, and the cubic is summed in scipy's ``PPoly``
+order, so every draw is bit-identical to ``PchipInterpolator.__call__``.
 
 Randomness uses counter-based Philox streams derived from ``(seed, block
-index)``, so identical configurations reproduce batches bit for bit.
+index)``, so identical configurations reproduce batches bit for bit.  Each
+block writes its own rows, so the scaling sampler runs its blocks on the
+calling thread plus helper threads, striped: with T threads, thread r takes
+blocks r, r + T, ...; the inverse CDF stripes its 32768-point chunks the
+same way.  No draw depends on which thread made it.  ``THINSHELL_THREADS``
+caps T; by default it is the CPU count.  The rejection sampler's blocks stay
+in order, since each block's size depends on the rows kept so far.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -50,6 +69,10 @@ __all__ = [
 ]
 
 _BLOCK = 1024
+# guide-table bins of the inverse CDF (a power of two, so floor(u * _GUIDE)
+# is exact) and the uniforms per inverse-CDF chunk
+_GUIDE = 2**16
+_CHUNK = 32768
 _MAGIC = b"THNSHL1\x00"
 _HEADER = struct.Struct("<QQddBxxxxxxxdq")
 _METHODS = ("scaling", "rejection")
@@ -86,6 +109,51 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
+def _pool_size(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: the CPU count, or
+    ``THINSHELL_THREADS`` when it is set, and never more than ``tasks``."""
+    cap = os.environ.get("THINSHELL_THREADS")
+    if cap:
+        try:
+            limit = int(cap)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"THINSHELL_THREADS must be an integer >= 1; got {cap!r}")
+    else:
+        limit = os.cpu_count() or 1
+    return max(1, min(tasks, limit))
+
+
+def _striped(tasks: int, run: Callable[[int], None], threads: int) -> None:
+    """``run(k)`` for every ``k < tasks``: the calling thread takes k = 0,
+    threads, 2*threads, ... and ``threads - 1`` helper threads the other
+    residues.  After the first failure no further task starts; the error of
+    the lowest failing task is raised once every helper has stopped."""
+    errors: dict[int, BaseException] = {}
+
+    def stripe(first: int) -> None:
+        for k in range(first, tasks, threads):
+            if errors:
+                return
+            try:
+                run(k)
+            except BaseException as exc:
+                errors[k] = exc
+                return
+
+    helpers = [threading.Thread(target=stripe, args=(r,), daemon=True) for r in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        stripe(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _row_energies(spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
     """``R_n`` of each row, ``_BLOCK`` rows at a time so that the
     temporaries of ``f`` stay small; each row's sum is the same either way."""
@@ -99,13 +167,19 @@ def _row_energies(spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
 # central projection onto the surface
 
 
-def _project_rows(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np.ndarray:
-    """Scale factors kappa with ``R_n(kappa x) = target`` per row."""
+def _project_rows(
+    spec: HamiltonianSpec, rows: np.ndarray, target: float, energies: np.ndarray | None = None
+) -> np.ndarray:
+    """Scale factors kappa with ``R_n(kappa x) = target`` per row;
+    ``energies``, when given, are the rows' ``R_n``."""
     if spec.homogeneous_degree is not None:
-        return (target / _row_energies(spec, rows)) ** (1.0 / spec.homogeneous_degree)
+        if energies is None:
+            energies = _row_energies(spec, rows)
+        return (target / energies) ** (1.0 / spec.homogeneous_degree)
     kappa = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _BLOCK):
-        kappa[start : start + _BLOCK] = _newton_scales(spec, rows[start : start + _BLOCK], target)
+        block = slice(start, start + _BLOCK)
+        kappa[block] = _newton_scales(spec, rows[block], target, None if energies is None else energies[block])
     return kappa
 
 
@@ -115,7 +189,9 @@ _KAPPA_RTOL = 1e-14
 _KAPPA_STEPS = 200
 
 
-def _newton_scales(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np.ndarray:
+def _newton_scales(
+    spec: HamiltonianSpec, rows: np.ndarray, target: float, energies: np.ndarray | None = None
+) -> np.ndarray:
     """Safeguarded Newton for ``g(kappa) = sum f(kappa |x_i|) - target`` per
     row, from kappa = 1, with ``g'(kappa) = sum |x_i| f'(kappa |x_i|)``.
 
@@ -123,7 +199,8 @@ def _newton_scales(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np
     starts at +inf); a step that leaves the bracket, or is not finite, is
     replaced by doubling while ``hi`` is infinite and by bisection after.
     A row stops once its Newton correction, which is applied, is at most
-    ``_KAPPA_RTOL * kappa``, or its bracket is that narrow."""
+    ``_KAPPA_RTOL * kappa``, or its bracket is that narrow.  ``energies``,
+    when given, are the rows' ``R_n``: g at kappa = 1, the first sweep."""
     # half-line rows keep their sign, so a negative coordinate gives g = +inf
     a = np.abs(rows) if spec.support == SYMMETRIC else rows
     out = np.empty(a.shape[0])
@@ -133,7 +210,8 @@ def _newton_scales(spec: HamiltonianSpec, rows: np.ndarray, target: float) -> np
     hi = np.full(a.shape[0], math.inf)
     for _ in range(_KAPPA_STEPS):
         y = kappa[:, None] * a
-        g = np.sum(f_values(spec, y), axis=1) - target
+        g = (np.sum(f_values(spec, y), axis=1) if energies is None else energies) - target
+        energies = None
         hi = np.where(g >= 0.0, kappa, hi)
         lo = np.where(g <= 0.0, kappa, lo)
         # f' needs x > 0; zero coordinates add 0 * f'(1) to the slope
@@ -204,8 +282,49 @@ class _CoordinateSampler:
         resid = float(np.max(np.abs(forward(self._pchip(probe)) - probe)))
         if resid > 1e-10:
             raise RuntimeError(f"inverse-CDF table misses tolerance: residual {resid:.2e}")
+        # the same polynomial for the indexed search: knots from 0.0 to 1.0,
+        # one coefficient row (cubic first) per interval, and per guide bin j
+        # the interval holding j / _GUIDE
+        self._knots = self._pchip.x
+        self._coef = np.ascontiguousarray(self._pchip.c.T)
+        self._guide = np.searchsorted(self._knots, np.arange(_GUIDE) / _GUIDE, "right") - 1
 
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def _inverse(self, u: np.ndarray, striped: bool) -> np.ndarray:
+        """``self._pchip(u)`` bit for bit for uniforms ``u`` in [0, 1),
+        written over ``u`` (or its flat copy, if it is not contiguous) chunk
+        by chunk; ``striped`` spreads the chunks over ``_pool_size`` threads."""
+        flat = u.reshape(-1)
+        knots, coef = self._knots, self._coef
+
+        def chunk(k: int) -> None:
+            v = flat[k * _CHUNK : (k + 1) * _CHUNK]
+            # knots[i] <= v throughout, and knots[-1] = 1.0 > v; take()
+            # gathers about twice as fast as fancy indexing
+            i = self._guide.take((v * _GUIDE).astype(np.intp))
+            i += knots.take(i + 1) <= v
+            i += knots.take(i + 1) <= v
+            wide = knots.take(i + 1) <= v  # in a bin wider than two knots
+            if np.any(wide):
+                i[wide] = np.searchsorted(knots, v[wide], "right") - 1
+            s = v - knots.take(i)
+            c = coef.take(i, axis=0)
+            # PPoly's order, ((c3 + c2 s) + c1 s^2) + c0 (s^2 s); + and * commute exactly
+            s2 = s * s
+            np.multiply(c[:, 2], s, out=v)
+            v += c[:, 3]
+            v += c[:, 1] * s2
+            s2 *= s
+            s2 *= c[:, 0]
+            v += s2
+
+        chunks = -(-flat.size // _CHUNK)
+        _striped(chunks, chunk, _pool_size(chunks) if striped else 1)
+        return flat.reshape(u.shape)
+
+    def draw(self, rng: np.random.Generator, shape, striped: bool = False) -> np.ndarray:
+        """Coordinates of shape ``shape``; ``striped`` runs a tabulated
+        inverse CDF on the calling thread plus helpers, with the same
+        values."""
         spec, c = self.spec, self.model.c
         if spec.kind == "quadratic":
             return rng.normal(0.0, math.sqrt(0.5 / c), shape)
@@ -214,11 +333,18 @@ class _CoordinateSampler:
         if spec.kind == "power":
             mag = rng.gamma(1.0 / spec.p, 1.0 / c, shape) ** (1.0 / spec.p)
         else:
-            mag = self._pchip(rng.random(shape))
+            mag = self._inverse(rng.random(shape), striped)
         if spec.support == SYMMETRIC:
             # in place: the same values as np.where(u < 0.5, -mag, mag)
             np.negative(mag, out=mag, where=rng.random(shape) < 0.5)
         return mag
+
+
+def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
+    """The model's coordinate sampler, built once per model."""
+    if "coordinate_sampler" not in model._cache:
+        model._cache["coordinate_sampler"] = _CoordinateSampler(model)
+    return model._cache["coordinate_sampler"]
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +358,18 @@ def _check_keep(n: int, keep: int | None) -> int:
     return keep
 
 
-def _store_block(spec: HamiltonianSpec, rows: np.ndarray, target: float, points: np.ndarray, start: int) -> None:
+def _store_block(
+    spec: HamiltonianSpec,
+    rows: np.ndarray,
+    target: float,
+    points: np.ndarray,
+    start: int,
+    energies: np.ndarray | None = None,
+) -> None:
     """Project one block of draws onto the surface (in place), check it, and
-    copy its first ``points.shape[1]`` columns to ``points[start:]``."""
-    rows *= _project_rows(spec, rows, target)[:, None]
+    copy its first ``points.shape[1]`` columns to ``points[start:]``;
+    ``energies``, when given, are the rows' ``R_n``."""
+    rows *= _project_rows(spec, rows, target, energies)[:, None]
     resid = np.max(np.abs(_row_energies(spec, rows) - target))
     if resid > 1e-9 * target:
         raise RuntimeError(f"batch off the surface: residual {resid:.2e}")
@@ -251,12 +385,17 @@ def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, kee
     if spec.homogeneous_degree is None:
         raise ValueError(f"{spec.label} is not homogeneous; use the rejection sampler")
     keep = _check_keep(n, keep)
-    sampler = _CoordinateSampler(model)
+    sampler = _coordinate_sampler(model)
     target = n * model.mu
     points = np.empty((count, keep))
-    for block, start in enumerate(range(0, count, _BLOCK)):
+
+    def store(block: int) -> None:
+        start = block * _BLOCK
         rows = sampler.draw(_block_rng(seed, block), (min(_BLOCK, count - start), n))
         _store_block(spec, rows, target, points, start)
+
+    blocks = -(-count // _BLOCK)
+    _striped(blocks, store, _pool_size(blocks))
     return SampleBatch(
         points=points,
         n=n,
@@ -286,7 +425,7 @@ def sample_surface_rejection(
         raise ValueError(f"shell width must be positive; got delta={delta!r}")
     spec = model.spec
     keep = _check_keep(n, keep)
-    sampler = _CoordinateSampler(model)
+    sampler = _coordinate_sampler(model)
     t = model.mu
     target = n * t
     points = np.empty((count, keep))
@@ -297,12 +436,13 @@ def sample_surface_rejection(
         rng = _block_rng(seed, block)
         block += 1
         size = max(_BLOCK, min(65536, 4 * (count - kept)))
-        rows = sampler.draw(rng, (size, n))
+        rows = sampler.draw(rng, (size, n), striped=True)
         drawn += size
-        energies = _row_energies(spec, rows) / n
-        accept = np.abs(energies - t) <= delta
+        energies = _row_energies(spec, rows)
+        accept = np.abs(energies / n - t) <= delta
         if np.any(accept):
-            _store_block(spec, rows[accept][: count - kept], target, points, kept)
+            room = count - kept
+            _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
             kept += int(np.count_nonzero(accept))
         if drawn >= max_draws:
             rate = kept / drawn
@@ -392,7 +532,7 @@ def ensemble_expectation_gap(
     e_micro = float(np.mean(micro_vals))
     se_micro = float(np.std(micro_vals, ddof=1) / math.sqrt(len(micro_vals)))
 
-    sampler = _CoordinateSampler(model)
+    sampler = _coordinate_sampler(model)
     sums = 0.0
     sumsq = 0.0
     done = 0
@@ -401,7 +541,7 @@ def ensemble_expectation_gap(
         size = min(65536, canonical_count - done)
         rng = _block_rng(seed, 2_000_000 + block)
         block += 1
-        vals = np.asarray(testfn.fn(sampler.draw(rng, (size, k))), dtype=float)
+        vals = np.asarray(testfn.fn(sampler.draw(rng, (size, k), striped=True)), dtype=float)
         sums += float(np.sum(vals))
         sumsq += float(np.sum(vals * vals))
         done += size

@@ -322,6 +322,27 @@ class TestSubcommands:
             del os.environ["THINSHELL_THREADS"]
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20,50", "--count", "3000"],
+        ["--kind", "linear_half", "--n-list", "50,500", "--count", "5000"],
+    ], ids=["rejection", "scaling"])
+    def test_ensembles_same_bytes_on_one_thread(self, monkeypatch, tmp_path, args):
+        outs = []
+        for threads in (None, "1", "2"):
+            if threads is None:
+                monkeypatch.delenv("THINSHELL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("THINSHELL_THREADS", threads)
+            outs.append(tmp_path / f"ens{threads}.csv")
+            assert run(["ensembles"] + args + ["--canonical-count", "70000", "--seed", "5", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+    def test_bad_thread_cap_refused(self, monkeypatch, lin_config, capsys, value):
+        monkeypatch.setenv("THINSHELL_THREADS", value)
+        assert run(["bounds", "--config", lin_config]) == 1
+        assert f"THINSHELL_THREADS must be an integer >= 1; got {value!r}" in capsys.readouterr().err
+
     def test_clt_scan_schema(self, tmp_path, capsys):
         out = tmp_path / "clt.csv"
         assert run(["clt-scan", "--kind", "quadratic", "--clt-n-list", "8,16", "--out", str(out)]) == 0

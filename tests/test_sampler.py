@@ -1,8 +1,13 @@
+import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thinshell import gibbs1d, hamiltonians as ham, projection, sampler
 
@@ -116,6 +121,153 @@ class TestNewtonProjection:
             sampler._project_rows(spec, np.array([[1.0, -0.5, 2.0]]), 3.0)
 
 
+@pytest.fixture(scope="module", params=["quartic", "custom"])
+def tabulated(request, quartic_model):
+    """The two tabulated inverse CDFs: the symmetric quartic and a half-line
+    custom f without an inverse."""
+    if request.param == "quartic":
+        return sampler._CoordinateSampler(quartic_model)
+    return sampler._CoordinateSampler(gibbs1d.solve_energy(ham.custom(lambda x: x + x**3 / 3.0), 1.0))
+
+
+def assert_inverse_matches_pchip(coord, u):
+    u = np.asarray(u, dtype=float)
+    assert np.array_equal(coord._inverse(u.copy(), striped=False), coord._pchip(u))
+
+
+class TestIndexedSearch:
+    """The indexed-search inverse CDF is ``PchipInterpolator`` bit for bit."""
+
+    def test_uniforms(self, tabulated):
+        assert_inverse_matches_pchip(tabulated, np.random.default_rng(12).random(2_000_000))
+
+    def test_knots_and_bin_edges(self, tabulated):
+        knots = tabulated._knots
+        assert knots[0] == 0.0 and knots[-1] == 1.0  # no uniform reaches the last knot
+        inner = knots[:-1]
+        edges = np.arange(sampler._GUIDE) / sampler._GUIDE
+        above = np.nextafter(inner, 1.0)
+        for u in (inner, np.nextafter(inner[1:], 0.0), above[above < 1.0], edges,
+                  np.nextafter(edges[1:], 0.0), [0.0, np.nextafter(1.0, 0.0)]):
+            assert_inverse_matches_pchip(tabulated, u)
+
+    @given(u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64))
+    def test_property(self, tabulated, u):
+        assert_inverse_matches_pchip(tabulated, u)
+
+    def test_striped_chunks(self, tabulated, monkeypatch):
+        """A draw of several chunks gives the same values on two threads."""
+        u = np.random.default_rng(13).random((3, 3 * sampler._CHUNK + 5))
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        assert np.array_equal(tabulated._inverse(u.copy(), striped=True), tabulated._pchip(u))
+
+    def test_one_table_per_model(self, monkeypatch, quartic_model):
+        """An ensembles step (rejection and canonical draws for two n) builds
+        the inverse-CDF table, and checks its residual, once."""
+        built = []
+        pchip = sampler.PchipInterpolator
+        monkeypatch.setattr(sampler, "PchipInterpolator", lambda x, y: built.append(len(x)) or pchip(x, y))
+        model = dataclasses.replace(quartic_model, _cache={})
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
+        for n in (4, 6):
+            batch = sampler.sample_surface_rejection(model, n, 0.3, 200, seed=n, keep=1)
+            sampler.ensemble_expectation_gap(model, n, 1, fn, batch, 100, seed=n)
+        assert len(built) == 2  # the inverse and the forward residual check
+        assert sampler._coordinate_sampler(model) is model._cache["coordinate_sampler"]
+
+
+class TestStriping:
+    """Blocks and inverse-CDF chunks striped over threads change no draw."""
+
+    @pytest.mark.parametrize("spec", [ham.linear_half(), ham.quartic_perturbed(0.0)], ids=["exact", "tabulated"])
+    def test_scaling_same_on_any_thread_count(self, monkeypatch, spec):
+        model = gibbs1d.solve_energy(spec, 1.0)
+        batches = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("THINSHELL_THREADS", threads)
+            batches.append(sampler.sample_surface_scaling(model, 40, 5 * sampler._BLOCK + 17, seed=21).points)
+        monkeypatch.delenv("THINSHELL_THREADS")
+        batches.append(sampler.sample_surface_scaling(model, 40, 5 * sampler._BLOCK + 17, seed=21).points)
+        assert all(np.array_equal(b, batches[0]) for b in batches[1:])
+
+    def test_rejection_same_on_any_thread_count(self, monkeypatch, quartic_model):
+        batches = []
+        for threads in ("1", "2", None):
+            if threads is None:
+                monkeypatch.delenv("THINSHELL_THREADS")
+            else:
+                monkeypatch.setenv("THINSHELL_THREADS", threads)
+            batches.append(sampler.sample_surface_rejection(quartic_model, 30, 0.1, 3000, seed=22))
+        for batch in batches[1:]:
+            assert np.array_equal(batch.points, batches[0].points)
+            assert batch.acceptance_rate == batches[0].acceptance_rate
+
+    def test_one_thread_starts_no_helper(self, monkeypatch, quartic_model, lin_model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(sampler.threading, "Thread", refuse)
+        monkeypatch.setenv("THINSHELL_THREADS", "1")
+        sampler.sample_surface_scaling(lin_model, 20, 3 * sampler._BLOCK, seed=1)
+        batch = sampler.sample_surface_rejection(quartic_model, 20, 0.2, 2000, seed=1)
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
+        sampler.ensemble_expectation_gap(quartic_model, 20, 1, fn, batch, 70_000, seed=2)
+
+    def test_every_task_runs_once_under_stress(self):
+        """More threads than cores and a short switch interval: every task
+        writes its own slot exactly once."""
+        out = np.zeros(500, dtype=int)
+        ran = []
+
+        def run(k):
+            ran.append(k)
+            out[k] += k + 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sampler._striped(500, run, 2 * (os.cpu_count() or 1) + 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(500))
+        assert np.array_equal(out, np.arange(1, 501))
+
+    def test_lowest_failing_task_is_raised(self):
+        """Tasks 3 and 4 run on different threads and fail together; task 3's
+        error is raised, no task starts after them, and no helper is left."""
+        both_failing = threading.Barrier(2, timeout=30)
+        ran = []
+
+        def run(k):
+            ran.append(k)
+            if k in (3, 4):
+                both_failing.wait()
+                raise RuntimeError(f"task {k}")
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="task 3"):
+            sampler._striped(40, run, 2)
+        assert sorted(ran) == [0, 1, 2, 3, 4]
+        assert threading.active_count() == before
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two", " "])
+    def test_bad_cap_refused(self, monkeypatch, value):
+        monkeypatch.setenv("THINSHELL_THREADS", value)
+        with pytest.raises(ValueError, match="THINSHELL_THREADS must be an integer >= 1"):
+            sampler._pool_size(4)
+
+    def test_cap_and_task_count_bound_the_threads(self, monkeypatch):
+        """A huge cap is sized here only; no thread is started."""
+        monkeypatch.setenv("THINSHELL_THREADS", "1" + "0" * 30)
+        assert sampler._pool_size(3) == 3
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        assert (sampler._pool_size(0), sampler._pool_size(1), sampler._pool_size(5)) == (1, 1, 2)
+        monkeypatch.delenv("THINSHELL_THREADS")
+        assert sampler._pool_size(10**6) == (os.cpu_count() or 1)
+
+
 class TestScalingSampler:
     def test_on_surface(self, quad_model):
         batch = sampler.sample_surface_scaling(quad_model, 12, 512, seed=3)
@@ -175,7 +327,7 @@ class TestStreamedColumns:
     @pytest.mark.parametrize("method", ["scaling", "rejection"])
     def test_off_surface_block_raises(self, monkeypatch, quad_model, method):
         project = sampler._project_rows
-        monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, target: 1.001 * project(spec, rows, target))
+        monkeypatch.setattr(sampler, "_project_rows", lambda *args: 1.001 * project(*args))
         with pytest.raises(RuntimeError, match="off the surface"):
             if method == "scaling":
                 sampler.sample_surface_scaling(quad_model, 8, 100, seed=1, keep=1)
@@ -231,6 +383,33 @@ class TestStreamedColumns:
         batch = sampler.sample_surface_scaling(quad_model, 10, count, seed=1, keep=1)
         with pytest.raises(ValueError, match=">= 2 surface and canonical draws"):
             sampler.ensemble_expectation_gap(quad_model, 10, 1, fn, batch, canonical_count, seed=2)
+
+
+class TestShellEnergyReuse:
+    """The rejection sampler hands its shell-test ``R_n`` to the projection."""
+
+    @pytest.mark.parametrize("fixture", ["quartic_model", "quad_model"])
+    def test_batches_unchanged(self, monkeypatch, request, fixture):
+        model = request.getfixturevalue(fixture)
+        reused = sampler.sample_surface_rejection(model, 12, 0.2, 3000, seed=31)
+        project = sampler._project_rows
+        monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, target, energies=None: project(spec, rows, target))
+        fresh = sampler.sample_surface_rejection(model, 12, 0.2, 3000, seed=31)
+        assert np.array_equal(reused.points, fresh.points)
+
+    def test_first_newton_sweep_skipped(self, monkeypatch, quartic_model):
+        """Each accepted row is evaluated once less: its first sweep at
+        kappa = 1 reads the shell test's energy."""
+        f_values = sampler.f_values
+        evaluated = []
+        monkeypatch.setattr(sampler, "f_values", lambda s, x: evaluated.append(x.shape[0]) or f_values(s, x))
+        sampler.sample_surface_rejection(quartic_model, 12, 0.2, 3000, seed=31)
+        with_reuse = sum(evaluated)
+        evaluated.clear()
+        project = sampler._project_rows
+        monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, target, energies=None: project(spec, rows, target))
+        sampler.sample_surface_rejection(quartic_model, 12, 0.2, 3000, seed=31)
+        assert sum(evaluated) - with_reuse == 3000
 
 
 class TestRejectionSampler:
