@@ -5,8 +5,9 @@ with every key overridable from the command line; experiments are sweeps,
 so the file is the unit of reproducibility.  Floating-point output is
 fixed at 17 significant digits so equal configs produce byte-identical
 CSVs.  ``--strict`` turns any failed bound check into a nonzero exit for
-CI consumption.  ``THINSHELL_THREADS`` caps the sweep worker pool and the
-samplers' threads.
+CI consumption.  ``THINSHELL_THREADS`` caps the sweep worker pool, the
+grid builds, the CLT scan, the custom inverse and the samplers' threads; a
+pool or helper thread runs its own fan-outs inline.
 """
 
 from __future__ import annotations
@@ -18,14 +19,24 @@ import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import projection, sampler
-from .gibbs1d import GibbsModel, GridParams, solve_energy
-from .hamiltonians import HALF_LINE, check_class_f, f_values, linear_half, power, quadratic, quartic_perturbed
-from .sampler import _pool_size
-from .sumdensity import local_clt_scan, w_exact, w_fft
+from .gibbs1d import GibbsModel, GridParams, clt_prerequisites, solve_energy
+from .hamiltonians import (
+    HALF_LINE,
+    _enter_worker,
+    _pool_size,
+    check_class_f,
+    f_values,
+    linear_half,
+    power,
+    quadratic,
+    quartic_perturbed,
+)
+from .sumdensity import local_clt_scan, w_exact, w_fft, w_grids
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -170,7 +181,7 @@ def _convert(key: str, value: str, where: str):
 def parse_config_file(path: str) -> dict:
     out = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -206,9 +217,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    """CSV text of one value: booleans (Python or NumPy) as true/false,
+    floats (Python or NumPy) at 17 significant digits."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
         if math.isnan(value):
             return "nan"
         return format(value, ".17g")
@@ -226,6 +240,17 @@ def write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 def _solved(cfg: ExperimentConfig) -> GibbsModel:
     return solve_energy(cfg.spec(), cfg.t)
+
+
+def _sweep(cell, items: list) -> list:
+    """``cell(item)`` for each item, in order, on the sweep pool; inline
+    when the pool would have one thread.  Pool threads run their own
+    fan-outs inline."""
+    threads = _pool_size(len(items))
+    if threads == 1:
+        return [cell(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads, initializer=_enter_worker) as pool:
+        return list(pool.map(cell, items))
 
 
 def _c_hat(cfg: ExperimentConfig, model: GibbsModel) -> float:
@@ -318,22 +343,23 @@ def run_bounds(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     c_hat = _c_hat(cfg, model)
     params = cfg.grid_params()
-    # tilts act on the first coordinate, so nonzero alphas pair with k=1 only
-    cells = [
-        (n, k, a)
-        for n in cfg.n_list
-        for k in cfg.k_list
-        for a in cfg.alpha_list
-        if a == 0.0 or k == 1
-    ]
+    # tilts act on the first coordinate, so nonzero alphas pair with k=1 only;
+    # the rows of one (n, k) share its context
+    cells = [(n, k, [a for a in cfg.alpha_list if a == 0.0 or k == 1]) for n in cfg.n_list for k in cfg.k_list]
+    cells = [cell for cell in cells if cell[2]]
+    clt_prerequisites(model)  # fills the model's caches before any fan-out
+    # the grids several cells share: every w_k, and w_n where it is not exact
+    shared = {k for _, k, _ in cells}
+    if not model.spec.closed_form:
+        shared |= {n for n, _, _ in cells}
+    w_grids(model, sorted(shared), params)
 
     def cell(args):
-        n, k, alpha = args
+        n, k, alphas = args
         ctx = projection.make_context(model, n, k, params)
-        return projection.bound_report(ctx, c_hat, alpha=alpha)
+        return [projection.bound_report(ctx, c_hat, alpha=alpha) for alpha in alphas]
 
-    with ThreadPoolExecutor(max_workers=_pool_size(len(cells))) as pool:
-        reports = list(pool.map(cell, cells))
+    reports = [report for reports in _sweep(cell, cells) for report in reports]
     rows = [
         [r.n, r.k, r.t, r.c, r.alpha, r.kl, r.tv, r.kl_bound, r.tv_from_kl,
          r.df_bound if r.df_bound is not None else math.nan, r.c_used, r.pass_kl, r.pass_tv]
@@ -355,13 +381,16 @@ def run_bounds(cfg: ExperimentConfig) -> int:
 def run_converse(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     params = cfg.grid_params()
-    rows = []
-    for n in cfg.n_list:
+    clt_prerequisites(model)  # fills the model's caches before any fan-out
+
+    def cell(n):
         k = cfg.converse_k(n)
         ctx = projection.make_context(model, n, k, params)
         tv = projection.tv_to_gibbs(ctx)
         rep = projection.converse_lower_bound(ctx, cfg.eps)
-        rows.append([n, k, cfg.eps, rep.lower_bound, tv])
+        return [n, k, cfg.eps, rep.lower_bound, tv]
+
+    rows = _sweep(cell, list(cfg.n_list))
     write_csv(cfg.out, ["n", "k", "eps", "lower_bound", "tv"], rows)
     return 0
 

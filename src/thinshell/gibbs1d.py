@@ -293,20 +293,29 @@ def _log_c_minus_iu(c: float, u: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(c * c + u * u) - 1j * np.arctan2(u, c)
 
 
+def _conjugate_base(c: float, m: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nonnegative angular frequencies conjugate to an m-point,
+    dx-spaced grid on [0, (m-1) dx], and ``log(c - iu)`` there."""
+    us = 2.0 * math.pi * np.fft.rfftfreq(m, d=dx)
+    return us, _log_c_minus_iu(c, us)
+
+
 def _conjugate_phi(model: GibbsModel, m: int, dx: float, rem: np.ndarray | None):
-    """phi at the nonnegative angular frequencies conjugate to an m-point,
-    dx-spaced grid on [0, (m-1) dx], plus ``log(c - iu)`` there.
+    """The frequencies and ``log(c - iu)`` of :func:`_conjugate_base`, and
+    phi there.
 
     ``rem`` holds the density minus the edge model on nodes 1..m-1, or is
     None when the caller found it negligible.  Its trapezoid transform (half
     weight on the right endpoint; the left one is 0) comes from one rFFT,
     which covers the whole resolvable band.
     """
-    us = 2.0 * math.pi * np.fft.rfftfreq(m, d=dx)
-    base = _log_c_minus_iu(model.c, us)
+    us, base = _conjugate_base(model.c, m, dx)
     phi = _edge_model(model).transform(base)
     if rem is not None:
-        phi += np.conj(np.fft.rfft(np.concatenate(([0.0], rem)))) * dx
+        spectrum = np.fft.rfft(np.concatenate(([0.0], rem)))
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= dx
+        phi += spectrum
         phi -= 0.5 * dx * rem[-1] * np.exp(1j * us * (dx * (m - 1)))
     return us, base, phi
 

@@ -262,12 +262,15 @@ class DensityGrid:
         return out
 
     def normalized(self) -> "DensityGrid":
-        """Rescaled copy with unit mass; the defect is kept in ``meta``."""
+        """Rescaled copy with unit mass; the defect is kept in ``meta``.
+
+        Integration is linear in the values, so the copy's mass is
+        ``mass * scale`` and is not integrated again."""
         scale = 1.0 / self.mass
         meta = dict(self.meta or {})
         meta["norm_defect"] = abs(self.mass - 1.0)
         edge = None if self.edge is None else self.edge.scaled(math.log(scale))
-        return make_grid(self.x0, self.dx, self.values * scale, edge=edge, meta=meta)
+        return DensityGrid(self.x0, self.dx, self.values * scale, self.mass * scale, edge=edge, meta=meta)
 
 
 def _integrate(dx, x0, values, edge, fn, at_nodes=None):

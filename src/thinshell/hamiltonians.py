@@ -7,11 +7,17 @@ Admissibility for the downstream convergence machinery additionally
 requires a positive lower bound on the tail slope and a controlled
 ``f'(x)**q / f(x)`` ratio near the origin; :func:`check_class_f`
 certifies both on finite scan grids and reports the witnesses found.
+
+The thread helpers every module fans out with (``_pool_size`` and
+``_striped``, capped by ``THINSHELL_THREADS``) live here, at the bottom of
+the import graph, since the custom inverse uses them too.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -209,12 +215,86 @@ def _tail_witness(spec: HamiltonianSpec) -> tuple[float, float] | None:
     return report.tail_slope
 
 
+# ---------------------------------------------------------------------------
+# threads
+
+
+# marks helper and sweep-pool threads, whose own fan-outs run inline
+_WORKER = threading.local()
+
+
+def _enter_worker() -> None:
+    """Mark the calling thread as a helper or pool thread: ``_pool_size``
+    gives it 1 from here on, so it never starts helpers of its own."""
+    _WORKER.active = True
+
+
+def _pool_size(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: the CPU count, or
+    ``THINSHELL_THREADS`` when it is set, and never more than ``tasks``;
+    1 on a helper or pool thread."""
+    cap = os.environ.get("THINSHELL_THREADS")
+    if cap:
+        try:
+            limit = int(cap)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"THINSHELL_THREADS must be an integer >= 1; got {cap!r}")
+    else:
+        limit = os.cpu_count() or 1
+    if getattr(_WORKER, "active", False):
+        return 1
+    return max(1, min(tasks, limit))
+
+
+def _striped(tasks: int, run: Callable[[int], None], threads: int) -> None:
+    """``run(k)`` for every ``k < tasks``: the calling thread takes k = 0,
+    threads, 2*threads, ... and ``threads - 1`` helper threads the other
+    residues.  While helpers run, the calling thread counts as one of them
+    too, so no task fans out further.  After the first failure no further
+    task starts; the error of the lowest failing task is raised once every
+    helper has stopped."""
+    errors: dict[int, BaseException] = {}
+
+    def stripe(first: int) -> None:
+        for k in range(first, tasks, threads):
+            if errors:
+                return
+            try:
+                run(k)
+            except BaseException as exc:
+                errors[k] = exc
+                return
+
+    def helper(first: int) -> None:
+        _enter_worker()
+        stripe(first)
+
+    helpers = [threading.Thread(target=helper, args=(r,), daemon=True) for r in range(1, threads)]
+    was_worker = getattr(_WORKER, "active", False)
+    if helpers:
+        _enter_worker()
+    try:
+        for thread in helpers:
+            thread.start()
+        stripe(0)
+    finally:
+        _WORKER.active = was_worker
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 # Newton correction (relative to max(x, 1)) at which the inverse stops
 _FINV_RTOL = 1e-12
 # nodes of the geometric table that seeds the inverse, and the ratio of its
 # first positive abscissa to its last
 _FINV_TABLE = 8192
 _FINV_TABLE_SPAN = 1e-16
+# targets per Newton chunk; chunks are striped over threads
+_FINV_CHUNK = 32768
 
 
 def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
@@ -226,7 +306,11 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
     evaluation shrinks the node's bracket; a step that leaves it, or is
     not finite, is replaced by bisection.  A node stops once its Newton
     correction, which is applied, is at most ``_FINV_RTOL * max(x, 1)``, or
-    its bracket is that narrow.  ``f^{-1}(0) = 0`` exactly.
+    its bracket is that narrow.  ``f^{-1}(0) = 0`` exactly.  The table is
+    built once per call, from the largest y; the positive targets are then
+    solved in ``_FINV_CHUNK`` chunks striped over the calling thread and
+    helpers.  Each node's iteration is its own, so no value depends on the
+    chunking or the thread count.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0.0):
@@ -238,32 +322,41 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
         raise ValueError("cannot bracket the inverse: no tail slope witness")
     a1, a2 = witness
     out = np.zeros(y.size)
-    idx = np.flatnonzero(y > 0.0)
-    target = y.ravel()[idx]
-    hi = np.maximum(1.0, target) / a1 + a2
-    lo = np.zeros_like(target)
-    top = float(np.max(hi, initial=1.0 / a1 + a2))
+    positive = np.flatnonzero(y > 0.0)
+    targets = y.ravel()[positive]
+    brackets = np.maximum(1.0, targets) / a1 + a2
+    top = float(np.max(brackets, initial=1.0 / a1 + a2))
     x_tab = np.concatenate(([0.0], np.geomspace(_FINV_TABLE_SPAN * top, top, _FINV_TABLE - 1)))
-    x = np.interp(target, spec.fn(x_tab), x_tab)
-    for _ in range(200):
-        if not idx.size:
-            return out.reshape(y.shape)
-        # only points strictly inside the bracket are evaluated (f' needs x > 0)
-        x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-        fx = spec.fn(x)
-        hi = np.where(fx >= target, x, hi)
-        lo = np.where(fx <= target, x, lo)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = (fx - target) / fprime_values(spec, x)
-        newton_done = np.abs(step) <= _FINV_RTOL * np.maximum(x, 1.0)
-        done = newton_done | (hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0))
-        x = x - step
-        if np.any(done):
-            final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-            out[idx[done]] = final[done]
-            keep = ~done
-            idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
-    raise RuntimeError("inverse did not converge in 200 steps")
+    f_tab = spec.fn(x_tab)
+
+    def chunk(j: int) -> None:
+        part = slice(j * _FINV_CHUNK, (j + 1) * _FINV_CHUNK)
+        idx, target, hi = positive[part], targets[part], brackets[part]
+        lo = np.zeros_like(target)
+        x = np.interp(target, f_tab, x_tab)
+        for _ in range(200):
+            if not idx.size:
+                return
+            # only points strictly inside the bracket are evaluated (f' needs x > 0)
+            x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+            fx = spec.fn(x)
+            hi = np.where(fx >= target, x, hi)
+            lo = np.where(fx <= target, x, lo)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = (fx - target) / fprime_values(spec, x)
+            newton_done = np.abs(step) <= _FINV_RTOL * np.maximum(x, 1.0)
+            done = newton_done | (hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0))
+            x = x - step
+            if np.any(done):
+                final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+                out[idx[done]] = final[done]
+                keep = ~done
+                idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
+        raise RuntimeError("inverse did not converge in 200 steps")
+
+    chunks = -(-positive.size // _FINV_CHUNK)
+    _striped(chunks, chunk, _pool_size(chunks))
+    return out.reshape(y.shape)
 
 
 def inverse(spec: HamiltonianSpec, y: float) -> float:

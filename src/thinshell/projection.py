@@ -24,7 +24,7 @@ import numpy as np
 from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
 from .grids import DensityGrid, make_grid
 from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
-from .sumdensity import _check_count, log_w, w_density
+from .sumdensity import _check_count, log_w, w_density, w_grids
 
 __all__ = [
     "ProjectionContext",
@@ -48,9 +48,11 @@ __all__ = [
 class ProjectionContext:
     """Solved model plus the sum densities an (n, k) cell needs.
 
-    Only the ``w_k`` grid is held; ``log w_{n-k}`` and ``log w_n(nt)`` come
-    from :func:`sumdensity.log_w`, which decides between the closed form and
-    the memoised FFT grid.  ``node_log_ratio`` is the one pass of the log
+    ``wk`` is the memoised ``w_k`` grid.  ``wnk`` is the ``w_{n-k}`` grid of
+    an FFT family, owned by the context (it is memoised only when some
+    other use put it there) and freed with it; it is None for closed-form
+    families, whose ``log w_{n-k}`` is exact.  ``log w_n(nt)`` comes from
+    :func:`sumdensity.log_w`.  ``node_log_ratio`` is the one pass of the log
     likelihood ratio over the ``w_k`` nodes, which the ``r_k`` grid, its
     tilts and every divergence of the cell share.
     ``clt_ok`` records whether ``n - k`` reaches the scanned integrability
@@ -63,13 +65,16 @@ class ProjectionContext:
     t: float
     params: GridParams
     wk: DensityGrid
+    wnk: DensityGrid | None
     log_wn_at_nt: float
     r_used: int
     clt_ok: bool
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def log_wnk(self, s) -> np.ndarray:
-        return log_w(self.model, self.n - self.k, s, self.params)
+        if self.wnk is None:
+            return log_w(self.model, self.n - self.k, s, self.params)
+        return self.wnk.log_at(s)
 
     @cached_property
     def node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +100,11 @@ def make_context(
     clt_ok = (n - k) >= r_used
     if require_clt and not clt_ok:
         raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
-    wk = w_density(model, k, params)
+    if model.spec.closed_form:
+        wk, wnk = w_density(model, k, params), None
+    else:
+        # w_k and w_n are shared with other cells; w_{n-k} is this cell's
+        wk, _, wnk = w_grids(model, [k, n, n - k], params, shared=(k, n))
     log_wn_at_nt = float(log_w(model, n, np.asarray([n * model.mu]), params)[0])
     if not math.isfinite(log_wn_at_nt):
         raise ValueError("w_n vanishes at the surface level nt; context is degenerate")
@@ -106,6 +115,7 @@ def make_context(
         t=model.mu,
         params=params,
         wk=wk,
+        wnk=wnk,
         log_wn_at_nt=log_wn_at_nt,
         r_used=r_used,
         clt_ok=clt_ok,

@@ -39,9 +39,7 @@ in order, since each block's size depends on the rows kept so far.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -51,7 +49,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _pool_size, _striped, f_values, fprime_values
 from .sumdensity import w_density
 
 __all__ = [
@@ -107,51 +105,6 @@ class SampleBatch:
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
-
-
-def _pool_size(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: the CPU count, or
-    ``THINSHELL_THREADS`` when it is set, and never more than ``tasks``."""
-    cap = os.environ.get("THINSHELL_THREADS")
-    if cap:
-        try:
-            limit = int(cap)
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ValueError(f"THINSHELL_THREADS must be an integer >= 1; got {cap!r}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(tasks, limit))
-
-
-def _striped(tasks: int, run: Callable[[int], None], threads: int) -> None:
-    """``run(k)`` for every ``k < tasks``: the calling thread takes k = 0,
-    threads, 2*threads, ... and ``threads - 1`` helper threads the other
-    residues.  After the first failure no further task starts; the error of
-    the lowest failing task is raised once every helper has stopped."""
-    errors: dict[int, BaseException] = {}
-
-    def stripe(first: int) -> None:
-        for k in range(first, tasks, threads):
-            if errors:
-                return
-            try:
-                run(k)
-            except BaseException as exc:
-                errors[k] = exc
-                return
-
-    helpers = [threading.Thread(target=stripe, args=(r,), daemon=True) for r in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        stripe(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
 
 
 def _row_energies(spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:

@@ -5,13 +5,23 @@ Two routes: closed Gamma forms for the families listed in
 ``hamiltonians.CLOSED_FORMS`` (keyed on homogeneous degree and support),
 and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
-form, invert by a real inverse FFT, since w_n is real).  The leading edge
+form, invert by a real inverse FFT, since w_n is real).  When the energy
+density is exactly ``K y^beta exp(-cy)`` (a single-term edge model and a
+negligible remainder, as for ``power(p)``), phi is
+``K Gamma(beta+1) (c - iu)^{-(beta+1)}`` and phi**n is evaluated in closed
+form, ``exp(n log(K Gamma(beta+1)) - n (beta+1) log(c - iu))``: with
+``arg(c - iu)`` in ``(-pi/2, 0]`` for u >= 0 the principal logarithm is
+already the continuous branch, so nothing is unwrapped.  The leading edge
 behavior of the n-fold convolution, ``A y^gamma exp(-cy)`` plus its
 next-order term, is the convolved single-summand edge model
 (``EdgeModel.convolve``), so its terms with ``gamma < 2`` (jump, kink or
 singularity at the support edge) are subtracted in the frequency domain and
 added back in closed form; a plain inversion would ring against the
 discontinuity.
+
+Independent builds run at once: :func:`w_grids` and :func:`local_clt_scan`
+stripe theirs over the calling thread and helpers, up to the
+``THINSHELL_THREADS`` cap.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from .gibbs1d import (
     GibbsModel,
     GridParams,
     _cached_remainder,
+    _conjugate_base,
     _conjugate_phi,
     _edge_model,
     _grid_remainder,
@@ -35,6 +46,7 @@ from .gibbs1d import (
     y_density,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
+from .hamiltonians import _pool_size, _striped
 
 __all__ = [
     "LocalCltReport",
@@ -46,6 +58,7 @@ __all__ = [
     "w_exact",
     "w_fft",
     "w_density",
+    "w_grids",
     "local_clt_scan",
     "log_ratio_bound_check",
 ]
@@ -124,15 +137,30 @@ def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> Dens
 
 def _polar_power(phi: np.ndarray, n: int) -> np.ndarray:
     """phi**n on nonnegative frequencies, computed as exp(n log|phi| + i n
-    phase) with the phase unwrapped upward from u = 0."""
+    phase) with the phase unwrapped upward from u = 0; both parts are
+    written into one buffer, which is exponentiated in place."""
     mod = np.abs(phi)
-    log_mod = np.log(np.maximum(mod, 1e-300))
     phase = np.unwrap(np.angle(phi))
     phase -= phase[0]  # phi(0)=1 anchors the branch
+    powered = np.empty_like(phi)
+    log_part, phase_part = powered.real, powered.imag
+    np.log(np.maximum(mod, 1e-300), out=log_part)
+    log_part *= n
+    np.multiply(phase, n, out=phase_part)
     with np.errstate(over="ignore", under="ignore"):
-        powered = np.exp(n * log_mod + 1j * n * phase)
+        np.exp(powered, out=powered)
     powered[mod == 0.0] = 0.0
     return powered
+
+
+def _power_law_power(edge: EdgeModel, base: np.ndarray, n: int) -> np.ndarray:
+    """phi**n for an energy density that is exactly the single-term ``edge``,
+    ``K y^beta exp(-cy)``, given ``base = log(c - iu)``: phi is
+    ``K Gamma(beta+1) (c - iu)^{-(beta+1)}``."""
+    psi = base * -(n * (edge.beta + 1.0))
+    psi += n * (edge.log_k + gammaln(edge.beta + 1.0))
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(psi, out=psi)
 
 
 def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
@@ -146,21 +174,29 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     params = params or GridParams()
     _check_count("n", n)
     # edge terms of w_n that would ring in a plain inversion
-    conv = _edge_model(model).convolve(n, below=2.0)
+    edge = _edge_model(model)
+    conv = edge.convolve(n, below=2.0)
     negligible = _cached_remainder(model)[2]
+    power_law = negligible and (edge.beta2 is None or edge.coef2 == 0.0)
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
         m = params.sum_size
         ds = length / m
         ys = ds * np.arange(1, m)
-        rem = None if negligible else _grid_remainder(model, ys)
         # base = log(c - iu), from which every edge transform is computed
-        _, base, phi = _conjugate_phi(model, m, ds, rem)
-        psi = _polar_power(phi, n)
+        if power_law:
+            _, base = _conjugate_base(model.c, m, ds)
+            psi = _power_law_power(edge, base, n)
+        else:
+            rem = None if negligible else _grid_remainder(model, ys)
+            _, base, phi = _conjugate_phi(model, m, ds, rem)
+            psi = _polar_power(phi, n)
         if conv is not None:
             psi -= conv.transform(base)
         # psi is Hermitian in u, so the inversion needs only u >= 0
-        w = np.fft.irfft(np.conj(psi), m) / ds
+        np.conjugate(psi, out=psi)
+        w = np.fft.irfft(psi, m)
+        w /= ds
         if conv is not None:
             w[1:] += conv.density(ys)
             w[0] = conv.edge_value()
@@ -226,6 +262,40 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
     return future.result()
 
 
+def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None) -> list[DensityGrid]:
+    """The sum-density grid of each count in ``ns``, as :func:`w_density`
+    gives it, with the builds that are missing done at once: striped over
+    the calling thread and helpers (``hamiltonians._striped``), after
+    :func:`clt_prerequisites` has filled the model's caches, so that no two
+    threads fill them.
+
+    Counts in ``shared`` (by default all of ``ns``) go through the memo.
+    Any other count is read from the memo when the memo has it, and is
+    otherwise built for the caller alone and never memoised.
+    """
+    for n in ns:
+        _check_count("n", n)
+    params = params or GridParams()
+    shared = set(ns) if shared is None else set(shared)
+    with _W_LOCK:
+        memo = {n: model._cache[("w", n, params)] for n in ns if ("w", n, params) in model._cache}
+    missing = sorted(set(ns) - set(memo))
+    built = {}
+
+    def build(i: int) -> None:
+        n = missing[i]
+        if n in shared:
+            built[n] = w_density(model, n, params)
+        else:
+            built[n] = (w_exact if model.spec.closed_form else w_fft)(model, n, params)
+
+    threads = _pool_size(len(missing))
+    if threads > 1:
+        clt_prerequisites(model)
+    _striped(len(missing), build, threads)
+    return [built[n] if n in built else memo[n].result() for n in ns]
+
+
 def log_w(model: GibbsModel, n: int, s, params: GridParams | None = None) -> np.ndarray:
     """``log w_n(s)``: exact for closed-form families, interpolated on the
     memoised FFT grid otherwise; -inf off the support."""
@@ -273,12 +343,16 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
 
 
 def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
-    """Estimate the uniform local-CLT constant empirically over n_list."""
+    """Estimate the uniform local-CLT constant empirically over n_list; the
+    ``w_fft`` builds are striped over the calling thread and helpers."""
     prereqs = clt_prerequisites(model)
-    sup_devs = []
-    for n in n_list:
-        grid = w_fft(model, int(n), params)
-        sup_devs.append(_sup_deviation(model, grid, int(n)))
+    sup_devs = [math.nan] * len(n_list)
+
+    def scan(i: int) -> None:
+        n = int(n_list[i])
+        sup_devs[i] = _sup_deviation(model, w_fft(model, n, params), n)
+
+    _striped(len(n_list), scan, _pool_size(len(n_list)))
     c_hat = max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs))
     return LocalCltReport(
         n_list=tuple(int(n) for n in n_list),

@@ -5,11 +5,15 @@ import io
 import math
 import os
 import pathlib
+import subprocess
+import sys
+import threading
 import typing
 
+import numpy as np
 import pytest
 
-from thinshell import cli, sampler
+from thinshell import cli, hamiltonians, projection, sampler
 
 BOUNDS_HEADER = "n,k,t,c,alpha,kl,tv,kl_bound,tv_from_kl,df_bound,C_used,pass_kl,pass_tv"
 
@@ -496,3 +500,86 @@ class TestReferenceOutputs:
                     "--count", "20000", "--canonical-count", "100000", "--seed", "1009", "--out", str(out)])
         assert code == 0
         assert_matches_reference(out, REFERENCE / "ensembles" / "quartic.csv", 2, rel=1e-12)
+
+
+QUARTIC_SWEEP = ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20,23", "--k-list", "1,3",
+                 "--alpha-list", "0,0.2", "--clt-n-list", "8,16,32"]
+# (n, k, alpha) -> (kl, tv) of QUARTIC_SWEEP, written when every w_{n-k}
+# grid was memoised; 23 - 3 = 20 is also a cell's n
+QUARTIC_KL_TV = {
+    (20, 1, 0.0): (0.0030187670609261481, 0.04189408529071259),
+    (20, 1, 0.2): (0.081543443548466182, 0.29369141296743517),
+    (20, 3, 0.0): (0.01442758611202442, 0.10844993322764347),
+    (23, 1, 0.0): (0.0022480325383475008, 0.036049282959944966),
+    (23, 1, 0.2): (0.084239700326312381, 0.29351465156626144),
+    (23, 3, 0.0): (0.010612084893087013, 0.092436634665583439),
+}
+
+
+class TestConcurrentBuilds:
+    """Grid builds, the CLT scan and the sweep run at once on up to
+    ``THINSHELL_THREADS`` threads; no output depends on it."""
+
+    @staticmethod
+    def _sweep(monkeypatch, tmp_path, threads):
+        """Run QUARTIC_SWEEP; its CSV bytes and the model it solved."""
+        if threads is None:
+            monkeypatch.delenv("THINSHELL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("THINSHELL_THREADS", threads)
+        models = []
+        solve = cli.solve_energy
+        monkeypatch.setattr(cli, "solve_energy", lambda spec, t: models.append(solve(spec, t)) or models[-1])
+        out = tmp_path / f"quartic-{threads}.csv"
+        assert run(QUARTIC_SWEEP + ["--out", str(out)]) == 0
+        return out.read_bytes(), models[0]
+
+    def test_same_bytes_and_values_on_any_thread_count(self, monkeypatch, tmp_path):
+        outs = [self._sweep(monkeypatch, tmp_path, threads)[0] for threads in ("1", "2", None)]
+        assert outs[0] == outs[1] == outs[2]
+        rows = list(csv.DictReader(io.StringIO(outs[0].decode())))
+        got = {(int(r["n"]), int(r["k"]), float(r["alpha"])): (float(r["kl"]), float(r["tv"])) for r in rows}
+        assert got == QUARTIC_KL_TV
+
+    def test_memo_keeps_only_shared_grids(self, monkeypatch, tmp_path):
+        """w_{n-k} grids are owned by their cell; the memo keeps the w_k and
+        w_n grids, which include 23 - 3 = 20."""
+        _, model = self._sweep(monkeypatch, tmp_path, "2")
+        assert sorted(key[1] for key in model._cache if key[0] == "w") == [1, 3, 20, 23]
+
+    def test_one_thread_starts_no_thread(self, monkeypatch, tmp_path, quartic_model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        self._sweep(monkeypatch, tmp_path, "1")
+        projection.make_context(dataclasses.replace(quartic_model, _cache={}), 20, 3)
+
+    def test_pool_threads_fan_out_inline(self, monkeypatch):
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        assert cli._sweep(lambda _: hamiltonians._pool_size(8), [0, 1, 2]) == [1, 1, 1]
+        assert hamiltonians._pool_size(8) == 2
+
+
+class TestConfigFileClosed:
+    def test_no_resource_warning(self):
+        """A --config run under -X dev, with resource warnings as errors,
+        exits 0 and writes nothing to stderr."""
+        code = ("import sys; from thinshell.cli import main; "
+                "sys.exit(main(['solve-c', '--config', 'configs/bounds_exponential.cfg']))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+
+
+class TestFmt:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_numpy_bool(self, value):
+        assert cli._fmt(np.bool_(value)) == cli._fmt(value) == ("true" if value else "false")
+
+    @pytest.mark.parametrize("value", [0.1, -2.5e-300, 1.0 / 3.0, math.nan, math.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.longdouble])
+    def test_numpy_float(self, value, dtype):
+        scalar = dtype(value)
+        assert cli._fmt(scalar) == cli._fmt(float(scalar))

@@ -64,3 +64,20 @@ def test_divergences_match_closed_inverse(power_pair, n, k):
     ref, cus = (projection.make_context(model, n, k) for model in power_pair)
     assert projection.kl_to_gibbs(cus) == pytest.approx(projection.kl_to_gibbs(ref), rel=1e-9, abs=0)
     assert projection.tv_to_gibbs(cus) == pytest.approx(projection.tv_to_gibbs(ref), rel=1e-9, abs=0)
+
+
+def test_bound_rows_same_on_any_thread_count(monkeypatch):
+    """The custom family of the benchmark (x + x^3/3, no inverse given):
+    striped scan, concurrent grid builds and the striped inverse change no
+    number of a fresh run."""
+    spec = ham.custom(lambda x: x + x**3 / 3.0)
+    rows = []
+    for threads in ("1", "2", None):
+        if threads is None:
+            monkeypatch.delenv("THINSHELL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("THINSHELL_THREADS", threads)
+        model = gibbs1d.solve_energy(spec, 1.0)
+        c_hat = sumdensity.local_clt_scan(model, (8, 16)).c_hat
+        rows.append([projection.bound_report(projection.make_context(model, 30, k), c_hat) for k in (1, 3)])
+    assert rows[0] == rows[1] == rows[2]

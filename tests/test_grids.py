@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 from scipy.stats import gamma as gamma_dist
 
-from thinshell import gibbs1d, hamiltonians as ham
+from thinshell import gibbs1d, grids, hamiltonians as ham
 from thinshell.grids import DensityGrid, EdgeModel, make_grid
 
 
@@ -159,6 +159,20 @@ class TestCdfAndNormalize:
         normed = scaled.normalized()
         assert normed.mass == pytest.approx(1.0, abs=1e-12)
         assert normed.meta["norm_defect"] == pytest.approx(0.01, rel=1e-3)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.5], ids=["edge", "jump", "plain"])
+    def test_normalized_integrates_nothing(self, monkeypatch, shape):
+        """The rescaled grid's mass is ``mass * scale``: no second
+        integration, and within 2 ulp of 1."""
+        grid = _gamma_grid(shape, 1.3)
+        scaled = make_grid(grid.x0, grid.dx, grid.values * 1.01, edge=grid.edge and grid.edge.scaled(math.log(1.01)))
+        calls = []
+        original = grids._integrate
+        monkeypatch.setattr(grids, "_integrate", lambda *args: calls.append(args) or original(*args))
+        normed = scaled.normalized()
+        assert calls == []
+        assert abs(normed.mass - 1.0) <= 2 * np.spacing(1.0)
+        assert normed.integrate() == pytest.approx(normed.mass, rel=1e-14)
 
 
 class TestEdgeModelAlgebra:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -174,6 +175,72 @@ class TestInverse:
         xs = np.geomspace(1e-6, 1e6, 200)
         spec = ham.quartic_perturbed(0.3)
         np.testing.assert_allclose(ham.finv_values(spec, spec.fn(xs)), xs, rtol=1e-8)
+
+
+CUBIC = ham.custom(lambda x: x + x**3 / 3.0)
+# targets across two chunk edges, rising, so that only the last chunk holds
+# the largest; then zero, a tiny and a large target
+STRIPED_YS = np.concatenate((np.geomspace(1e-12, 1e6, 2 * ham._FINV_CHUNK + 7), [0.0, 1e-300, 1e6]))
+
+
+class TestStripedInverse:
+    """The inverse solves its targets in chunks striped over threads; no
+    value depends on the chunking or the thread count."""
+
+    def test_same_values_on_any_thread_count(self, monkeypatch):
+        chunk = ham._FINV_CHUNK
+        monkeypatch.setenv("THINSHELL_THREADS", "1")
+        monkeypatch.setattr(ham, "_FINV_CHUNK", STRIPED_YS.size)  # one chunk: the unchunked loop
+        whole = ham.finv_values(CUBIC, STRIPED_YS)
+        monkeypatch.setattr(ham, "_FINV_CHUNK", chunk)
+        for threads in ("1", "2", None):
+            if threads is None:
+                monkeypatch.delenv("THINSHELL_THREADS")
+            else:
+                monkeypatch.setenv("THINSHELL_THREADS", threads)
+            np.testing.assert_array_equal(ham.finv_values(CUBIC, STRIPED_YS), whole)
+        assert whole[-3] == 0.0
+        assert whole[-2] == pytest.approx(1e-300, rel=1e-12)
+        u = np.cbrt(1.5 * STRIPED_YS + np.sqrt(2.25 * STRIPED_YS**2 + 1.0))
+        assert np.all(np.abs(whole - (u - 1.0 / u)) <= 1e-12 * np.maximum(whole, 1.0))
+
+    def test_refusals_survive_striping(self, monkeypatch):
+        """nan is refused before any chunk runs; a node that never stops
+        (no slack in the stopping rule) still raises after 200 steps, also
+        from a helper thread's chunk."""
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        with pytest.raises(ValueError, match="y >= 0"):
+            ham.finv_values(CUBIC, np.append(STRIPED_YS, math.nan))
+        monkeypatch.setattr(ham, "_FINV_RTOL", 0.0)
+        monkeypatch.setattr(ham, "_FINV_CHUNK", 64)
+        with pytest.raises(RuntimeError, match="did not converge in 200 steps"):
+            ham.finv_values(CUBIC, np.geomspace(1e-3, 1e3, 256))
+
+
+class TestThreadHelpers:
+    def test_helper_never_starts_a_helper(self, monkeypatch):
+        """Under a cap of 2, a fan-out starts one helper; while it runs,
+        fan-outs on either thread size to one thread and run inline."""
+        started = []
+        thread = threading.Thread
+
+        class Counted(thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        sizes = {}
+
+        def task(k):
+            sizes[k] = ham._pool_size(8)
+            ham._striped(3, lambda j: None, ham._pool_size(3))
+
+        ham._striped(4, task, ham._pool_size(4))
+        assert len(started) == 1
+        assert sizes == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert ham._pool_size(8) == 2
 
 
 class TestMonotonicity:

@@ -82,7 +82,9 @@ class TestContext:
 
     def test_fft_context_reads_memoised_grids(self, quartic_model, monkeypatch):
         """A fresh model builds w_k, w_n and w_{n-k} once each; a second
-        context for the same cell reuses all three."""
+        context for the same cell reuses the memoised w_k and w_n and builds
+        its own w_{n-k}, which the memo never holds.  Once the memo holds
+        w_{n-k}, a context reads it from there."""
         model = dataclasses.replace(quartic_model, _cache={})
         built = self._count_builds(monkeypatch)
         first = projection.make_context(model, 20, 3)
@@ -90,11 +92,14 @@ class TestContext:
         assert built["w_exact"] == [] and sorted(built["w_fft"]) == [3, 17, 20]
         second = projection.make_context(model, 20, 3)
         assert projection.kl_to_gibbs(second) == kl and projection.tv_to_gibbs(second) == tv
-        assert sorted(built["w_fft"]) == [3, 17, 20]
+        assert sorted(built["w_fft"]) == [3, 17, 17, 20]
+        assert ("w", 17, gibbs1d.GridParams()) not in model._cache
         assert second.wk is sumdensity.w_density(model, 3)
         assert second.log_wn_at_nt == float(sumdensity.w_density(model, 20).log_at(20 * model.mu)[0])
         ss = np.linspace(0.0, 40.0, 9)
-        np.testing.assert_array_equal(second.log_wnk(ss), sumdensity.w_density(model, 17).log_at(ss))
+        wnk = sumdensity.w_density(model, 17)
+        np.testing.assert_array_equal(second.log_wnk(ss), wnk.log_at(ss))
+        assert projection.make_context(model, 20, 3).wnk is wnk
 
 
 class TestClosedFormsByDegree:

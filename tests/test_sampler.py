@@ -206,7 +206,7 @@ class TestStriping:
         def refuse(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
-        monkeypatch.setattr(sampler.threading, "Thread", refuse)
+        monkeypatch.setattr(threading, "Thread", refuse)
         monkeypatch.setenv("THINSHELL_THREADS", "1")
         sampler.sample_surface_scaling(lin_model, 20, 3 * sampler._BLOCK, seed=1)
         batch = sampler.sample_surface_rejection(quartic_model, 20, 0.2, 2000, seed=1)

@@ -109,6 +109,74 @@ class TestFftRoute:
             assert err <= 1e-4, (p, n, err)
 
 
+def _polar_route(edge, base, n):
+    """phi**n by the general route, for a density that is exactly ``edge``."""
+    return sumdensity._polar_power(edge.transform(base), n)
+
+
+class TestPowerLawRoute:
+    """An energy density that is exactly K y^beta e^{-cy} takes phi**n in
+    closed form; the general (polar) route stays the reference."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_matches_polar_route_and_gamma_oracle(self, p, monkeypatch):
+        """Pointwise within 1e-12 wherever w >= 1e-3 max for n <= 5.  At
+        n = 50 and 200 both routes carry phi**n to about 7e-14 relative (an
+        mpmath phi**n is the judge), which the tails amplify to 2e-12 to
+        4.4e-12 pointwise; there the check is against the peak."""
+        model = gibbs1d.solve_energy(ham.power(p), 1.0)
+        for n in (1, 2, 5, 50, 200):
+            with monkeypatch.context() as m:
+                m.setattr(sumdensity, "_polar_power", None)  # the closed form needs no polar power
+                fast = sumdensity.w_fft(model, n)
+            with monkeypatch.context() as m:
+                m.setattr(sumdensity, "_power_law_power", _polar_route)
+                polar = sumdensity.w_fft(model, n)
+            peak = polar.values.max()
+            assert np.max(np.abs(fast.values - polar.values)) <= 1e-13 * peak, (p, n)
+            if n <= 5:
+                big = polar.values >= 1e-3 * peak
+                rel = np.max(np.abs(fast.values[big] - polar.values[big]) / polar.values[big])
+                assert rel <= 1e-12, (p, n, rel)
+            s = fast.points()[1:]
+            ref = gamma_dist.pdf(s, n / p, scale=1.0 / model.c)
+            mask = ref >= 1e-3 * ref.max()
+            err = float(np.max(np.abs(fast.values[1:][mask] - ref[mask]) / ref[mask]))
+            assert err <= 1.01e-5, (p, n, err)  # the polar route's worst is 1.0022e-5 (p = 4, n = 5)
+
+    def test_two_term_edge_keeps_the_polar_route(self, quartic_model, monkeypatch):
+        monkeypatch.setattr(sumdensity, "_power_law_power", None)
+        assert sumdensity.w_fft(quartic_model, 3).meta["kind"] == "w_fft"
+
+
+class TestWGrids:
+    """One call builds the missing grids at once; only shared counts enter
+    the memo."""
+
+    def test_builds_missing_grids_and_memoises_shared_ones(self, quartic_model, monkeypatch):
+        model = replace(quartic_model, _cache={})
+        calls = []
+
+        def fake_w_fft(m, n, params=None):
+            calls.append(n)
+            return ("grid", n, len(calls))
+
+        monkeypatch.setattr(sumdensity, "w_fft", fake_w_fft)
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        first = sumdensity.w_grids(model, [3, 20, 17], shared=(3, 20))
+        assert sorted(calls) == [3, 17, 20] and [g[1] for g in first] == [3, 20, 17]
+        assert sorted(key[1] for key in model._cache if key[0] == "w") == [3, 20]
+        second = sumdensity.w_grids(model, [3, 20, 17], shared=(3, 20))
+        assert second[:2] == first[:2] and second[2] != first[2] and sorted(calls) == [3, 17, 17, 20]
+        memoised = sumdensity.w_density(model, 17)
+        assert sumdensity.w_grids(model, [17], shared=())[0] is memoised and len(calls) == 5
+        assert "prereqs" in model._cache
+
+    def test_counts_refused(self, quartic_model):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            sumdensity.w_grids(quartic_model, [3, 2.0])
+
+
 class TestFftMemo:
     def test_concurrent_requests_share_one_build(self, quartic_model, monkeypatch):
         model = replace(quartic_model, _cache={})
@@ -299,6 +367,17 @@ class TestLocalCltScan:
         fake.mu, fake.sigma2 = mu, sigma2
         dev = sumdensity._sup_deviation(fake, grid, n)
         assert dev < 1e-12
+
+
+    def test_same_on_any_thread_count(self, quartic_model, monkeypatch):
+        devs = []
+        for threads in ("1", "2", None):
+            if threads is None:
+                monkeypatch.delenv("THINSHELL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("THINSHELL_THREADS", threads)
+            devs.append(sumdensity.local_clt_scan(quartic_model, (8, 16, 32)).sup_devs)
+        assert devs[0] == devs[1] == devs[2]
 
 
 class TestRatioBound:
