@@ -38,10 +38,8 @@ from .projection import (
     bound_report,
     converse_lower_bound,
     kl_to_gibbs,
-    logsum_property_check,
     make_context,
     mixture_bound_check,
-    project_tilted,
     project_uniform_k1,
     rk_conditional_density,
     tv_to_gibbs,
@@ -61,9 +59,7 @@ from .sampler import (
 )
 from .sumdensity import (
     LocalCltReport,
-    RatioBoundReport,
     local_clt_scan,
-    log_ratio_bound_check,
     log_w,
     log_w_exact,
     w_density,

@@ -88,6 +88,8 @@ class ExperimentConfig:
         pair, so those are the pairs checked."""
         if not self.n_list or not self.k_list:
             raise ConfigError("n_list and k_list must be nonempty")
+        if not (self.clt_n_list and all(n >= 1 for n in self.clt_n_list)):
+            raise ConfigError(f"clt_n_list must be nonempty, with every n >= 1; got {self.clt_n_list!r}")
         if not 0 < self.k_frac < 1:
             raise ConfigError(f"k_frac must lie strictly between 0 and 1; got {self.k_frac!r}")
         if subcommand == "converse":

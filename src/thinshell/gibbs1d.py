@@ -437,15 +437,17 @@ def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
 def entropy_energy(model: GibbsModel, q: DensityGrid | None = None) -> tuple[float, float]:
     """Entropy and mean energy.  For the Gibbs density itself (q=None) the
     analytic identity ``h = c mu + log Z`` applies; a grid density over the
-    finiteness set is integrated by the trapezoid rule."""
+    finiteness set is integrated by :meth:`DensityGrid.integrate`, with
+    ``q log q`` read as 0 where q vanishes."""
     if q is None:
         return model.c * model.mu + math.log(model.z), model.mu
     if abs(q.mass - 1.0) > 1e-4:
         raise ValueError(f"density mass {q.mass!r} deviates from 1 beyond 1e-4")
-    xs = q.points()
-    vals = q.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(vals > 0, vals * np.log(np.where(vals > 0, vals, 1.0)), 0.0)
-    h = -float(np.trapezoid(plogp, dx=q.dx))
-    energy = float(np.trapezoid(vals * f_values(model.spec, xs), dx=q.dx))
+
+    def log_q(x):
+        lq = q.log_at(x)
+        return np.where(np.isfinite(lq), lq, 0.0)
+
+    h = -q.integrate(log_q, np.where(q.values > 0, q.log_values, 0.0))
+    energy = q.integrate(lambda x: f_values(model.spec, x))
     return h, energy

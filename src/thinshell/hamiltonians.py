@@ -118,8 +118,9 @@ def linear_half() -> HamiltonianSpec:
 
 
 def power(p: float, support: str = HALF_LINE) -> HamiltonianSpec:
-    if p < 1.0:
-        raise ValueError("power exponent must satisfy p >= 1")
+    # written so that nan fails too
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"power exponent p must be finite and >= 1; got {p!r}")
     return HamiltonianSpec(
         kind="power",
         support=support,
@@ -132,8 +133,8 @@ def power(p: float, support: str = HALF_LINE) -> HamiltonianSpec:
 
 
 def quartic_perturbed(eps: float) -> HamiltonianSpec:
-    if eps < 0.0:
-        raise ValueError("quartic perturbation must be nonnegative")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"quartic perturbation epsilon must be finite and >= 0; got {eps!r}")
 
     def _inv(y):
         y = np.asarray(y, dtype=float)
@@ -208,11 +209,6 @@ def fprime_values(spec: HamiltonianSpec, x) -> np.ndarray:
 
 def derivative(spec: HamiltonianSpec, x: float) -> float:
     return float(fprime_values(spec, np.asarray([x]))[0])
-
-
-def _tail_witness(spec: HamiltonianSpec) -> tuple[float, float] | None:
-    report = check_class_f(spec)
-    return report.tail_slope
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
         raise ValueError("inverse requires y >= 0 (not nan)")
     if spec.ifn is not None:
         return spec.ifn(y)
-    witness = _tail_witness(spec)
+    witness = check_class_f(spec).tail_slope
     if witness is None:
         raise ValueError("cannot bracket the inverse: no tail slope witness")
     a1, a2 = witness

@@ -36,11 +36,9 @@ __all__ = [
     "project_uniform_k1",
     "kl_to_gibbs",
     "tv_to_gibbs",
-    "project_tilted",
     "bound_report",
     "converse_lower_bound",
     "mixture_bound_check",
-    "logsum_property_check",
 ]
 
 
@@ -273,24 +271,6 @@ def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tilted surface densities (k = 1)
-
-
-def project_tilted(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float]:
-    """Tilted projected density ``p_a(y) = e^{a f(y)} p(y) / E[e^{a f}]`` and
-    its divergence from the uniform surface density."""
-    if ctx.k != 1:
-        raise ValueError("tilts act on the first coordinate: k must be 1")
-    _, log_norm, d_surface = _tilted_rk(ctx, alpha)
-    base = project_uniform_k1(ctx)
-    ys = base.points()
-    fy = f_values(ctx.model.spec, ys)
-    values = base.values * np.exp(alpha * fy - log_norm)
-    grid = make_grid(base.x0, base.dx, values, meta={"kind": "p_tilted", "alpha": alpha, "n": ctx.n, "t": ctx.t})
-    return grid.normalized(), d_surface
-
-
-# ---------------------------------------------------------------------------
 # bound assembly
 
 
@@ -431,26 +411,3 @@ def mixture_bound_check(entries, n: int, k: int, params: GridParams | None = Non
     tv_sum = float(np.dot(weights, terms))
     bound = math.sqrt(2.0 * k / (n - k))
     return MixtureReport(n=n, k=k, tv_sum=tv_sum, bound=bound, per_term=tuple(terms), passed=tv_sum <= bound)
-
-
-# ---------------------------------------------------------------------------
-# discrete log-sum surrogate
-
-
-def logsum_property_check(trials: int, size: int, seed: int, tol: float = 1e-12) -> int:
-    """Gibbs-inequality form of the log-sum inequality on random nonneg
-    vectors: ``sum g_i log(g_i/h_i) >= (sum g_i) log(sum g_i / sum h_i)``.
-    Returns the number of passing trials (all of them, if the world is
-    sane)."""
-    rng = np.random.default_rng(seed)
-    passes = 0
-    for _ in range(trials):
-        g = rng.uniform(0.0, 1.0, size)
-        h = rng.uniform(0.0, 1.0, size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0) / h), 0.0)
-        lhs = float(np.sum(terms))
-        rhs = float(np.sum(g) * np.log(np.sum(g) / np.sum(h)))
-        if lhs >= rhs - tol:
-            passes += 1
-    return passes

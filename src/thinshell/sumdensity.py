@@ -50,7 +50,6 @@ from .hamiltonians import _pool_size, _striped
 
 __all__ = [
     "LocalCltReport",
-    "RatioBoundReport",
     "GridTooCoarseError",
     "gamma_shape",
     "log_w",
@@ -60,7 +59,6 @@ __all__ = [
     "w_density",
     "w_grids",
     "local_clt_scan",
-    "log_ratio_bound_check",
 ]
 
 
@@ -345,6 +343,8 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
 def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
     """Estimate the uniform local-CLT constant empirically over n_list; the
     ``w_fft`` builds are striped over the calling thread and helpers."""
+    if len(n_list) == 0:
+        raise ValueError("n_list must be nonempty")
     prereqs = clt_prerequisites(model)
     sup_devs = [math.nan] * len(n_list)
 
@@ -362,39 +362,3 @@ def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) 
         i_value=prereqs.i_value,
         r_used=prereqs.r_used,
     )
-
-
-# ---------------------------------------------------------------------------
-# ratio bound
-
-
-@dataclass(frozen=True)
-class RatioBoundReport:
-    n: int
-    k: int
-    c_used: float
-    lhs: float
-    rhs: float
-    applicable: bool
-    order_ok: bool
-    passed: bool
-
-
-def log_ratio_bound_check(model: GibbsModel, n: int, k: int, C: float, params: GridParams | None = None) -> RatioBoundReport:
-    """Check ``sup_z log w_{n-k}(z) - log w_n(n mu) <= log(n/(n-k)) +
-    2/(sqrt(n)/C - 1)``; the sup is the mode of ``w_{n-k}``."""
-    if not (0 <= k < n):
-        raise ValueError("need 0 <= k < n")
-    applicable = math.sqrt(n) / C > 1.0
-    order_ok = (n - k) >= clt_prerequisites(model).r_used
-    if not applicable:
-        return RatioBoundReport(n, k, C, math.nan, math.nan, False, order_ok, False)
-    wnk = w_density(model, n - k, params)
-    if wnk.edge is not None:
-        lhs_sup = math.inf  # singular density: unbounded mode
-    else:
-        lhs_sup = float(np.max(wnk.log_values))
-    log_wn_mean = float(log_w(model, n, np.asarray([n * model.mu]), params)[0])
-    lhs = lhs_sup - log_wn_mean
-    rhs = math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / C - 1.0)
-    return RatioBoundReport(n, k, C, lhs, rhs, True, order_ok, lhs <= rhs)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from thinshell import gibbs1d, hamiltonians, sumdensity
+from thinshell import gibbs1d, hamiltonians, projection, sumdensity
 
 CLT_SCAN_NS = (8, 16, 32, 64, 128, 256)
 
@@ -34,3 +35,17 @@ def lin_scan(lin_model):
 @pytest.fixture(scope="session")
 def quad_scan(quad_model):
     return sumdensity.local_clt_scan(quad_model, CLT_SCAN_NS)
+
+
+@pytest.fixture(scope="session")
+def ratio_lemma():
+    """Both sides of the ratio lemma on a context, as the bounds run
+    computes them: the largest finite ``log w_{n-k}(nt - s) - log w_n(nt)``
+    over the w_k nodes s (``node_log_ratio``), and ``kl_bound`` at alpha = 0,
+    which is ``log(n/(n-k)) + 2/(sqrt(n)/C - 1)``."""
+
+    def sides(ctx, C):
+        log_ratio, finite = ctx.node_log_ratio
+        return float(np.max(log_ratio[finite])), projection.bound_report(ctx, C).kl_bound
+
+    return sides

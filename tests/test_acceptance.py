@@ -120,14 +120,15 @@ def test_criterion_06_clt_constant_stable(quad_scan, lin_scan):
     _report(6, f"constants stable (quadratic {quad_scan.c_hat:.3f}, exponential {lin_scan.c_hat:.3f})")
 
 
-def test_criterion_07_ratio_bound(quad_model, lin_model, quad_scan, lin_scan):
-    """Mode-to-mean log-ratio bound at the scanned constants."""
+def test_criterion_07_ratio_bound(quad_model, lin_model, quad_scan, lin_scan, ratio_lemma):
+    """Log-ratio lemma at the scanned constants, on each cell's own
+    log-ratio pass: its largest value stays below ``kl_bound``."""
     start = time.perf_counter()
     for model, scan in ((quad_model, quad_scan), (lin_model, lin_scan)):
         for n in (100, 400):
             for k in (1, 10):
-                rep = sumdensity.log_ratio_bound_check(model, n, k, scan.c_hat)
-                assert rep.applicable and rep.passed, (model.spec.kind, n, k)
+                lhs, rhs = ratio_lemma(projection.make_context(model, n, k), scan.c_hat)
+                assert lhs <= rhs, (model.spec.kind, n, k)
     _report(7, "8/8 ratio checks pass", time.perf_counter() - start)
 
 
@@ -155,10 +156,17 @@ def test_criterion_09_convergence_trend(quad_model, lin_model):
     _report(9, "divergence decreasing in n for both families", time.perf_counter() - start)
 
 
-def test_criterion_10_log_sum_property():
-    passes = projection.logsum_property_check(200, 32, seed=7)
-    assert passes == 200
-    _report(10, "200/200 random log-sum trials pass at 1e-12")
+def test_criterion_10_marginal_divergence_grows_with_k(quad_model, lin_model, quartic_model):
+    """Relative entropy does not increase under marginalisation (the
+    log-sum inequality): the divergence of the k-coordinate projection from
+    the Gibbs product density grows with k."""
+    start = time.perf_counter()
+    ks = (1, 2, 3, 5, 10)
+    for model in (quad_model, lin_model, quartic_model):
+        for n in (20, 100, 400):
+            kls = [projection.kl_to_gibbs(projection.make_context(model, n, k)) for k in ks]
+            assert all(a < b for a, b in zip(kls, kls[1:])), (model.spec.kind, n, kls)
+    _report(10, f"9/9 rows strictly increasing over k = {ks}", time.perf_counter() - start)
 
 
 def test_criterion_11_max_entropy(quad_model):

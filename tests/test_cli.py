@@ -156,6 +156,13 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and "alpha_list" in captured.err
 
+    @pytest.mark.parametrize("value", [",", "0", "8,-1"])
+    def test_bad_clt_n_list_rejected(self, value, capsys):
+        assert run(["clt-scan", "--kind", "quadratic", "--clt-n-list", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and "clt_n_list" in captured.err
+
     def test_grid_size_below_two_rejected(self, capsys):
         assert run(["wn", "--kind", "quadratic", "--n", "4", "--grid-size", "1"]) == 2
         assert "grid_size" in capsys.readouterr().err
@@ -416,6 +423,22 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["--kind", "power", "--p", "nan"], "exponent p"),
+            (["--kind", "power", "--p", "inf"], "exponent p"),
+            (["--kind", "quartic_perturbed", "--epsilon", "nan"], "epsilon"),
+            (["--kind", "quartic_perturbed", "--epsilon", "inf"], "epsilon"),
+        ],
+    )
+    def test_solve_c_rejects_non_finite_family_parameter(self, args, name, capsys):
+        assert run(["solve-c", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and name in captured.err
+        assert "Traceback" not in captured.err
 
     def test_overflowing_tilt_reports_error(self, capsys):
         code = run(["bounds", "--kind", "quadratic", "--n-list", "50", "--k-list", "1", "--alpha-list", "100"])

@@ -53,9 +53,9 @@ class TestCubicPipeline:
         assert report.pass_kl and report.pass_tv
         assert report.df_bound is None  # no closed-form distance bound here
 
-    def test_ratio_bound(self, cubic_model, cubic_scan):
-        rep = sumdensity.log_ratio_bound_check(cubic_model, 60, 2, cubic_scan.c_hat)
-        assert rep.applicable and rep.passed
+    def test_ratio_bound(self, cubic_model, cubic_scan, ratio_lemma):
+        lhs, rhs = ratio_lemma(projection.make_context(cubic_model, 60, 2), cubic_scan.c_hat)
+        assert lhs <= rhs
 
     def test_conditional_density_normalizes(self, cubic_model):
         ctx = projection.make_context(cubic_model, 60, 1)

@@ -209,6 +209,22 @@ class TestEntropyEnergy:
         assert h == pytest.approx(h0, abs=1e-4)
         assert energy == pytest.approx(e0, abs=1e-4)
 
+    def test_edge_grid_against_gamma_entropy(self, lin_model, quad_model):
+        """w_1 of the quadratic family is Gamma(1/2, c), singular at 0: the
+        edge-aware integral meets its closed-form entropy, and its mean is
+        the energy under the linear f."""
+        from scipy.special import digamma, gammaln
+
+        from thinshell import sumdensity
+
+        grid = sumdensity.w_exact(quad_model, 1)
+        assert grid.edge is not None
+        a, c = 0.5, quad_model.c
+        oracle = a - math.log(c) + gammaln(a) + (1.0 - a) * digamma(a)
+        h, energy = gibbs1d.entropy_energy(lin_model, grid)
+        assert h == pytest.approx(oracle, abs=1e-3)
+        assert energy == pytest.approx(quad_model.mu, abs=1e-6)
+
     def test_rejects_unnormalized(self, quad_model):
         from thinshell.grids import make_grid
 

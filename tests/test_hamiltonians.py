@@ -292,6 +292,20 @@ class TestClassMembership:
         )
 
 
+class TestFamilyParameters:
+    """Family parameters are refused where they enter; nan fails the checks."""
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 0.5])
+    def test_power_exponent(self, p):
+        with pytest.raises(ValueError, match=r"exponent p must be finite and >= 1"):
+            ham.power(p)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.1])
+    def test_quartic_perturbation(self, eps):
+        with pytest.raises(ValueError, match=r"epsilon must be finite and >= 0"):
+            ham.quartic_perturbed(eps)
+
+
 class TestSerialization:
     """A spec is written as the config keys kind, p, epsilon and support,
     and built from ExperimentConfig's typed fields."""

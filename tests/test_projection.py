@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from thinshell import gibbs1d, hamiltonians as ham, projection, sumdensity
@@ -325,19 +326,21 @@ class TestKlBound:
 class TestTilted:
     def test_identity_tilt(self, quad_model):
         ctx = projection.make_context(quad_model, 100, 1)
-        tilted, d_surface = projection.project_tilted(ctx, 0.0)
-        base = projection.project_uniform_k1(ctx)
-        np.testing.assert_allclose(tilted.values, base.values, rtol=1e-12)
-        assert d_surface == 0.0
+        tilted, log_norm, d_surface = projection._tilted_rk(ctx, 0.0)
+        assert tilted is projection.rk_conditional_density(ctx)
+        assert log_norm == 0.0 and d_surface == 0.0
+        assert projection.bound_report(ctx, 2.0).d_surface == 0.0
 
     def test_small_case_tilt_oracle(self, small_ctx):
         """Exponential tilt of the uniform [0,2] density, all in closed form:
         normalizer (e - 1)/... for alpha = 1/2: E[e^{s/2}]/1 over U[0,2]."""
-        tilted, d_surface = projection.project_tilted(small_ctx, 0.5)
+        d_surface = projection.bound_report(small_ctx, 1.0, alpha=0.5).d_surface
         norm_oracle = math.e - 1.0  # (1/2) int_0^2 e^{s/2} ds
         mean_oracle = (0.5 * 2.0 * math.exp(1.0) - math.e + 1.0) / norm_oracle  # E_tilted[s/2]
         d_oracle = mean_oracle - math.log(norm_oracle)
         assert d_surface == pytest.approx(d_oracle, abs=1e-4)
+        # k = 1 of the linear family: the partial energy is the coordinate
+        tilted = projection._tilted_rk(small_ctx, 0.5)[0]
         ys = np.linspace(0.05, 1.95, 64)
         np.testing.assert_allclose(tilted.at(ys), 0.5 * np.exp(0.5 * ys) / norm_oracle, rtol=1e-3)
 
@@ -394,7 +397,7 @@ class TestTilted:
         from scipy.stats import gamma as gamma_dist
 
         ctx = projection.make_context(quad_model, 50, 1)
-        _, d_surface = projection.project_tilted(ctx, 0.6)
+        d_surface = projection.bound_report(ctx, 2.0, alpha=0.6).d_surface
         c, nt = quad_model.c, 50.0
         log_wn = gamma_dist.logpdf(nt, 25, scale=1 / c)
 
@@ -408,15 +411,35 @@ class TestTilted:
         oracle = 0.6 * m1 / norm - math.log(norm)
         assert d_surface == pytest.approx(oracle, abs=1e-7)
 
-    def test_requires_k1(self, quad_model):
-        ctx = projection.make_context(quad_model, 100, 2)
-        with pytest.raises(ValueError):
-            projection.project_tilted(ctx, 0.1)
-
     def test_overflowing_tilt_rejected(self, quad_model):
         ctx = projection.make_context(quad_model, 100, 1)
         with pytest.raises(OverflowError):
-            projection.project_tilted(ctx, 50.0)
+            projection.bound_report(ctx, 2.0, alpha=50.0)
+
+
+class TestCellProperties:
+    """Random cells of the closed-form families (``thinshell`` profile;
+    25 examples, about 1.6 s)."""
+
+    @settings(max_examples=25)
+    @given(
+        family=st.sampled_from(["quadratic", "linear_half"]),
+        t=st.floats(0.5, 2.0),
+        n=st.integers(20, 400),
+        data=st.data(),
+    )
+    def test_divergences_and_ratio_lemma(self, quad_scan, lin_scan, ratio_lemma, family, t, n, data):
+        k = data.draw(st.integers(1, min(10, n - 5)), label="k")
+        spec, scan = (ham.quadratic(), quad_scan) if family == "quadratic" else (ham.linear_half(), lin_scan)
+        ctx = projection.make_context(gibbs1d.solve_energy(spec, t), n, k)
+        report = projection.bound_report(ctx, scan.c_hat)
+        assert report.kl >= 0.0
+        assert 0.0 <= report.tv <= 2.0
+        assert report.tv <= math.sqrt(2.0 * report.kl) + 1e-8
+        assert projection.rk_conditional_density(ctx).meta["norm_defect"] < 1e-4
+        # homogeneous families: t only rescales s, so the scanned C holds
+        lhs, rhs = ratio_lemma(ctx, scan.c_hat)
+        assert lhs <= rhs
 
 
 class TestBoundReport:
@@ -510,28 +533,6 @@ class TestMixture:
         entries = [(quad_model, 1.0, w) for w in weights]
         with pytest.raises(ValueError, match="weights"):
             projection.mixture_bound_check(entries, 100, 2)
-
-
-class TestLogSum:
-    def test_random_trials_all_pass(self):
-        assert projection.logsum_property_check(200, 32, seed=7) == 200
-
-    def test_equality_at_identical_vectors(self):
-        """g = h gives equality, within tight tolerance."""
-        rng = np.random.default_rng(3)
-        g = rng.uniform(0.0, 1.0, 16)
-        lhs = float(np.sum(g * np.log(g / g)))
-        assert abs(lhs) < 1e-15
-
-    def test_two_term_hand_case(self):
-        """g=(1,0), h=(1/2,1/2): left side log 2, right side 0."""
-        g = np.array([1.0, 0.0])
-        h = np.array([0.5, 0.5])
-        lhs = g[0] * math.log(g[0] / h[0])
-        rhs = g.sum() * math.log(g.sum() / h.sum())
-        assert lhs == pytest.approx(math.log(2.0))
-        assert rhs == 0.0
-        assert lhs > rhs
 
 
 class TestMaxEntropy:

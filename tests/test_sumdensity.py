@@ -9,7 +9,7 @@ import pytest
 from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
-from thinshell import gibbs1d, hamiltonians as ham, sumdensity
+from thinshell import gibbs1d, hamiltonians as ham, projection, sumdensity
 
 
 def _window_error(exact, fft, center, half):
@@ -369,6 +369,10 @@ class TestLocalCltScan:
         assert dev < 1e-12
 
 
+    def test_empty_n_list_refused(self, quad_model):
+        with pytest.raises(ValueError, match="n_list must be nonempty"):
+            sumdensity.local_clt_scan(quad_model, ())
+
     def test_same_on_any_thread_count(self, quartic_model, monkeypatch):
         devs = []
         for threads in ("1", "2", None):
@@ -381,33 +385,35 @@ class TestLocalCltScan:
 
 
 class TestRatioBound:
+    """The ratio lemma ``sup_s log w_{n-k}(nt - s) - log w_n(nt) <= log(n/(n-k))
+    + 2/(sqrt(n)/C - 1)``, read off the cell's own log-ratio pass."""
+
     @pytest.mark.parametrize("n,k", [(100, 1), (100, 10), (400, 1), (400, 10)])
-    def test_passes_with_scanned_constant(self, lin_model, quad_model, lin_scan, quad_scan, n, k):
+    def test_passes_with_scanned_constant(self, lin_model, quad_model, lin_scan, quad_scan, ratio_lemma, n, k):
         for model, scan in ((lin_model, lin_scan), (quad_model, quad_scan)):
-            rep = sumdensity.log_ratio_bound_check(model, n, k, scan.c_hat)
-            assert rep.applicable and rep.order_ok and rep.passed
+            ctx = projection.make_context(model, n, k)
+            assert ctx.clt_ok
+            lhs, rhs = ratio_lemma(ctx, scan.c_hat)
+            # at alpha = 0 kl_bound is the lemma's right-hand side, bit for bit
+            assert rhs == math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / scan.c_hat - 1.0)
+            assert lhs <= rhs
 
-    def test_k_zero_mode_versus_mean(self, lin_model, lin_scan):
-        """k = 0 compares the mode against the mean of the same density."""
-        rep = sumdensity.log_ratio_bound_check(lin_model, 400, 0, lin_scan.c_hat)
-        assert rep.lhs >= 0.0 and rep.passed
-
-    def test_vanishing_limit(self, lin_model, lin_scan):
+    def test_vanishing_limit(self, lin_model, lin_scan, ratio_lemma):
         """Both sides shrink as n grows at fixed k."""
-        small = sumdensity.log_ratio_bound_check(lin_model, 100, 2, lin_scan.c_hat)
-        large = sumdensity.log_ratio_bound_check(lin_model, 1600, 2, lin_scan.c_hat)
-        assert large.lhs < small.lhs and large.rhs < small.rhs
+        small = ratio_lemma(projection.make_context(lin_model, 100, 2), lin_scan.c_hat)
+        large = ratio_lemma(projection.make_context(lin_model, 1600, 2), lin_scan.c_hat)
+        assert large[0] < small[0] and large[1] < small[1]
 
     def test_inapplicable_when_constant_too_large(self, lin_model):
-        rep = sumdensity.log_ratio_bound_check(lin_model, 100, 1, C=20.0)
-        assert not rep.applicable and not rep.passed
+        with pytest.raises(ValueError, match="inapplicable"):
+            projection.bound_report(projection.make_context(lin_model, 100, 1), C=20.0)
 
-    def test_oracle_lhs_exponential(self, lin_model, lin_scan):
+    def test_oracle_lhs_exponential(self, lin_model, lin_scan, ratio_lemma):
         """Gamma(n-k, 1) peaks at its mode n-k-1; check lhs analytically."""
         n, k = 100, 10
         mode = n - k - 1.0
         lhs_oracle = float(
             gamma_dist.logpdf(mode, n - k, scale=1.0) - gamma_dist.logpdf(n * 1.0, n, scale=1.0)
         )
-        rep = sumdensity.log_ratio_bound_check(lin_model, n, k, lin_scan.c_hat)
-        assert rep.lhs == pytest.approx(lhs_oracle, abs=1e-6)
+        lhs, _ = ratio_lemma(projection.make_context(lin_model, n, k), lin_scan.c_hat)
+        assert lhs == pytest.approx(lhs_oracle, abs=1e-6)
