@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .grids import DensityGrid, EdgeModel, make_grid
+from .grids import _GL_NODES, DensityGrid, EdgeModel, make_grid
 from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values, finv_values, fprime_values
 
 __all__ = [
@@ -36,8 +34,25 @@ __all__ = [
     "entropy_energy",
 ]
 
-_QUAD_ABS = 1e-12
-_QUAD_REL = 1e-10
+# positive half of the 24-point Gauss-Legendre weights on [-1, 1] for the
+# nodes grids._GL_NODES, rounded from 40-digit values; numpy's leggauss
+# weights (grids._GL_WEIGHTS) are off by up to 859 ulps
+_GL_HALF = (
+    0.12793819534675216, 0.1258374563468283, 0.12167047292780339, 0.1155056680537256,
+    0.10744427011596563, 0.09761865210411388, 0.08619016153195327, 0.0733464814110803,
+    0.05929858491543678, 0.04427743881741981, 0.028531388628933663, 0.0123412297999872,
+)
+_GL_WEIGHTS = np.array(_GL_HALF[::-1] + _GL_HALF)
+# a quadrature panel is accepted when its 24-point Gauss-Legendre value and
+# the sum of its halves' agree to this fraction of the integral; the rule
+# gives up after this many passes or with this many panels still open
+_QUAD_RTOL = 1e-14
+_QUAD_PASSES = 60
+_QUAD_MAX_PANELS = 4096
+# relative change of c at which the energy matching stops (brentq's default
+# rtol), and the number of steps after which it gives up
+_MATCH_CTOL = 8.9e-16
+_MATCH_STEPS = 100
 _Y_GRID_SIZE = 2**18
 # relative miss of the mean energy that solve_energy treats as failure
 _MATCH_RTOL = 1e-10
@@ -103,14 +118,72 @@ def _truncation(spec: HamiltonianSpec, c: float) -> tuple[float, float]:
     raise RuntimeError("tail bound did not drop below 1e-16; f may grow too slowly")
 
 
-def _halfline_integral(spec: HamiltonianSpec, c: float, weight, x_max: float, points=None) -> float:
+def _halfline_integrals(spec: HamiltonianSpec, c: float, weights, x_max: float, breaks=()) -> np.ndarray:
+    """``\\int_0^{x_max} w(f(x)) exp(-c f(x)) dx`` for each row w of
+    ``weights(f)``, by adaptive 24-point Gauss-Legendre on panels first cut
+    at ``breaks``.
+
+    Each pass evaluates f once, on the nodes of every open panel and of its
+    two halves.  A panel is accepted when, in every row, its value and the
+    sum of its halves' agree to ``_QUAD_RTOL`` times the running integral
+    (the accepted panels plus the halves of the open ones); the halves' sum
+    is kept.  Every rejected panel is bisected for the next pass.
+    """
+    edges = np.unique([0.0, *(b for b in breaks if 0.0 < b < x_max), x_max])
+    lo, hi = edges[:-1], edges[1:]
+    total = 0.0
+    for _ in range(_QUAD_PASSES):
+        if lo.size > _QUAD_MAX_PANELS:
+            break
+        mid = 0.5 * (lo + hi)
+        left = np.concatenate((lo, lo, mid))
+        half = 0.5 * (np.concatenate((hi, mid, hi)) - left)
+        x = (left + half)[:, None] + half[:, None] * _GL_NODES
+        fx = spec.fn(x.ravel()).reshape(x.shape)
+        e = np.exp(-c * fx)
+        # rows x (whole, left half, right half) panel values
+        est = np.stack([w * e for w in weights(fx)]) @ _GL_WEIGHTS * half
+        whole, first, second = np.split(est, 3, axis=1)
+        fine = first + second
+        running = total + np.sum(fine, axis=1)
+        ok = np.all(np.abs(whole - fine) <= _QUAD_RTOL * np.abs(running)[:, None], axis=0)
+        total = total + np.sum(fine[:, ok], axis=1)
+        lo, hi = np.concatenate((lo[~ok], mid[~ok])), np.concatenate((mid[~ok], hi[~ok]))
+        if not lo.size:
+            return total
+    raise RuntimeError(
+        f"adaptive quadrature did not converge: {lo.size} panels open after {_QUAD_PASSES} passes or "
+        f"{_QUAD_MAX_PANELS} panels"
+    )
+
+
+def _quadpack_first_moment(spec: HamiltonianSpec, c: float, x_max: float) -> float:
+    """``\\int_0^{x_max} f exp(-c f) dx`` by QUADPACK (scipy's ``quad``),
+    scalar integrand and tolerances as before the Gauss-Legendre rule.
+
+    Only the closed-form families use it, for their mean energy.  The
+    reference CSVs of their bounds sweeps (``bench/reference``) were written
+    with this mean, and the kl of a large-n cell follows the mean's last bit:
+    for ``linear_half`` at t = 1, kl at (n, k) = (1600, 1) moves by 1.2e-6
+    relative when the mean moves by one ulp (the Gamma log-density there
+    sums terms of size 1e4), past those references' 1e-6 gate.  The rule's
+    mean (or the exact ``1/(d c)``) replaces it once the references are
+    recorded again; until then scipy.integrate loads on the first
+    closed-form model."""
+    from scipy.integrate import quad
+
     def integrand(x):
         fx = spec.fn(np.asarray([x]))[0]
-        w = 1.0 if weight is None else weight(fx)
-        return w * math.exp(-c * fx) if c * fx < 700 else 0.0
+        return fx * math.exp(-c * fx) if c * fx < 700 else 0.0
 
-    val, _ = quad(integrand, 0.0, x_max, epsabs=_QUAD_ABS, epsrel=_QUAD_REL, limit=200, points=points)
-    return val
+    return quad(integrand, 0.0, x_max, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+
+
+def _check_resolved(c: float, x_max: float, z: float, mu: float) -> None:
+    """Refuse a weight ``exp(-c f)`` whose mass or mean the quadrature on
+    ``[0, x_max]`` cannot resolve (it sits between the nodes, or beyond)."""
+    if not (0.0 < z < math.inf and 0.0 < mu < math.inf):
+        raise ValueError(f"the Gibbs weight at c={c!r} is not resolved on [0, {x_max!r}]: Z={z!r}, mean={mu!r}")
 
 
 def partition_function(spec: HamiltonianSpec, c: float) -> float:
@@ -124,28 +197,39 @@ def partition_function(spec: HamiltonianSpec, c: float) -> float:
         d = spec.homogeneous_degree
         return factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
     x_max, _ = _truncation(spec, c)
-    return factor * _halfline_integral(spec, c, None, x_max)
+    return factor * float(_halfline_integrals(spec, c, lambda f: (np.ones_like(f),), x_max)[0])
+
+
+def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float, float, float]:
+    """Cutoff, tail bound, Z, and the mean, variance and absolute third
+    central moment of ``Y = f(X)`` at c."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"inverse temperature must be finite and positive; got {c!r}")
+    factor = 2.0 if spec.support == SYMMETRIC else 1.0
+    x_max, tail = _truncation(spec, c)
+    if spec.closed_form:
+        z = partition_function(spec, c)
+        mu = factor * _quadpack_first_moment(spec, c, x_max) / z
+    else:
+        mass, first = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f), x_max)
+        z = factor * float(mass)
+        mu = factor * float(first) / z if z > 0 else math.nan
+    _check_resolved(c, x_max, z, mu)
+    # the |f - mu| kink sits at f^{-1}(mu)
+    kink = float(finv_values(spec, np.asarray([mu]))[0])
+    second, third = _halfline_integrals(
+        spec, c, lambda f: ((f - mu) ** 2, np.abs(f - mu) ** 3), x_max, breaks=(kink,)
+    )
+    return x_max, tail, z, mu, factor * float(second) / z, factor * float(third) / z
 
 
 def moments(spec: HamiltonianSpec, c: float) -> tuple[float, float, float]:
     """Mean, variance and absolute third central moment of ``Y = f(X)``."""
-    if c <= 0:
-        raise ValueError("inverse temperature must be positive")
-    factor = 2.0 if spec.support == SYMMETRIC else 1.0
-    x_max, _ = _truncation(spec, c)
-    z = partition_function(spec, c)
-    mu = factor * _halfline_integral(spec, c, lambda f: f, x_max) / z
-    # the |f - mu| kink sits at f^{-1}(mu)
-    kink = [float(finv_values(spec, np.asarray([mu]))[0])]
-    sigma2 = factor * _halfline_integral(spec, c, lambda f: (f - mu) ** 2, x_max, points=kink) / z
-    m3 = factor * _halfline_integral(spec, c, lambda f: abs(f - mu) ** 3, x_max, points=kink) / z
-    return mu, sigma2, m3
+    return _model_values(spec, c)[3:]
 
 
 def model_at(spec: HamiltonianSpec, c: float) -> GibbsModel:
-    x_max, tail = _truncation(spec, c)
-    z = partition_function(spec, c)
-    mu, sigma2, m3 = moments(spec, c)
+    x_max, tail, z, mu, sigma2, m3 = _model_values(spec, c)
     return GibbsModel(
         spec=spec,
         c=c,
@@ -153,47 +237,57 @@ def model_at(spec: HamiltonianSpec, c: float) -> GibbsModel:
         mu=mu,
         sigma2=sigma2,
         m3=m3,
-        quad=QuadratureInfo(_QUAD_ABS, _QUAD_REL, x_max, tail),
+        quad=QuadratureInfo(0.0, _QUAD_RTOL, x_max, tail),
     )
 
 
-def _mean_energy(spec: HamiltonianSpec, c: float) -> float:
-    factor = 2.0 if spec.support == SYMMETRIC else 1.0
-    x_max, _ = _truncation(spec, c)
-    z = factor * _halfline_integral(spec, c, None, x_max)
-    return factor * _halfline_integral(spec, c, lambda f: f, x_max) / z
+def _match_energy(spec: HamiltonianSpec, t: float) -> float:
+    """c with mean energy t, by Newton's method on ``log mu`` against
+    ``log c`` from c = 1.  Since ``dmu/dc = -Var Y``, the slope is
+    ``-c Var Y / mu``; one quadrature pass gives Z, mu and Var.  A pure
+    power law ``mu = 1/(d c)`` is a straight line there, so the first step
+    lands on it.  Each evaluation shrinks the bracket ``[lo, hi]`` on c
+    (``mu`` decreases strictly); a step that leaves it, or is not finite,
+    is replaced by doubling or halving while one end is open and by
+    bisection after.  The iteration stops once the applied change of c is
+    at most ``_MATCH_CTOL * c``, or the bracket is that narrow."""
+    c, lo, hi = 1.0, 0.0, math.inf
+    for _ in range(_MATCH_STEPS):
+        x_max, _ = _truncation(spec, c)
+        mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
+        mu = float(first / mass) if mass > 0 else math.nan
+        _check_resolved(c, x_max, float(mass), mu)
+        var = float(second / mass) - mu * mu
+        if mu >= t:
+            lo = c
+        if mu <= t:
+            hi = c
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            new = float(c * np.exp((math.log(mu) - math.log(t)) * mu / (c * var)))
+        if not lo < new < hi:
+            new = 2.0 * lo if hi == math.inf else 0.5 * hi if lo == 0.0 else 0.5 * (lo + hi)
+        if abs(new - c) <= _MATCH_CTOL * c or hi - lo <= _MATCH_CTOL * lo:
+            return new
+        c = new
+    raise RuntimeError(f"energy matching did not converge in {_MATCH_STEPS} steps")
 
 
 def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
-    """Unique c with mean energy t, via bracket doubling on the strictly
-    decreasing map ``c -> E f(X)`` and Brent refinement."""
+    """Unique c with mean energy t.  A homogeneous f of degree d has
+    ``E f(X) = 1/(d c)``, so ``c = 1/(d t)``; other families go through
+    :func:`_match_energy`.  A t whose model cannot be built (its weight
+    unresolved by the quadrature, or its tail unbounded) is refused with a
+    ValueError that names t."""
     if not math.isfinite(t):
         raise ValueError(f"target energy must be finite; got {t!r}")
     if t <= 0:
         raise ValueError("target energy must be positive")
-    lo = hi = 1.0
-    mu = _mean_energy(spec, 1.0)
-    if mu > t:
-        for _ in range(100):
-            lo = hi
-            hi *= 2.0
-            if _mean_energy(spec, hi) <= t:
-                break
-        else:
-            raise RuntimeError("bracket expansion failed: energy t not attainable")
-    elif mu < t:
-        for _ in range(100):
-            hi = lo
-            lo *= 0.5
-            if _mean_energy(spec, lo) >= t:
-                break
-        else:
-            raise RuntimeError("bracket expansion failed: energy t not attainable")
-    if lo != hi:
-        c = brentq(lambda cc: _mean_energy(spec, cc) - t, lo, hi, xtol=1e-300, rtol=8.9e-16)
-    else:
-        c = 1.0
-    model = model_at(spec, c)
+    d = spec.homogeneous_degree
+    try:
+        c = 1.0 / (d * t) if d is not None else _match_energy(spec, t)
+        model = model_at(spec, c)
+    except (ValueError, RuntimeError) as exc:
+        raise ValueError(f"no Gibbs model has mean energy t={t!r}: {exc}") from exc
     if abs(model.mu - t) > _MATCH_RTOL * t:
         raise RuntimeError(f"energy matching missed the target: mu={model.mu!r} vs t={t!r}")
     return model
@@ -351,14 +445,14 @@ def characteristic_function(model: GibbsModel, u):
     if not negligible:
         ys = grid.points()[1:]
         # trapezoid: interior nodes full weight, endpoints half (the left
-        # endpoint of the remainder is 0 by construction)
-        weights = np.full(ys.shape, grid.dx)
-        weights[-1] *= 0.5
-        for start in range(0, len(u_arr), 256):
-            chunk = u_arr[start : start + 256, None]
-            out[start : start + 256] += np.sum(
-                rem[None, :] * weights[None, :] * np.exp(1j * chunk * ys[None, :]), axis=1
-            )
+        # endpoint of the remainder is 0 by construction); the real and
+        # imaginary parts are two real sums
+        weighted = rem * grid.dx
+        weighted[-1] *= 0.5
+        for start in range(0, len(u_arr), 16):
+            phase = u_arr[start : start + 16, None] * ys
+            sine = np.sin(phase)
+            out[start : start + 16] += np.cos(phase, out=phase) @ weighted + 1j * (sine @ weighted)
     return complex(out[0]) if scalar else out
 
 

@@ -18,13 +18,16 @@ the rejection sampler bring the ``R_n`` of its shell test into the first
 Newton sweep (or the closed form), so it is not evaluated twice.
 
 Families without an exact transform draw coordinates by a PCHIP inverse
-CDF.  Its polynomial is evaluated by indexed search (Chen & Asau 1974;
-Devroye 1986, section III.2): a guide table over ``2**16`` equal bins of
-``[0, 1)`` gives, for ``j = floor(u * 2**16)``, the knot interval holding
-``j / 2**16``; at most two steps to the right, or a binary search in the
-few bins wider than that, find ``u``'s interval.  That is the interval
+CDF, whose coefficients are built here in the operation order of scipy's
+``PchipInterpolator``.  Its polynomial is evaluated by indexed search
+(Chen & Asau 1974; Devroye 1986, section III.2): a guide table over
+``2**16`` equal bins of ``[0, 1)`` gives, for ``j = floor(u * 2**16)``,
+the knot interval holding ``j / 2**16``; at most two steps to the right,
+or a binary search in the few bins wider than that, find ``u``'s
+interval.  That is the interval
 ``PchipInterpolator`` finds, and the cubic is summed in scipy's ``PPoly``
-order, so every draw is bit-identical to ``PchipInterpolator.__call__``.
+order, so every draw is bit-identical to ``PchipInterpolator.__call__`` on
+the same table.
 
 Randomness uses counter-based Philox streams derived from ``(seed, block
 index)``, so identical configurations reproduce batches bit for bit.  Each
@@ -45,7 +48,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
@@ -210,13 +212,71 @@ def central_projection(spec: HamiltonianSpec, x: np.ndarray, t: float) -> np.nda
 # per-coordinate Gibbs sampling
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the PCHIP interpolant (Fritsch & Butland 1984) of
+    strictly increasing knots ``x`` (at least three) and values ``y``: one
+    row per interval, cubic first, in the local variable ``x - x[i]``.
+
+    The operations, and their order, are those of scipy's
+    ``PchipInterpolator`` (``_find_derivatives``, ``_edge_case`` and
+    ``CubicHermiteSpline``), so the rows equal its ``c.T`` bit for bit.
+    Interior slopes are weighted harmonic means of the neighbouring secant
+    slopes, or 0 where those differ in sign or one of them is 0; the end
+    slopes are one-sided three-point estimates kept shape-preserving
+    (Moler 2004, pchiptx)."""
+    hk = x[1:] - x[:-1]
+    mk = (y[1:] - y[:-1]) / hk
+    smk = np.sign(mk)
+    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+    dk = np.zeros_like(y)
+    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
+    dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
+    # CubicHermiteSpline's secant slopes, np.diff(y) / np.diff(x), are mk
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]), axis=1)
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _cubic(coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``coef[:, 0] s^3 + ... + coef[:, 3]`` summed in scipy's ``PPoly``
+    order, ``((c3 + c2 s) + c1 s^2) + c0 (s^2 s)``, into ``out`` when given
+    (an array other than ``s``); + and * commute exactly."""
+    s2 = s * s
+    out = np.multiply(coef[:, 2], s, out=out)
+    out += coef[:, 3]
+    out += coef[:, 1] * s2
+    s2 *= s
+    s2 *= coef[:, 0]
+    out += s2
+    return out
+
+
+def _pchip_at(knots: np.ndarray, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The piecewise cubic at ``v``, continued past either end by the end
+    intervals' cubics."""
+    i = np.clip(np.searchsorted(knots, v, "right") - 1, 0, len(knots) - 2)
+    return _cubic(coef[i], v - knots[i])
+
+
 class _CoordinateSampler:
     """Exact transforms where available, tabulated inverse CDF otherwise."""
 
     def __init__(self, model: GibbsModel):
         self.model = model
         self.spec = model.spec
-        self._pchip = None
         kind = self.spec.kind
         if kind in ("quadratic", "linear_half", "power"):
             return
@@ -229,23 +289,22 @@ class _CoordinateSampler:
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))))
         cdf /= cdf[-1]
         keep = np.concatenate(([True], np.diff(cdf) > 0))
-        self._pchip = PchipInterpolator(cdf[keep], xs[keep])
-        forward = PchipInterpolator(xs[keep], cdf[keep])
+        # the inverse: knots from 0.0 to 1.0, one coefficient row (cubic
+        # first) per interval, and per guide bin j the interval holding
+        # j / _GUIDE
+        self._knots, self._values = cdf[keep], xs[keep]
+        self._coef = _pchip_coefficients(self._knots, self._values)
+        self._guide = np.searchsorted(self._knots, np.arange(_GUIDE) / _GUIDE, "right") - 1
         probe = np.linspace(1e-6, 1.0 - 1e-6, 4001)
-        resid = float(np.max(np.abs(forward(self._pchip(probe)) - probe)))
+        forward = _pchip_coefficients(self._values, self._knots)
+        resid = float(np.max(np.abs(_pchip_at(self._values, forward, self._inverse(probe.copy(), False)) - probe)))
         if resid > 1e-10:
             raise RuntimeError(f"inverse-CDF table misses tolerance: residual {resid:.2e}")
-        # the same polynomial for the indexed search: knots from 0.0 to 1.0,
-        # one coefficient row (cubic first) per interval, and per guide bin j
-        # the interval holding j / _GUIDE
-        self._knots = self._pchip.x
-        self._coef = np.ascontiguousarray(self._pchip.c.T)
-        self._guide = np.searchsorted(self._knots, np.arange(_GUIDE) / _GUIDE, "right") - 1
 
     def _inverse(self, u: np.ndarray, striped: bool) -> np.ndarray:
-        """``self._pchip(u)`` bit for bit for uniforms ``u`` in [0, 1),
-        written over ``u`` (or its flat copy, if it is not contiguous) chunk
-        by chunk; ``striped`` spreads the chunks over ``_pool_size`` threads."""
+        """The PCHIP inverse CDF at uniforms ``u`` in [0, 1), written over
+        ``u`` (or its flat copy, if it is not contiguous) chunk by chunk;
+        ``striped`` spreads the chunks over ``_pool_size`` threads."""
         flat = u.reshape(-1)
         knots, coef = self._knots, self._coef
 
@@ -259,16 +318,7 @@ class _CoordinateSampler:
             wide = knots.take(i + 1) <= v  # in a bin wider than two knots
             if np.any(wide):
                 i[wide] = np.searchsorted(knots, v[wide], "right") - 1
-            s = v - knots.take(i)
-            c = coef.take(i, axis=0)
-            # PPoly's order, ((c3 + c2 s) + c1 s^2) + c0 (s^2 s); + and * commute exactly
-            s2 = s * s
-            np.multiply(c[:, 2], s, out=v)
-            v += c[:, 3]
-            v += c[:, 1] * s2
-            s2 *= s
-            s2 *= c[:, 0]
-            v += s2
+            _cubic(coef.take(i, axis=0), v - knots.take(i), out=v)
 
         chunks = -(-flat.size // _CHUNK)
         _striped(chunks, chunk, _pool_size(chunks) if striped else 1)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import pathlib
@@ -527,15 +528,15 @@ class TestReferenceOutputs:
 
 QUARTIC_SWEEP = ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20,23", "--k-list", "1,3",
                  "--alpha-list", "0,0.2", "--clt-n-list", "8,16,32"]
-# (n, k, alpha) -> (kl, tv) of QUARTIC_SWEEP, written when every w_{n-k}
-# grid was memoised; 23 - 3 = 20 is also a cell's n
+# (n, k, alpha) -> (kl, tv) of QUARTIC_SWEEP, the same whichever w_{n-k}
+# grids the memo keeps; 23 - 3 = 20 is also a cell's n
 QUARTIC_KL_TV = {
-    (20, 1, 0.0): (0.0030187670609261481, 0.04189408529071259),
-    (20, 1, 0.2): (0.081543443548466182, 0.29369141296743517),
-    (20, 3, 0.0): (0.01442758611202442, 0.10844993322764347),
-    (23, 1, 0.0): (0.0022480325383475008, 0.036049282959944966),
-    (23, 1, 0.2): (0.084239700326312381, 0.29351465156626144),
-    (23, 3, 0.0): (0.010612084893087013, 0.092436634665583439),
+    (20, 1, 0.0): (0.003018767060935774, 0.04189408529070992),
+    (20, 1, 0.2): (0.08154344354847515, 0.29369141296743195),
+    (20, 3, 0.0): (0.014427586112036594, 0.10844993322763975),
+    (23, 1, 0.0): (0.002248032538353267, 0.03604928295994254),
+    (23, 1, 0.2): (0.08423970032631713, 0.2935146515662578),
+    (23, 3, 0.0): (0.010612084893089964, 0.09243663466557962),
 }
 
 
@@ -594,6 +595,54 @@ class TestConfigFileClosed:
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
                               cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0 and proc.stderr == ""
+
+
+# small runs of every subcommand the cold-import guard checks, run in this
+# order in one interpreter, and the scipy modules each must leave unloaded:
+# the FFT-route families take the Gauss-Legendre, Newton and PCHIP routes
+# only; a closed-form family's mean still goes through scipy's quad
+# (gibbs1d._quadpack_first_moment), which loads scipy.integrate and, with
+# it, scipy.optimize
+SCIPY_FREE = ["scipy.integrate", "scipy.optimize", "scipy.interpolate"]
+GUARDED_RUNS = [
+    ("bounds quartic", ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20",
+                        "--k-list", "1", "--clt-n-list", "8"], SCIPY_FREE),
+    ("ensembles quartic rejection", ["ensembles", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "6",
+                                     "--method", "rejection", "--delta", "0.3", "--count", "200",
+                                     "--canonical-count", "200"], SCIPY_FREE),
+    ("bounds quadratic", ["bounds", "--kind", "quadratic", "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"],
+     ["scipy.interpolate"]),
+    ("converse", ["converse", "--kind", "quadratic", "--n-list", "20"], ["scipy.interpolate"]),
+    ("mixture", ["mixture", "--kind", "quadratic", "--n", "20", "--k-list", "2"], ["scipy.interpolate"]),
+    ("sample", ["sample", "--kind", "quadratic", "--n", "3", "--count", "100"], ["scipy.interpolate"]),
+    ("clt-scan", ["clt-scan", "--kind", "quadratic", "--clt-n-list", "8,16"], ["scipy.interpolate"]),
+]
+
+
+class TestColdImport:
+    def test_scipy_modules_left_unloaded(self, tmp_path):
+        """A fresh interpreter imports the CLI without scipy.integrate,
+        scipy.optimize or scipy.interpolate, then runs each guarded
+        subcommand in process; after each run, the modules it must leave
+        unloaded are still absent."""
+        code = (
+            "import json, sys\n"
+            "from thinshell import cli\n"
+            "loaded = {'import': [m for m in sys.argv[2:] if m in sys.modules]}\n"
+            "for name, args, _ in json.loads(sys.argv[1]):\n"
+            "    code = cli.main(args + ['--out', name.replace(' ', '_')])\n"
+            "    loaded[name] = [m for m in sys.argv[2:] if m in sys.modules] if code == 0 else f'exit {code}'\n"
+            "print(json.dumps(loaded))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(GUARDED_RUNS), *SCIPY_FREE], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded["import"] == []
+        for name, _, unloaded in GUARDED_RUNS:
+            assert isinstance(loaded[name], list), (name, loaded[name])
+            assert not set(loaded[name]) & set(unloaded), (name, loaded[name])
 
 
 class TestFmt:

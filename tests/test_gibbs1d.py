@@ -1,10 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammainc, gammaln
 
-from thinshell import gibbs1d, hamiltonians as ham
+from thinshell import cli, gibbs1d, hamiltonians as ham
 
 
 class TestPartitionFunction:
@@ -85,6 +89,120 @@ class TestSolveEnergy:
         assert np.all(np.diff(mus) < 0)
 
 
+def gamma_moments(p: float, c: float) -> tuple[float, float, float, float]:
+    """Z, mean, variance and E|Y - mu|^3 for ``f = x^p`` on the half-line:
+    Y = X^p is Gamma(1/p, rate c).  The third absolute moment is
+    ``E(Y - mu)^3 + 2 E[(mu - Y)^3; Y < mu]``, the partial moments
+    ``E[Y^j; Y < mu]`` by the regularized incomplete gamma function."""
+    k = 1.0 / p
+    mu = k / c
+    below = sum(
+        math.comb(3, j) * (-1) ** j * mu ** (3 - j) * math.exp(gammaln(k + j) - gammaln(k)) / c**j * gammainc(k + j, k)
+        for j in range(4)
+    )
+    return math.gamma(1.0 + k) / c**k, mu, k / c**2, 2.0 * k / c**3 + 2.0 * below
+
+
+def quad_moments(spec, c: float) -> tuple[float, float, float, float]:
+    """Z, mean, variance and E|Y - mu|^3 by scipy's adaptive quadrature."""
+    factor = 2.0 if spec.support == ham.SYMMETRIC else 1.0
+
+    def integral(weight, points=None):
+        def integrand(x):
+            fx = spec.fn(np.asarray([x]))[0]
+            return weight(fx) * math.exp(-c * fx)
+
+        return factor * quad(integrand, 0.0, 40.0, epsabs=0.0, epsrel=1.5e-14, limit=400, points=points)[0]
+
+    z = integral(lambda f: 1.0)
+    mu = integral(lambda f: f) / z
+    kink = [float(ham.finv_values(spec, np.asarray([mu]))[0])]
+    sigma2 = integral(lambda f: (f - mu) ** 2, kink) / z
+    m3 = integral(lambda f: abs(f - mu) ** 3, kink) / z
+    return z, mu, sigma2, m3
+
+
+class TestHalflineQuadrature:
+    """The adaptive Gauss-Legendre rule behind Z and the energy moments."""
+
+    @pytest.mark.parametrize("c", [0.7, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_gamma_closed_forms(self, p, c):
+        """Z and the three moments from the rule alone, the central ones
+        with the break at f^{-1}(mu)."""
+        spec = ham.power(p)
+        x_max, _ = gibbs1d._truncation(spec, c)
+        z, first = gibbs1d._halfline_integrals(spec, c, lambda f: (np.ones_like(f), f), x_max)
+        mu = first / z
+        second, third = gibbs1d._halfline_integrals(
+            spec, c, lambda f: ((f - mu) ** 2, np.abs(f - mu) ** 3), x_max, breaks=(mu ** (1.0 / p),))
+        got = (z, mu, second / z, third / z)
+        np.testing.assert_allclose(got, gamma_moments(p, c), rtol=1e-13, atol=0.0)
+        if p != 1.0:  # power(1) is a closed-form family, whose mean goes through quad
+            np.testing.assert_allclose(gibbs1d.moments(spec, c), got[1:], rtol=0.0, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quartic", "cubic_plus_linear"])
+    @pytest.mark.parametrize("c", [0.3, 1.0])
+    def test_against_scipy_quad(self, spec, c):
+        got = (gibbs1d.partition_function(spec, c), *gibbs1d.moments(spec, c))
+        np.testing.assert_allclose(got, quad_moments(spec, c), rtol=1e-13, atol=0.0)
+
+    def test_interior_kink_converges_or_raises(self):
+        """f = x + 2 (x - 1/3)^+ has a slope jump off every dyadic panel
+        edge; the rule either resolves it or refuses."""
+        spec = ham.custom(lambda x: x + 2.0 * np.maximum(x - 1.0 / 3.0, 0.0))
+        # \int_0^a e^{-x} dx + e^{2a} \int_a^inf e^{-3x} dx with a = 1/3
+        a = 1.0 / 3.0
+        exact = -math.expm1(-a) + math.exp(2.0 * a) * math.exp(-3.0 * a) / 3.0
+        try:
+            z = gibbs1d.partition_function(spec, 1.0)
+        except RuntimeError:
+            return
+        assert z == pytest.approx(exact, rel=1e-12)
+
+    def test_pass_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(gibbs1d, "_QUAD_PASSES", 0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            gibbs1d.partition_function(ham.quartic_perturbed(1.0), 1.0)
+
+    def test_nan_integrand_raises(self):
+        """A weight that is nan everywhere is never accepted: the panel cap
+        stops the bisection."""
+        spec = ham.custom(lambda x: np.full_like(x, math.nan))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            gibbs1d._halfline_integrals(spec, 1.0, lambda f: (np.ones_like(f),), 8.0)
+
+
+class TestEnergyMatching:
+    @given(p=st.floats(1.0, 4.0), t=st.floats(0.5, 2.0))
+    def test_homogeneous_closed_form(self, p, t):
+        """E f(X) = 1/(d c) for f homogeneous of degree d, so c = 1/(p t)."""
+        model = gibbs1d.solve_energy(ham.power(p), t)
+        assert model.c == 1.0 / (p * t)
+        assert abs(model.mu - t) <= 1e-13 * t
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quartic", "cubic_plus_linear"])
+    def test_newton_against_brent_on_quad(self, spec, t):
+        """Newton on the Gauss-Legendre mean finds the root that Brent's
+        method finds on scipy's quadrature of the mean."""
+        oracle = brentq(lambda c: quad_moments(spec, c)[1] - t, 1e-3, 1e3, xtol=1e-300, rtol=8.9e-16)
+        assert gibbs1d.solve_energy(spec, t).c == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    @pytest.mark.parametrize("spec", [ham.quadratic(), ham.quartic_perturbed(1.0)], ids=["quadratic", "quartic"])
+    def test_unreachable_target_names_t(self, spec, t):
+        with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
+            gibbs1d.solve_energy(spec, t)
+
+    def test_unreachable_target_cli(self, capsys):
+        assert cli.main(["solve-c", "--kind", "quadratic", "--t", "1e-300"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t=1e-300" in err
+
+
 class TestGridParams:
     def test_defaults_accepted(self):
         params = gibbs1d.GridParams()
@@ -158,6 +276,20 @@ class TestCharacteristicFunction:
         minus = gibbs1d.characteristic_function(quartic_model, -us)
         np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-12)
         assert np.all(np.abs(plus) <= 1.0 + 1e-12)
+
+    def test_real_sums_match_complex_exponential(self, quartic_model):
+        """The remainder's trapezoid transform, summed as a real cosine and a
+        real sine sum, is the complex-exponential sum up to round-off."""
+        grid, rem, negligible = gibbs1d._cached_remainder(quartic_model)
+        assert not negligible
+        ys = grid.points()[1:]
+        weights = np.full(ys.shape, grid.dx)
+        weights[-1] *= 0.5
+        us = np.array([quartic_model.sigma2 / quartic_model.m3, 0.7, 3.0, -11.0])
+        edge = gibbs1d._edge_model(quartic_model).transform(gibbs1d._log_c_minus_iu(quartic_model.c, us))
+        reference = edge + np.array([np.sum(rem * weights * np.exp(1j * u * ys)) for u in us])
+        got = gibbs1d.characteristic_function(quartic_model, us)
+        np.testing.assert_allclose(got, reference, rtol=1e-14, atol=0.0)
 
     def test_beyond_band_rejected(self, lin_model):
         with pytest.raises(ValueError, match="band"):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from thinshell import gibbs1d, hamiltonians as ham, projection, sampler
 
@@ -130,9 +131,49 @@ def tabulated(request, quartic_model):
     return sampler._CoordinateSampler(gibbs1d.solve_energy(ham.custom(lambda x: x + x**3 / 3.0), 1.0))
 
 
+def scipy_pchip(coord):
+    """scipy's interpolant of the sampler's inverse-CDF table, the oracle."""
+    return PchipInterpolator(coord._knots, coord._values)
+
+
 def assert_inverse_matches_pchip(coord, u):
     u = np.asarray(u, dtype=float)
-    assert np.array_equal(coord._inverse(u.copy(), striped=False), coord._pchip(u))
+    assert np.array_equal(coord._inverse(u.copy(), striped=False), scipy_pchip(coord)(u))
+
+
+class TestPchipCoefficients:
+    """The in-house PCHIP coefficients are scipy's ``PchipInterpolator.c``
+    bit for bit."""
+
+    @pytest.mark.parametrize("t", [0.8, 1.0, 1.2])
+    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quartic", "custom"])
+    def test_sampler_tables(self, spec, t):
+        """Both tables of a sampler: the inverse CDF and the forward CDF of
+        its residual check; the forward evaluator is scipy's call too."""
+        coord = sampler._CoordinateSampler(gibbs1d.solve_energy(spec, t))
+        for x, y in ((coord._knots, coord._values), (coord._values, coord._knots)):
+            assert np.array_equal(sampler._pchip_coefficients(x, y), PchipInterpolator(x, y).c.T)
+        forward = PchipInterpolator(coord._values, coord._knots)
+        v = np.random.default_rng(5).uniform(0.0, coord._values[-1], 20_000)
+        assert np.array_equal(sampler._pchip_at(coord._values, forward.c.T, v), forward(v))
+
+    @given(steps=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40), data=st.data())
+    def test_monotone_tables(self, steps, data):
+        """Nondecreasing values, flat runs included (zero secant slopes)."""
+        x = np.cumsum(steps)
+        rises = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 1.0, 7.5, 1e3]) | st.floats(0.0, 1e3),
+                                   min_size=len(steps), max_size=len(steps)))
+        y = np.cumsum(rises)
+        assert np.array_equal(sampler._pchip_coefficients(x, y), PchipInterpolator(x, y).c.T)
+
+    @given(steps=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=40), data=st.data())
+    def test_any_tables(self, steps, data):
+        """Values of either sign, which exercise the sign tests of the
+        interior and end slopes."""
+        x = np.cumsum(steps)
+        y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(steps), max_size=len(steps))))
+        assert np.array_equal(sampler._pchip_coefficients(x, y), PchipInterpolator(x, y).c.T)
 
 
 class TestIndexedSearch:
@@ -159,14 +200,14 @@ class TestIndexedSearch:
         """A draw of several chunks gives the same values on two threads."""
         u = np.random.default_rng(13).random((3, 3 * sampler._CHUNK + 5))
         monkeypatch.setenv("THINSHELL_THREADS", "2")
-        assert np.array_equal(tabulated._inverse(u.copy(), striped=True), tabulated._pchip(u))
+        assert np.array_equal(tabulated._inverse(u.copy(), striped=True), scipy_pchip(tabulated)(u))
 
     def test_one_table_per_model(self, monkeypatch, quartic_model):
         """An ensembles step (rejection and canonical draws for two n) builds
         the inverse-CDF table, and checks its residual, once."""
         built = []
-        pchip = sampler.PchipInterpolator
-        monkeypatch.setattr(sampler, "PchipInterpolator", lambda x, y: built.append(len(x)) or pchip(x, y))
+        pchip = sampler._pchip_coefficients
+        monkeypatch.setattr(sampler, "_pchip_coefficients", lambda x, y: built.append(len(x)) or pchip(x, y))
         model = dataclasses.replace(quartic_model, _cache={})
         fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
         for n in (4, 6):
@@ -362,7 +403,7 @@ class TestStreamedColumns:
         if spec.kind == "power":
             mag = rng.gamma(1.0 / spec.p, 1.0 / model.c, (500, 7)) ** (1.0 / spec.p)
         else:
-            mag = coord._pchip(rng.random((500, 7)))
+            mag = scipy_pchip(coord)(rng.random((500, 7)))
         assert np.array_equal(got, np.where(rng.random((500, 7)) < 0.5, -mag, mag))
 
     @pytest.mark.parametrize("keep", [0, 9])
