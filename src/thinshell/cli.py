@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import projection, sampler
-from .gibbs1d import GibbsModel, GridParams, clt_prerequisites, solve_energy
+from .gibbs1d import GibbsModel, GridParams, solve_energy
 from .hamiltonians import (
     HALF_LINE,
     _enter_worker,
@@ -349,7 +349,6 @@ def run_bounds(cfg: ExperimentConfig) -> int:
     # the rows of one (n, k) share its context
     cells = [(n, k, [a for a in cfg.alpha_list if a == 0.0 or k == 1]) for n in cfg.n_list for k in cfg.k_list]
     cells = [cell for cell in cells if cell[2]]
-    clt_prerequisites(model)  # fills the model's caches before any fan-out
     # the grids several cells share: every w_k, and w_n where it is not exact
     shared = {k for _, k, _ in cells}
     if not model.spec.closed_form:
@@ -383,7 +382,6 @@ def run_bounds(cfg: ExperimentConfig) -> int:
 def run_converse(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     params = cfg.grid_params()
-    clt_prerequisites(model)  # fills the model's caches before any fan-out
 
     def cell(n):
         k = cfg.converse_k(n)

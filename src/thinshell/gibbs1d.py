@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import _GL_NODES, DensityGrid, EdgeModel, make_grid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, f_values, finv_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values, fprime_values
 
 __all__ = [
     "GibbsModel",
     "GridParams",
-    "QuadratureInfo",
     "CltPrereqs",
     "partition_function",
     "moments",
@@ -61,14 +60,6 @@ _R_MAX = 6
 
 
 @dataclass(frozen=True)
-class QuadratureInfo:
-    abs_tol: float
-    rel_tol: float
-    x_max: float
-    tail_bound: float
-
-
-@dataclass(frozen=True)
 class GridParams:
     """Sizing of the sum-density grids: ``sum_size`` nodes reaching at
     least ``sd_extent`` standard deviations of R_n past its mean."""
@@ -85,7 +76,10 @@ class GridParams:
 
 @dataclass(frozen=True)
 class GibbsModel:
-    """Solved single-site model: normalizer and energy moments at fixed c."""
+    """Solved single-site model: normalizer and energy moments at fixed c,
+    and the quadrature cutoff ``x_max`` they were integrated to.  Values
+    derived from it are built once, through ``hamiltonians._memo`` on
+    ``_cache``."""
 
     spec: HamiltonianSpec
     c: float
@@ -93,7 +87,7 @@ class GibbsModel:
     mu: float
     sigma2: float
     m3: float
-    quad: QuadratureInfo
+    x_max: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,7 +95,7 @@ class GibbsModel:
             raise ValueError("degenerate model: need Z > 0, Var Y > 0, finite third moment")
 
 
-def _truncation(spec: HamiltonianSpec, c: float) -> tuple[float, float]:
+def _truncation(spec: HamiltonianSpec, c: float) -> float:
     """Cutoff with ``exp(-c f(x)/2) / ((c/2) f'(x))`` below 1e-16 beyond it.
 
     The half rate keeps the same cutoff valid for the energy-weighted
@@ -113,7 +107,7 @@ def _truncation(spec: HamiltonianSpec, c: float) -> tuple[float, float]:
         fp = float(fprime_values(spec, np.array([x]))[0])
         bound = math.exp(-0.5 * c * fx) / (0.5 * c * fp) if 0.5 * c * fx < 700 else 0.0
         if bound < 1e-16:
-            return x, bound
+            return x
         x *= 2.0
     raise RuntimeError("tail bound did not drop below 1e-16; f may grow too slowly")
 
@@ -196,17 +190,17 @@ def partition_function(spec: HamiltonianSpec, c: float) -> float:
     if spec.closed_form:
         d = spec.homogeneous_degree
         return factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
-    x_max, _ = _truncation(spec, c)
+    x_max = _truncation(spec, c)
     return factor * float(_halfline_integrals(spec, c, lambda f: (np.ones_like(f),), x_max)[0])
 
 
-def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float, float, float]:
-    """Cutoff, tail bound, Z, and the mean, variance and absolute third
+def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float, float]:
+    """Cutoff, Z, and the mean, variance and absolute third
     central moment of ``Y = f(X)`` at c."""
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"inverse temperature must be finite and positive; got {c!r}")
     factor = 2.0 if spec.support == SYMMETRIC else 1.0
-    x_max, tail = _truncation(spec, c)
+    x_max = _truncation(spec, c)
     if spec.closed_form:
         z = partition_function(spec, c)
         mu = factor * _quadpack_first_moment(spec, c, x_max) / z
@@ -220,25 +214,17 @@ def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float,
     second, third = _halfline_integrals(
         spec, c, lambda f: ((f - mu) ** 2, np.abs(f - mu) ** 3), x_max, breaks=(kink,)
     )
-    return x_max, tail, z, mu, factor * float(second) / z, factor * float(third) / z
+    return x_max, z, mu, factor * float(second) / z, factor * float(third) / z
 
 
 def moments(spec: HamiltonianSpec, c: float) -> tuple[float, float, float]:
     """Mean, variance and absolute third central moment of ``Y = f(X)``."""
-    return _model_values(spec, c)[3:]
+    return _model_values(spec, c)[2:]
 
 
 def model_at(spec: HamiltonianSpec, c: float) -> GibbsModel:
-    x_max, tail, z, mu, sigma2, m3 = _model_values(spec, c)
-    return GibbsModel(
-        spec=spec,
-        c=c,
-        z=z,
-        mu=mu,
-        sigma2=sigma2,
-        m3=m3,
-        quad=QuadratureInfo(0.0, _QUAD_RTOL, x_max, tail),
-    )
+    x_max, z, mu, sigma2, m3 = _model_values(spec, c)
+    return GibbsModel(spec=spec, c=c, z=z, mu=mu, sigma2=sigma2, m3=m3, x_max=x_max)
 
 
 def _match_energy(spec: HamiltonianSpec, t: float) -> float:
@@ -253,7 +239,7 @@ def _match_energy(spec: HamiltonianSpec, t: float) -> float:
     at most ``_MATCH_CTOL * c``, or the bracket is that narrow."""
     c, lo, hi = 1.0, 0.0, math.inf
     for _ in range(_MATCH_STEPS):
-        x_max, _ = _truncation(spec, c)
+        x_max = _truncation(spec, c)
         mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
         mu = float(first / mass) if mass > 0 else math.nan
         _check_resolved(c, x_max, float(mass), mu)
@@ -276,8 +262,9 @@ def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
     """Unique c with mean energy t.  A homogeneous f of degree d has
     ``E f(X) = 1/(d c)``, so ``c = 1/(d t)``; other families go through
     :func:`_match_energy`.  A t whose model cannot be built (its weight
-    unresolved by the quadrature, or its tail unbounded) is refused with a
-    ValueError that names t."""
+    unresolved by the quadrature, or its tail unbounded), or whose model
+    misses t by more than ``_MATCH_RTOL``, is refused with a ValueError
+    that names t."""
     if not math.isfinite(t):
         raise ValueError(f"target energy must be finite; got {t!r}")
     if t <= 0:
@@ -286,10 +273,10 @@ def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
     try:
         c = 1.0 / (d * t) if d is not None else _match_energy(spec, t)
         model = model_at(spec, c)
+        if abs(model.mu - t) > _MATCH_RTOL * t:
+            raise RuntimeError(f"energy matching missed the target: mu={model.mu!r} vs t={t!r}")
     except (ValueError, RuntimeError) as exc:
         raise ValueError(f"no Gibbs model has mean energy t={t!r}: {exc}") from exc
-    if abs(model.mu - t) > _MATCH_RTOL * t:
-        raise RuntimeError(f"energy matching missed the target: mu={model.mu!r} vs t={t!r}")
     return model
 
 
@@ -312,13 +299,16 @@ def log_y_density(model: GibbsModel, y) -> np.ndarray:
 
 
 def _edge_model(model: GibbsModel) -> EdgeModel:
+    """The model's edge model (:func:`_fit_edge_model`), fitted once."""
+    return _memo(model._cache, "edge_model", lambda: _fit_edge_model(model))
+
+
+def _fit_edge_model(model: GibbsModel) -> EdgeModel:
     """Two-term origin model for the energy density: the leading power law
     ``log g(y) ~ log_k + beta log y - c y``, fitted from the density itself
     at two tiny ordinates, plus the next-order power fitted from the
     residual.  The leading fit is exact whenever g is exactly a power law
     times an exponential (all built-ins except the perturbed quartic)."""
-    if "edge_model" in model._cache:
-        return model._cache["edge_model"]
     ya, yb = 1e-9, 5e-10
     la = float(log_y_density(model, np.asarray([ya]))[0]) + model.c * ya
     lb = float(log_y_density(model, np.asarray([yb]))[0]) + model.c * yb
@@ -337,7 +327,6 @@ def _edge_model(model: GibbsModel) -> EdgeModel:
         if beta > beta2 - 1.5 and beta2 > beta:
             coef2 = ra / float(ya[0] ** beta2 * math.exp(-model.c * ya[0]))
             out = EdgeModel(beta, log_k, model.c, beta2=beta2, coef2=coef2)
-    model._cache["edge_model"] = out
     return out
 
 
@@ -354,16 +343,18 @@ def _y_max(model: GibbsModel) -> float:
 def y_density(model: GibbsModel) -> DensityGrid:
     """Density grid of Y on [0, y_max] with unit mass (raw mass within 1e-6
     of 1 is enforced before normalizing)."""
-    if "ygrid" in model._cache:
-        return model._cache["ygrid"]
+    return _cached_remainder(model)[0]
+
+
+def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
+    """The y-grid of :func:`y_density`, the density minus the edge model on
+    its positive nodes, and whether that remainder is noise."""
     y_max = _y_max(model)
     n = _Y_GRID_SIZE
     dy = y_max / (n - 1)
     ys = dy * np.arange(1, n)
     values = np.empty(n)
     values[1:] = np.exp(log_y_density(model, ys))
-    # the raw density on the positive nodes, kept for _cached_remainder
-    model._cache["y_raw"] = values[1:]
     edge = _edge_model(model)
     if edge.beta < -1e-6:
         values[0] = 0.0
@@ -374,8 +365,10 @@ def y_density(model: GibbsModel) -> DensityGrid:
     if abs(grid.mass - 1.0) > 1e-6:
         raise RuntimeError(f"y-density mass off by {grid.mass - 1.0:.3e} (> 1e-6)")
     out = grid.normalized()
-    model._cache["ygrid"] = out
-    return out
+    # the raw density on the positive nodes: values[1:] is never rescaled
+    rem = values[1:] - _edge_model(model).density(out.points()[1:])
+    negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(out.values))
+    return out, rem, negligible
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +415,9 @@ def _grid_remainder(model: GibbsModel, ys: np.ndarray) -> np.ndarray:
 
 def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
     """The y-grid, the remainder on its positive nodes, and whether that
-    remainder is noise; decided once per model for every transform of it."""
-    if "rem" not in model._cache:
-        grid = y_density(model)
-        rem = model._cache["y_raw"] - _edge_model(model).density(grid.points()[1:])
-        negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(grid.values))
-        model._cache["rem"] = (grid, rem, negligible)
-    return model._cache["rem"]
+    remainder is noise (:func:`_y_grid`); built once per model for every
+    transform of it."""
+    return _memo(model._cache, "ygrid", lambda: _y_grid(model))
 
 
 def characteristic_function(model: GibbsModel, u):
@@ -456,18 +445,6 @@ def characteristic_function(model: GibbsModel, u):
     return complex(out[0]) if scalar else out
 
 
-def _phi_fft(model: GibbsModel) -> tuple[np.ndarray, np.ndarray]:
-    """phi sampled on the y-grid's conjugate nonnegative frequencies, the
-    whole resolvable band the integrability scan needs."""
-    if "phi_fft" in model._cache:
-        return model._cache["phi_fft"]
-    grid, rem, negligible = _cached_remainder(model)
-    us, _, phi = _conjugate_phi(model, len(grid.values), grid.dx, None if negligible else rem)
-    out = (us, phi)
-    model._cache["phi_fft"] = out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # local-CLT prerequisites
 
@@ -487,9 +464,16 @@ class CltPrereqs:
 
 
 def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
-    if "prereqs" in model._cache:
-        return model._cache["prereqs"]
-    us, phi = _phi_fft(model)
+    """The model's :class:`CltPrereqs` (:func:`_scan_prerequisites`),
+    scanned once."""
+    return _memo(model._cache, "prereqs", lambda: _scan_prerequisites(model))
+
+
+def _scan_prerequisites(model: GibbsModel) -> CltPrereqs:
+    """Scan phi on the y-grid's conjugate nonnegative frequencies, the whole
+    resolvable band, for the integrability order and the sup of |phi|."""
+    grid, rem, negligible = _cached_remainder(model)
+    us, _, phi = _conjugate_phi(model, len(grid.values), grid.dx, None if negligible else rem)
     us, phi_abs = us[: -len(us) // 20], np.abs(phi[: -len(us) // 20])
 
     # decay exponent of |phi| over the last decade
@@ -511,7 +495,7 @@ def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
     above = us > threshold
     # the FFT comb plus the exact left endpoint of the scan region
     nu = max(float(np.max(phi_abs[above])), abs(characteristic_function(model, threshold)))
-    out = CltPrereqs(
+    return CltPrereqs(
         r_used=r_used,
         i_value=float(i_value),
         nu=nu,
@@ -520,8 +504,6 @@ def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
         phi_tail=float(phi_abs[-1]),
         tail_exponent=float(gamma),
     )
-    model._cache["prereqs"] = out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ requires a positive lower bound on the tail slope and a controlled
 certifies both on finite scan grids and reports the witnesses found.
 
 The thread helpers every module fans out with (``_pool_size`` and
-``_striped``, capped by ``THINSHELL_THREADS``) live here, at the bottom of
-the import graph, since the custom inverse uses them too.
+``_striped``, capped by ``THINSHELL_THREADS``) and the memo every derived
+value of a model or context is built through (``_memo``) live here, at the
+bottom of the import graph, since the custom inverse uses the helpers too.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -281,6 +283,33 @@ def _striped(tasks: int, run: Callable[[int], None], threads: int) -> None:
             thread.join()
     if errors:
         raise errors[min(errors)]
+
+
+_T = TypeVar("_T")
+# guards the per-key futures in every memo that _memo serves
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo(cache: dict, key, build: Callable[[], _T]) -> _T:
+    """``build()``, memoised in ``cache`` under ``key`` as a Future: every
+    request gets the same value, concurrent requests for one key share a
+    single build, and a build that raises is evicted so the next request
+    retries.  The build runs outside the lock, so it may use the memo for
+    other keys."""
+    with _MEMO_LOCK:
+        future = cache.get(key)
+        owner = future is None
+        if owner:
+            future = cache[key] = Future()
+    if owner:
+        try:
+            future.set_result(build())
+        except BaseException as exc:
+            with _MEMO_LOCK:
+                del cache[key]
+            future.set_exception(exc)
+            raise
+    return future.result()
 
 
 # Newton correction (relative to max(x, 1)) at which the inverse stops

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
 from .grids import DensityGrid, make_grid
-from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
+from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values
 from .sumdensity import _check_count, log_w, w_density, w_grids
 
 __all__ = [
@@ -128,10 +128,14 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the w_k grid.
 
     An exact identity up to grid error; the normalization defect is
-    recorded and must stay below 1e-4.
+    recorded and must stay below 1e-4.  Built once per context, as the
+    ``alpha = 0`` entry of :func:`_tilted_rk`.
     """
-    if "rk" in ctx._cache:
-        return ctx._cache["rk"]
+    return _tilted_rk(ctx, 0.0)[0]
+
+
+def _rk_grid(ctx: ProjectionContext) -> DensityGrid:
+    """The ``r_k`` grid of :func:`rk_conditional_density`, built afresh."""
     nt = ctx.n * ctx.t
     log_ratio, finite = ctx.node_log_ratio
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,9 +148,7 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     defect = abs(grid.mass - 1.0)
     if defect >= 1e-4:
         raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
-    out = grid.normalized()
-    ctx._cache["rk"] = out
-    return out
+    return grid.normalized()
 
 
 def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
@@ -217,13 +219,14 @@ def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float
     """Energy density under the tilt exp(alpha * s), its log-normalizer, and
     the surface-level divergence of the tilt; ``r_k`` itself at alpha = 0.
     Built once per context and alpha."""
-    key = ("rk", alpha)
-    if key in ctx._cache:
-        return ctx._cache[key]
-    rk = rk_conditional_density(ctx)
+    return _memo(ctx._cache, ("rk", alpha), lambda: _tilt_rk(ctx, alpha))
+
+
+def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
+    """The entry of :func:`_tilted_rk` for ``alpha``, built afresh."""
     if alpha == 0.0:
-        ctx._cache[key] = out = (rk, 0.0, 0.0)
-        return out
+        return _rk_grid(ctx), 0.0, 0.0
+    rk = rk_conditional_density(ctx)
     if alpha * rk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
     norm = rk.integrate(lambda s: np.exp(alpha * s))
@@ -239,8 +242,7 @@ def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
     d_surface = alpha * tilted.integrate(lambda s: s) - log_norm
-    ctx._cache[key] = out = (tilted, log_norm, d_surface)
-    return out
+    return tilted, log_norm, d_surface
 
 
 def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, _pool_size, _striped, f_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, _pool_size, _striped, f_values, fprime_values
 from .sumdensity import w_density
 
 __all__ = [
@@ -281,7 +281,7 @@ class _CoordinateSampler:
         if kind in ("quadratic", "linear_half", "power"):
             return
         # inverse CDF of the coordinate density exp(-c f)/Z on x >= 0
-        x_max = model.quad.x_max
+        x_max = model.x_max
         xs = np.linspace(0.0, x_max, 2**16 + 1)
         pdf = np.exp(-model.c * f_values(self.spec, xs)) / model.z
         if self.spec.support == SYMMETRIC:
@@ -345,9 +345,7 @@ class _CoordinateSampler:
 
 def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
     """The model's coordinate sampler, built once per model."""
-    if "coordinate_sampler" not in model._cache:
-        model._cache["coordinate_sampler"] = _CoordinateSampler(model)
-    return model._cache["coordinate_sampler"]
+    return _memo(model._cache, "coordinate_sampler", lambda: _CoordinateSampler(model))
 
 
 # ---------------------------------------------------------------------------

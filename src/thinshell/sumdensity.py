@@ -27,8 +27,6 @@ stripe theirs over the calling thread and helpers, up to the
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +44,7 @@ from .gibbs1d import (
     y_density,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
-from .hamiltonians import _pool_size, _striped
+from .hamiltonians import _MEMO_LOCK, _memo, _pool_size, _striped
 
 __all__ = [
     "LocalCltReport",
@@ -228,44 +226,23 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     return grid.normalized()
 
 
-# guards the per-key futures in every model's cache
-_W_LOCK = threading.Lock()
-
-
 def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
     """Closed form when the family has one, FFT route otherwise.
 
     Grids of both routes are memoised on the model under ``("w", n,
-    params)``, so every caller gets the same grid; concurrent requests for
-    one key share a single build, and a build that raises is evicted so the
-    next call retries.  ``n`` is checked before the memo is read, so a float
-    or bool that hashes like a memoised count is refused too.
+    params)`` (``hamiltonians._memo``), so every caller gets the same grid.
+    ``n`` is checked before the memo is read, so a float or bool that hashes
+    like a memoised count is refused too.
     """
     _check_count("n", n)
     build_grid = w_exact if model.spec.closed_form else w_fft
-    key = ("w", n, params or GridParams())
-    with _W_LOCK:
-        future = model._cache.get(key)
-        build = future is None
-        if build:
-            future = model._cache[key] = Future()
-    if build:
-        try:
-            future.set_result(build_grid(model, n, params))
-        except BaseException as exc:
-            with _W_LOCK:
-                del model._cache[key]
-            future.set_exception(exc)
-            raise
-    return future.result()
+    return _memo(model._cache, ("w", n, params or GridParams()), lambda: build_grid(model, n, params))
 
 
 def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None) -> list[DensityGrid]:
     """The sum-density grid of each count in ``ns``, as :func:`w_density`
     gives it, with the builds that are missing done at once: striped over
-    the calling thread and helpers (``hamiltonians._striped``), after
-    :func:`clt_prerequisites` has filled the model's caches, so that no two
-    threads fill them.
+    the calling thread and helpers (``hamiltonians._striped``).
 
     Counts in ``shared`` (by default all of ``ns``) go through the memo.
     Any other count is read from the memo when the memo has it, and is
@@ -275,7 +252,7 @@ def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None
         _check_count("n", n)
     params = params or GridParams()
     shared = set(ns) if shared is None else set(shared)
-    with _W_LOCK:
+    with _MEMO_LOCK:
         memo = {n: model._cache[("w", n, params)] for n in ns if ("w", n, params) in model._cache}
     missing = sorted(set(ns) - set(memo))
     built = {}
@@ -287,10 +264,7 @@ def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None
         else:
             built[n] = (w_exact if model.spec.closed_form else w_fft)(model, n, params)
 
-    threads = _pool_size(len(missing))
-    if threads > 1:
-        clt_prerequisites(model)
-    _striped(len(missing), build, threads)
+    _striped(len(missing), build, _pool_size(len(missing)))
     return [built[n] if n in built else memo[n].result() for n in ns]
 
 

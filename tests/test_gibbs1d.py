@@ -131,7 +131,7 @@ class TestHalflineQuadrature:
         """Z and the three moments from the rule alone, the central ones
         with the break at f^{-1}(mu)."""
         spec = ham.power(p)
-        x_max, _ = gibbs1d._truncation(spec, c)
+        x_max = gibbs1d._truncation(spec, c)
         z, first = gibbs1d._halfline_integrals(spec, c, lambda f: (np.ones_like(f), f), x_max)
         mu = first / z
         second, third = gibbs1d._halfline_integrals(
@@ -191,9 +191,21 @@ class TestEnergyMatching:
         oracle = brentq(lambda c: quad_moments(spec, c)[1] - t, 1e-3, 1e3, xtol=1e-300, rtol=8.9e-16)
         assert gibbs1d.solve_energy(spec, t).c == pytest.approx(oracle, rel=1e-14)
 
-    @pytest.mark.parametrize("t", [1e-300, 1e300])
-    @pytest.mark.parametrize("spec", [ham.quadratic(), ham.quartic_perturbed(1.0)], ids=["quadratic", "quartic"])
+    @pytest.mark.parametrize(
+        "spec,t",
+        [
+            (ham.quadratic(), 1e-300),
+            (ham.quadratic(), 1e300),
+            (ham.quartic_perturbed(1.0), 1e-300),
+            (ham.quartic_perturbed(1.0), 1e300),
+            (ham.linear_half(), 1e-5),
+        ],
+        ids=["quadratic-1e-300", "quadratic-1e+300", "quartic-1e-300", "quartic-1e+300", "linear_half-1e-05"],
+    )
     def test_unreachable_target_names_t(self, spec, t):
+        """Weights the quadrature cannot resolve, tails past the cutoff, and
+        a model whose mean misses t (linear_half at 1e-5, whose QUADPACK
+        mean reads 2.2e-48) are all refused with the same ValueError."""
         with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
             gibbs1d.solve_energy(spec, t)
 

@@ -214,7 +214,7 @@ class TestIndexedSearch:
             batch = sampler.sample_surface_rejection(model, n, 0.3, 200, seed=n, keep=1)
             sampler.ensemble_expectation_gap(model, n, 1, fn, batch, 100, seed=n)
         assert len(built) == 2  # the inverse and the forward residual check
-        assert sampler._coordinate_sampler(model) is model._cache["coordinate_sampler"]
+        assert sampler._coordinate_sampler(model) is model._cache["coordinate_sampler"].result()
 
 
 class TestStriping:

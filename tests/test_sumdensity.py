@@ -9,7 +9,13 @@ import pytest
 from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
-from thinshell import gibbs1d, hamiltonians as ham, projection, sumdensity
+from thinshell import gibbs1d, hamiltonians as ham, projection, sampler, sumdensity
+
+
+# just above shape 1 the convolved edge exponent n/p - 1 lies in (0, 0.03);
+# w_fft keeps an edge only below -1e-9 and node 0 holds 0, so the grid's
+# norm_defect, about 1.2e-4, is the error (ROADMAP item 1(ii))
+NEAR_SHAPE_ONE = "w_fft drops the edge of a convolved exponent just above 0"
 
 
 def _window_error(exact, fft, center, half):
@@ -108,6 +114,27 @@ class TestFftRoute:
             err = float(np.max(np.abs(grid.values[1:][mask] - ref[mask]) / ref[mask]))
             assert err <= 1e-4, (p, n, err)
 
+    @pytest.mark.parametrize(
+        "p,n",
+        [
+            (2.0, 2),
+            (4.0, 4),
+            pytest.param(1.999, 2, marks=pytest.mark.xfail(strict=True, reason=NEAR_SHAPE_ONE)),
+            pytest.param(1.98, 2, marks=pytest.mark.xfail(strict=True, reason=NEAR_SHAPE_ONE)),
+            pytest.param(3.99, 4, marks=pytest.mark.xfail(strict=True, reason=NEAR_SHAPE_ONE)),
+        ],
+    )
+    def test_power_family_near_shape_one(self, p, n):
+        """Gamma shapes n/p at 1 and just above it, against the oracle at the
+        benchmark's 1e-4 where the reference is at least 1e-3 of its peak."""
+        model = gibbs1d.solve_energy(ham.power(p), 1.0)
+        grid = sumdensity.w_fft(model, n)
+        s = grid.points()[1:]
+        ref = gamma_dist.pdf(s, n / p, scale=1.0 / model.c)
+        mask = ref >= 1e-3 * ref.max()
+        err = float(np.max(np.abs(grid.values[1:][mask] - ref[mask]) / ref[mask]))
+        assert err <= 1e-4, (p, n, err)
+
 
 def _polar_route(edge, base, n):
     """phi**n by the general route, for a density that is exactly ``edge``."""
@@ -170,7 +197,6 @@ class TestWGrids:
         assert second[:2] == first[:2] and second[2] != first[2] and sorted(calls) == [3, 17, 17, 20]
         memoised = sumdensity.w_density(model, 17)
         assert sumdensity.w_grids(model, [17], shared=())[0] is memoised and len(calls) == 5
-        assert "prereqs" in model._cache
 
     def test_counts_refused(self, quartic_model):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
@@ -250,6 +276,59 @@ class TestFftMemo:
         assert grid.meta["kind"] == "w_exact"
         assert sumdensity.w_density(model, 4) is grid and sumdensity.w_density(model, 4, gibbs1d.GridParams()) is grid
         assert calls == [4]
+
+
+class TestModelMemo:
+    """Every derived value of a model or context is built once and shared,
+    even when its first requests arrive at the same moment."""
+
+    def test_concurrent_first_requests_share_one_build(self, quartic_model, monkeypatch):
+        ctx = projection.make_context(quartic_model, 20, 3)
+        model = replace(quartic_model, _cache={})
+        builds = {"_y_max": [], "_conjugate_phi": [], "_CoordinateSampler": []}
+        for module, name in ((gibbs1d, "_y_max"), (gibbs1d, "_conjugate_phi"), (sampler, "_CoordinateSampler")):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _log=builds[name]):
+                _log.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        requests = (
+            lambda: gibbs1d.clt_prerequisites(model),
+            lambda: gibbs1d.y_density(model),
+            lambda: sampler._coordinate_sampler(model),
+            lambda: projection._tilted_rk(ctx, 0.2),
+        )
+        start = threading.Barrier(8, timeout=30.0)
+        results, errors = [None] * 8, []
+
+        def request(i):
+            try:
+                start.wait()
+                # each thread starts with a different value, so every first
+                # request meets concurrent ones
+                order = [(i + j) % len(requests) for j in range(len(requests))]
+                got = {j: requests[j]() for j in order}
+                results[i] = [got[j] for j in range(len(requests))]
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=request, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert {name: len(log) for name, log in builds.items()} == {name: 1 for name in builds}
+        for got in results[1:]:
+            assert all(a is b for a, b in zip(got, results[0]))
 
 
 class TestRemainderDecision:
