@@ -163,7 +163,8 @@ def _quadpack_first_moment(spec: HamiltonianSpec, c: float, x_max: float) -> flo
     sums terms of size 1e4), past those references' 1e-6 gate.  The rule's
     mean (or the exact ``1/(d c)``) replaces it once the references are
     recorded again; until then scipy.integrate loads on the first
-    closed-form model."""
+    closed-form model.  This import is the package's only use of scipy at
+    run time, so runs of the other families never load scipy."""
     from scipy.integrate import quad
 
     def integrand(x):

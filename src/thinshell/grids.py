@@ -7,7 +7,9 @@ with ``-1 < beta < 0`` near ``y = 0``) carry an :class:`EdgeModel`.
 Integration then splits the domain: over a prefix of cells the model is
 integrated in closed form (Gauss-Legendre against smooth factors) and only
 the smooth model remainder goes through the trapezoid rule, so the
-power-law part never sees the rule that would diverge on it.
+power-law part never sees the rule that would diverge on it.  The model's
+Gamma functions (its mass, transform and convolutions) come from
+:mod:`thinshell._special`, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+
+from ._special import _GAMMAINC_MAX_A, gammainc, gammaln
 
 __all__ = ["EdgeModel", "DensityGrid", "make_grid"]
 
@@ -32,6 +35,10 @@ _GL8W = 0.5 * _GL8_WEIGHTS
 
 # number of leading cells integrated against the edge model
 _MODEL_CELLS = 256
+
+# exponents b of an edge model stay below this, so that the incomplete
+# gamma of its mass, with shape b + 1, stays in gammainc's domain
+_MAX_EDGE_EXPONENT = _GAMMAINC_MAX_A - 1.0
 
 _LOG_ZERO = -np.inf
 
@@ -58,6 +65,9 @@ class EdgeModel:
     def __post_init__(self):
         if not self.beta > -1.0:
             raise ValueError(f"edge exponent must exceed -1, got {self.beta}")
+        for name, b in (("beta", self.beta), ("beta2", self.beta2)):
+            if b is not None and not b < _MAX_EDGE_EXPONENT:
+                raise ValueError(f"edge exponent {name} must be below {_MAX_EDGE_EXPONENT:g}, got {b}")
 
     @property
     def _terms(self) -> list[tuple[float, float, float]]:
@@ -121,16 +131,18 @@ class EdgeModel:
 
     def mass_below(self, v):
         """Exact ``\\int_0^v model(u) du`` at each ``v``, a float for a scalar
-        ``v``.  A positive rate gives incomplete gamma functions, taken on the
-        whole array at once.  At rate zero the terms are pure power laws, and
-        a growing exponential has no incomplete-gamma form, so it takes
-        quadrature; those two go one point at a time."""
+        ``v``, taken one point at a time.  A positive rate gives incomplete
+        gamma functions.  At rate zero the terms are pure power laws, and a
+        growing exponential has no incomplete-gamma form, so it takes
+        quadrature."""
         v = np.asarray(v, dtype=float)
         if self.rate > 0:
             out = np.zeros(v.shape)
+            xs = (self.rate * v).ravel().tolist()
             for b, log_a, sign in self._terms:
                 a = b + 1.0
-                out += sign * (np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * gammainc(a, self.rate * v))
+                p = np.array([gammainc(a, x) for x in xs]).reshape(v.shape)
+                out += sign * (np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * p)
         else:
             out = np.array([self._mass_below_at(x) for x in v.ravel().tolist()]).reshape(v.shape)
         return out if out.ndim else float(out)

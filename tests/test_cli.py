@@ -600,10 +600,11 @@ class TestConfigFileClosed:
 # small runs of every subcommand the cold-import guard checks, run in this
 # order in one interpreter, and the scipy modules each must leave unloaded:
 # the FFT-route families take the Gauss-Legendre, Newton and PCHIP routes
-# only; a closed-form family's mean still goes through scipy's quad
+# and the Gamma functions of thinshell._special only, so they load no scipy;
+# a closed-form family's mean still goes through scipy's quad
 # (gibbs1d._quadpack_first_moment), which loads scipy.integrate and, with
-# it, scipy.optimize
-SCIPY_FREE = ["scipy.integrate", "scipy.optimize", "scipy.interpolate"]
+# it, scipy.special and scipy.optimize
+SCIPY_FREE = ["scipy", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.interpolate"]
 GUARDED_RUNS = [
     ("bounds quartic", ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20",
                         "--k-list", "1", "--clt-n-list", "8"], SCIPY_FREE),
@@ -621,10 +622,9 @@ GUARDED_RUNS = [
 
 class TestColdImport:
     def test_scipy_modules_left_unloaded(self, tmp_path):
-        """A fresh interpreter imports the CLI without scipy.integrate,
-        scipy.optimize or scipy.interpolate, then runs each guarded
-        subcommand in process; after each run, the modules it must leave
-        unloaded are still absent."""
+        """A fresh interpreter imports the CLI without any scipy module, then
+        runs each guarded subcommand in process; after each run, the modules
+        it must leave unloaded are still absent."""
         code = (
             "import json, sys\n"
             "from thinshell import cli\n"

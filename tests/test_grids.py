@@ -197,6 +197,23 @@ class TestEdgeModelAlgebra:
         assert lead_only.beta == pytest.approx(1.0, abs=1e-15) and lead_only.beta2 is None
         assert edge.convolve(6, below=2.0) is None
 
+    @pytest.mark.parametrize("beta, beta2", [(19.0, None), (25.0, None), (-0.5, 19.0), (-0.5, math.inf), (-0.5, math.nan)])
+    def test_exponents_past_the_incomplete_gamma_domain_refused(self, beta, beta2):
+        """The mass of ``v^b exp(-rate v)`` is an incomplete gamma of shape
+        ``b + 1``, which the package evaluates up to shape 20."""
+        with pytest.raises(ValueError, match="below 19"):
+            EdgeModel(beta, 0.0, 1.0, beta2=beta2, coef2=0.25)
+
+    def test_convolution_past_the_domain_refused(self):
+        with pytest.raises(ValueError, match="below 19"):
+            EdgeModel(-0.5, 0.0, 1.0).convolve(40)
+
+    def test_largest_exponent_mass(self):
+        edge = EdgeModel(18.99, 0.0, 1.3)
+        for v in (1.0, 14.6, 30.0, math.inf):
+            want = math.gamma(19.99) * 1.3**-19.99 * gammainc(19.99, 1.3 * v)
+            assert edge.mass_below(v) == pytest.approx(want, rel=1e-13)
+
     @pytest.mark.parametrize("coef2", [0.25, -0.25])
     @pytest.mark.parametrize("u", [0.0, 0.7, 3.0])
     def test_transform_matches_quadrature(self, coef2, u):
