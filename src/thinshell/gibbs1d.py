@@ -347,12 +347,17 @@ def y_density(model: GibbsModel) -> DensityGrid:
     return _cached_remainder(model)[0]
 
 
+def _y_step(model: GibbsModel) -> float:
+    """Node spacing of the y-grid of :func:`y_density`, found once and
+    without building the grid; it spans ``_y_step * (_Y_GRID_SIZE - 1)``."""
+    return _memo(model._cache, "dy", lambda: _y_max(model) / (_Y_GRID_SIZE - 1))
+
+
 def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
     """The y-grid of :func:`y_density`, the density minus the edge model on
     its positive nodes, and whether that remainder is noise."""
-    y_max = _y_max(model)
     n = _Y_GRID_SIZE
-    dy = y_max / (n - 1)
+    dy = _y_step(model)
     ys = dy * np.arange(1, n)
     values = np.empty(n)
     values[1:] = np.exp(log_y_density(model, ys))
@@ -421,23 +426,34 @@ def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]
     return _memo(model._cache, "ygrid", lambda: _y_grid(model))
 
 
+def _y_remainder(model: GibbsModel) -> np.ndarray | None:
+    """The remainder on the y-grid's positive nodes, or None where it is
+    noise.  A homogeneous f has an energy density that is exactly its
+    single-term edge model ``K y^beta exp(-cy)``, so for it the answer is
+    None without the y-grid being built."""
+    if model.spec.homogeneous_degree is not None:
+        return None
+    _, rem, negligible = _cached_remainder(model)
+    return None if negligible else rem
+
+
 def characteristic_function(model: GibbsModel, u):
     """``E exp(iuY)`` evaluated as the analytic edge-model transform plus a
     trapezoid transform of the grid remainder.  Frequencies beyond the
     grid's usable band raise rather than silently truncating."""
     scalar = np.isscalar(u)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    grid, rem, negligible = _cached_remainder(model)
-    u_lim = 0.95 * math.pi / grid.dx
+    dy, rem = _y_step(model), _y_remainder(model)
+    u_lim = 0.95 * math.pi / dy
     if np.any(np.abs(u_arr) > u_lim):
         raise ValueError(f"|u| beyond the resolvable band ({u_lim:.3g}) for this grid")
     out = _edge_model(model).transform(_log_c_minus_iu(model.c, u_arr))
-    if not negligible:
-        ys = grid.points()[1:]
+    if rem is not None:
+        ys = dy * np.arange(1, _Y_GRID_SIZE)
         # trapezoid: interior nodes full weight, endpoints half (the left
         # endpoint of the remainder is 0 by construction); the real and
         # imaginary parts are two real sums
-        weighted = rem * grid.dx
+        weighted = rem * dy
         weighted[-1] *= 0.5
         for start in range(0, len(u_arr), 16):
             phase = u_arr[start : start + 16, None] * ys
@@ -473,8 +489,7 @@ def clt_prerequisites(model: GibbsModel) -> CltPrereqs:
 def _scan_prerequisites(model: GibbsModel) -> CltPrereqs:
     """Scan phi on the y-grid's conjugate nonnegative frequencies, the whole
     resolvable band, for the integrability order and the sup of |phi|."""
-    grid, rem, negligible = _cached_remainder(model)
-    us, _, phi = _conjugate_phi(model, len(grid.values), grid.dx, None if negligible else rem)
+    us, _, phi = _conjugate_phi(model, _Y_GRID_SIZE, _y_step(model), _y_remainder(model))
     us, phi_abs = us[: -len(us) // 20], np.abs(phi[: -len(us) // 20])
 
     # decay exponent of |phi| over the last decade

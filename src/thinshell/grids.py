@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from ._special import _GAMMAINC_MAX_A, gammainc, gammaln
+from .hamiltonians import _memo
 
 __all__ = ["EdgeModel", "DensityGrid", "make_grid"]
 
@@ -184,7 +184,8 @@ class DensityGrid:
     """Nonnegative density sampled on ``x0 + dx * arange(len(values))``.
 
     ``mass`` is the integral over the grid; when ``edge`` is set the node at
-    ``x0`` is a 0 sentinel and integrals are edge-aware.
+    ``x0`` is a 0 sentinel and integrals are edge-aware.  Values derived from
+    the grid are built once, through ``hamiltonians._memo`` on ``_cache``.
     """
 
     x0: float
@@ -193,6 +194,7 @@ class DensityGrid:
     mass: float
     edge: EdgeModel | None = None
     meta: dict | None = field(default=None, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -204,10 +206,13 @@ class DensityGrid:
     def points(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(len(self.values))
 
-    @cached_property
+    @property
     def log_values(self) -> np.ndarray:
         """``log(values[i])`` where positive and ``-inf`` otherwise, taken on
         first read: most grids are only integrated and never need it."""
+        return _memo(self._cache, "log_values", self._log_values)
+
+    def _log_values(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.where(self.values > 0, np.log(np.where(self.values > 0, self.values, 1.0)), _LOG_ZERO)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +52,10 @@ class ProjectionContext:
     :func:`sumdensity.log_w`.  ``node_log_ratio`` is the one pass of the log
     likelihood ratio over the ``w_k`` nodes, which the ``r_k`` grid, its
     tilts and every divergence of the cell share.
-    ``clt_ok`` records whether ``n - k`` reaches the scanned integrability
-    order (the exact small cases deliberately run below it).
+    ``clt_ok`` tells whether ``n - k`` reaches the scanned integrability
+    order ``r_used`` (the exact small cases deliberately run below it).
+    Both are read lazily: the scan (:func:`gibbs1d.clt_prerequisites`) runs
+    on first read, once per model, and a cell that never asks skips it.
     """
 
     model: GibbsModel
@@ -65,19 +66,28 @@ class ProjectionContext:
     wk: DensityGrid
     wnk: DensityGrid | None
     log_wn_at_nt: float
-    r_used: int
-    clt_ok: bool
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def r_used(self) -> int:
+        return clt_prerequisites(self.model).r_used
+
+    @property
+    def clt_ok(self) -> bool:
+        return self.n - self.k >= self.r_used
 
     def log_wnk(self, s) -> np.ndarray:
         if self.wnk is None:
             return log_w(self.model, self.n - self.k, s, self.params)
         return self.wnk.log_at(s)
 
-    @cached_property
+    @property
     def node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
         """``log w_{n-k}(nt - s) - log w_n(nt)`` at the ``w_k`` nodes s, and
-        where it is finite; evaluated on first use."""
+        where it is finite; evaluated on first use, through ``_memo``."""
+        return _memo(self._cache, "node_log_ratio", self._node_log_ratio)
+
+    def _node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
         lr = self.log_wnk(self.n * self.t - self.wk.points()) - self.log_wn_at_nt
         return lr, np.isfinite(lr)
 
@@ -94,10 +104,10 @@ def make_context(
     if not k < n:
         raise ValueError("need 1 <= k < n")
     params = params or GridParams()
-    r_used = clt_prerequisites(model).r_used
-    clt_ok = (n - k) >= r_used
-    if require_clt and not clt_ok:
-        raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
+    if require_clt:
+        r_used = clt_prerequisites(model).r_used
+        if n - k < r_used:
+            raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
     if model.spec.closed_form:
         wk, wnk = w_density(model, k, params), None
     else:
@@ -115,8 +125,6 @@ def make_context(
         wk=wk,
         wnk=wnk,
         log_wn_at_nt=log_wn_at_nt,
-        r_used=r_used,
-        clt_ok=clt_ok,
     )
 
 

@@ -23,6 +23,12 @@ discontinuity.
 Independent builds run at once: :func:`w_grids` and :func:`local_clt_scan`
 stripe theirs over the calling thread and helpers, up to the
 ``THINSHELL_THREADS`` cap.
+
+A ``w_fft`` build reads only what it needs: for a homogeneous f not even
+the 2^18-node y-grid, and for no f the integrability scan
+(:func:`gibbs1d.clt_prerequisites`).  So its ``meta`` holds ``kind``,
+``n``, ``c``, ``l1_clip`` and ``norm_defect``, and no longer whether n
+reaches the scanned integrability order.
 """
 
 from __future__ import annotations
@@ -34,15 +40,16 @@ import numpy as np
 
 from ._special import gammaln
 from .gibbs1d import (
+    _Y_GRID_SIZE,
     GibbsModel,
     GridParams,
-    _cached_remainder,
     _conjugate_base,
     _conjugate_phi,
     _edge_model,
     _grid_remainder,
+    _y_remainder,
+    _y_step,
     clt_prerequisites,
-    y_density,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
 from .hamiltonians import _MEMO_LOCK, _memo, _pool_size, _striped
@@ -104,8 +111,10 @@ _PAD_SD = 4.0
 
 
 def _sum_grid_extent(model: GibbsModel, n: int, params: GridParams) -> float:
+    """Reach of R_n's bulk, but at least the y-grid's end (which needs no
+    y-grid built)."""
     reach = n * model.mu + (params.sd_extent + _PAD_SD) * math.sqrt(n * model.sigma2)
-    return max(reach, y_density(model).x_end)
+    return max(reach, _y_step(model) * (_Y_GRID_SIZE - 1))
 
 
 def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
@@ -165,15 +174,15 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
 
     Records the L1 mass removed by clipping negative ripple; more than 1e-3
     aborts with a refinement hint.  Requests with ``n`` below the scanned
-    integrability order are allowed (the exact small cases need them) but
-    flagged in ``meta``.
+    integrability order are allowed (the exact small cases need them); the
+    build itself never runs that scan.
     """
     params = params or GridParams()
     _check_count("n", n)
     # edge terms of w_n that would ring in a plain inversion
     edge = _edge_model(model)
     conv = edge.convolve(n, below=2.0)
-    negligible = _cached_remainder(model)[2]
+    negligible = _y_remainder(model) is None
     power_law = negligible and (edge.beta2 is None or edge.coef2 == 0.0)
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
@@ -216,14 +225,7 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     if conv is not None and conv.beta < -1e-9:
         w[0] = 0.0
         edge = conv
-    meta = {
-        "kind": "w_fft",
-        "n": n,
-        "c": model.c,
-        "l1_clip": l1_clip,
-        "below_r_used": n < clt_prerequisites(model).r_used,
-    }
-    grid = make_grid(0.0, ds, w, edge=edge, meta=meta)
+    grid = make_grid(0.0, ds, w, edge=edge, meta={"kind": "w_fft", "n": n, "c": model.c, "l1_clip": l1_clip})
     return grid.normalized()
 
 
@@ -256,6 +258,8 @@ def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None
     with _MEMO_LOCK:
         memo = {n: model._cache[("w", n, params)] for n in ns if ("w", n, params) in model._cache}
     missing = sorted(set(ns) - set(memo))
+    if missing:
+        _y_remainder(model)  # on the calling thread: see _sup_deviations
     built = {}
 
     def build(i: int) -> None:
@@ -294,10 +298,6 @@ class LocalCltReport:
     i_value: float
     r_used: int
 
-    def __post_init__(self):
-        if not (self.c_hat > 0 and all(math.isfinite(d) for d in self.sup_devs)):
-            raise ValueError("scan produced non-finite deviations")
-
 
 def _standard_normal(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
@@ -315,12 +315,15 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
     return dev
 
 
-def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
-    """Estimate the uniform local-CLT constant empirically over n_list; the
-    ``w_fft`` builds are striped over the calling thread and helpers."""
+def _sup_deviations(model: GibbsModel, n_list, params: GridParams | None) -> tuple[list[float], float]:
+    """The sup deviation at each n of n_list and the constant ``c_hat`` they
+    imply, the largest ``sqrt(2 pi n)`` times the deviation; the ``w_fft``
+    builds are striped over the calling thread and helpers."""
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    prereqs = clt_prerequisites(model)
+    # every w_fft of an f that is not homogeneous reads the y-grid, which is
+    # built here, on the calling thread, so that its inverse is striped
+    _y_remainder(model)
     sup_devs = [math.nan] * len(n_list)
 
     def scan(i: int) -> None:
@@ -328,11 +331,21 @@ def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) 
         sup_devs[i] = _sup_deviation(model, w_fft(model, n, params), n)
 
     _striped(len(n_list), scan, _pool_size(len(n_list)))
-    c_hat = max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs))
+    c_hat = float(max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs)))
+    if not (c_hat > 0 and all(math.isfinite(d) for d in sup_devs)):
+        raise ValueError("scan produced non-finite deviations")
+    return sup_devs, c_hat
+
+
+def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
+    """Estimate the uniform local-CLT constant empirically over n_list
+    (:func:`_sup_deviations`), with the model's CLT prerequisites."""
+    sup_devs, c_hat = _sup_deviations(model, n_list, params)
+    prereqs = clt_prerequisites(model)
     return LocalCltReport(
         n_list=tuple(int(n) for n in n_list),
         sup_devs=tuple(sup_devs),
-        c_hat=float(c_hat),
+        c_hat=c_hat,
         nu=prereqs.nu,
         i_value=prereqs.i_value,
         r_used=prereqs.r_used,

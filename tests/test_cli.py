@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -6,9 +7,11 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import threading
+import types
 import typing
 
 import numpy as np
@@ -643,6 +646,45 @@ class TestColdImport:
         for name, _, unloaded in GUARDED_RUNS:
             assert isinstance(loaded[name], list), (name, loaded[name])
             assert not set(loaded[name]) & set(unloaded), (name, loaded[name])
+
+
+class TestSteadyHeap:
+    """``main`` fixes glibc's malloc settings through ``_steady_heap``; off
+    glibc that is a no-op."""
+
+    @staticmethod
+    def _record_mallopt(monkeypatch) -> list:
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        return calls
+
+    def test_sets_one_arena_and_both_thresholds(self, monkeypatch):
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.36"))
+        calls = self._record_mallopt(monkeypatch)
+        cli._steady_heap()
+        # M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of <malloc.h>
+        assert calls == [(-8, 1), (-3, 4 << 20), (-1, 32 << 20)]
+
+    def test_no_op_off_glibc(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        calls = self._record_mallopt(monkeypatch)
+        cli._steady_heap()
+        assert run(["solve-c", "--kind", "quadratic", "--out", str(tmp_path / "c.csv")]) == 0
+        assert calls == []
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_twice_is_harmless(self, tmp_path):
+        """Applied twice by hand and once more by each run, the settings
+        leave a sweep's output unchanged."""
+        args = ["bounds", "--kind", "quadratic", "--n-list", "20,40", "--k-list", "1,3", "--clt-n-list", "8"]
+        outs = []
+        for i in range(2):
+            cli._steady_heap()
+            out = tmp_path / f"b{i}.csv"
+            assert run(args + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestFmt:

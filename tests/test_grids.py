@@ -67,9 +67,9 @@ class TestLogInterpolation:
         read does, once."""
         grid = _gamma_grid(0.5, 1.0)
         normed = grid.normalized()
-        assert "log_values" not in grid.__dict__ and "log_values" not in normed.__dict__
+        assert "log_values" not in grid._cache and "log_values" not in normed._cache
         first = normed.log_values
-        assert normed.log_values is first and "log_values" not in grid.__dict__
+        assert normed.log_values is first and "log_values" not in grid._cache
 
 
 class TestIntegrate:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from thinshell import gibbs1d, hamiltonians as ham, projection, sumdensity
+from thinshell import cli, gibbs1d, hamiltonians as ham, projection, sumdensity
 
 # frozen oracles for the two-exponential surface (n=2, k=1, t=1):
 # the projected coordinate is uniform on [0, 2], the divergence integrates
@@ -101,6 +101,55 @@ class TestContext:
         wnk = sumdensity.w_density(model, 17)
         np.testing.assert_array_equal(second.log_wnk(ss), wnk.log_at(ss))
         assert projection.make_context(model, 20, 3).wnk is wnk
+
+    @pytest.mark.parametrize("name,n,k", [("lin_model", 2, 1), ("lin_model", 50, 3), ("quad_model", 4, 2),
+                                          ("quartic_model", 20, 3)])
+    def test_clt_order_read_lazily(self, request, name, n, k):
+        """``r_used`` and ``clt_ok`` run the integrability scan on first read,
+        and agree with it."""
+        model = dataclasses.replace(request.getfixturevalue(name), _cache={})
+        ctx = projection.make_context(model, n, k)
+        assert "prereqs" not in model._cache
+        r_used = gibbs1d.clt_prerequisites(model).r_used
+        assert ctx.r_used == r_used and ctx.clt_ok == (n - k >= r_used)
+
+    def test_node_log_ratio_memoised_on_the_context(self, quad_model):
+        ctx = projection.make_context(quad_model, 50, 3)
+        assert "node_log_ratio" not in ctx._cache
+        first = ctx.node_log_ratio
+        assert ctx.node_log_ratio is first and "node_log_ratio" in ctx._cache
+
+
+class TestSetUpLeftOut:
+    """A CLI run builds only what it reads: the 2^18-node y-grid and the
+    integrability scan stay out of the model's memo where no output needs
+    them."""
+
+    @staticmethod
+    def _models(monkeypatch, tmp_path, args):
+        models = []
+        solve = cli.solve_energy
+        monkeypatch.setattr(cli, "solve_energy", lambda spec, t: models.append(solve(spec, t)) or models[-1])
+        assert cli.main(args + ["--out", str(tmp_path / "out.csv")]) == 0
+        return models
+
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--kind", "quadratic", "--n-list", "20,40", "--k-list", "1,3", "--alpha-list", "0,0.2",
+         "--clt-n-list", "8,16"],
+        ["bounds", "--kind", "power", "--p", "3", "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"],
+        ["converse", "--kind", "linear_half", "--n-list", "20,40"],
+        ["mixture", "--kind", "quadratic", "--n", "20", "--k-list", "2"],
+    ], ids=lambda args: " ".join(args[:3]))
+    def test_homogeneous_runs_skip_ygrid_and_scan(self, monkeypatch, tmp_path, args):
+        models = self._models(monkeypatch, tmp_path, args)
+        assert models
+        for model in models:
+            assert not {"ygrid", "prereqs"} & set(model._cache)
+
+    def test_quartic_bounds_skips_scan(self, monkeypatch, tmp_path):
+        (model,) = self._models(monkeypatch, tmp_path, ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1",
+                                                        "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"])
+        assert "ygrid" in model._cache and "prereqs" not in model._cache
 
 
 class TestClosedFormsByDegree:

@@ -352,6 +352,31 @@ class TestRemainderDecision:
         sumdensity.w_fft(model, 4)
         assert bool(sampled) is not negligible
 
+    HOMOGENEOUS = {
+        "quadratic": ham.quadratic,
+        "linear_half": ham.linear_half,
+        "power(1.5)": lambda: ham.power(1.5),
+        "power(3)": lambda: ham.power(3.0),
+        "power(4)": lambda: ham.power(4.0),
+        "power(2, symmetric)": lambda: ham.power(2.0, support=ham.SYMMETRIC),
+        "quartic_perturbed(0)": lambda: ham.quartic_perturbed(0.0),
+    }
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+    @pytest.mark.parametrize("family", sorted(HOMOGENEOUS))
+    def test_homogeneous_rule_agrees_with_the_grid(self, family, t):
+        """A homogeneous f skips the y-grid on the rule that its energy
+        density is its single-term edge model; the grid, once built, says the
+        same, and lies on the spacing and end the rule read without it."""
+        model = gibbs1d.solve_energy(self.HOMOGENEOUS[family](), t)
+        assert gibbs1d._y_remainder(model) is None
+        dy = gibbs1d._y_step(model)
+        assert "ygrid" not in model._cache
+        grid, _, negligible = gibbs1d._cached_remainder(model)
+        edge = gibbs1d._edge_model(model)
+        assert negligible and (edge.beta2 is None or edge.coef2 == 0.0)
+        assert grid.dx == dy and grid.x_end == dy * (gibbs1d._Y_GRID_SIZE - 1)
+
 
 BAD_COUNTS = [0, -2, 2.5, 3.0, np.float64(3.0), "3", None]
 
