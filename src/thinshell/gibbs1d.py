@@ -55,8 +55,6 @@ _MATCH_STEPS = 100
 _Y_GRID_SIZE = 2**18
 # relative miss of the mean energy that solve_energy treats as failure
 _MATCH_RTOL = 1e-10
-# integrability orders r tried for |phi|^r, smallest first
-_R_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,8 @@ def _match_energy(spec: HamiltonianSpec, t: float) -> float:
         if mu <= t:
             hi = c
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            new = float(c * np.exp((math.log(mu) - math.log(t)) * mu / (c * var)))
+            # a variance cancelled to 0 gives no step: the bracket takes over
+            new = float(c * np.exp((math.log(mu) - math.log(t)) * mu / (c * var))) if c * var != 0.0 else math.nan
         if not lo < new < hi:
             new = 2.0 * lo if hi == math.inf else 0.5 * hi if lo == 0.0 else 0.5 * (lo + hi)
         if abs(new - c) <= _MATCH_CTOL * c or hi - lo <= _MATCH_CTOL * lo:
@@ -496,16 +495,14 @@ def _scan_prerequisites(model: GibbsModel) -> CltPrereqs:
     dec = us >= us[-1] / 10.0
     gamma = -np.polyfit(np.log(us[dec]), np.log(np.maximum(phi_abs[dec], 1e-300)), 1)[0]
 
-    r_used, i_value = None, math.inf
-    for r in range(1, _R_MAX + 1):
-        if gamma * r <= 1.05:
-            continue  # tail not integrable (or too close to call)
-        window = np.trapezoid(phi_abs**r, us)
-        tail = phi_abs[-1] ** r * us[-1] / (gamma * r - 1.0)
-        r_used, i_value = int(r), 2.0 * (window + tail)
-        break
-    if r_used is None:
-        raise RuntimeError(f"no r <= {_R_MAX} makes |phi|^r integrable; hypotheses fail")
+    # the smallest r with gamma * r > 1.05: a tail u^(-gamma r) that is
+    # integrable, and not too close to call
+    if not gamma > 0.0:
+        raise RuntimeError(f"|phi| does not decay (fitted exponent {gamma!r}); hypotheses fail")
+    r_used = math.floor(1.05 / gamma) + 1
+    window = np.trapezoid(phi_abs**r_used, us)
+    tail = phi_abs[-1] ** r_used * us[-1] / (gamma * r_used - 1.0)
+    i_value = 2.0 * (window + tail)
 
     threshold = model.sigma2 / model.m3
     above = us > threshold

@@ -37,6 +37,13 @@ blocks r, r + T, ...; the inverse CDF stripes its 32768-point chunks the
 same way.  No draw depends on which thread made it.  ``THINSHELL_THREADS``
 caps T; by default it is the CPU count.  The rejection sampler's blocks stay
 in order, since each block's size depends on the rows kept so far.
+
+Memory is O(count*keep) for the kept columns plus the draws in flight: T
+blocks of 1024 rows for the scaling sampler, and for the rejection sampler
+one chunk of ``max(1, 2**18 // n)`` rows of its block of up to 65536, drawn,
+shell-tested, projected and stored before the next, with the values the
+whole block would have (:meth:`_CoordinateSampler.draw_chunks`; a symmetric
+power(p) draws its blocks whole).
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ _BLOCK = 1024
 # is exact) and the uniforms per inverse-CDF chunk
 _GUIDE = 2**16
 _CHUNK = 32768
+# coordinates per chunk of a rejection block: 2 MiB of float64, below the
+# 4 MiB mmap threshold that cli sets, so chunk buffers reuse the heap
+_REJECT_CHUNK = 2**18
 _MAGIC = b"THNSHL1\x00"
 _HEADER = struct.Struct("<QQddBxxxxxxxdq")
 _METHODS = ("scaling", "rejection")
@@ -324,10 +334,17 @@ class _CoordinateSampler:
         _striped(chunks, chunk, _pool_size(chunks) if striped else 1)
         return flat.reshape(u.shape)
 
-    def draw(self, rng: np.random.Generator, shape, striped: bool = False) -> np.ndarray:
+    def draw(
+        self,
+        rng: np.random.Generator,
+        shape,
+        striped: bool = False,
+        signs: np.random.Generator | None = None,
+    ) -> np.ndarray:
         """Coordinates of shape ``shape``; ``striped`` runs a tabulated
         inverse CDF on the calling thread plus helpers, with the same
-        values."""
+        values.  A symmetric support takes its sign uniforms from ``signs``
+        when given, else from ``rng`` after the magnitudes."""
         spec, c = self.spec, self.model.c
         if spec.kind == "quadratic":
             return rng.normal(0.0, math.sqrt(0.5 / c), shape)
@@ -339,8 +356,30 @@ class _CoordinateSampler:
             mag = self._inverse(rng.random(shape), striped)
         if spec.support == SYMMETRIC:
             # in place: the same values as np.where(u < 0.5, -mag, mag)
-            np.negative(mag, out=mag, where=rng.random(shape) < 0.5)
+            np.negative(mag, out=mag, where=(rng if signs is None else signs).random(shape) < 0.5)
         return mag
+
+    def draw_chunks(self, seed: int, block: int, shape: tuple[int, int], chunk: int):
+        """The rows of ``draw(_block_rng(seed, block), shape, True)``, in
+        order, ``chunk`` rows at a time, with the same values.
+
+        Normal, exponential and gamma draws read the stream in order, so
+        chunks of them continue one another.  The sign uniforms of a
+        symmetric tabulated family follow its ``rows * n`` magnitude
+        uniforms; a second generator starts there: Philox yields four
+        64-bit words per counter step, and each uniform takes one word.  A
+        symmetric power(p) yields its whole block at once, since its gamma
+        draws take a varying number of words."""
+        rows, n = shape
+        rng, signs = _block_rng(seed, block), None
+        if self.spec.support == SYMMETRIC and self.spec.kind == "power":
+            chunk = rows
+        elif self.spec.support == SYMMETRIC and self.spec.kind != "quadratic":
+            signs = _block_rng(seed, block)
+            signs.bit_generator.advance(rows * n // 4)
+            signs.random(rows * n % 4)
+        for start in range(0, rows, chunk):
+            yield self.draw(rng, (min(chunk, rows - start), n), True, signs)
 
 
 def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
@@ -433,18 +472,20 @@ def sample_surface_rejection(
     kept = 0
     drawn = 0
     block = 0
+    chunk = max(1, _REJECT_CHUNK // n)
     while kept < count:
-        rng = _block_rng(seed, block)
-        block += 1
         size = max(_BLOCK, min(65536, 4 * (count - kept)))
-        rows = sampler.draw(rng, (size, n), striped=True)
-        drawn += size
-        energies = _row_energies(spec, rows)
-        accept = np.abs(energies / n - t) <= delta
-        if np.any(accept):
+        # the block's rows past the last one stored still count as kept, so
+        # the acceptance rate reads the whole block
+        for rows in sampler.draw_chunks(seed, block, (size, n), chunk):
+            energies = _row_energies(spec, rows)
+            accept = np.abs(energies / n - t) <= delta
             room = count - kept
-            _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
+            if room > 0 and np.any(accept):
+                _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
             kept += int(np.count_nonzero(accept))
+        block += 1
+        drawn += size
         if drawn >= max_draws:
             rate = kept / drawn
             if rate < 1e-4:

@@ -35,6 +35,13 @@ HELP_SHA256 = {
     "mixture": "43bcf5eb8e8892c3da74a173cb6fe2296556982735c156ea0413cee409ae06bc",
 }
 
+# sha256 of the batch file of `sample --kind quartic_perturbed --epsilon 1
+# --method rejection --count 99 --seed 4` per n
+QUARTIC_BATCH_SHA256 = {
+    7: "d3594445fe990b07af200cd8806598d3385dfab6f20820073af3a236f5881214",
+    300: "0fe8209bcda41216fd715a326f0ccd1a65a6d584c8706df7862e72b6164b9f37",
+}
+
 # the options block every subcommand prints, for a readable diff
 OPTIONS_HELP = """options:
   -h, --help            show this help message and exit
@@ -421,6 +428,17 @@ class TestSubcommands:
         )
         assert code == 0
         assert sampler.load_batch(out).method == "rejection"
+
+    @pytest.mark.parametrize("n,digest", sorted(QUARTIC_BATCH_SHA256.items()))
+    def test_quartic_rejection_batch_bytes(self, tmp_path, n, digest):
+        """Pins the bytes of a rejection batch, so that no refactor moves a
+        Philox stream silently; at n = 300 each block is drawn in two row
+        chunks."""
+        out = tmp_path / f"quartic{n}.thnshl"
+        code = run(["sample", "--kind", "quartic_perturbed", "--epsilon", "1", "--method", "rejection", "--n", str(n),
+                    "--count", "99", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_solve_c_rejects_nan_energy(self, capsys):
         assert run(["solve-c", "--kind", "quadratic", "--t", "nan"]) != 0

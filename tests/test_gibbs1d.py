@@ -209,6 +209,25 @@ class TestEnergyMatching:
         with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
             gibbs1d.solve_energy(spec, t)
 
+    def test_cancelled_variance_takes_the_bracket(self, monkeypatch):
+        """A variance that cancels to 0 gives the Newton step no slope; the
+        first step then doubles c from the bracket, and the matching still
+        meets t instead of dividing by zero."""
+        integrals = gibbs1d._halfline_integrals
+        calls = []
+
+        def first_without_variance(*args, **kwargs):
+            out = integrals(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 1:
+                return out
+            mu = float(out[1] / out[0])
+            return np.array([1.0, mu, mu * mu])  # var = mu^2 - mu^2 = 0
+
+        monkeypatch.setattr(gibbs1d, "_halfline_integrals", first_without_variance)
+        model = gibbs1d.solve_energy(ham.quartic_perturbed(1.0), 1.0)
+        assert abs(model.mu - 1.0) <= gibbs1d._MATCH_RTOL
+
     def test_unreachable_target_cli(self, capsys):
         assert cli.main(["solve-c", "--kind", "quadratic", "--t", "1e-300"]) == 1
         err = capsys.readouterr().err
@@ -322,6 +341,28 @@ class TestCltPrerequisites:
         assert pre.r_used == 3
         oracle = 2 * quad(lambda u: (1 + 4 * u * u) ** -0.75, 0, np.inf)[0]
         assert pre.i_value == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "spec,r_used",
+        [
+            (ham.quadratic(), 3),
+            (ham.quartic_perturbed(1.0), 3),
+            (ham.power(3), 4),
+            (ham.custom(lambda x: x + x**3 / 3.0), 2),
+            (ham.power(8), 9),
+        ],
+        ids=["quadratic", "quartic", "power3", "custom", "power8"],
+    )
+    def test_order_from_decay_exponent(self, spec, r_used):
+        """r is the smallest integer above 1.05/gamma, with no cap: power(8)
+        decays like u^(-1/8) and needs r = 9."""
+        pre = gibbs1d.clt_prerequisites(gibbs1d.solve_energy(spec, 1.0))
+        assert pre.r_used == r_used == math.floor(1.05 / pre.tail_exponent) + 1
+        assert pre.tail_exponent * (r_used - 1) <= 1.05 < pre.tail_exponent * r_used
+
+    def test_power8_scan_cli(self, capsys):
+        assert cli.main(["clt-scan", "--kind", "power", "--p", "8", "--clt-n-list", "8,16"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("r = 9)")
 
     def test_nu_strictly_below_one(self, lin_model, quad_model, quartic_model):
         for model in (lin_model, quad_model, quartic_model):

@@ -387,6 +387,20 @@ class TestStreamedColumns:
         assert batch.points.shape == (20_000, 2)
         assert peak < 32 * 2**20
 
+    def test_rejection_memory_bounded_by_chunks(self, quartic_model):
+        """One (65536, 200) block drawn whole is 100 MiB of magnitudes and
+        100 MiB of sign uniforms; drawn in 2 MiB row chunks, the result and
+        a few chunks fit well below that."""
+        delta = 0.5 * math.sqrt(quartic_model.sigma2 / 200)
+        tracemalloc.start()
+        try:
+            batch = sampler.sample_surface_rejection(quartic_model, 200, delta, 20_000, seed=1, keep=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.points.shape == (20_000, 2)
+        assert peak < 32 * 2**20
+
     def test_row_energies_match_whole_array_sum(self, quartic_model):
         rows = sampler._CoordinateSampler(quartic_model).draw(sampler._block_rng(6, 0), (2500, 9))
         reference = np.sum(ham.f_values(quartic_model.spec, rows), axis=1)
@@ -451,6 +465,84 @@ class TestShellEnergyReuse:
         monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, target, energies=None: project(spec, rows, target))
         sampler.sample_surface_rejection(quartic_model, 12, 0.2, 3000, seed=31)
         assert sum(evaluated) - with_reuse == 3000
+
+
+def whole_block_rejection(model, n, delta, count, seed):
+    """The rejection sampler as it was before its blocks were streamed:
+    each block drawn as one (size, n) array; the oracle of the chunk loop."""
+    spec, t = model.spec, model.mu
+    coord = sampler._coordinate_sampler(model)
+    points = np.empty((count, n))
+    kept = drawn = block = 0
+    while kept < count:
+        rng = sampler._block_rng(seed, block)
+        block += 1
+        size = max(sampler._BLOCK, min(65536, 4 * (count - kept)))
+        rows = coord.draw(rng, (size, n), striped=True)
+        drawn += size
+        energies = sampler._row_energies(spec, rows)
+        accept = np.abs(energies / n - t) <= delta
+        if np.any(accept):
+            room = count - kept
+            sampler._store_block(spec, rows[accept][:room], n * t, points, kept, energies[accept][:room])
+            kept += int(np.count_nonzero(accept))
+    return points, kept / drawn
+
+
+STREAMED_FAMILIES = {
+    "quartic": ham.quartic_perturbed(1.0),
+    "custom": ham.custom(lambda x: x + x**3 / 3.0),
+    "quadratic": ham.quadratic(),
+    "linear_half": ham.linear_half(),
+    "power3_symmetric": ham.power(3, ham.SYMMETRIC),
+}
+
+
+class TestStreamedRejection:
+    """Rejection blocks drawn in row chunks give the whole-block draws bit
+    for bit."""
+
+    @pytest.fixture(scope="class", params=list(STREAMED_FAMILIES))
+    def model(self, request):
+        return gibbs1d.solve_energy(STREAMED_FAMILIES[request.param], 1.0)
+
+    # n = 300 makes 873-row chunks; a narrow shell needs several blocks
+    @pytest.mark.parametrize("n,delta_sd,count", [(300, 0.5, 700), (7, 0.5, 500), (300, 0.1, 400)],
+                             ids=["chunks", "one-chunk", "blocks"])
+    def test_same_as_whole_blocks(self, model, n, delta_sd, count):
+        delta = delta_sd * math.sqrt(model.sigma2 / n)
+        want, rate = whole_block_rejection(model, n, delta, count, seed=13)
+        got = sampler.sample_surface_rejection(model, n, delta, count, seed=13)
+        assert np.array_equal(got.points, want)
+        assert got.acceptance_rate == rate
+
+    @pytest.mark.parametrize("rows,n,chunk", [(1027, 5, 100), (3, 3, 1), (2000, 301, 871)])
+    def test_chunks_continue_the_block(self, model, rows, n, chunk):
+        """Also when the block's coordinate count is not a multiple of 4,
+        so the sign stream starts inside a Philox counter step."""
+        coord = sampler._coordinate_sampler(model)
+        whole = coord.draw(sampler._block_rng(21, 4), (rows, n), striped=True)
+        chunks = list(coord.draw_chunks(21, 4, (rows, n), chunk))
+        assert np.array_equal(np.concatenate(chunks), whole)
+        if model.spec.kind != "power":
+            assert len(chunks) == -(-rows // chunk)
+
+    def test_room_runs_out_inside_a_chunk(self, quartic_model):
+        """The batch fills inside a chunk: the rest of that chunk and the
+        later chunks are shell-tested but not stored, and their accepted
+        rows still count towards the acceptance rate."""
+        n, count = 300, 700
+        delta = 0.5 * math.sqrt(quartic_model.sigma2 / n)
+        coord = sampler._coordinate_sampler(quartic_model)
+        accepted = [
+            int(np.count_nonzero(np.abs(sampler._row_energies(quartic_model.spec, rows) / n - quartic_model.mu) <= delta))
+            for rows in coord.draw_chunks(13, 0, (4 * count, n), sampler._REJECT_CHUNK // n)
+        ]
+        filled = np.searchsorted(np.cumsum(accepted), count)
+        assert np.cumsum(accepted)[filled] > count and filled < len(accepted) - 1
+        got = sampler.sample_surface_rejection(quartic_model, n, delta, count, seed=13)
+        assert got.acceptance_rate == sum(accepted) / (4 * count)
+        assert np.array_equal(got.points, whole_block_rejection(quartic_model, n, delta, count, seed=13)[0])
 
 
 class TestRejectionSampler:
