@@ -416,6 +416,12 @@ _TESTFNS = {
 }
 
 
+def _shell_width(cfg: ExperimentConfig, model: GibbsModel, n: int) -> float:
+    """The rejection shell's half-width ``delta``: the configured one, or
+    half a standard deviation of ``R_n / n``."""
+    return cfg.delta if cfg.delta is not None else 0.5 * math.sqrt(model.sigma2 / n)
+
+
 def run_ensembles(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     tf = _TESTFNS[cfg.testfn](model.spec)
@@ -424,7 +430,7 @@ def run_ensembles(cfg: ExperimentConfig) -> int:
         if model.spec.homogeneous_degree is not None:
             batch = sampler.sample_surface_scaling(model, n, cfg.count, cfg.seed, keep=tf.k)
         else:
-            delta = cfg.delta if cfg.delta is not None else 0.5 * math.sqrt(model.sigma2 / n)
+            delta = _shell_width(cfg, model, n)
             batch = sampler.sample_surface_rejection(model, n, delta, cfg.count, cfg.seed, keep=tf.k)
         rep = sampler.ensemble_expectation_gap(model, n, tf.k, tf, batch, cfg.canonical_count, cfg.seed + 1)
         rows.append([rep.n, rep.k, rep.testfn, rep.e_micro, rep.e_canon, rep.gap, rep.se_micro, rep.se_canon])
@@ -438,8 +444,7 @@ def run_sample(cfg: ExperimentConfig) -> int:
     if cfg.method == "scaling":
         batch = sampler.sample_surface_scaling(model, n, cfg.count, cfg.seed)
     else:
-        delta = cfg.delta if cfg.delta is not None else 0.5 * math.sqrt(model.sigma2 / n)
-        batch = sampler.sample_surface_rejection(model, n, delta, cfg.count, cfg.seed)
+        batch = sampler.sample_surface_rejection(model, n, _shell_width(cfg, model, n), cfg.count, cfg.seed)
     if cfg.out:
         sampler.save_batch(batch, cfg.out)
         print(f"wrote {batch.count} points to {cfg.out}")

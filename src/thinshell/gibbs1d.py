@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import _GL_NODES, DensityGrid, EdgeModel, make_grid
+from .grids import _GL_NODES, _GL_WEIGHTS, DensityGrid, EdgeModel, make_grid
 from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values, fprime_values
 
 __all__ = [
@@ -33,15 +33,6 @@ __all__ = [
     "entropy_energy",
 ]
 
-# positive half of the 24-point Gauss-Legendre weights on [-1, 1] for the
-# nodes grids._GL_NODES, rounded from 40-digit values; numpy's leggauss
-# weights (grids._GL_WEIGHTS) are off by up to 859 ulps
-_GL_HALF = (
-    0.12793819534675216, 0.1258374563468283, 0.12167047292780339, 0.1155056680537256,
-    0.10744427011596563, 0.09761865210411388, 0.08619016153195327, 0.0733464814110803,
-    0.05929858491543678, 0.04427743881741981, 0.028531388628933663, 0.0123412297999872,
-)
-_GL_WEIGHTS = np.array(_GL_HALF[::-1] + _GL_HALF)
 # a quadrature panel is accepted when its 24-point Gauss-Legendre value and
 # the sum of its halves' agree to this fraction of the integral; the rule
 # gives up after this many passes or with this many panels still open

@@ -5,11 +5,13 @@ spaced grid.  Densities with an integrable power-law blow-up at the left
 edge (e.g. energy densities behaving like ``K * y**beta * exp(-rate*y)``
 with ``-1 < beta < 0`` near ``y = 0``) carry an :class:`EdgeModel`.
 Integration then splits the domain: over a prefix of cells the model is
-integrated in closed form (Gauss-Legendre against smooth factors) and only
-the smooth model remainder goes through the trapezoid rule, so the
-power-law part never sees the rule that would diverge on it.  The model's
-Gamma functions (its mass, transform and convolutions) come from
-:mod:`thinshell._special`, so this module needs numpy only.
+integrated by one per-cell rule (:meth:`EdgeModel.cell_integrals`), and
+only the smooth model remainder goes through the trapezoid rule, so the
+power-law part never sees the rule that would diverge on it.  The same
+rule gives every edge integral: the mass, the cumulative mass of
+``cdf_values`` and each weighted integral.  The model's transform and
+convolutions take ``log Gamma`` from :mod:`thinshell._special`, so this
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,13 +22,23 @@ from typing import Callable
 
 import numpy as np
 
-from ._special import _GAMMAINC_MAX_A, gammainc, gammaln
+from ._special import gammaln
 from .hamiltonians import _memo
 
 __all__ = ["EdgeModel", "DensityGrid", "make_grid"]
 
-# Gauss-Legendre rules reused for all edge-cell integrals.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# 24-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss nodes, and the
+# positive half of the weights rounded from 40-digit values (numpy's
+# weights are off by up to 859 ulps)
+_GL_NODES = np.polynomial.legendre.leggauss(24)[0]
+_GL_HALF = (
+    0.12793819534675216, 0.1258374563468283, 0.12167047292780339, 0.1155056680537256,
+    0.10744427011596563, 0.09761865210411388, 0.08619016153195327, 0.0733464814110803,
+    0.05929858491543678, 0.04427743881741981, 0.028531388628933663, 0.0123412297999872,
+)
+_GL_WEIGHTS = np.array(_GL_HALF[::-1] + _GL_HALF)
+# the same rule on [0, 1], for the first cell, and an 8-point rule on
+# [0, 1] for the cells after it
 _GL01 = 0.5 * (_GL_NODES + 1.0)
 _GLW01 = 0.5 * _GL_WEIGHTS
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -35,10 +47,6 @@ _GL8W = 0.5 * _GL8_WEIGHTS
 
 # number of leading cells integrated against the edge model
 _MODEL_CELLS = 256
-
-# exponents b of an edge model stay below this, so that the incomplete
-# gamma of its mass, with shape b + 1, stays in gammainc's domain
-_MAX_EDGE_EXPONENT = _GAMMAINC_MAX_A - 1.0
 
 _LOG_ZERO = -np.inf
 
@@ -51,9 +59,10 @@ class EdgeModel:
 
     The leading term has ``beta > -1`` (finite mass); the optional second
     term captures the next order of the expansion so the sampled remainder
-    is smooth enough for the trapezoid rule.  Every power law ``a v^b
-    exp(-rate v)`` of the model is handled in closed form: its mass, its
-    Fourier transform and its self-convolution.
+    is smooth enough for the trapezoid rule.  The Fourier transform and the
+    self-convolution of every power law ``a v^b exp(-rate v)`` of the model
+    are closed forms; every integral of the model, its mass included, comes
+    from :meth:`cell_integrals`.
     """
 
     beta: float
@@ -66,8 +75,8 @@ class EdgeModel:
         if not self.beta > -1.0:
             raise ValueError(f"edge exponent must exceed -1, got {self.beta}")
         for name, b in (("beta", self.beta), ("beta2", self.beta2)):
-            if b is not None and not b < _MAX_EDGE_EXPONENT:
-                raise ValueError(f"edge exponent {name} must be below {_MAX_EDGE_EXPONENT:g}, got {b}")
+            if b is not None and not math.isfinite(b):
+                raise ValueError(f"edge exponent {name} must be finite, got {b}")
 
     @property
     def _terms(self) -> list[tuple[float, float, float]]:
@@ -129,54 +138,37 @@ class EdgeModel:
             self.beta, self.log_k + log_factor, self.rate - rate_shift, self.beta2, self.coef2 * math.exp(log_factor)
         )
 
-    def mass_below(self, v):
-        """Exact ``\\int_0^v model(u) du`` at each ``v``, a float for a scalar
-        ``v``, taken one point at a time.  A positive rate gives incomplete
-        gamma functions.  At rate zero the terms are pure power laws, and a
-        growing exponential has no incomplete-gamma form, so it takes
-        quadrature."""
-        v = np.asarray(v, dtype=float)
-        if self.rate > 0:
-            out = np.zeros(v.shape)
-            xs = (self.rate * v).ravel().tolist()
-            for b, log_a, sign in self._terms:
-                a = b + 1.0
-                p = np.array([gammainc(a, x) for x in xs]).reshape(v.shape)
-                out += sign * (np.exp(log_a + gammaln(a) - a * np.log(self.rate)) * p)
-        else:
-            out = np.array([self._mass_below_at(x) for x in v.ravel().tolist()]).reshape(v.shape)
-        return out if out.ndim else float(out)
-
-    def _mass_below_at(self, v: float) -> float:
-        if self.rate < 0:
-            return self.first_cell_integral(v, lambda u: np.ones_like(u))
-        return sum((sign * float(np.exp(log_a) * v ** (b + 1.0) / (b + 1.0)) for b, log_a, sign in self._terms), 0.0)
-
     def first_cell_integral(self, dx: float, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """``\\int_0^dx model(v) fn(v) dv`` for smooth ``fn``.
 
-        The substitution ``v = dx * s**(1/(beta+1))`` absorbs the leading
-        power-law weight exactly, leaving Gauss-Legendre a smooth integrand.
+        Each term ``a v^b exp(-rate v)`` takes its own substitution ``v = dx
+        s^{1/(b+1)}``, which absorbs its power-law weight exactly: the term
+        becomes ``a dx^{b+1}/(b+1) \\int_0^1 exp(-rate v) fn(v) ds``, and
+        Gauss-Legendre sees only ``exp(-rate v) fn(v)``, whose departure from
+        a constant is of order ``rate dx`` (and ``dx fn'``).  One call of
+        ``fn`` takes the nodes of every term.
         """
-        a = self.beta + 1.0
+        terms = self._terms
+        a = np.array([b + 1.0 for b, _, _ in terms])[:, None]
         v = dx * _GL01 ** (1.0 / a)
-        w = (dx**a / a) * _GLW01
-        core = np.exp(self.log_k) * np.exp(-self.rate * v)
-        if self.beta2 is not None:
-            core = core + self.coef2 * v ** (self.beta2 - self.beta) * np.exp(-self.rate * v)
-        return float(np.sum(w * core * fn(v)))
+        scale = np.array([sign * math.exp(log_a + (b + 1.0) * math.log(dx)) / (b + 1.0) for b, log_a, sign in terms])
+        return float(scale @ ((np.exp(-self.rate * v) * fn(v)) @ _GLW01))
 
-    def prefix_integral(self, dx: float, cells: int, fn: Callable[[np.ndarray], np.ndarray] | None) -> float:
-        """``\\int_0^{cells*dx} model(v) fn(v) dv`` (``fn=None`` -> 1)."""
-        if fn is None:
-            return self.mass_below(cells * dx)
-        total = self.first_cell_integral(dx, fn)
+    def cell_integrals(self, dx: float, cells: int, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``\\int model(v) fn(v) dv`` over each cell ``[j dx, (j+1) dx]``,
+        ``j < cells``: the first by :meth:`first_cell_integral`, the others,
+        away from the singular endpoint, by 8-point Gauss-Legendre."""
+        out = np.empty(cells)
+        out[0] = self.first_cell_integral(dx, fn)
         if cells > 1:
-            # smooth cells away from the singular endpoint: vectorized GL
             starts = dx * np.arange(1, cells)[:, None]
             v = starts + dx * _GL8[None, :]
-            total += float(dx * np.sum(_GL8W[None, :] * self.density(v) * fn(v)))
-        return total
+            out[1:] = dx * ((self.density(v) * fn(v)) @ _GL8W)
+        return out
+
+    def prefix_integral(self, dx: float, cells: int, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+        """``\\int_0^{cells*dx} model(v) fn(v) dv``."""
+        return float(np.sum(self.cell_integrals(dx, cells, fn)))
 
 
 @dataclass(frozen=True)
@@ -264,13 +256,14 @@ class DensityGrid:
         return self.integrate(lambda x: (x - m) ** 2) / self.mass
 
     def cdf_values(self) -> np.ndarray:
-        """Cumulative mass at the grid nodes."""
+        """Cumulative mass at the grid nodes; over the model's cells, the
+        model part is the running sum of its per-cell integrals."""
         inc = 0.5 * self.dx * (self.values[1:] + self.values[:-1])
         out = np.concatenate(([0.0], np.cumsum(inc)))
         if self.edge is not None:
             m = min(_MODEL_CELLS, len(self.values) - 1)
             vs = self.points()[: m + 1] - self.x0
-            model_cum = self.edge.mass_below(vs)
+            model_cum = np.concatenate(([0.0], np.cumsum(self.edge.cell_integrals(self.dx, m, _one))))
             rem = self.values[: m + 1] - self.edge.density(vs)
             rem[0] = 0.0
             rem_inc = 0.5 * self.dx * (rem[1:] + rem[:-1])
@@ -290,6 +283,10 @@ class DensityGrid:
         return DensityGrid(self.x0, self.dx, self.values * scale, self.mass * scale, edge=edge, meta=meta)
 
 
+def _one(v: np.ndarray) -> np.ndarray:
+    return np.ones(np.shape(v))
+
+
 def _integrate(dx, x0, values, edge, fn, at_nodes=None):
     if fn is None and at_nodes is not None:
         raise ValueError("node values need the pointwise fn they sample")
@@ -298,10 +295,10 @@ def _integrate(dx, x0, values, edge, fn, at_nodes=None):
     weighted = values if fn is None else values * at_nodes
     if edge is None:
         return float(np.trapezoid(weighted, dx=dx))
-    # model part in closed form over the leading cells, trapezoid on the
-    # model remainder (smooth near the edge) and on the rest of the grid
+    # model part by the per-cell rule over the leading cells, trapezoid on
+    # the model remainder (smooth near the edge) and on the rest of the grid
     m = min(_MODEL_CELLS, len(values) - 1)
-    shifted = None if fn is None else (lambda v: fn(x0 + v))
+    shifted = _one if fn is None else (lambda v: fn(x0 + v))
     model_part = edge.prefix_integral(dx, m, shifted)
     vs = (x0 + dx * np.arange(m + 1)) - x0  # rounded as points() - x0 rounds them
     with np.errstate(invalid="ignore"):

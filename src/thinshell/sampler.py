@@ -307,14 +307,15 @@ class _CoordinateSampler:
         self._guide = np.searchsorted(self._knots, np.arange(_GUIDE) / _GUIDE, "right") - 1
         probe = np.linspace(1e-6, 1.0 - 1e-6, 4001)
         forward = _pchip_coefficients(self._values, self._knots)
-        resid = float(np.max(np.abs(_pchip_at(self._values, forward, self._inverse(probe.copy(), False)) - probe)))
+        resid = float(np.max(np.abs(_pchip_at(self._values, forward, self._inverse(probe.copy())) - probe)))
         if resid > 1e-10:
             raise RuntimeError(f"inverse-CDF table misses tolerance: residual {resid:.2e}")
 
-    def _inverse(self, u: np.ndarray, striped: bool) -> np.ndarray:
+    def _inverse(self, u: np.ndarray) -> np.ndarray:
         """The PCHIP inverse CDF at uniforms ``u`` in [0, 1), written over
-        ``u`` (or its flat copy, if it is not contiguous) chunk by chunk;
-        ``striped`` spreads the chunks over ``_pool_size`` threads."""
+        ``u`` (or its flat copy, if it is not contiguous) chunk by chunk,
+        the chunks spread over ``_pool_size`` threads (1 on a helper or
+        pool thread)."""
         flat = u.reshape(-1)
         knots, coef = self._knots, self._coef
 
@@ -331,20 +332,18 @@ class _CoordinateSampler:
             _cubic(coef.take(i, axis=0), v - knots.take(i), out=v)
 
         chunks = -(-flat.size // _CHUNK)
-        _striped(chunks, chunk, _pool_size(chunks) if striped else 1)
+        _striped(chunks, chunk, _pool_size(chunks))
         return flat.reshape(u.shape)
 
     def draw(
         self,
         rng: np.random.Generator,
         shape,
-        striped: bool = False,
         signs: np.random.Generator | None = None,
     ) -> np.ndarray:
-        """Coordinates of shape ``shape``; ``striped`` runs a tabulated
-        inverse CDF on the calling thread plus helpers, with the same
-        values.  A symmetric support takes its sign uniforms from ``signs``
-        when given, else from ``rng`` after the magnitudes."""
+        """Coordinates of shape ``shape``.  A symmetric support takes its
+        sign uniforms from ``signs`` when given, else from ``rng`` after the
+        magnitudes."""
         spec, c = self.spec, self.model.c
         if spec.kind == "quadratic":
             return rng.normal(0.0, math.sqrt(0.5 / c), shape)
@@ -353,14 +352,14 @@ class _CoordinateSampler:
         if spec.kind == "power":
             mag = rng.gamma(1.0 / spec.p, 1.0 / c, shape) ** (1.0 / spec.p)
         else:
-            mag = self._inverse(rng.random(shape), striped)
+            mag = self._inverse(rng.random(shape))
         if spec.support == SYMMETRIC:
             # in place: the same values as np.where(u < 0.5, -mag, mag)
             np.negative(mag, out=mag, where=(rng if signs is None else signs).random(shape) < 0.5)
         return mag
 
     def draw_chunks(self, seed: int, block: int, shape: tuple[int, int], chunk: int):
-        """The rows of ``draw(_block_rng(seed, block), shape, True)``, in
+        """The rows of ``draw(_block_rng(seed, block), shape)``, in
         order, ``chunk`` rows at a time, with the same values.
 
         Normal, exponential and gamma draws read the stream in order, so
@@ -379,7 +378,7 @@ class _CoordinateSampler:
             signs.bit_generator.advance(rows * n // 4)
             signs.random(rows * n % 4)
         for start in range(0, rows, chunk):
-            yield self.draw(rng, (min(chunk, rows - start), n), True, signs)
+            yield self.draw(rng, (min(chunk, rows - start), n), signs)
 
 
 def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
@@ -583,7 +582,7 @@ def ensemble_expectation_gap(
         size = min(65536, canonical_count - done)
         rng = _block_rng(seed, 2_000_000 + block)
         block += 1
-        vals = np.asarray(testfn.fn(sampler.draw(rng, (size, k), striped=True)), dtype=float)
+        vals = np.asarray(testfn.fn(sampler.draw(rng, (size, k))), dtype=float)
         sums += float(np.sum(vals))
         sumsq += float(np.sum(vals * vals))
         done += size

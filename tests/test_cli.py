@@ -552,11 +552,11 @@ QUARTIC_SWEEP = ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n
 # (n, k, alpha) -> (kl, tv) of QUARTIC_SWEEP, the same whichever w_{n-k}
 # grids the memo keeps; 23 - 3 = 20 is also a cell's n
 QUARTIC_KL_TV = {
-    (20, 1, 0.0): (0.003018767060935774, 0.04189408529070992),
-    (20, 1, 0.2): (0.08154344354847515, 0.29369141296743195),
+    (20, 1, 0.0): (0.003018767060934558, 0.04189408529071097),
+    (20, 1, 0.2): (0.08154344354847376, 0.2936914129674348),
     (20, 3, 0.0): (0.014427586112036594, 0.10844993322763975),
-    (23, 1, 0.0): (0.002248032538353267, 0.03604928295994254),
-    (23, 1, 0.2): (0.08423970032631713, 0.2935146515662578),
+    (23, 1, 0.0): (0.002248032538352219, 0.03604928295994344),
+    (23, 1, 0.2): (0.08423970032631553, 0.29351465156626055),
     (23, 3, 0.0): (0.010612084893089964, 0.09243663466557962),
 }
 

@@ -1,13 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 from scipy.stats import gamma as gamma_dist
 
 from thinshell import gibbs1d, grids, hamiltonians as ham
 from thinshell.grids import DensityGrid, EdgeModel, make_grid
+
+
+def _mass_below(edge: EdgeModel, v) -> np.ndarray:
+    """``\\int_0^v model(u) du`` for a positive rate: incomplete gammas."""
+    a = [b + 1.0 for b, _, _ in edge._terms]
+    return sum(sign * np.exp(log_k + gammaln(s) - s * math.log(edge.rate)) * gammainc(s, edge.rate * np.asarray(v))
+               for s, (_, log_k, sign) in zip(a, edge._terms))
 
 
 def _gamma_grid(shape: float, rate: float, x_max: float = 60.0, m: int = 2**16) -> DensityGrid:
@@ -124,34 +134,18 @@ class TestCdfAndNormalize:
         oracle = gamma_dist.cdf(grid.points()[idx], 0.5, scale=1.0)
         np.testing.assert_allclose(got, oracle, atol=5e-7)
 
-    def test_cdf_model_part_is_the_pointwise_mass(self):
-        """The vectorised model mass in ``cdf_values`` equals, bit for bit,
-        the incomplete-gamma formula taken at one node at a time."""
-        grid = _gamma_grid(0.5, 1.0)
-        edge = EdgeModel(-0.5, -0.5 * math.log(math.pi), 1.0, beta2=0.5, coef2=0.25)
-        grid = make_grid(grid.x0, grid.dx, grid.values, edge=edge)
+    @pytest.mark.parametrize("gap", [None, 0.37, 1.0])
+    def test_cdf_model_part_against_gammainc(self, gap):
+        """On a grid sampled from the model itself the remainder vanishes,
+        so ``cdf_values`` at the first 257 nodes is the model's mass below
+        each node: incomplete gammas."""
+        edge = EdgeModel(-0.5, 0.3, 1.3, beta2=None if gap is None else -0.5 + gap, coef2=-0.25)
+        dx = 7.5e-4  # rate * dx < 1e-3
+        values = np.zeros(2**12)
+        values[1:] = edge.density(dx * np.arange(1, 2**12))
+        grid = make_grid(0.0, dx, values, edge=edge)
         vs = grid.points()[:257]
-
-        def pointwise(v):
-            out = 0.0
-            for b, log_a, sign in edge._terms:
-                a = b + 1.0
-                out += sign * float(np.exp(log_a + gammaln(a) - a * np.log(edge.rate)) * gammainc(a, edge.rate * v))
-            return out
-
-        want = np.array([pointwise(v) for v in vs])
-        np.testing.assert_array_equal(edge.mass_below(vs), want)
-        rem = grid.values[:257] - edge.density(vs)
-        rem[0] = 0.0
-        np.testing.assert_array_equal(grid.cdf_values()[:257], want + np.concatenate(([0.0], np.cumsum(0.5 * grid.dx * (rem[1:] + rem[:-1])))))
-
-    @pytest.mark.parametrize("rate_shift", [0.4, 1.3, 2.0], ids=["positive", "zero", "negative"])
-    def test_mass_below_array_matches_scalars(self, rate_shift):
-        edge = EdgeModel(-0.5, 0.3, 1.3, beta2=0.5, coef2=0.25).scaled(0.0, rate_shift)
-        vs = 0.0123 * np.arange(257)
-        got = edge.mass_below(vs)
-        assert got.shape == vs.shape and isinstance(edge.mass_below(1.0), float)
-        np.testing.assert_array_equal(got, [edge.mass_below(float(v)) for v in vs])
+        np.testing.assert_allclose(grid.cdf_values()[:257], _mass_below(edge, vs), rtol=1e-12, atol=0.0)
 
     def test_normalized_mass_and_defect(self):
         grid = _gamma_grid(0.5, 1.0)
@@ -197,22 +191,23 @@ class TestEdgeModelAlgebra:
         assert lead_only.beta == pytest.approx(1.0, abs=1e-15) and lead_only.beta2 is None
         assert edge.convolve(6, below=2.0) is None
 
-    @pytest.mark.parametrize("beta, beta2", [(19.0, None), (25.0, None), (-0.5, 19.0), (-0.5, math.inf), (-0.5, math.nan)])
-    def test_exponents_past_the_incomplete_gamma_domain_refused(self, beta, beta2):
-        """The mass of ``v^b exp(-rate v)`` is an incomplete gamma of shape
-        ``b + 1``, which the package evaluates up to shape 20."""
-        with pytest.raises(ValueError, match="below 19"):
+    @pytest.mark.parametrize("beta, beta2", [(math.inf, None), (-0.5, math.inf), (-0.5, -math.inf), (-0.5, math.nan)])
+    def test_non_finite_exponents_refused(self, beta, beta2):
+        with pytest.raises(ValueError, match="finite"):
             EdgeModel(beta, 0.0, 1.0, beta2=beta2, coef2=0.25)
 
-    def test_convolution_past_the_domain_refused(self):
-        with pytest.raises(ValueError, match="below 19"):
-            EdgeModel(-0.5, 0.0, 1.0).convolve(40)
+    @pytest.mark.parametrize("beta", [-1.0, -3.0, math.nan])
+    def test_infinite_mass_refused(self, beta):
+        with pytest.raises(ValueError, match="exceed -1"):
+            EdgeModel(beta, 0.0, 1.0)
 
-    def test_largest_exponent_mass(self):
-        edge = EdgeModel(18.99, 0.0, 1.3)
-        for v in (1.0, 14.6, 30.0, math.inf):
-            want = math.gamma(19.99) * 1.3**-19.99 * gammainc(19.99, 1.3 * v)
-            assert edge.mass_below(v) == pytest.approx(want, rel=1e-13)
+    @pytest.mark.parametrize("beta", [18.99, 25.0])
+    def test_large_exponent_mass(self, beta):
+        """No cap on the exponent: the mass of ``v^b exp(-1.3 v)`` below v."""
+        edge = EdgeModel(beta, 0.0, 1.3)
+        for v in (1.0, 14.6, 30.0):
+            want = math.gamma(beta + 1.0) * 1.3 ** -(beta + 1.0) * gammainc(beta + 1.0, 1.3 * v)
+            assert edge.prefix_integral(v / 256, 256, grids._one) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("coef2", [0.25, -0.25])
     @pytest.mark.parametrize("u", [0.0, 0.7, 3.0])
@@ -234,7 +229,8 @@ class TestEdgeModelAlgebra:
     @pytest.mark.parametrize("rate_shift", [0.4, 2.0])
     def test_scaled_density_and_mass(self, coef2, rate_shift):
         """``scaled(f, r)`` is ``exp(f + r v) * model(v)``; its mass below
-        v agrees with quadrature, also when the shifted rate turns negative."""
+        v, over 256 cells, agrees with quadrature, also when the shifted rate
+        turns negative."""
         edge = EdgeModel(-0.5, 0.3, 1.3, beta2=0.5, coef2=coef2)
         f = 0.7
         scaled = edge.scaled(f, rate_shift)
@@ -243,4 +239,57 @@ class TestEdgeModelAlgebra:
         # weight='alg' integrates g(v) v^(-1/2) with the singularity in the rule
         g = lambda v: math.exp(f + rate_shift * v) * (math.exp(0.3) + coef2 * v) * math.exp(-1.3 * v)
         oracle, _ = quad(g, 0.0, 2.0, weight="alg", wvar=(-0.5, 0.0), epsabs=1e-13, epsrel=1e-12)
-        assert scaled.mass_below(2.0) == pytest.approx(oracle, rel=1e-9)
+        assert scaled.prefix_integral(2.0 / 256, 256, grids._one) == pytest.approx(oracle, rel=1e-9)
+
+
+GAPS = [None, 0.37, 1.0]
+
+
+class TestEdgeIntegrals:
+    """One per-cell rule takes every integral of an edge model: each term
+    under its own substitution in the first cell, 8-point Gauss-Legendre in
+    the others.  Its masses against independent oracles."""
+
+    @pytest.mark.parametrize("coef2", [0.25, -0.25])
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, -0.1, 0.3, 1.5, 5.0])
+    def test_mass_against_gammainc(self, beta, gap, coef2):
+        """At ``rate * dx`` up to 1e-3 (the package's edge grids have about
+        2.5e-4), over one, seven and 256 cells."""
+        edge = EdgeModel(beta, 0.3, 1.3, beta2=None if gap is None else beta + gap, coef2=coef2)
+        for rate_dx in (1e-3, 2.5e-4):
+            dx = rate_dx / edge.rate
+            for cells in (7, 256):
+                want = float(_mass_below(edge, cells * dx))
+                assert edge.prefix_integral(dx, cells, grids._one) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("rate", [0.0, -0.7, -2.0])
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.3, 1.5])
+    def test_mass_at_non_positive_rate_against_mpmath(self, beta, rate, gap):
+        """A tilted model may grow: each term's mass below v is ``a v^s / s
+        \\int_0^1 exp(-rate v u^{1/s}) du`` with ``s = b + 1``, taken by
+        30-digit quadrature."""
+        edge = EdgeModel(beta, 0.3, rate, beta2=None if gap is None else beta + gap, coef2=-0.25)
+        for v in (1.0, 12.8):
+            with mpmath.workdps(30):
+                want = sum(
+                    sign * mpmath.exp(log_k) * mpmath.mpf(v) ** (b + 1) / (b + 1)
+                    * mpmath.quad(lambda u: mpmath.exp(-rate * v * u ** (1 / mpmath.mpf(b + 1))), [0, 1])
+                    for b, log_k, sign in edge._terms
+                )
+            assert edge.prefix_integral(v / 256, 256, grids._one) == pytest.approx(float(want), rel=1e-11)
+
+    @given(shape=st.floats(0.05, 6.0), rate=st.floats(0.2, 5.0))
+    def test_gamma_grid_has_unit_mass(self, shape, rate):
+        """A Gamma(shape, rate) density on an edge grid, with its exact
+        density as the edge model, has unit mass to the trapezoid error of
+        the bulk, and its cumulative mass ends at that mass."""
+        m = 2**14
+        dx = (shape + 40.0) / rate / (m - 1)
+        values = np.zeros(m)
+        values[1:] = gamma_dist.pdf(dx * np.arange(1, m), shape, scale=1.0 / rate)
+        edge = EdgeModel(shape - 1.0, shape * math.log(rate) - math.lgamma(shape), rate)
+        grid = make_grid(0.0, dx, values, edge=edge)
+        assert grid.mass == pytest.approx(1.0, abs=1e-6)
+        assert grid.cdf_values()[-1] == pytest.approx(grid.mass, rel=1e-12)

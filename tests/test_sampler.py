@@ -138,7 +138,7 @@ def scipy_pchip(coord):
 
 def assert_inverse_matches_pchip(coord, u):
     u = np.asarray(u, dtype=float)
-    assert np.array_equal(coord._inverse(u.copy(), striped=False), scipy_pchip(coord)(u))
+    assert np.array_equal(coord._inverse(u.copy()), scipy_pchip(coord)(u))
 
 
 class TestPchipCoefficients:
@@ -200,7 +200,7 @@ class TestIndexedSearch:
         """A draw of several chunks gives the same values on two threads."""
         u = np.random.default_rng(13).random((3, 3 * sampler._CHUNK + 5))
         monkeypatch.setenv("THINSHELL_THREADS", "2")
-        assert np.array_equal(tabulated._inverse(u.copy(), striped=True), scipy_pchip(tabulated)(u))
+        assert np.array_equal(tabulated._inverse(u.copy()), scipy_pchip(tabulated)(u))
 
     def test_one_table_per_model(self, monkeypatch, quartic_model):
         """An ensembles step (rejection and canonical draws for two n) builds
@@ -478,7 +478,7 @@ def whole_block_rejection(model, n, delta, count, seed):
         rng = sampler._block_rng(seed, block)
         block += 1
         size = max(sampler._BLOCK, min(65536, 4 * (count - kept)))
-        rows = coord.draw(rng, (size, n), striped=True)
+        rows = coord.draw(rng, (size, n))
         drawn += size
         energies = sampler._row_energies(spec, rows)
         accept = np.abs(energies / n - t) <= delta
@@ -521,7 +521,7 @@ class TestStreamedRejection:
         """Also when the block's coordinate count is not a multiple of 4,
         so the sign stream starts inside a Philox counter step."""
         coord = sampler._coordinate_sampler(model)
-        whole = coord.draw(sampler._block_rng(21, 4), (rows, n), striped=True)
+        whole = coord.draw(sampler._block_rng(21, 4), (rows, n))
         chunks = list(coord.draw_chunks(21, 4, (rows, n), chunk))
         assert np.array_equal(np.concatenate(chunks), whole)
         if model.spec.kind != "power":
