@@ -5,9 +5,9 @@ with every key overridable from the command line; experiments are sweeps,
 so the file is the unit of reproducibility.  Floating-point output is
 fixed at 17 significant digits so equal configs produce byte-identical
 CSVs.  ``--strict`` turns any failed bound check into a nonzero exit for
-CI consumption.  ``THINSHELL_THREADS`` caps the sweep worker pool, the
-grid builds, the CLT scan, the custom inverse and the samplers' threads; a
-pool or helper thread runs its own fan-outs inline.
+CI consumption.  Sweep cells, grid builds, the CLT scan, the custom inverse
+and the samplers' blocks fan out through ``hamiltonians._fan_out``, on up
+to ``THINSHELL_THREADS`` threads; a helper runs its own fan-outs inline.
 
 On glibc, :func:`main` first fixes the allocator's settings
 (:func:`_steady_heap`), so that the per-grid temporaries of a sweep reuse
@@ -25,7 +25,6 @@ import platform
 import sys
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from . import projection, sampler
 from .gibbs1d import GibbsModel, GridParams, solve_energy
 from .hamiltonians import (
     HALF_LINE,
-    _enter_worker,
+    _fan_out,
     _pool_size,
     check_class_f,
     f_values,
@@ -90,6 +89,13 @@ class ExperimentConfig:
         ``n_list``) with the first of ``k_list``."""
         return (self.n if self.n is not None else self.n_list[0]), self.k_list[0]
 
+    def bounds_cells(self) -> list[tuple[int, int, list[float]]]:
+        """The ``(n, k, alphas)`` cells that ``bounds`` runs: tilts act on the
+        first coordinate, so nonzero alphas pair with k = 1 only; the rows
+        of one (n, k) share its context."""
+        cells = [(n, k, [a for a in self.alpha_list if a == 0.0 or k == 1]) for n in self.n_list for k in self.k_list]
+        return [cell for cell in cells if cell[2]]
+
     def validate(self, subcommand: str | None = None) -> None:
         """Refuse settings no run could use; ``converse`` pairs each n with
         ``converse_k(n)`` instead of ``k_list``, and ``mixture`` runs one
@@ -114,6 +120,11 @@ class ExperimentConfig:
                 for k in self.k_list:
                     if not 1 <= k < n:
                         raise ConfigError(f"every k must satisfy 1 <= k < n; got k={k}, n={n}")
+        if subcommand == "bounds" and not self.bounds_cells():
+            raise ConfigError(
+                f"alpha_list={self.alpha_list!r} with k_list={self.k_list!r} leaves no bounds cell "
+                "(a nonzero alpha pairs with k = 1 only)"
+            )
         if len(self.mixture_t_list) != len(self.mixture_weights):
             raise ConfigError("mixture_t_list and mixture_weights differ in length")
         if not all(math.isfinite(t) and t > 0 for t in self.mixture_t_list):
@@ -165,15 +176,22 @@ class ExperimentConfig:
 def _converter(hint):
     """Text-to-value conversion for one field's type: ``X | None`` converts
     as X, ``tuple[X, ...]`` as a comma-separated list of X, and ``bool``
-    as a yes/no word."""
+    as 1/true/yes or 0/false/no, in any case."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return lambda value: tuple(item(v.strip()) for v in value.split(",") if v.strip())
     if hint is bool:
-        return lambda value: value.lower() in ("1", "true", "yes")
+        return _yes_no
     return hint
+
+
+def _yes_no(value: str) -> bool:
+    word = value.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected one of 1/true/yes or 0/false/no")
+    return word in ("1", "true", "yes")
 
 
 _HINTS = typing.get_type_hints(ExperimentConfig)
@@ -250,17 +268,6 @@ def write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 def _solved(cfg: ExperimentConfig) -> GibbsModel:
     return solve_energy(cfg.spec(), cfg.t)
-
-
-def _sweep(cell, items: list) -> list:
-    """``cell(item)`` for each item, in order, on the sweep pool; inline
-    when the pool would have one thread.  Pool threads run their own
-    fan-outs inline."""
-    threads = _pool_size(len(items))
-    if threads == 1:
-        return [cell(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads, initializer=_enter_worker) as pool:
-        return list(pool.map(cell, items))
 
 
 def _c_hat(cfg: ExperimentConfig, model: GibbsModel) -> float:
@@ -353,10 +360,7 @@ def run_bounds(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     c_hat = _c_hat(cfg, model)
     params = cfg.grid_params()
-    # tilts act on the first coordinate, so nonzero alphas pair with k=1 only;
-    # the rows of one (n, k) share its context
-    cells = [(n, k, [a for a in cfg.alpha_list if a == 0.0 or k == 1]) for n in cfg.n_list for k in cfg.k_list]
-    cells = [cell for cell in cells if cell[2]]
+    cells = cfg.bounds_cells()
     # the grids several cells share: every w_k, and w_n where it is not exact
     shared = {k for _, k, _ in cells}
     if not model.spec.closed_form:
@@ -368,7 +372,7 @@ def run_bounds(cfg: ExperimentConfig) -> int:
         ctx = projection.make_context(model, n, k, params)
         return [projection.bound_report(ctx, c_hat, alpha=alpha) for alpha in alphas]
 
-    reports = [report for reports in _sweep(cell, cells) for report in reports]
+    reports = [report for reports in _fan_out(cell, cells) for report in reports]
     rows = [
         [r.n, r.k, r.t, r.c, r.alpha, r.kl, r.tv, r.kl_bound, r.tv_from_kl,
          r.df_bound if r.df_bound is not None else math.nan, r.c_used, r.pass_kl, r.pass_tv]
@@ -398,7 +402,7 @@ def run_converse(cfg: ExperimentConfig) -> int:
         rep = projection.converse_lower_bound(ctx, cfg.eps)
         return [n, k, cfg.eps, rep.lower_bound, tv]
 
-    rows = _sweep(cell, list(cfg.n_list))
+    rows = _fan_out(cell, cfg.n_list)
     write_csv(cfg.out, ["n", "k", "eps", "lower_bound", "tv"], rows)
     return 0
 

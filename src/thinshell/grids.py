@@ -166,10 +166,6 @@ class EdgeModel:
             out[1:] = dx * ((self.density(v) * fn(v)) @ _GL8W)
         return out
 
-    def prefix_integral(self, dx: float, cells: int, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """``\\int_0^{cells*dx} model(v) fn(v) dv``."""
-        return float(np.sum(self.cell_integrals(dx, cells, fn)))
-
 
 @dataclass(frozen=True)
 class DensityGrid:
@@ -261,12 +257,10 @@ class DensityGrid:
         inc = 0.5 * self.dx * (self.values[1:] + self.values[:-1])
         out = np.concatenate(([0.0], np.cumsum(inc)))
         if self.edge is not None:
-            m = min(_MODEL_CELLS, len(self.values) - 1)
-            vs = self.points()[: m + 1] - self.x0
-            model_cum = np.concatenate(([0.0], np.cumsum(self.edge.cell_integrals(self.dx, m, _one))))
-            rem = self.values[: m + 1] - self.edge.density(vs)
-            rem[0] = 0.0
+            cells, rem = _edge_split(self.dx, self.x0, self.values, self.edge, None)
+            m = len(cells)
             rem_inc = 0.5 * self.dx * (rem[1:] + rem[:-1])
+            model_cum = np.concatenate(([0.0], np.cumsum(cells)))
             out[: m + 1] = model_cum + np.concatenate(([0.0], np.cumsum(rem_inc)))
             out[m + 1 :] = out[m] + np.cumsum(inc[m:])
         return out
@@ -297,16 +291,24 @@ def _integrate(dx, x0, values, edge, fn, at_nodes=None):
         return float(np.trapezoid(weighted, dx=dx))
     # model part by the per-cell rule over the leading cells, trapezoid on
     # the model remainder (smooth near the edge) and on the rest of the grid
-    m = min(_MODEL_CELLS, len(values) - 1)
-    shifted = _one if fn is None else (lambda v: fn(x0 + v))
-    model_part = edge.prefix_integral(dx, m, shifted)
+    cells, rem = _edge_split(dx, x0, weighted, edge, fn, at_nodes)
+    bulk = float(np.trapezoid(weighted[len(cells) :], dx=dx))
+    return float(np.sum(cells)) + float(np.trapezoid(rem, dx=dx)) + bulk
+
+
+def _edge_split(dx, x0, weighted, edge, fn, at_nodes=None):
+    """The edge pieces of ``\\int fn(x) density(x) dx`` (``fn=None`` -> mass)
+    over the first ``m = min(_MODEL_CELLS, nodes - 1)`` cells: the model's
+    integral over each cell (:meth:`EdgeModel.cell_integrals`), and the
+    remainder ``weighted - model * fn`` on nodes ``0..m``, where
+    ``weighted`` is the density times ``fn`` at the nodes (``at_nodes``)."""
+    m = min(_MODEL_CELLS, len(weighted) - 1)
+    cells = edge.cell_integrals(dx, m, _one if fn is None else (lambda v: fn(x0 + v)))
     vs = (x0 + dx * np.arange(m + 1)) - x0  # rounded as points() - x0 rounds them
     with np.errstate(invalid="ignore"):
         rem = weighted[: m + 1] - edge.density(vs) * (1.0 if fn is None else at_nodes[: m + 1])
     rem[0] = 0.0  # sentinel node: the model term is singular there
-    rem_part = float(np.trapezoid(rem, dx=dx))
-    bulk = float(np.trapezoid(weighted[m:], dx=dx))
-    return model_part + rem_part + bulk
+    return cells, rem
 
 
 def make_grid(

@@ -8,10 +8,10 @@ requires a positive lower bound on the tail slope and a controlled
 ``f'(x)**q / f(x)`` ratio near the origin; :func:`check_class_f`
 certifies both on finite scan grids and reports the witnesses found.
 
-The thread helpers every module fans out with (``_pool_size`` and
-``_striped``, capped by ``THINSHELL_THREADS``) and the memo every derived
-value of a model or context is built through (``_memo``) live here, at the
-bottom of the import graph, since the custom inverse uses the helpers too.
+The one fan-out every concurrent build goes through (``_fan_out``, its
+threads capped by ``THINSHELL_THREADS``) and the memo every derived value
+of a model or context is built through (``_memo``) live here, at the
+bottom of the import graph, since the custom inverse fans out too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -217,20 +217,16 @@ def derivative(spec: HamiltonianSpec, x: float) -> float:
 # threads
 
 
-# marks helper and sweep-pool threads, whose own fan-outs run inline
+_I = TypeVar("_I")
+_R = TypeVar("_R")
+# marks helper threads, whose own fan-outs run inline
 _WORKER = threading.local()
-
-
-def _enter_worker() -> None:
-    """Mark the calling thread as a helper or pool thread: ``_pool_size``
-    gives it 1 from here on, so it never starts helpers of its own."""
-    _WORKER.active = True
 
 
 def _pool_size(tasks: int) -> int:
     """Threads for ``tasks`` independent tasks: the CPU count, or
     ``THINSHELL_THREADS`` when it is set, and never more than ``tasks``;
-    1 on a helper or pool thread."""
+    1 on a helper thread."""
     cap = os.environ.get("THINSHELL_THREADS")
     if cap:
         try:
@@ -246,43 +242,52 @@ def _pool_size(tasks: int) -> int:
     return max(1, min(tasks, limit))
 
 
-def _striped(tasks: int, run: Callable[[int], None], threads: int) -> None:
-    """``run(k)`` for every ``k < tasks``: the calling thread takes k = 0,
-    threads, 2*threads, ... and ``threads - 1`` helper threads the other
-    residues.  While helpers run, the calling thread counts as one of them
-    too, so no task fans out further.  After the first failure no further
-    task starts; the error of the lowest failing task is raised once every
-    helper has stopped."""
+def _fan_out(fn: Callable[[_I], _R], items: Sequence[_I]) -> list[_R]:
+    """``[fn(item) for item in items]``, with the items handed out in order,
+    one at a time, to the calling thread and ``_pool_size(len(items)) - 1``
+    helper threads; inline when that is one thread.  While helpers run, the
+    calling thread counts as one of them too, so no item fans out further.
+    After the first failure no further item starts; the error of the lowest
+    failing item is raised once every helper has stopped."""
+    threads = _pool_size(len(items))
+    if threads == 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
     errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    handed = 0
 
-    def stripe(first: int) -> None:
-        for k in range(first, tasks, threads):
-            if errors:
-                return
+    def work() -> None:
+        nonlocal handed
+        while True:
+            with lock:
+                if errors or handed == len(items):
+                    return
+                i, handed = handed, handed + 1
             try:
-                run(k)
+                results[i] = fn(items[i])
             except BaseException as exc:
-                errors[k] = exc
+                with lock:
+                    errors[i] = exc
                 return
 
-    def helper(first: int) -> None:
-        _enter_worker()
-        stripe(first)
+    def helper() -> None:
+        _WORKER.active = True
+        work()
 
-    helpers = [threading.Thread(target=helper, args=(r,), daemon=True) for r in range(1, threads)]
-    was_worker = getattr(_WORKER, "active", False)
-    if helpers:
-        _enter_worker()
+    helpers = [threading.Thread(target=helper, daemon=True) for _ in range(1, threads)]
+    _WORKER.active = True
     try:
         for thread in helpers:
             thread.start()
-        stripe(0)
+        work()
     finally:
-        _WORKER.active = was_worker
+        _WORKER.active = False
         for thread in helpers:
             thread.join()
     if errors:
         raise errors[min(errors)]
+    return results
 
 
 _T = TypeVar("_T")
@@ -318,7 +323,7 @@ _FINV_RTOL = 1e-12
 # first positive abscissa to its last
 _FINV_TABLE = 8192
 _FINV_TABLE_SPAN = 1e-16
-# targets per Newton chunk; chunks are striped over threads
+# targets per Newton chunk; chunks are fanned out over threads
 _FINV_CHUNK = 32768
 
 
@@ -333,9 +338,9 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
     correction, which is applied, is at most ``_FINV_RTOL * max(x, 1)``, or
     its bracket is that narrow.  ``f^{-1}(0) = 0`` exactly.  The table is
     built once per call, from the largest y; the positive targets are then
-    solved in ``_FINV_CHUNK`` chunks striped over the calling thread and
-    helpers.  Each node's iteration is its own, so no value depends on the
-    chunking or the thread count.
+    solved in ``_FINV_CHUNK`` chunks fanned out (:func:`_fan_out`) to the
+    calling thread and helpers.  Each node's iteration is its own, so no
+    value depends on the chunking or the thread count.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(y >= 0.0):
@@ -379,8 +384,7 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
                 idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
         raise RuntimeError("inverse did not converge in 200 steps")
 
-    chunks = -(-positive.size // _FINV_CHUNK)
-    _striped(chunks, chunk, _pool_size(chunks))
+    _fan_out(chunk, range(-(-positive.size // _FINV_CHUNK)))
     return out.reshape(y.shape)
 
 

@@ -92,22 +92,12 @@ class ProjectionContext:
         return lr, np.isfinite(lr)
 
 
-def make_context(
-    model: GibbsModel,
-    n: int,
-    k: int,
-    params: GridParams | None = None,
-    require_clt: bool = False,
-) -> ProjectionContext:
+def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = None) -> ProjectionContext:
     _check_count("n", n)
     _check_count("k", k)
     if not k < n:
         raise ValueError("need 1 <= k < n")
     params = params or GridParams()
-    if require_clt:
-        r_used = clt_prerequisites(model).r_used
-        if n - k < r_used:
-            raise ValueError(f"n-k = {n - k} below the scanned integrability order r = {r_used}")
     if model.spec.closed_form:
         wk, wnk = w_density(model, k, params), None
     else:

@@ -31,12 +31,13 @@ the same table.
 
 Randomness uses counter-based Philox streams derived from ``(seed, block
 index)``, so identical configurations reproduce batches bit for bit.  Each
-block writes its own rows, so the scaling sampler runs its blocks on the
-calling thread plus helper threads, striped: with T threads, thread r takes
-blocks r, r + T, ...; the inverse CDF stripes its 32768-point chunks the
-same way.  No draw depends on which thread made it.  ``THINSHELL_THREADS``
-caps T; by default it is the CPU count.  The rejection sampler's blocks stay
-in order, since each block's size depends on the rows kept so far.
+block writes its own rows, so the scaling sampler hands its blocks out, one
+at a time, to the calling thread and T - 1 helper threads
+(``hamiltonians._fan_out``); the inverse CDF hands out its 32768-point
+chunks the same way.  No draw depends on which thread made it.
+``THINSHELL_THREADS`` caps T; by default it is the CPU count.  The
+rejection sampler's blocks stay in order, since each block's size depends
+on the rows kept so far.
 
 Memory is O(count*keep) for the kept columns plus the draws in flight: T
 blocks of 1024 rows for the scaling sampler, and for the rejection sampler
@@ -58,7 +59,7 @@ import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, _pool_size, _striped, f_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _fan_out, _memo, f_values, fprime_values
 from .sumdensity import w_density
 
 __all__ = [
@@ -314,8 +315,7 @@ class _CoordinateSampler:
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         """The PCHIP inverse CDF at uniforms ``u`` in [0, 1), written over
         ``u`` (or its flat copy, if it is not contiguous) chunk by chunk,
-        the chunks spread over ``_pool_size`` threads (1 on a helper or
-        pool thread)."""
+        the chunks fanned out (``hamiltonians._fan_out``)."""
         flat = u.reshape(-1)
         knots, coef = self._knots, self._coef
 
@@ -331,8 +331,7 @@ class _CoordinateSampler:
                 i[wide] = np.searchsorted(knots, v[wide], "right") - 1
             _cubic(coef.take(i, axis=0), v - knots.take(i), out=v)
 
-        chunks = -(-flat.size // _CHUNK)
-        _striped(chunks, chunk, _pool_size(chunks))
+        _fan_out(chunk, range(-(-flat.size // _CHUNK)))
         return flat.reshape(u.shape)
 
     def draw(
@@ -433,8 +432,7 @@ def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, kee
         rows = sampler.draw(_block_rng(seed, block), (min(_BLOCK, count - start), n))
         _store_block(spec, rows, target, points, start)
 
-    blocks = -(-count // _BLOCK)
-    _striped(blocks, store, _pool_size(blocks))
+    _fan_out(store, range(-(-count // _BLOCK)))
     return SampleBatch(
         points=points,
         n=n,

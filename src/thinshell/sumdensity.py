@@ -21,8 +21,8 @@ added back in closed form; a plain inversion would ring against the
 discontinuity.
 
 Independent builds run at once: :func:`w_grids` and :func:`local_clt_scan`
-stripe theirs over the calling thread and helpers, up to the
-``THINSHELL_THREADS`` cap.
+hand theirs out to the calling thread and helpers
+(``hamiltonians._fan_out``), up to the ``THINSHELL_THREADS`` cap.
 
 A ``w_fft`` build reads only what it needs: for a homogeneous f not even
 the 2^18-node y-grid, and for no f the integrability scan
@@ -52,7 +52,7 @@ from .gibbs1d import (
     clt_prerequisites,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
-from .hamiltonians import _MEMO_LOCK, _memo, _pool_size, _striped
+from .hamiltonians import _MEMO_LOCK, _fan_out, _memo
 
 __all__ = [
     "LocalCltReport",
@@ -244,8 +244,8 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
 
 def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None) -> list[DensityGrid]:
     """The sum-density grid of each count in ``ns``, as :func:`w_density`
-    gives it, with the builds that are missing done at once: striped over
-    the calling thread and helpers (``hamiltonians._striped``).
+    gives it, with the builds that are missing done at once
+    (``hamiltonians._fan_out``).
 
     Counts in ``shared`` (by default all of ``ns``) go through the memo.
     Any other count is read from the memo when the memo has it, and is
@@ -260,16 +260,8 @@ def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None
     missing = sorted(set(ns) - set(memo))
     if missing:
         _y_remainder(model)  # on the calling thread: see _sup_deviations
-    built = {}
-
-    def build(i: int) -> None:
-        n = missing[i]
-        if n in shared:
-            built[n] = w_density(model, n, params)
-        else:
-            built[n] = (w_exact if model.spec.closed_form else w_fft)(model, n, params)
-
-    _striped(len(missing), build, _pool_size(len(missing)))
+    build = w_exact if model.spec.closed_form else w_fft
+    built = dict(zip(missing, _fan_out(lambda n: (w_density if n in shared else build)(model, n, params), missing)))
     return [built[n] if n in built else memo[n].result() for n in ns]
 
 
@@ -318,19 +310,14 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
 def _sup_deviations(model: GibbsModel, n_list, params: GridParams | None) -> tuple[list[float], float]:
     """The sup deviation at each n of n_list and the constant ``c_hat`` they
     imply, the largest ``sqrt(2 pi n)`` times the deviation; the ``w_fft``
-    builds are striped over the calling thread and helpers."""
+    builds are fanned out (``hamiltonians._fan_out``)."""
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
     # every w_fft of an f that is not homogeneous reads the y-grid, which is
-    # built here, on the calling thread, so that its inverse is striped
+    # built here, on the calling thread, so that its inverse fans out
     _y_remainder(model)
-    sup_devs = [math.nan] * len(n_list)
-
-    def scan(i: int) -> None:
-        n = int(n_list[i])
-        sup_devs[i] = _sup_deviation(model, w_fft(model, n, params), n)
-
-    _striped(len(n_list), scan, _pool_size(len(n_list)))
+    n_list = [int(n) for n in n_list]
+    sup_devs = _fan_out(lambda n: _sup_deviation(model, w_fft(model, n, params), n), n_list)
     c_hat = float(max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs)))
     if not (c_hat > 0 and all(math.isfinite(d) for d in sup_devs)):
         raise ValueError("scan produced non-finite deviations")

@@ -167,6 +167,35 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and "alpha_list" in captured.err
 
+    @pytest.mark.parametrize("args", [["--k-list", "3", "--alpha-list", "0.2"], ["--k-list", "1,3", "--alpha-list", ""]])
+    def test_bounds_sweep_without_cells_rejected(self, args, capsys):
+        """A nonzero alpha pairs with k = 1 only, so these sweeps would print
+        just the header; they are a config error naming both lists."""
+        code = run(["bounds", "--kind", "quadratic", "--n-list", "50", "--c-override", "2", "--strict"] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:")
+        assert "alpha_list" in captured.err and "k_list" in captured.err
+
+    @pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("Yes", True),
+                                            ("0", False), ("false", False), ("NO", False)])
+    def test_bool_words(self, tmp_path, word, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"strict={word}\n", encoding="utf-8")
+        assert cli.parse_config_file(str(path)) == {"strict": value}
+
+    @pytest.mark.parametrize("word", ["on", "ture", "", "2"])
+    def test_bool_typo_rejected(self, tmp_path, word, capsys):
+        """A word that is not 1/true/yes or 0/false/no is refused, not read
+        as false (which would let a --strict CI config pass failing bounds)."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"strict={word}\n", encoding="utf-8")
+        assert run(["bounds", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and "'strict'" in captured.err
+
     @pytest.mark.parametrize("value", [",", "0", "8,-1"])
     def test_bad_clt_n_list_rejected(self, value, capsys):
         assert run(["clt-scan", "--kind", "quadratic", "--clt-n-list", value]) == 2
@@ -602,7 +631,7 @@ class TestConcurrentBuilds:
 
     def test_pool_threads_fan_out_inline(self, monkeypatch):
         monkeypatch.setenv("THINSHELL_THREADS", "2")
-        assert cli._sweep(lambda _: hamiltonians._pool_size(8), [0, 1, 2]) == [1, 1, 1]
+        assert hamiltonians._fan_out(lambda _: hamiltonians._pool_size(8), [0, 1, 2]) == [1, 1, 1]
         assert hamiltonians._pool_size(8) == 2
 
 

@@ -68,8 +68,8 @@ def test_divergences_match_closed_inverse(power_pair, n, k):
 
 def test_bound_rows_same_on_any_thread_count(monkeypatch):
     """The custom family of the benchmark (x + x^3/3, no inverse given):
-    striped scan, concurrent grid builds and the striped inverse change no
-    number of a fresh run."""
+    fanned-out scan, concurrent grid builds and the fanned-out inverse
+    change no number of a fresh run."""
     spec = ham.custom(lambda x: x + x**3 / 3.0)
     rows = []
     for threads in ("1", "2", None):

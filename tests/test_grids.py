@@ -207,7 +207,7 @@ class TestEdgeModelAlgebra:
         edge = EdgeModel(beta, 0.0, 1.3)
         for v in (1.0, 14.6, 30.0):
             want = math.gamma(beta + 1.0) * 1.3 ** -(beta + 1.0) * gammainc(beta + 1.0, 1.3 * v)
-            assert edge.prefix_integral(v / 256, 256, grids._one) == pytest.approx(want, rel=1e-13)
+            assert edge.cell_integrals(v / 256, 256, grids._one).sum() == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("coef2", [0.25, -0.25])
     @pytest.mark.parametrize("u", [0.0, 0.7, 3.0])
@@ -239,7 +239,7 @@ class TestEdgeModelAlgebra:
         # weight='alg' integrates g(v) v^(-1/2) with the singularity in the rule
         g = lambda v: math.exp(f + rate_shift * v) * (math.exp(0.3) + coef2 * v) * math.exp(-1.3 * v)
         oracle, _ = quad(g, 0.0, 2.0, weight="alg", wvar=(-0.5, 0.0), epsabs=1e-13, epsrel=1e-12)
-        assert scaled.prefix_integral(2.0 / 256, 256, grids._one) == pytest.approx(oracle, rel=1e-9)
+        assert scaled.cell_integrals(2.0 / 256, 256, grids._one).sum() == pytest.approx(oracle, rel=1e-9)
 
 
 GAPS = [None, 0.37, 1.0]
@@ -261,7 +261,7 @@ class TestEdgeIntegrals:
             dx = rate_dx / edge.rate
             for cells in (7, 256):
                 want = float(_mass_below(edge, cells * dx))
-                assert edge.prefix_integral(dx, cells, grids._one) == pytest.approx(want, rel=1e-12)
+                assert edge.cell_integrals(dx, cells, grids._one).sum() == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("gap", GAPS)
     @pytest.mark.parametrize("rate", [0.0, -0.7, -2.0])
@@ -278,7 +278,7 @@ class TestEdgeIntegrals:
                     * mpmath.quad(lambda u: mpmath.exp(-rate * v * u ** (1 / mpmath.mpf(b + 1))), [0, 1])
                     for b, log_k, sign in edge._terms
                 )
-            assert edge.prefix_integral(v / 256, 256, grids._one) == pytest.approx(float(want), rel=1e-11)
+            assert edge.cell_integrals(v / 256, 256, grids._one).sum() == pytest.approx(float(want), rel=1e-11)
 
     @given(shape=st.floats(0.05, 6.0), rate=st.floats(0.2, 5.0))
     def test_gamma_grid_has_unit_mass(self, shape, rate):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +186,7 @@ STRIPED_YS = np.concatenate((np.geomspace(1e-12, 1e6, 2 * ham._FINV_CHUNK + 7), 
 
 
 class TestStripedInverse:
-    """The inverse solves its targets in chunks striped over threads; no
+    """The inverse solves its targets in chunks fanned out over threads; no
     value depends on the chunking or the thread count."""
 
     def test_same_values_on_any_thread_count(self, monkeypatch):
@@ -235,12 +237,43 @@ class TestThreadHelpers:
 
         def task(k):
             sizes[k] = ham._pool_size(8)
-            ham._striped(3, lambda j: None, ham._pool_size(3))
+            ham._fan_out(lambda j: None, range(3))
 
-        ham._striped(4, task, ham._pool_size(4))
+        ham._fan_out(task, range(4))
         assert len(started) == 1
         assert sizes == {0: 1, 1: 1, 2: 1, 3: 1}
         assert ham._pool_size(8) == 2
+
+    def test_slow_item_holds_back_no_other(self, monkeypatch):
+        """Items are handed out one at a time: while item 0 waits, the other
+        thread runs items 1..5, and the results come back in order."""
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        last_done = threading.Event()
+        ran_on = {}
+
+        def item(k):
+            ran_on[k] = threading.get_ident()
+            if k == 0:
+                assert last_done.wait(timeout=30)
+            if k == 5:
+                last_done.set()
+            return 10 * k
+
+        assert ham._fan_out(item, range(6)) == [0, 10, 20, 30, 40, 50]
+        others = {ran_on[k] for k in range(1, 6)}
+        assert len(others) == 1 and ran_on[0] not in others
+
+    def test_threads_start_only_in_the_fan_out(self):
+        """No module but ``hamiltonians`` starts threads, and it only in
+        ``_fan_out``."""
+        fan_out = inspect.getsource(ham._fan_out)
+        for path in Path(ham.__file__).parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            if path.stem == "hamiltonians":
+                assert fan_out in text
+                text = text.replace(fan_out, "")
+            for name in ("threading.Thread", "ThreadPoolExecutor"):
+                assert name not in text, f"{name} in {path.name}"
 
 
 class TestMonotonicity:

@@ -218,7 +218,9 @@ class TestIndexedSearch:
 
 
 class TestStriping:
-    """Blocks and inverse-CDF chunks striped over threads change no draw."""
+    """Blocks and inverse-CDF chunks fanned out over threads change no draw;
+    the fan-out itself (``hamiltonians._fan_out``) runs every item once and
+    stops at the first failure."""
 
     @pytest.mark.parametrize("spec", [ham.linear_half(), ham.quartic_perturbed(0.0)], ids=["exact", "tabulated"])
     def test_scaling_same_on_any_thread_count(self, monkeypatch, spec):
@@ -254,26 +256,30 @@ class TestStriping:
         fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
         sampler.ensemble_expectation_gap(quartic_model, 20, 1, fn, batch, 70_000, seed=2)
 
-    def test_every_task_runs_once_under_stress(self):
+    def test_every_task_runs_once_under_stress(self, monkeypatch):
         """More threads than cores and a short switch interval: every task
-        writes its own slot exactly once."""
+        writes its own slot exactly once, and the results come back in
+        order."""
         out = np.zeros(500, dtype=int)
         ran = []
 
         def run(k):
             ran.append(k)
             out[k] += k + 1
+            return -k
 
+        monkeypatch.setenv("THINSHELL_THREADS", str(2 * (os.cpu_count() or 1) + 3))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sampler._striped(500, run, 2 * (os.cpu_count() or 1) + 3)
+            results = ham._fan_out(run, range(500))
         finally:
             sys.setswitchinterval(interval)
         assert sorted(ran) == list(range(500))
         assert np.array_equal(out, np.arange(1, 501))
+        assert results == [-k for k in range(500)]
 
-    def test_lowest_failing_task_is_raised(self):
+    def test_lowest_failing_task_is_raised(self, monkeypatch):
         """Tasks 3 and 4 run on different threads and fail together; task 3's
         error is raised, no task starts after them, and no helper is left."""
         both_failing = threading.Barrier(2, timeout=30)
@@ -285,9 +291,10 @@ class TestStriping:
                 both_failing.wait()
                 raise RuntimeError(f"task {k}")
 
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="task 3"):
-            sampler._striped(40, run, 2)
+            ham._fan_out(run, range(40))
         assert sorted(ran) == [0, 1, 2, 3, 4]
         assert threading.active_count() == before
 
@@ -297,16 +304,16 @@ class TestPoolSize:
     def test_bad_cap_refused(self, monkeypatch, value):
         monkeypatch.setenv("THINSHELL_THREADS", value)
         with pytest.raises(ValueError, match="THINSHELL_THREADS must be an integer >= 1"):
-            sampler._pool_size(4)
+            ham._pool_size(4)
 
     def test_cap_and_task_count_bound_the_threads(self, monkeypatch):
         """A huge cap is sized here only; no thread is started."""
         monkeypatch.setenv("THINSHELL_THREADS", "1" + "0" * 30)
-        assert sampler._pool_size(3) == 3
+        assert ham._pool_size(3) == 3
         monkeypatch.setenv("THINSHELL_THREADS", "2")
-        assert (sampler._pool_size(0), sampler._pool_size(1), sampler._pool_size(5)) == (1, 1, 2)
+        assert (ham._pool_size(0), ham._pool_size(1), ham._pool_size(5)) == (1, 1, 2)
         monkeypatch.delenv("THINSHELL_THREADS")
-        assert sampler._pool_size(10**6) == (os.cpu_count() or 1)
+        assert ham._pool_size(10**6) == (os.cpu_count() or 1)
 
 
 class TestScalingSampler:
