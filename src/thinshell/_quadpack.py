@@ -1,0 +1,470 @@
+"""Adaptive Gauss-Kronrod quadrature with extrapolation, scalar and numpy-free.
+
+A port of QUADPACK's ``dqagse`` with its helpers ``dqk21``, ``dqpsrt`` and
+``dqelg`` (R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
+D. K. Kahaner, *QUADPACK: A Subroutine Package for Automatic Integration*,
+1983), the routine behind scipy's ``quad`` on a finite interval.  The
+branches, the constants (QUADPACK's decimal literals) and the operation
+order are kept, and the machine constants are those of ``d1mach``, so the
+value, the error estimate and the return code equal ``quad``'s bit for bit.
+It stays a plain scalar loop on purpose: summing in another order would
+move the last bits.
+
+Arrays keep QUADPACK's 1-based indexing (slot 0 unused), so each line can
+be read against the Fortran.
+"""
+
+from __future__ import annotations
+
+import sys
+
+__all__ = ["dqagse"]
+
+_EPMACH = sys.float_info.epsilon  # d1mach(4)
+_UFLOW = sys.float_info.min  # d1mach(1)
+_OFLOW = sys.float_info.max  # d1mach(2)
+
+# 21-point Kronrod abscissae xgk and weights wgk, and the weights wg of the
+# 10-point Gauss rule, whose abscissae are xgk(2), xgk(4), ..., xgk(10)
+_XGK = (
+    None,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    None,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208067317773,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    None,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+_LIMEXP = 50  # dqelg: most elements the epsilon table holds
+
+
+def _dqk21(f, a: float, b: float) -> tuple[float, float, float, float]:
+    """21-point Gauss-Kronrod rule on ``[a, b]``: ``(result, abserr,
+    resabs, resasc)``, with ``resabs`` the integral of ``|f|`` and
+    ``resasc`` that of ``|f - mean f|``."""
+    fv1 = [0.0] * 11
+    fv2 = [0.0] * 11
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = float(f(centr))
+    resk = _WGK[11] * fc
+    resabs = abs(resk)
+    for j in range(1, 6):
+        jtw = 2 * j
+        absc = hlgth * _XGK[jtw]
+        fval1 = float(f(centr - absc))
+        fval2 = float(f(centr + absc))
+        fv1[jtw] = fval1
+        fv2[jtw] = fval2
+        fsum = fval1 + fval2
+        resg = resg + _WG[j] * fsum
+        resk = resk + _WGK[jtw] * fsum
+        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
+    for j in range(1, 6):
+        jtwm1 = 2 * j - 1
+        absc = hlgth * _XGK[jtwm1]
+        fval1 = float(f(centr - absc))
+        fval2 = float(f(centr + absc))
+        fv1[jtwm1] = fval1
+        fv2[jtwm1] = fval2
+        fsum = fval1 + fval2
+        resk = resk + _WGK[jtwm1] * fsum
+        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[11] * abs(fc - reskh)
+    for j in range(1, 11):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _dqpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int) -> tuple[int, float, int]:
+    """Keep ``iord`` listing the error estimates ``elist`` in descending
+    order after interval ``maxerr`` was bisected into ``maxerr`` and
+    ``last``; return the interval to bisect next, its error and ``nrmax``."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+    else:
+        # only a difficult integrand makes a bisection raise the error;
+        # normally the insertion starts after the nrmax-th largest
+        errmax = elist[maxerr]
+        if nrmax != 1:
+            for _ in range(nrmax - 1):
+                isucc = iord[nrmax - 1]
+                if errmax <= elist[isucc]:
+                    break
+                iord[nrmax] = isucc
+                nrmax -= 1
+        # only as many as can still be bisected are kept in order
+        jupbn = last
+        if last > limit // 2 + 2:
+            jupbn = limit + 3 - last
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        ibeg = nrmax + 1
+        # insert errmax top-down, then errmin bottom-up
+        for i in range(ibeg, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        iord[k + 1] = last
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _dqelg(n: int, epstab: list, res3la: list, nres: int) -> tuple[int, float, float, int]:
+    """One step of Wynn's epsilon algorithm on the partial sums
+    ``epstab[1..n]``: ``(n, result, abserr, nres)``, with the table shifted
+    in place and the last three results kept in ``res3la``."""
+    nres += 1
+    abserr = _OFLOW
+    result = epstab[n]
+    if n < 3:
+        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+    epstab[n + 2] = epstab[n]
+    newelm = (n - 1) // 2
+    epstab[n] = _OFLOW
+    num = n
+    k1 = n
+    for i in range(1, newelm + 1):
+        k2 = k1 - 1
+        k3 = k1 - 2
+        res = epstab[k1 + 2]
+        e0 = epstab[k3]
+        e1 = epstab[k2]
+        e2 = res
+        e1abs = abs(e1)
+        delta2 = e2 - e1
+        err2 = abs(delta2)
+        tol2 = max(abs(e2), e1abs) * _EPMACH
+        delta3 = e1 - e0
+        err3 = abs(delta3)
+        tol3 = max(e1abs, abs(e0)) * _EPMACH
+        if err2 <= tol2 and err3 <= tol3:
+            # e0, e1 and e2 agree to machine accuracy: converged
+            result = res
+            abserr = err2 + err3
+            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+        e3 = epstab[k1]
+        epstab[k1] = e1
+        delta1 = e1 - e3
+        err1 = abs(delta1)
+        tol1 = max(e1abs, abs(e3)) * _EPMACH
+        # two close elements, or irregular behaviour: drop part of the table
+        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+            n = i + i - 1
+            break
+        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+        epsinf = abs(ss * e1)
+        if not epsinf > 1e-4:
+            n = i + i - 1
+            break
+        res = e1 + 1.0 / ss
+        epstab[k1] = res
+        k1 = k1 - 2
+        error = err2 + abs(res - e2) + err3
+        if error > abserr:
+            continue
+        abserr = error
+        result = res
+    # shift the table
+    if n == _LIMEXP:
+        n = 2 * (_LIMEXP // 2) - 1
+    ib = 2 if (num // 2) * 2 == num else 1
+    ie = newelm + 1
+    for _ in range(ie):
+        ib2 = ib + 2
+        epstab[ib] = epstab[ib2]
+        ib = ib2
+    if num != n:
+        indx = num - n + 1
+        for i in range(1, n + 1):
+            epstab[i] = epstab[indx]
+            indx += 1
+    if nres < 4:
+        res3la[nres] = result
+        abserr = _OFLOW
+    else:
+        abserr = abs(result - res3la[3]) + abs(result - res3la[2]) + abs(result - res3la[1])
+        res3la[1] = res3la[2]
+        res3la[2] = res3la[3]
+        res3la[3] = result
+    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
+
+
+def dqagse(f, a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int]:
+    """``\\int_a^b f(x) dx`` by globally adaptive bisection with the
+    21-point Gauss-Kronrod rule and epsilon extrapolation, as QUADPACK's
+    ``dqagse``.  ``f`` takes and returns one float.  Returns ``(result,
+    abserr, ier)``, ``abserr`` the estimated absolute error and ``ier`` the
+    return code: 0 is success (``abserr <= max(epsabs, epsrel |result|)``
+    held), 1 the ``limit`` of subintervals was reached, 2 roundoff kept the
+    tolerance out of reach, 3 the integrand misbehaves at some point, 4 the
+    extrapolation table does not converge, 5 the integral is probably
+    divergent, 6 the tolerances are invalid."""
+    # test on validity of parameters
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+        return 0.0, 0.0, 6
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    res3la = [0.0] * 4
+    rlist2 = [0.0] * 53
+    alist[1] = a
+    blist[1] = b
+
+    # first approximation to the integral
+    ier = 0
+    ierro = 0
+    result, abserr, defabs, resabs = _dqk21(f, a, b)
+
+    # test on accuracy
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    last = 1
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier
+
+    # initialization
+    rlist2[1] = result
+    errmax = abserr
+    maxerr = 1
+    area = result
+    errsum = abserr
+    abserr = _OFLOW
+    nrmax = 1
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    iroff1 = 0
+    iroff2 = 0
+    iroff3 = 0
+    ksgn = -1
+    if dres >= (1.0 - 50.0 * _EPMACH) * defabs:
+        ksgn = 1
+    # small, erlarg and ertest are set at the first bisection, before they
+    # are read; correc stays 0 until an extrapolation improves the result
+    small = erlarg = ertest = correc = 0.0
+
+    # main loop; each way out jumps to "final" (label 100) or "sum"
+    # (label 115), and the subdivision limit always forces one of them
+    exit_to_sum = False
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, resabs, defab1 = _dqk21(f, a1, b1)
+        area2, error2, resabs, defab2 = _dqk21(f, a2, b2)
+
+        # improve previous approximations to integral and error and test
+        # for accuracy
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+
+        # roundoff, the subdivision limit, or bad behaviour at a point
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+
+        # append the newly-created intervals to the list
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
+        else:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+
+        # keep the error estimates in descending order and pick the
+        # subinterval to bisect next
+        maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            exit_to_sum = True
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the interval to be bisected next the smallest one?
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if ierro != 3 and erlarg > ertest:
+            # the smallest interval has the largest error: before
+            # bisecting, decrease the sum of the errors over the larger
+            # intervals (erlarg) and extrapolate
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            larger_left = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    larger_left = True
+                    break
+                nrmax += 1
+            if larger_left:
+                continue
+
+        # perform extrapolation
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _dqelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    # set final result and error estimate (label 100)
+    if not exit_to_sum and abserr == _OFLOW:
+        exit_to_sum = True
+    if not exit_to_sum:
+        divergence_test = True
+        if ier + ierro != 0:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                if abserr / abs(result) > errsum / abs(area):
+                    exit_to_sum = True
+            elif abserr > errsum:
+                exit_to_sum = True
+            elif area == 0.0:
+                divergence_test = False
+        if not exit_to_sum and divergence_test:
+            # test on divergence (label 110)
+            if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 1e-2):
+                if 1e-2 > result / area or result / area > 100.0 or errsum > abs(area):
+                    ier = 6
+    if exit_to_sum:
+        # compute global integral sum (label 115)
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    if ier > 2:
+        ier = ier - 1
+    return result, abserr, ier

@@ -141,8 +141,10 @@ def _halfline_integrals(spec: HamiltonianSpec, c: float, weights, x_max: float, 
 
 
 def _quadpack_first_moment(spec: HamiltonianSpec, c: float, x_max: float) -> float:
-    """``\\int_0^{x_max} f exp(-c f) dx`` by QUADPACK (scipy's ``quad``),
-    scalar integrand and tolerances as before the Gauss-Legendre rule.
+    """``\\int_0^{x_max} f exp(-c f) dx`` by QUADPACK's ``dqagse``
+    (:mod:`thinshell._quadpack`, bit-equal to scipy's ``quad``), scalar
+    integrand and tolerances as before the Gauss-Legendre rule.  A nonzero
+    QUADPACK return code raises RuntimeError.
 
     Only the closed-form families use it, for their mean energy.  The
     reference CSVs of their bounds sweeps (``bench/reference``) were written
@@ -151,16 +153,19 @@ def _quadpack_first_moment(spec: HamiltonianSpec, c: float, x_max: float) -> flo
     relative when the mean moves by one ulp (the Gamma log-density there
     sums terms of size 1e4), past those references' 1e-6 gate.  The rule's
     mean (or the exact ``1/(d c)``) replaces it once the references are
-    recorded again; until then scipy.integrate loads on the first
-    closed-form model.  This import is the package's only use of scipy at
-    run time, so runs of the other families never load scipy."""
-    from scipy.integrate import quad
+    recorded again."""
+    # imported here, so that runs of the other families and the bare CLI
+    # import do not compile the port (2.3 ms without cached bytecode)
+    from ._quadpack import dqagse
 
     def integrand(x):
         fx = spec.fn(np.asarray([x]))[0]
         return fx * math.exp(-c * fx) if c * fx < 700 else 0.0
 
-    return quad(integrand, 0.0, x_max, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    value, abserr, ier = dqagse(integrand, 0.0, x_max, 1e-12, 1e-10, 200)
+    if ier != 0:
+        raise RuntimeError(f"QUADPACK returned ier={ier} for the mean energy: {value!r} +- {abserr!r}")
+    return value
 
 
 def _check_resolved(c: float, x_max: float, z: float, mu: float) -> None:

@@ -3,7 +3,7 @@ product measure.
 
 Two routes: closed Gamma forms for the families listed in
 ``hamiltonians.CLOSED_FORMS`` (keyed on homogeneous degree and support),
-with ``log Gamma`` from :mod:`thinshell._special` rather than scipy,
+with ``log Gamma`` from :mod:`thinshell._special` (no scipy at run time),
 and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
 form, invert by a real inverse FFT, since w_n is real).  When the energy

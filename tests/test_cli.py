@@ -648,38 +648,38 @@ class TestConfigFileClosed:
 
 
 # small runs of every subcommand the cold-import guard checks, run in this
-# order in one interpreter, and the scipy modules each must leave unloaded:
-# the FFT-route families take the Gauss-Legendre, Newton and PCHIP routes
-# and the Gamma functions of thinshell._special only, so they load no scipy;
-# a closed-form family's mean still goes through scipy's quad
-# (gibbs1d._quadpack_first_moment), which loads scipy.integrate and, with
-# it, scipy.special and scipy.optimize
+# order in one interpreter; none may load any of SCIPY_FREE: the FFT-route
+# families take the Gauss-Legendre, Newton and PCHIP routes and the Gamma
+# functions of thinshell._special, and a closed-form family's mean goes
+# through the QUADPACK port of thinshell._quadpack
 SCIPY_FREE = ["scipy", "scipy.special", "scipy.integrate", "scipy.optimize", "scipy.interpolate"]
 GUARDED_RUNS = [
     ("bounds quartic", ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "20",
-                        "--k-list", "1", "--clt-n-list", "8"], SCIPY_FREE),
+                        "--k-list", "1", "--clt-n-list", "8"]),
     ("ensembles quartic rejection", ["ensembles", "--kind", "quartic_perturbed", "--epsilon", "1", "--n-list", "6",
                                      "--method", "rejection", "--delta", "0.3", "--count", "200",
-                                     "--canonical-count", "200"], SCIPY_FREE),
-    ("bounds quadratic", ["bounds", "--kind", "quadratic", "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"],
-     ["scipy.interpolate"]),
-    ("converse", ["converse", "--kind", "quadratic", "--n-list", "20"], ["scipy.interpolate"]),
-    ("mixture", ["mixture", "--kind", "quadratic", "--n", "20", "--k-list", "2"], ["scipy.interpolate"]),
-    ("sample", ["sample", "--kind", "quadratic", "--n", "3", "--count", "100"], ["scipy.interpolate"]),
-    ("clt-scan", ["clt-scan", "--kind", "quadratic", "--clt-n-list", "8,16"], ["scipy.interpolate"]),
+                                     "--canonical-count", "200"]),
+    ("solve-c quadratic", ["solve-c", "--kind", "quadratic"]),
+    ("bounds quadratic", ["bounds", "--kind", "quadratic", "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"]),
+    ("converse", ["converse", "--kind", "quadratic", "--n-list", "20"]),
+    ("mixture", ["mixture", "--kind", "quadratic", "--n", "20", "--k-list", "2"]),
+    ("sample", ["sample", "--kind", "quadratic", "--n", "3", "--count", "100"]),
+    ("clt-scan", ["clt-scan", "--kind", "quadratic", "--clt-n-list", "8,16"]),
+    ("ensembles linear_half scaling", ["ensembles", "--kind", "linear_half", "--n-list", "6", "--method", "scaling",
+                                       "--count", "200", "--canonical-count", "200"]),
 ]
 
 
 class TestColdImport:
     def test_scipy_modules_left_unloaded(self, tmp_path):
         """A fresh interpreter imports the CLI without any scipy module, then
-        runs each guarded subcommand in process; after each run, the modules
-        it must leave unloaded are still absent."""
+        runs each guarded subcommand in process; after each run, still no
+        module of SCIPY_FREE is loaded."""
         code = (
             "import json, sys\n"
             "from thinshell import cli\n"
             "loaded = {'import': [m for m in sys.argv[2:] if m in sys.modules]}\n"
-            "for name, args, _ in json.loads(sys.argv[1]):\n"
+            "for name, args in json.loads(sys.argv[1]):\n"
             "    code = cli.main(args + ['--out', name.replace(' ', '_')])\n"
             "    loaded[name] = [m for m in sys.argv[2:] if m in sys.modules] if code == 0 else f'exit {code}'\n"
             "print(json.dumps(loaded))\n"
@@ -690,9 +690,8 @@ class TestColdImport:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         assert loaded["import"] == []
-        for name, _, unloaded in GUARDED_RUNS:
-            assert isinstance(loaded[name], list), (name, loaded[name])
-            assert not set(loaded[name]) & set(unloaded), (name, loaded[name])
+        for name, _ in GUARDED_RUNS:
+            assert loaded[name] == [], (name, loaded[name])
 
 
 class TestSteadyHeap:

@@ -82,6 +82,15 @@ class TestSolveEnergy:
         with pytest.raises(ValueError, match="finite"):
             gibbs1d.solve_energy(ham.quadratic(), t)
 
+    @pytest.mark.parametrize("spec", [ham.quadratic(), ham.linear_half(), ham.power(3), ham.quartic_perturbed(1.0),
+                                      ham.custom(lambda x: x + x**3 / 3.0)], ids=lambda s: s.kind)
+    def test_model_fields_are_builtin_floats(self, spec):
+        """A numpy scalar in a model field (np.float64 passes isinstance
+        float) makes every scalar operation on it slower downstream."""
+        model = gibbs1d.solve_energy(spec, 1.0)
+        fields = {name: type(getattr(model, name)) for name in ("c", "z", "mu", "sigma2", "m3", "x_max")}
+        assert fields == dict.fromkeys(fields, float)
+
     def test_mean_energy_strictly_decreasing(self):
         """20-point scan of c -> E f(X) over [0.1, 10]."""
         cs = np.linspace(0.1, 10.0, 20)

@@ -14,7 +14,7 @@ from thinshell import gibbs1d, hamiltonians as ham, projection, sampler, sumdens
 
 # just above shape 1 the convolved edge exponent n/p - 1 lies in (0, 0.03);
 # w_fft keeps an edge only below -1e-9 and node 0 holds 0, so the grid's
-# norm_defect, about 1.2e-4, is the error (ROADMAP item 1(ii))
+# norm_defect, about 1.2e-4, is the error (ROADMAP item 4)
 NEAR_SHAPE_ONE = "w_fft drops the edge of a convolved exponent just above 0"
 
 
