@@ -348,9 +348,9 @@ def _y_step(model: GibbsModel) -> float:
     return _memo(model._cache, "dy", lambda: _y_max(model) / (_Y_GRID_SIZE - 1))
 
 
-def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
-    """The y-grid of :func:`y_density`, the density minus the edge model on
-    its positive nodes, and whether that remainder is noise."""
+def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray]:
+    """The y-grid of :func:`y_density` and the density minus the edge model
+    on its positive nodes."""
     n = _Y_GRID_SIZE
     dy = _y_step(model)
     ys = dy * np.arange(1, n)
@@ -367,9 +367,7 @@ def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
         raise RuntimeError(f"y-density mass off by {grid.mass - 1.0:.3e} (> 1e-6)")
     out = grid.normalized()
     # the raw density on the positive nodes: values[1:] is never rescaled
-    rem = values[1:] - _edge_model(model).density(out.points()[1:])
-    negligible = bool(np.max(np.abs(rem)) < 1e-12 * np.max(out.values))
-    return out, rem, negligible
+    return out, values[1:] - _edge_model(model).density(out.points()[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +391,9 @@ def _conjugate_phi(model: GibbsModel, m: int, dx: float, rem: np.ndarray | None)
     phi there.
 
     ``rem`` holds the density minus the edge model on nodes 1..m-1, or is
-    None when the caller found it negligible.  Its trapezoid transform (half
-    weight on the right endpoint; the left one is 0) comes from one rFFT,
-    which covers the whole resolvable band.
+    None for a homogeneous f (:func:`_y_remainder`).  Its trapezoid
+    transform (half weight on the right endpoint; the left one is 0) comes
+    from one rFFT, which covers the whole resolvable band.
     """
     us, base = _conjugate_base(model.c, m, dx)
     phi = _edge_model(model).transform(base)
@@ -414,22 +412,19 @@ def _grid_remainder(model: GibbsModel, ys: np.ndarray) -> np.ndarray:
     return np.exp(log_y_density(model, ys)) - _edge_model(model).density(ys)
 
 
-def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray, bool]:
-    """The y-grid, the remainder on its positive nodes, and whether that
-    remainder is noise (:func:`_y_grid`); built once per model for every
-    transform of it."""
+def _cached_remainder(model: GibbsModel) -> tuple[DensityGrid, np.ndarray]:
+    """The y-grid and the remainder on its positive nodes (:func:`_y_grid`),
+    built once per model for every transform of it."""
     return _memo(model._cache, "ygrid", lambda: _y_grid(model))
 
 
 def _y_remainder(model: GibbsModel) -> np.ndarray | None:
-    """The remainder on the y-grid's positive nodes, or None where it is
-    noise.  A homogeneous f has an energy density that is exactly its
-    single-term edge model ``K y^beta exp(-cy)``, so for it the answer is
-    None without the y-grid being built."""
+    """The remainder on the y-grid's positive nodes, or None, with no y-grid
+    built, for a homogeneous f (``w_fft`` decides on the same rule): its
+    energy density is exactly its single-term edge model ``K y^beta exp(-cy)``."""
     if model.spec.homogeneous_degree is not None:
         return None
-    _, rem, negligible = _cached_remainder(model)
-    return None if negligible else rem
+    return _cached_remainder(model)[1]
 
 
 def characteristic_function(model: GibbsModel, u):

@@ -7,8 +7,8 @@ with ``log Gamma`` from :mod:`thinshell._special` (no scipy at run time),
 and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
 form, invert by a real inverse FFT, since w_n is real).  When the energy
-density is exactly ``K y^beta exp(-cy)`` (a single-term edge model and a
-negligible remainder, as for ``power(p)``), phi is
+density is exactly ``K y^beta exp(-cy)`` (a homogeneous f with a
+single-term edge model, as for ``power(p)``), phi is
 ``K Gamma(beta+1) (c - iu)^{-(beta+1)}`` and phi**n is evaluated in closed
 form, ``exp(n log(K Gamma(beta+1)) - n (beta+1) log(c - iu))``: with
 ``arg(c - iu)`` in ``(-pi/2, 0]`` for u >= 0 the principal logarithm is
@@ -20,12 +20,12 @@ singularity at the support edge) are subtracted in the frequency domain and
 added back in closed form; a plain inversion would ring against the
 discontinuity.
 
-Independent builds run at once: :func:`w_grids` and :func:`local_clt_scan`
-hand theirs out to the calling thread and helpers
-(``hamiltonians._fan_out``), up to the ``THINSHELL_THREADS`` cap.
+One selector (``_build``) picks every grid's route; :func:`w_grids` fans
+a caller's missing builds out (``hamiltonians._fan_out``), and the CLT scan
+builds through it too, so a closed-form family's scan reads Gamma grids.
 
-A ``w_fft`` build reads only what it needs: for a homogeneous f not even
-the 2^18-node y-grid, and for no f the integrability scan
+A ``w_fft`` build reads neither the 2^18-node y-grid (the homogeneous
+degree decides whether the remainder is sampled) nor the integrability scan
 (:func:`gibbs1d.clt_prerequisites`).  So its ``meta`` holds ``kind``,
 ``n``, ``c``, ``l1_clip`` and ``norm_defect``, and no longer whether n
 reaches the scanned integrability order.
@@ -47,7 +47,6 @@ from .gibbs1d import (
     _conjugate_phi,
     _edge_model,
     _grid_remainder,
-    _y_remainder,
     _y_step,
     clt_prerequisites,
 )
@@ -182,8 +181,8 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     # edge terms of w_n that would ring in a plain inversion
     edge = _edge_model(model)
     conv = edge.convolve(n, below=2.0)
-    negligible = _y_remainder(model) is None
-    power_law = negligible and (edge.beta2 is None or edge.coef2 == 0.0)
+    homogeneous = model.spec.homogeneous_degree is not None
+    power_law = homogeneous and (edge.beta2 is None or edge.coef2 == 0.0)
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
         m = params.sum_size
@@ -194,7 +193,7 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
             _, base = _conjugate_base(model.c, m, ds)
             psi = _power_law_power(edge, base, n)
         else:
-            rem = None if negligible else _grid_remainder(model, ys)
+            rem = None if homogeneous else _grid_remainder(model, ys)
             _, base, phi = _conjugate_phi(model, m, ds, rem)
             psi = _polar_power(phi, n)
         if conv is not None:
@@ -229,8 +228,13 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     return grid.normalized()
 
 
+def _build(model: GibbsModel, n: int, params: GridParams | None) -> DensityGrid:
+    """The closed form when the family has one, the FFT route otherwise."""
+    return (w_exact if model.spec.closed_form else w_fft)(model, n, params)
+
+
 def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
-    """Closed form when the family has one, FFT route otherwise.
+    """:func:`_build`'s grid, memoised.
 
     Grids of both routes are memoised on the model under ``("w", n,
     params)`` (``hamiltonians._memo``), so every caller gets the same grid.
@@ -238,8 +242,7 @@ def w_density(model: GibbsModel, n: int, params: GridParams | None = None) -> De
     like a memoised count is refused too.
     """
     _check_count("n", n)
-    build_grid = w_exact if model.spec.closed_form else w_fft
-    return _memo(model._cache, ("w", n, params or GridParams()), lambda: build_grid(model, n, params))
+    return _memo(model._cache, ("w", n, params or GridParams()), lambda: _build(model, n, params))
 
 
 def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None) -> list[DensityGrid]:
@@ -258,10 +261,7 @@ def w_grids(model: GibbsModel, ns, params: GridParams | None = None, shared=None
     with _MEMO_LOCK:
         memo = {n: model._cache[("w", n, params)] for n in ns if ("w", n, params) in model._cache}
     missing = sorted(set(ns) - set(memo))
-    if missing:
-        _y_remainder(model)  # on the calling thread: see _sup_deviations
-    build = w_exact if model.spec.closed_form else w_fft
-    built = dict(zip(missing, _fan_out(lambda n: (w_density if n in shared else build)(model, n, params), missing)))
+    built = dict(zip(missing, _fan_out(lambda n: (w_density if n in shared else _build)(model, n, params), missing)))
     return [built[n] if n in built else memo[n].result() for n in ns]
 
 
@@ -309,15 +309,12 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
 
 def _sup_deviations(model: GibbsModel, n_list, params: GridParams | None) -> tuple[list[float], float]:
     """The sup deviation at each n of n_list and the constant ``c_hat`` they
-    imply, the largest ``sqrt(2 pi n)`` times the deviation; the ``w_fft``
-    builds are fanned out (``hamiltonians._fan_out``)."""
+    imply, the largest ``sqrt(2 pi n)`` times the deviation, on :func:`w_grids`
+    grids kept out of the memo (Gamma grids for the closed-form families)."""
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    # every w_fft of an f that is not homogeneous reads the y-grid, which is
-    # built here, on the calling thread, so that its inverse fans out
-    _y_remainder(model)
-    n_list = [int(n) for n in n_list]
-    sup_devs = _fan_out(lambda n: _sup_deviation(model, w_fft(model, n, params), n), n_list)
+    grids = w_grids(model, n_list, params, shared=())
+    sup_devs = [_sup_deviation(model, grid, n) for grid, n in zip(grids, n_list)]
     c_hat = float(max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs)))
     if not (c_hat > 0 and all(math.isfinite(d) for d in sup_devs)):
         raise ValueError("scan produced non-finite deviations")

@@ -146,10 +146,19 @@ class TestSetUpLeftOut:
         for model in models:
             assert not {"ygrid", "prereqs"} & set(model._cache)
 
-    def test_quartic_bounds_skips_scan(self, monkeypatch, tmp_path):
+    def test_quartic_bounds_skips_ygrid_and_scan(self, monkeypatch, tmp_path):
+        """The remainder of a non-homogeneous f is sampled on each sum grid,
+        so its bounds run, CLT scan included, needs no y-grid either."""
         (model,) = self._models(monkeypatch, tmp_path, ["bounds", "--kind", "quartic_perturbed", "--epsilon", "1",
                                                         "--n-list", "20", "--k-list", "1", "--clt-n-list", "8"])
-        assert "ygrid" in model._cache and "prereqs" not in model._cache
+        assert not {"ygrid", "prereqs"} & set(model._cache)
+
+    def test_quartic_clt_scan_builds_ygrid_and_scan(self, monkeypatch, tmp_path):
+        """clt-scan prints the integrability order, nu and I, which read
+        the y-grid's remainder."""
+        (model,) = self._models(monkeypatch, tmp_path, ["clt-scan", "--kind", "quartic_perturbed", "--epsilon", "1",
+                                                        "--clt-n-list", "8,16"])
+        assert {"ygrid", "prereqs"} <= set(model._cache)
 
 
 class TestClosedFormsByDegree:

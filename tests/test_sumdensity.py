@@ -9,7 +9,7 @@ import pytest
 from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
-from thinshell import gibbs1d, hamiltonians as ham, projection, sampler, sumdensity
+from thinshell import cli, gibbs1d, hamiltonians as ham, projection, sampler, sumdensity
 
 
 # just above shape 1 the convolved edge exponent n/p - 1 lies in (0, 0.03);
@@ -332,15 +332,14 @@ class TestModelMemo:
 
 
 class TestRemainderDecision:
-    """Whether the remainder is noise is decided once per model, and w_fft
-    then skips sampling it on each new grid."""
+    """Whether the remainder past the edge model is sampled follows from the
+    homogeneous degree alone; w_fft then skips sampling it on each new grid
+    of a homogeneous f, and builds no y-grid for any f."""
 
-    @pytest.mark.parametrize(
-        "fixture,negligible", [("quad_model", True), ("lin_model", True), ("quartic_model", False)]
-    )
-    def test_w_fft_reads_the_model_flag(self, request, fixture, negligible, monkeypatch):
+    @pytest.mark.parametrize("fixture", ["quad_model", "lin_model", "quartic_model"])
+    def test_w_fft_reads_the_model_flag(self, request, fixture, monkeypatch):
         model = replace(request.getfixturevalue(fixture), _cache={})
-        assert gibbs1d._cached_remainder(model)[2] is negligible
+        homogeneous = model.spec.homogeneous_degree is not None
         sampled = []
         original = sumdensity._grid_remainder
 
@@ -350,7 +349,8 @@ class TestRemainderDecision:
 
         monkeypatch.setattr(sumdensity, "_grid_remainder", counted)
         sumdensity.w_fft(model, 4)
-        assert bool(sampled) is not negligible
+        assert bool(sampled) is not homogeneous
+        assert "ygrid" not in model._cache
 
     HOMOGENEOUS = {
         "quadratic": ham.quadratic,
@@ -372,9 +372,11 @@ class TestRemainderDecision:
         assert gibbs1d._y_remainder(model) is None
         dy = gibbs1d._y_step(model)
         assert "ygrid" not in model._cache
-        grid, _, negligible = gibbs1d._cached_remainder(model)
+        grid, rem = gibbs1d._cached_remainder(model)
         edge = gibbs1d._edge_model(model)
-        assert negligible and (edge.beta2 is None or edge.coef2 == 0.0)
+        # the degree rule's claim, measured on the grid: the remainder is noise
+        assert np.max(np.abs(rem)) < 1e-12 * np.max(grid.values)
+        assert edge.beta2 is None or edge.coef2 == 0.0
         assert grid.dx == dy and grid.x_end == dy * (gibbs1d._Y_GRID_SIZE - 1)
 
 
@@ -476,6 +478,38 @@ class TestLocalCltScan:
     def test_empty_n_list_refused(self, quad_model):
         with pytest.raises(ValueError, match="n_list must be nonempty"):
             sumdensity.local_clt_scan(quad_model, ())
+
+    @pytest.mark.parametrize("n", [8.7, True, 0], ids=repr)
+    def test_bad_counts_refused(self, quad_model, n):
+        """A count that is not an integer >= 1 is refused, as w_density
+        refuses it, not truncated to one."""
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1; got "):
+            sumdensity.local_clt_scan(quad_model, [16, n])
+
+    @pytest.mark.parametrize("fixture", ["quad_model", "lin_model"])
+    def test_closed_family_scan_reads_exact_grids(self, request, fixture, monkeypatch):
+        """A closed-form family's scan over the default counts builds one
+        Gamma grid per count and no FFT grid, and its constant agrees with
+        the one the FFT grids give."""
+        model = replace(request.getfixturevalue(fixture), _cache={})
+        ns = cli.ExperimentConfig.clt_n_list
+        reference = max(
+            math.sqrt(2.0 * math.pi * n) * sumdensity._sup_deviation(model, sumdensity.w_fft(model, n), n)
+            for n in ns
+        )
+        calls = {"w_fft": [], "w_exact": []}
+        for name in calls:
+            original = getattr(sumdensity, name)
+
+            def counted(m, n, params=None, name=name, original=original):
+                calls[name].append(n)
+                return original(m, n, params)
+
+            monkeypatch.setattr(sumdensity, name, counted)
+        c_hat = sumdensity.local_clt_scan(model, ns).c_hat
+        assert calls["w_fft"] == [] and sorted(calls["w_exact"]) == sorted(ns)
+        assert not any(key[0] == "w" for key in model._cache if isinstance(key, tuple))
+        assert c_hat == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     def test_same_on_any_thread_count(self, quartic_model, monkeypatch):
         devs = []
