@@ -176,28 +176,22 @@ def _check_resolved(c: float, x_max: float, z: float, mu: float) -> None:
 
 
 def partition_function(spec: HamiltonianSpec, c: float) -> float:
-    """``Z_c = \\int exp(-c f) dx`` over the finiteness set; closed-form
-    families of degree d have ``Z = s Gamma(1 + 1/d) c^(-1/d)``, with s = 2
-    on symmetric support."""
-    if c <= 0:
-        raise ValueError("inverse temperature must be positive")
-    factor = 2.0 if spec.support == SYMMETRIC else 1.0
-    if spec.closed_form:
-        d = spec.homogeneous_degree
-        return factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
-    x_max = _truncation(spec, c)
-    return factor * float(_halfline_integrals(spec, c, lambda f: (np.ones_like(f),), x_max)[0])
+    """``Z_c = \\int exp(-c f) dx`` over the finiteness set, as
+    :func:`model_at` computes it."""
+    return _model_values(spec, c)[1]
 
 
 def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float, float]:
     """Cutoff, Z, and the mean, variance and absolute third
-    central moment of ``Y = f(X)`` at c."""
+    central moment of ``Y = f(X)`` at c.  Closed-form families of degree d
+    have ``Z = s Gamma(1 + 1/d) c^(-1/d)``, with s = 2 on symmetric support."""
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"inverse temperature must be finite and positive; got {c!r}")
     factor = 2.0 if spec.support == SYMMETRIC else 1.0
     x_max = _truncation(spec, c)
     if spec.closed_form:
-        z = partition_function(spec, c)
+        d = spec.homogeneous_degree
+        z = factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
         mu = factor * _quadpack_first_moment(spec, c, x_max) / z
     else:
         mass, first = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f), x_max)

@@ -318,7 +318,15 @@ def make_grid(
     edge: EdgeModel | None = None,
     meta: dict | None = None,
 ) -> DensityGrid:
+    """A grid of finite ``values`` at ``x0 + dx * i``; negative values are
+    clipped to 0."""
     values = np.asarray(values, dtype=float)
+    if not (math.isfinite(x0) and math.isfinite(dx) and dx > 0):
+        raise ValueError(f"a grid needs a finite x0 and a finite dx > 0; got x0={x0!r}, dx={dx!r}")
+    if values.ndim != 1 or values.size < 2:
+        raise ValueError(f"a grid needs a row of at least 2 values; got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("grid values must be finite (no nan or inf)")
     if np.any(values < 0):
         values = np.clip(values, 0.0, None)
     if edge is not None and values[0] != 0.0:

@@ -9,9 +9,11 @@ requires a positive lower bound on the tail slope and a controlled
 certifies both on finite scan grids and reports the witnesses found.
 
 The one fan-out every concurrent build goes through (``_fan_out``, its
-threads capped by ``THINSHELL_THREADS``) and the memo every derived value
-of a model or context is built through (``_memo``) live here, at the
-bottom of the import graph, since the custom inverse fans out too.
+threads capped by ``THINSHELL_THREADS``), the memo every derived value
+of a model or context is built through (``_memo``) and the safeguarded
+Newton that the custom inverse and the central projection share
+(``_newton``) live here, at the bottom of the import graph, since the
+custom inverse fans out too.
 """
 
 from __future__ import annotations
@@ -317,6 +319,49 @@ def _memo(cache: dict, key, build: Callable[[], _T]) -> _T:
     return future.result()
 
 
+def _newton(
+    residual: Callable, x: np.ndarray, hi: float | np.ndarray, floor: float, rtol: float, what: str
+) -> np.ndarray:
+    """Roots of increasing functions, one per entry, by safeguarded Newton
+    (rtsafe; Press et al., Numerical Recipes section 9.4) from ``x``.
+
+    ``residual(x, live)`` returns the values g and slopes of the entries
+    ``live`` (indices into ``x``) at ``x``.  The sign of each g shrinks the
+    entry's bracket ``[lo, hi]``, with ``lo`` from 0 and ``hi`` possibly
+    +inf; a point not strictly inside it is replaced by ``2 lo`` while ``hi``
+    is infinite and by bisection after.  An entry stops once its Newton
+    correction ``g / slope`` or its bracket is at most ``rtol * max(x,
+    floor)``; the correction is then applied if it stays in the bracket."""
+    x = np.array(x, dtype=float)
+    out, live = np.empty(x.size), np.arange(x.size)
+    lo, hi = np.zeros(x.size), np.full(x.size, hi, dtype=float)
+
+    def fallback():
+        return np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+
+    for _ in range(200):
+        if not live.size:
+            return out
+        inside = (x > lo) & (x < hi)
+        if not np.all(inside):
+            x = np.where(inside, x, fallback())
+        g, slope = residual(x, live)
+        hi = np.where(g >= 0.0, x, hi)
+        lo = np.where(g <= 0.0, x, lo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = g / slope
+        tol = rtol * np.maximum(x, floor)
+        done = (np.abs(step) <= tol) | (hi - lo <= tol)
+        x = x - step
+        if np.any(done):
+            out[live[done]] = np.where((x >= lo) & (x <= hi), x, fallback())[done]
+            keep = ~done
+            live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
+    if live.size:
+        raise RuntimeError(f"{what} did not converge in 200 steps")
+    return out
+
+
 # Newton correction (relative to max(x, 1)) at which the inverse stops
 _FINV_RTOL = 1e-12
 # nodes of the geometric table that seeds the inverse, and the ratio of its
@@ -328,23 +373,22 @@ _FINV_CHUNK = 32768
 
 
 def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
-    """Unique x >= 0 with f(x) = y; safeguarded Newton for custom specs.
+    """Unique x >= 0 with f(x) = y, for finite y >= 0; :func:`_newton` on
+    ``f(x) - y`` for custom specs.
 
     Without an inverse, each node starts from monotone interpolation in a
     geometric table of f over the bracket ``[0, max(1, y)/a1 + a2]`` that
-    the tail witness guarantees, then takes Newton steps on f'.  Every f
-    evaluation shrinks the node's bracket; a step that leaves it, or is
-    not finite, is replaced by bisection.  A node stops once its Newton
-    correction, which is applied, is at most ``_FINV_RTOL * max(x, 1)``, or
-    its bracket is that narrow.  ``f^{-1}(0) = 0`` exactly.  The table is
-    built once per call, from the largest y; the positive targets are then
-    solved in ``_FINV_CHUNK`` chunks fanned out (:func:`_fan_out`) to the
-    calling thread and helpers.  Each node's iteration is its own, so no
-    value depends on the chunking or the thread count.
+    the tail witness guarantees, and stops at ``_FINV_RTOL * max(x, 1)``.
+    ``f^{-1}(0) = 0`` exactly.  The table is built once per call, from the
+    largest y; the positive targets are then solved in ``_FINV_CHUNK``
+    chunks fanned out (:func:`_fan_out`) to the calling thread and helpers.
+    Each node's iteration is its own, so no value depends on the chunking
+    or the thread count.
     """
     y = np.asarray(y, dtype=float)
-    if not np.all(y >= 0.0):
-        raise ValueError("inverse requires y >= 0 (not nan)")
+    finite = (y >= 0.0) & (y < math.inf)
+    if not np.all(finite):
+        raise ValueError(f"inverse requires finite y >= 0; got y={float(y[~finite].flat[0])!r}")
     if spec.ifn is not None:
         return spec.ifn(y)
     witness = check_class_f(spec).tail_slope
@@ -354,35 +398,24 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
     out = np.zeros(y.size)
     positive = np.flatnonzero(y > 0.0)
     targets = y.ravel()[positive]
-    brackets = np.maximum(1.0, targets) / a1 + a2
+    with np.errstate(over="ignore"):
+        brackets = np.maximum(1.0, targets) / a1 + a2
+    if not np.all(brackets < math.inf):
+        raise ValueError(f"cannot bracket the inverse at y={float(targets[brackets == math.inf][0])!r}")
     top = float(np.max(brackets, initial=1.0 / a1 + a2))
     x_tab = np.concatenate(([0.0], np.geomspace(_FINV_TABLE_SPAN * top, top, _FINV_TABLE - 1)))
     f_tab = spec.fn(x_tab)
 
     def chunk(j: int) -> None:
         part = slice(j * _FINV_CHUNK, (j + 1) * _FINV_CHUNK)
-        idx, target, hi = positive[part], targets[part], brackets[part]
-        lo = np.zeros_like(target)
-        x = np.interp(target, f_tab, x_tab)
-        for _ in range(200):
-            if not idx.size:
-                return
-            # only points strictly inside the bracket are evaluated (f' needs x > 0)
-            x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-            fx = spec.fn(x)
-            hi = np.where(fx >= target, x, hi)
-            lo = np.where(fx <= target, x, lo)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = (fx - target) / fprime_values(spec, x)
-            newton_done = np.abs(step) <= _FINV_RTOL * np.maximum(x, 1.0)
-            done = newton_done | (hi - lo <= _FINV_RTOL * np.maximum(hi, 1.0))
-            x = x - step
-            if np.any(done):
-                final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-                out[idx[done]] = final[done]
-                keep = ~done
-                idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
-        raise RuntimeError("inverse did not converge in 200 steps")
+        target = targets[part]
+
+        def residual(x, live):
+            # only points strictly inside the bracket come here (f' needs x > 0)
+            return spec.fn(x) - target[live], fprime_values(spec, x)
+
+        start = np.interp(target, f_tab, x_tab)
+        out[positive[part]] = _newton(residual, start, brackets[part], 1.0, _FINV_RTOL, "inverse")
 
     _fan_out(chunk, range(-(-positive.size // _FINV_CHUNK)))
     return out.reshape(y.shape)

@@ -9,13 +9,12 @@ before projecting, trading a bias of order delta for tractability.
 
 The projection scales each row by kappa with ``R_n(kappa x) = nt``.  A
 homogeneous energy of degree d has the closed form ``kappa = (nt/R_n)^(1/d)``.
-Otherwise kappa solves ``sum f(kappa |x_i|) = nt`` by Newton's method from
-kappa = 1 (rejection rows start in the shell, close to the root), with
-``f'`` from ``fprime_values``; each row keeps a bracket, and a step that
-leaves it or is not finite is replaced by doubling or bisection.  Every
-projected block is checked on the surface to relative 1e-9.  Rows kept by
-the rejection sampler bring the ``R_n`` of its shell test into the first
-Newton sweep (or the closed form), so it is not evaluated twice.
+Otherwise kappa solves ``sum f(kappa |x_i|) = nt`` by the safeguarded
+Newton of ``hamiltonians._newton`` from kappa = 1 (rejection rows start in
+the shell, close to the root).  ``central_projection`` and both samplers
+check every projected row on the surface to relative 1e-10, in one step.
+Rows kept by the rejection sampler bring the ``R_n`` of its shell test into
+the first Newton sweep (or the closed form), so it is not evaluated twice.
 
 Families without an exact transform draw coordinates by a PCHIP inverse
 CDF, whose coefficients are built here in the operation order of scipy's
@@ -59,7 +58,7 @@ import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, _fan_out, _memo, f_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _fan_out, _memo, _newton, f_values, fprime_values
 from .sumdensity import w_density
 
 __all__ = [
@@ -133,75 +132,70 @@ def _row_energies(spec: HamiltonianSpec, points: np.ndarray) -> np.ndarray:
 # central projection onto the surface
 
 
+# Newton correction (relative to kappa) at which a row's scale factor stops
+_KAPPA_RTOL = 1e-14
+
+
 def _project_rows(
     spec: HamiltonianSpec, rows: np.ndarray, target: float, energies: np.ndarray | None = None
 ) -> np.ndarray:
     """Scale factors kappa with ``R_n(kappa x) = target`` per row;
-    ``energies``, when given, are the rows' ``R_n``."""
+    ``energies``, when given, are the rows' ``R_n``.  Without a homogeneous
+    degree, ``hamiltonians._newton`` solves ``g(kappa) = sum f(kappa |x_i|)
+    - target``, with ``g'(kappa) = sum |x_i| f'(kappa |x_i|)``, from kappa =
+    1 in blocks of ``_BLOCK`` rows; ``energies`` are g at kappa = 1."""
     if spec.homogeneous_degree is not None:
         if energies is None:
             energies = _row_energies(spec, rows)
         return (target / energies) ** (1.0 / spec.homogeneous_degree)
+    # half-line rows keep their sign, so a negative coordinate gives g = +inf
+    mags = np.abs(rows) if spec.support == SYMMETRIC else rows
     kappa = np.empty(rows.shape[0])
     for start in range(0, rows.shape[0], _BLOCK):
         block = slice(start, start + _BLOCK)
-        kappa[block] = _newton_scales(spec, rows[block], target, None if energies is None else energies[block])
+        a, first = mags[block], None if energies is None else energies[block]
+
+        def residual(k, live):
+            nonlocal a, first
+            if live.size < a.shape[0]:  # rows only ever drop out
+                a = mags[block][live]
+            y = k[:, None] * a
+            g = (np.sum(f_values(spec, y), axis=1) if first is None else first) - target
+            first = None
+            # f' needs x > 0; zero coordinates add 0 * f'(1) to the slope
+            with np.errstate(invalid="ignore", over="ignore"):
+                return g, np.sum(a * fprime_values(spec, np.where(a > 0.0, y, 1.0)), axis=1)
+
+        kappa[block] = _newton(residual, np.ones(a.shape[0]), math.inf, 0.0, _KAPPA_RTOL, "central projection")
     return kappa
 
 
-# Newton correction (relative to kappa) at which a row's scale factor stops,
-# and the number of steps after which the projection gives up
-_KAPPA_RTOL = 1e-14
-_KAPPA_STEPS = 200
-
-
-def _newton_scales(
-    spec: HamiltonianSpec, rows: np.ndarray, target: float, energies: np.ndarray | None = None
-) -> np.ndarray:
-    """Safeguarded Newton for ``g(kappa) = sum f(kappa |x_i|) - target`` per
-    row, from kappa = 1, with ``g'(kappa) = sum |x_i| f'(kappa |x_i|)``.
-
-    Each evaluation of g shrinks the row's bracket ``[lo, hi]`` (``hi``
-    starts at +inf); a step that leaves the bracket, or is not finite, is
-    replaced by doubling while ``hi`` is infinite and by bisection after.
-    A row stops once its Newton correction, which is applied, is at most
-    ``_KAPPA_RTOL * kappa``, or its bracket is that narrow.  ``energies``,
-    when given, are the rows' ``R_n``: g at kappa = 1, the first sweep."""
-    # half-line rows keep their sign, so a negative coordinate gives g = +inf
-    a = np.abs(rows) if spec.support == SYMMETRIC else rows
-    out = np.empty(a.shape[0])
-    idx = np.arange(a.shape[0])
-    kappa = np.ones(a.shape[0])
-    lo = np.zeros(a.shape[0])
-    hi = np.full(a.shape[0], math.inf)
-    for _ in range(_KAPPA_STEPS):
-        y = kappa[:, None] * a
-        g = (np.sum(f_values(spec, y), axis=1) if energies is None else energies) - target
-        energies = None
-        hi = np.where(g >= 0.0, kappa, hi)
-        lo = np.where(g <= 0.0, kappa, lo)
-        # f' needs x > 0; zero coordinates add 0 * f'(1) to the slope
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            dg = np.sum(a * fprime_values(spec, np.where(a > 0.0, y, 1.0)), axis=1)
-            step = g / dg
-        done = (np.abs(step) <= _KAPPA_RTOL * kappa) | (hi - lo <= _KAPPA_RTOL * kappa)
-        new = kappa - step
-        fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
-        if np.any(done):
-            final = np.where((new >= lo) & (new <= hi), new, fallback)
-            out[idx[done]] = final[done]
-            keep = ~done
-            idx, a, new, fallback, lo, hi = idx[keep], a[keep], new[keep], fallback[keep], lo[keep], hi[keep]
-        # only points strictly inside the bracket are evaluated again
-        kappa = np.where((new > lo) & (new < hi), new, fallback)
-        if not idx.size:
-            return out
-    raise RuntimeError(f"central projection did not converge in {_KAPPA_STEPS} steps")
+def _store_block(
+    spec: HamiltonianSpec,
+    rows: np.ndarray,
+    target: float,
+    points: np.ndarray,
+    start: int,
+    energies: np.ndarray | None = None,
+) -> None:
+    """Project one block of draws onto the surface (in place), check every
+    row there to relative 1e-10, and copy its first ``points.shape[1]``
+    columns to ``points[start:]``; ``energies``, when given, are the rows'
+    ``R_n``.  The one project-and-check step of the samplers and
+    :func:`central_projection`."""
+    rows *= _project_rows(spec, rows, target, energies)[:, None]
+    resid = np.max(np.abs(_row_energies(spec, rows) - target))
+    # written so that nan fails too
+    if not resid <= 1e-10 * target:
+        raise RuntimeError(f"projection off the surface: residual {resid:.2e}")
+    points[start : start + rows.shape[0]] = rows[:, : points.shape[1]]
 
 
 def central_projection(spec: HamiltonianSpec, x: np.ndarray, t: float) -> np.ndarray:
     """Radial image ``kappa * x`` on the surface at level nt, with the
     on-surface residual verified to relative 1e-10."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"energy level t must be finite and positive; got t={t!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("central_projection takes a single vector")
@@ -209,14 +203,9 @@ def central_projection(spec: HamiltonianSpec, x: np.ndarray, t: float) -> np.nda
         raise ValueError("the zero vector has no radial image on the surface")
     if np.any(~np.isfinite(f_values(spec, x))):
         raise ValueError("coordinates outside the finiteness set")
-    n = x.shape[0]
-    target = n * t
-    kappa = float(_project_rows(spec, x[None, :], target)[0])
-    out = kappa * x
-    resid = abs(float(_row_energies(spec, out[None, :])[0]) - target)
-    if resid > 1e-10 * target:
-        raise RuntimeError(f"projection residual {resid:.2e} exceeds tolerance")
-    return out
+    out = np.empty((1, x.shape[0]))
+    _store_block(spec, x[None, :].copy(), x.shape[0] * t, out, 0)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +385,10 @@ def _check_keep(n: int, keep: int | None) -> int:
     return keep
 
 
-def _store_block(
-    spec: HamiltonianSpec,
-    rows: np.ndarray,
-    target: float,
-    points: np.ndarray,
-    start: int,
-    energies: np.ndarray | None = None,
-) -> None:
-    """Project one block of draws onto the surface (in place), check it, and
-    copy its first ``points.shape[1]`` columns to ``points[start:]``;
-    ``energies``, when given, are the rows' ``R_n``."""
-    rows *= _project_rows(spec, rows, target, energies)[:, None]
-    resid = np.max(np.abs(_row_energies(spec, rows) - target))
-    if resid > 1e-9 * target:
-        raise RuntimeError(f"batch off the surface: residual {resid:.2e}")
-    points[start : start + rows.shape[0]] = rows[:, : points.shape[1]]
+def _check_delta(delta: float) -> None:
+    # written so that nan fails too
+    if not delta > 0:
+        raise ValueError(f"shell width must be positive; got delta={delta!r}")
 
 
 def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, keep: int | None = None) -> SampleBatch:
@@ -458,8 +435,7 @@ def sample_surface_rejection(
     ``|R_n/n - t| <= delta``, then project the survivors to the surface.
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
     default)."""
-    if not delta > 0:
-        raise ValueError(f"shell width must be positive; got delta={delta!r}")
+    _check_delta(delta)
     spec = model.spec
     keep = _check_keep(n, keep)
     sampler = _coordinate_sampler(model)
@@ -505,6 +481,7 @@ def sample_surface_rejection(
 
 def shell_mass(model: GibbsModel, n: int, delta: float, params: GridParams | None = None) -> float:
     """Predicted acceptance rate: the sum-density mass of the shell."""
+    _check_delta(delta)
     wn = w_density(model, n, params)
     cdf = wn.cdf_values()
     pts = wn.points()

@@ -34,6 +34,18 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             gibbs1d.partition_function(ham.quadratic(), 0.0)
 
+    @pytest.mark.parametrize("spec", [ham.quadratic(), ham.quartic_perturbed(1.0)], ids=["closed", "quadrature"])
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_temperature(self, spec, c):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gibbs1d.partition_function(spec, c)
+
+    @pytest.mark.parametrize("spec,c", [(ham.power(1.5), 1.0), (ham.quartic_perturbed(0.3), 7.0),
+                                        (ham.quadratic(), 0.7), (ham.linear_half(), 2.0)])
+    def test_is_the_models_z(self, spec, c):
+        """One route to Z: the quadrature pass that also gives the mean."""
+        assert gibbs1d.partition_function(spec, c) == gibbs1d.model_at(spec, c).z
+
 
 class TestMoments:
     def test_gaussian_second_moment(self):

@@ -44,6 +44,26 @@ class TestMass:
         grid = make_grid(0.0, 0.1, np.array([1.0, -0.5, 1.0]))
         assert np.all(grid.values >= 0.0)
 
+    @pytest.mark.parametrize("x0,dx", [(0.0, -1.0), (0.0, 0.0), (0.0, math.nan), (0.0, math.inf),
+                                       (math.nan, 0.1), (-math.inf, 0.1)])
+    def test_refuses_spacing(self, x0, dx):
+        with pytest.raises(ValueError, match="finite x0 and a finite dx > 0"):
+            make_grid(x0, dx, np.ones(4))
+
+    @pytest.mark.parametrize("values", [[], [1.0], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "one", "matrix"])
+    def test_refuses_fewer_than_two_nodes(self, values):
+        with pytest.raises(ValueError, match="at least 2 values"):
+            make_grid(0.0, 0.1, np.array(values))
+
+    def test_refuses_one_node_edge_grid(self):
+        with pytest.raises(ValueError, match="at least 2 values"):
+            make_grid(0.0, 0.1, np.array([0.0]), edge=EdgeModel(-0.5, 0.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_nonfinite_values(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_grid(0.0, 0.1, np.array([1.0, bad, 1.0]))
+
     def test_singular_grid_needs_sentinel(self):
         with pytest.raises(ValueError, match="sentinel"):
             make_grid(0.0, 0.1, np.array([3.0, 1.0]), edge=EdgeModel(-0.5, 0.0, 1.0))

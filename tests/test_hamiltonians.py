@@ -219,6 +219,157 @@ class TestStripedInverse:
             ham.finv_values(CUBIC, np.geomspace(1e-3, 1e3, 256))
 
 
+def reference_finv(spec, y):
+    """The custom inverse as one loop of its own (the table seed, and the
+    chunk loop as it stood before it moved onto ``ham._newton``), run on
+    one thread: the byte oracle of the shared iteration."""
+    y = np.asarray(y, dtype=float)
+    a1, a2 = ham.check_class_f(spec).tail_slope
+    out = np.zeros(y.size)
+    positive = np.flatnonzero(y > 0.0)
+    targets = y.ravel()[positive]
+    brackets = np.maximum(1.0, targets) / a1 + a2
+    top = float(np.max(brackets, initial=1.0 / a1 + a2))
+    x_tab = np.concatenate(([0.0], np.geomspace(ham._FINV_TABLE_SPAN * top, top, ham._FINV_TABLE - 1)))
+    f_tab = spec.fn(x_tab)
+
+    def chunk(j: int) -> None:
+        part = slice(j * ham._FINV_CHUNK, (j + 1) * ham._FINV_CHUNK)
+        idx, target, hi = positive[part], targets[part], brackets[part]
+        lo = np.zeros_like(target)
+        x = np.interp(target, f_tab, x_tab)
+        for _ in range(200):
+            if not idx.size:
+                return
+            # only points strictly inside the bracket are evaluated (f' needs x > 0)
+            x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+            fx = spec.fn(x)
+            hi = np.where(fx >= target, x, hi)
+            lo = np.where(fx <= target, x, lo)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = (fx - target) / ham.fprime_values(spec, x)
+            newton_done = np.abs(step) <= ham._FINV_RTOL * np.maximum(x, 1.0)
+            done = newton_done | (hi - lo <= ham._FINV_RTOL * np.maximum(hi, 1.0))
+            x = x - step
+            if np.any(done):
+                final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+                out[idx[done]] = final[done]
+                keep = ~done
+                idx, target, lo, hi, x = idx[keep], target[keep], lo[keep], hi[keep], x[keep]
+        raise RuntimeError("inverse did not converge in 200 steps")
+
+    for j in range(-(-positive.size // ham._FINV_CHUNK)):
+        chunk(j)
+    return out.reshape(y.shape)
+
+
+class TestSharedNewton:
+    """``ham._newton``, the one safeguarded Newton behind the custom inverse
+    and the central projection."""
+
+    @pytest.mark.parametrize("fn", [lambda x: x + x**3 / 3.0, lambda x: x + x**5, lambda x: x + np.log1p(x)],
+                             ids=["cubic", "quintic", "concave"])
+    def test_inverse_matches_its_own_loop(self, fn):
+        spec = ham.custom(fn)
+        assert np.array_equal(ham.finv_values(spec, STRIPED_YS), reference_finv(spec, STRIPED_YS))
+
+    @staticmethod
+    def recorder(fn, slope):
+        """A residual ``fn(x) - 0`` with slopes ``slope(x)`` that records
+        every point it is called at."""
+        calls = []
+
+        def residual(x, live):
+            calls.append((x.copy(), live.copy()))
+            return fn(x), slope(x)
+
+        return residual, calls
+
+    def test_doubles_while_the_bracket_is_open(self):
+        """With nan slopes and ``hi = +inf`` the points double from the
+        start until g changes sign, then bisect."""
+        residual, calls = self.recorder(lambda x: x - 100.0, lambda x: np.full_like(x, np.nan))
+        root = ham._newton(residual, np.array([1.0]), math.inf, 0.0, 1e-12, "test")
+        points = [float(x[0]) for x, _ in calls]
+        assert points[:8] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        assert points[8] == 96.0
+        assert abs(root[0] - 100.0) <= 1e-12 * 100.0
+
+    def test_bisects_on_nan_slopes(self):
+        residual, calls = self.recorder(lambda x: x - 1.0 / 3.0, lambda x: np.full_like(x, np.nan))
+        ham._newton(residual, np.array([0.5]), 1.0, 1.0, 1e-12, "test")
+        lo, hi = 0.0, 1.0
+        for x, _ in calls:
+            assert x[0] == 0.5 * (lo + hi)
+            lo, hi = (x[0], hi) if x[0] <= 1.0 / 3.0 else (lo, x[0])
+
+    def test_stops_on_bracket_width(self):
+        """nan slopes leave only the bracket rule: bisection from [0, 1]
+        stops at the first point whose bracket is at most ``rtol * max(x,
+        floor)`` wide, and returns that bracket's midpoint."""
+        rtol = 1e-6
+        residual, calls = self.recorder(lambda x: x - 1.0 / 3.0, lambda x: np.full_like(x, np.nan))
+        root = ham._newton(residual, np.array([0.5]), 1.0, 1.0, rtol, "test")
+        # the k-th midpoint leaves a bracket of width 2^-k
+        assert len(calls) == math.ceil(math.log2(1.0 / rtol))
+        assert abs(root[0] - 1.0 / 3.0) <= 0.5 * rtol
+
+    def test_empty_input_makes_no_call(self):
+        residual, calls = self.recorder(lambda x: x, lambda x: np.ones_like(x))
+        out = ham._newton(residual, np.empty(0), math.inf, 0.0, 1e-12, "test")
+        assert out.shape == (0,) and calls == []
+
+    def test_points_stay_strictly_inside_the_bracket(self):
+        """arctan's Newton steps overshoot from far off; every point handed
+        to ``residual`` lies strictly inside its entry's bracket as the
+        signs seen so far leave it, and every entry reaches its root."""
+        roots = np.array([0.5, 3.0, 40.0, 1e3, 7.0, 2.0])
+        start = np.array([9.0, 1e-3, 1.0, 1.0, 500.0, 2.0])
+        hi = np.array([math.inf, math.inf, math.inf, 1e4, 1e3, math.inf])
+        calls = []
+
+        def residual(x, live):
+            calls.append((x.copy(), live.copy()))
+            return np.arctan(x - roots[live]), 1.0 / (1.0 + (x - roots[live]) ** 2)
+
+        got = ham._newton(residual, start, hi, 1.0, 1e-13, "test")
+        lo, top = np.zeros(roots.size), hi.copy()
+        for x, live in calls:
+            assert np.all((lo[live] < x) & (x < top[live]))
+            g = x - roots[live]
+            top[live] = np.where(g >= 0.0, x, top[live])
+            lo[live] = np.where(g <= 0.0, x, lo[live])
+        np.testing.assert_allclose(got, roots, rtol=1e-12, atol=0.0)
+
+    def test_names_what_did_not_converge(self):
+        residual, _ = self.recorder(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, np.nan))
+        with pytest.raises(RuntimeError, match="widget did not converge in 200 steps"):
+            ham._newton(residual, np.ones(3), math.inf, 0.0, 1e-12, "widget")
+
+
+class TestInverseRefusals:
+    """A target the inverse cannot bracket is refused, naming it, before
+    any Newton sweep."""
+
+    @pytest.mark.parametrize("spec", [ham.quadratic(), CUBIC], ids=["closed", "custom"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_refuses_nonfinite_or_negative_target(self, monkeypatch, spec, bad):
+        monkeypatch.setattr(ham, "_newton", None)
+        with pytest.raises(ValueError, match=f"y >= 0; got y={bad!r}"):
+            ham.finv_values(spec, np.array([1.0, bad]))
+
+    def test_refuses_a_target_past_the_bracket(self, monkeypatch):
+        """The tail witness bracket ``max(1, y)/a1 + a2`` overflows at
+        y = 1e308, although the root (about 3.2e155) is finite."""
+        monkeypatch.setattr(ham, "_newton", None)
+        with pytest.raises(ValueError, match="cannot bracket the inverse at y=1e\\+308"):
+            ham.finv_values(ham.custom(lambda x: 0.1 * x + 1e-3 * x * x), np.array([2.0, 1e308]))
+
+    def test_scalar_inverse_refuses_infinity(self):
+        with pytest.raises(ValueError, match="got y=inf"):
+            ham.inverse(ham.quadratic(), math.inf)
+
+
 class TestThreadHelpers:
     def test_helper_never_starts_a_helper(self, monkeypatch):
         """Under a cap of 2, a fan-out starts one helper; while it runs,

@@ -122,6 +122,102 @@ class TestNewtonProjection:
             sampler._project_rows(spec, np.array([[1.0, -0.5, 2.0]]), 3.0)
 
 
+def reference_newton_scales(spec, rows, target, energies=None):
+    """The projection's Newton as one loop of its own, as it stood before it
+    moved onto ``hamiltonians._newton``: the byte oracle of the shared
+    iteration."""
+    # half-line rows keep their sign, so a negative coordinate gives g = +inf
+    a = np.abs(rows) if spec.support == ham.SYMMETRIC else rows
+    out = np.empty(a.shape[0])
+    idx = np.arange(a.shape[0])
+    kappa = np.ones(a.shape[0])
+    lo = np.zeros(a.shape[0])
+    hi = np.full(a.shape[0], math.inf)
+    for _ in range(200):
+        y = kappa[:, None] * a
+        g = (np.sum(ham.f_values(spec, y), axis=1) if energies is None else energies) - target
+        energies = None
+        hi = np.where(g >= 0.0, kappa, hi)
+        lo = np.where(g <= 0.0, kappa, lo)
+        # f' needs x > 0; zero coordinates add 0 * f'(1) to the slope
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            dg = np.sum(a * ham.fprime_values(spec, np.where(a > 0.0, y, 1.0)), axis=1)
+            step = g / dg
+        done = (np.abs(step) <= sampler._KAPPA_RTOL * kappa) | (hi - lo <= sampler._KAPPA_RTOL * kappa)
+        new = kappa - step
+        fallback = np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+        if np.any(done):
+            final = np.where((new >= lo) & (new <= hi), new, fallback)
+            out[idx[done]] = final[done]
+            keep = ~done
+            idx, a, new, fallback, lo, hi = idx[keep], a[keep], new[keep], fallback[keep], lo[keep], hi[keep]
+        # only points strictly inside the bracket are evaluated again
+        kappa = np.where((new > lo) & (new < hi), new, fallback)
+        if not idx.size:
+            return out
+    raise RuntimeError("central projection did not converge in 200 steps")
+
+
+class TestSharedNewtonProjection:
+    """``_project_rows`` on the shared ``hamiltonians._newton`` gives the
+    bytes of the projection's own loop, block by block."""
+
+    @staticmethod
+    def reference(spec, rows, target, energies):
+        blocks = range(0, rows.shape[0], sampler._BLOCK)
+        return np.concatenate([
+            reference_newton_scales(spec, rows[b : b + sampler._BLOCK], target,
+                                    None if energies is None else energies[b : b + sampler._BLOCK])
+            for b in blocks])
+
+    @pytest.mark.parametrize("with_energies", [False, True], ids=["fresh", "energies"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3], ids=["shell", "kappa_large", "kappa_small"])
+    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(0.1), ham.quartic_perturbed(1.0),
+                                      ham.quartic_perturbed(10.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quartic0.1", "quartic1", "quartic10", "custom"])
+    def test_bytes_match_the_own_loop(self, spec, scale, with_energies):
+        rows = oracle_rows(scale)
+        if spec.support != ham.SYMMETRIC:
+            rows = np.abs(rows)
+        energies = sampler._row_energies(spec, rows) if with_energies else None
+        got = sampler._project_rows(spec, rows, 12.0, energies)
+        assert np.array_equal(got, self.reference(spec, rows, 12.0, energies))
+
+
+class TestSurfaceCheck:
+    """``central_projection`` and both samplers go through one
+    project-and-check step."""
+
+    @pytest.mark.parametrize("t", [math.nan, -1.0, 0.0, math.inf])
+    def test_central_projection_refuses_level(self, t):
+        with pytest.raises(ValueError, match="energy level t"):
+            sampler.central_projection(ham.quadratic(), np.ones(3), t)
+
+    def test_nan_projection_is_off_the_surface(self, monkeypatch, quad_model):
+        """A nan residual fails the check: it is written as ``not resid <=
+        tol``."""
+        monkeypatch.setattr(sampler, "_project_rows", lambda spec, rows, *args: np.full(rows.shape[0], np.nan))
+        with pytest.raises(RuntimeError, match="off the surface"):
+            sampler.central_projection(ham.quadratic(), np.ones(3), 1.0)
+        with pytest.raises(RuntimeError, match="off the surface"):
+            sampler.sample_surface_scaling(quad_model, 8, 100, seed=1, keep=1)
+
+    def test_one_tolerance_for_vector_and_batch(self, monkeypatch, quad_model):
+        """A scale factor off by 2e-10 relative (4e-10 in a quadratic
+        ``R_n``) is refused by the vector and the batch alike."""
+        project = sampler._project_rows
+        monkeypatch.setattr(sampler, "_project_rows", lambda *args: (1.0 + 2e-10) * project(*args))
+        with pytest.raises(RuntimeError, match="off the surface"):
+            sampler.central_projection(ham.quadratic(), np.ones(3), 1.0)
+        with pytest.raises(RuntimeError, match="off the surface"):
+            sampler.sample_surface_scaling(quad_model, 8, 100, seed=1, keep=1)
+
+    def test_central_projection_leaves_its_input(self):
+        x = np.array([0.3, -1.2, 2.0, 0.7])
+        out = sampler.central_projection(ham.quartic_perturbed(0.5), x, 1.0)
+        assert np.array_equal(x, [0.3, -1.2, 2.0, 0.7]) and out is not x
+
+
 @pytest.fixture(scope="module", params=["quartic", "custom"])
 def tabulated(request, quartic_model):
     """The two tabulated inverse CDFs: the symmetric quartic and a half-line
@@ -553,6 +649,11 @@ class TestStreamedRejection:
 
 
 class TestRejectionSampler:
+    @pytest.mark.parametrize("delta", [-0.1, 0.0, math.nan])
+    def test_shell_mass_refuses_width(self, quad_model, delta):
+        with pytest.raises(ValueError, match="shell width must be positive"):
+            sampler.shell_mass(quad_model, 50, delta)
+
     def test_acceptance_matches_shell_mass(self, quad_model):
         batch = sampler.sample_surface_rejection(quad_model, 50, 0.05, 3000, seed=5)
         predicted = sampler.shell_mass(quad_model, 50, 0.05)
