@@ -13,8 +13,9 @@ On glibc, :func:`main` first fixes the allocator's settings
 (:func:`_steady_heap`), so that the per-grid temporaries of a sweep reuse
 one heap instead of being unmapped and faulted back in on every pass.
 Library callers that never run ``main`` keep glibc's defaults.  ``bounds``
-reads the CLT constant off the sup-deviation scan alone; the integrability
-scan runs only where a report asks for it (``clt-scan``).
+reads the CLT constant as ``local_clt_scan(...).c_hat``, the sup-deviation
+scan alone; the integrability scan runs only where a report's fields ask for
+it (``clt-scan``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .hamiltonians import (
     quadratic,
     quartic_perturbed,
 )
-from .sumdensity import _sup_deviations, local_clt_scan, w_exact, w_fft, w_grids
+from .sumdensity import local_clt_scan, w_exact, w_fft, w_grids
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -273,7 +274,7 @@ def _solved(cfg: ExperimentConfig) -> GibbsModel:
 def _c_hat(cfg: ExperimentConfig, model: GibbsModel) -> float:
     if cfg.c_override is not None:
         return cfg.c_override
-    return _sup_deviations(model, cfg.clt_n_list, cfg.grid_params())[1]
+    return local_clt_scan(model, cfg.clt_n_list, cfg.grid_params()).c_hat
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +348,14 @@ def run_wn(cfg: ExperimentConfig) -> int:
 def run_clt_scan(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     report = local_clt_scan(model, cfg.clt_n_list, cfg.grid_params())
+    # the prerequisites are read before the CSV, so a refused scan writes nothing
+    summary = f"C_hat = {_fmt(report.c_hat)} (nu = {_fmt(report.nu)}, I = {_fmt(report.i_value)}, r = {report.r_used})"
     rows = [
         [n, dev, math.sqrt(2.0 * math.pi * n) * dev]
         for n, dev in zip(report.n_list, report.sup_devs)
     ]
     write_csv(cfg.out, ["n", "sup_dev", "sqrt_2pin_sup_dev"], rows)
-    print(f"C_hat = {_fmt(report.c_hat)} (nu = {_fmt(report.nu)}, I = {_fmt(report.i_value)}, r = {report.r_used})")
+    print(summary)
     return 0
 
 

@@ -328,16 +328,18 @@ def _newton(
     ``residual(x, live)`` returns the values g and slopes of the entries
     ``live`` (indices into ``x``) at ``x``.  The sign of each g shrinks the
     entry's bracket ``[lo, hi]``, with ``lo`` from 0 and ``hi`` possibly
-    +inf; a point not strictly inside it is replaced by ``2 lo`` while ``hi``
-    is infinite and by bisection after.  An entry stops once its Newton
-    correction ``g / slope`` or its bracket is at most ``rtol * max(x,
-    floor)``; the correction is then applied if it stays in the bracket."""
+    +inf; a point not strictly inside it is replaced by ``2 max(lo, x0)``,
+    x0 the entry's start, while ``hi`` is infinite (so an entry whose first
+    g is nan is never sent to 0) and by bisection after.  An entry stops
+    once its Newton correction ``g / slope`` or its bracket is at most
+    ``rtol * max(x, floor)``; the correction is then applied if it stays in
+    the bracket."""
     x = np.array(x, dtype=float)
-    out, live = np.empty(x.size), np.arange(x.size)
+    out, live, x0 = np.empty(x.size), np.arange(x.size), x.copy()
     lo, hi = np.zeros(x.size), np.full(x.size, hi, dtype=float)
 
     def fallback():
-        return np.where(np.isinf(hi), 2.0 * lo, 0.5 * (lo + hi))
+        return np.where(np.isinf(hi), 2.0 * np.maximum(lo, x0), 0.5 * (lo + hi))
 
     for _ in range(200):
         if not live.size:
@@ -356,7 +358,7 @@ def _newton(
         if np.any(done):
             out[live[done]] = np.where((x >= lo) & (x <= hi), x, fallback())[done]
             keep = ~done
-            live, x, lo, hi = live[keep], x[keep], lo[keep], hi[keep]
+            live, x, x0, lo, hi = live[keep], x[keep], x0[keep], lo[keep], hi[keep]
     if live.size:
         raise RuntimeError(f"{what} did not converge in 200 steps")
     return out

@@ -28,13 +28,14 @@ A ``w_fft`` build reads neither the 2^18-node y-grid (the homogeneous
 degree decides whether the remainder is sampled) nor the integrability scan
 (:func:`gibbs1d.clt_prerequisites`).  So its ``meta`` holds ``kind``,
 ``n``, ``c``, ``l1_clip`` and ``norm_defect``, and no longer whether n
-reaches the scanned integrability order.
+reaches the scanned integrability order.  Nor does :func:`local_clt_scan`:
+its report runs that scan when ``nu``, ``i_value`` or ``r_used`` is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -281,14 +282,29 @@ def log_w(model: GibbsModel, n: int, s, params: GridParams | None = None) -> np.
 @dataclass(frozen=True)
 class LocalCltReport:
     """Sup deviations of the standardized sum density from the standard
-    normal, and the uniform constant they imply."""
+    normal, and the uniform constant they imply.
+
+    ``nu``, ``i_value`` and ``r_used`` describe the local-CLT hypotheses
+    only; they read :func:`gibbs1d.clt_prerequisites` of ``model`` on first
+    access, so a caller that reads ``c_hat`` alone never builds the y-grid
+    or runs that scan, and a refused scan raises at that first read."""
 
     n_list: tuple[int, ...]
     sup_devs: tuple[float, ...]
     c_hat: float
-    nu: float
-    i_value: float
-    r_used: int
+    model: GibbsModel = field(repr=False, compare=False)
+
+    @property
+    def nu(self) -> float:
+        return clt_prerequisites(self.model).nu
+
+    @property
+    def i_value(self) -> float:
+        return clt_prerequisites(self.model).i_value
+
+    @property
+    def r_used(self) -> int:
+        return clt_prerequisites(self.model).r_used
 
 
 def _standard_normal(x: np.ndarray) -> np.ndarray:
@@ -307,30 +323,16 @@ def _sup_deviation(model: GibbsModel, grid: DensityGrid, n: int) -> float:
     return dev
 
 
-def _sup_deviations(model: GibbsModel, n_list, params: GridParams | None) -> tuple[list[float], float]:
-    """The sup deviation at each n of n_list and the constant ``c_hat`` they
-    imply, the largest ``sqrt(2 pi n)`` times the deviation, on :func:`w_grids`
-    grids kept out of the memo (Gamma grids for the closed-form families)."""
+def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
+    """Estimate the uniform local-CLT constant empirically over n_list: the
+    sup deviation at each n, on :func:`w_grids` grids kept out of the memo
+    (Gamma grids for the closed-form families), and ``c_hat``, the largest
+    ``sqrt(2 pi n)`` times the deviation; nothing else is computed."""
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
     grids = w_grids(model, n_list, params, shared=())
-    sup_devs = [_sup_deviation(model, grid, n) for grid, n in zip(grids, n_list)]
+    sup_devs = tuple(_sup_deviation(model, grid, n) for grid, n in zip(grids, n_list))
     c_hat = float(max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs)))
     if not (c_hat > 0 and all(math.isfinite(d) for d in sup_devs)):
         raise ValueError("scan produced non-finite deviations")
-    return sup_devs, c_hat
-
-
-def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) -> LocalCltReport:
-    """Estimate the uniform local-CLT constant empirically over n_list
-    (:func:`_sup_deviations`), with the model's CLT prerequisites."""
-    sup_devs, c_hat = _sup_deviations(model, n_list, params)
-    prereqs = clt_prerequisites(model)
-    return LocalCltReport(
-        n_list=tuple(int(n) for n in n_list),
-        sup_devs=tuple(sup_devs),
-        c_hat=c_hat,
-        nu=prereqs.nu,
-        i_value=prereqs.i_value,
-        r_used=prereqs.r_used,
-    )
+    return LocalCltReport(n_list=tuple(int(n) for n in n_list), sup_devs=sup_devs, c_hat=c_hat, model=model)

@@ -17,7 +17,7 @@ import typing
 import numpy as np
 import pytest
 
-from thinshell import cli, hamiltonians, projection, sampler
+from thinshell import cli, gibbs1d, hamiltonians, projection, sampler
 
 BOUNDS_HEADER = "n,k,t,c,alpha,kl,tv,kl_bound,tv_from_kl,df_bound,C_used,pass_kl,pass_tv"
 
@@ -522,6 +522,35 @@ class TestShippedConfigs:
     def test_mixture_recipe_runs(self, tmp_path):
         out = tmp_path / "mix.csv"
         assert run(["mixture", "--config", "configs/mixture_quadratic.cfg", "--strict", "--out", str(out)]) == 0
+
+    def test_clt_scan_recipe_stdout(self, capsys):
+        """The scan's CSV and its summary line, byte for byte."""
+        assert run(["clt-scan", "--config", "configs/clt_scan_quadratic.cfg"]) == 0
+        assert capsys.readouterr().out == CLT_SCAN_QUADRATIC_STDOUT
+
+    def test_refused_scan_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        """The prerequisites are read before the CSV is written, so a scan
+        that refuses the model leaves no output file."""
+
+        def refuse(model):
+            raise RuntimeError("|phi| does not decay")
+
+        monkeypatch.setattr(gibbs1d, "_scan_prerequisites", refuse)
+        out = tmp_path / "clt.csv"
+        assert run(["clt-scan", "--config", "configs/clt_scan_quadratic.cfg", "--out", str(out)]) != 0
+        assert not out.exists()
+        assert "error: |phi| does not decay" in capsys.readouterr().err
+
+
+CLT_SCAN_QUADRATIC_STDOUT = """n,sup_dev,sqrt_2pin_sup_dev
+8,0.12872256228694356,0.91261920489567305
+16,0.080467470221680104,0.80680814418276559
+32,0.052901475979147905,0.75012339854261079
+64,0.035724742967691347,0.71638920661392103
+128,0.024509634437106298,0.69507513507736807
+256,0.016982498347859754,0.68110096852191215
+C_hat = 0.91261920489567305 (nu = 0.95310849077267523, I = 2.6220575551178729, r = 3)
+"""
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -341,6 +341,24 @@ class TestSharedNewton:
             lo[live] = np.where(g <= 0.0, x, lo[live])
         np.testing.assert_allclose(got, roots, rtol=1e-12, atol=0.0)
 
+    def test_nan_first_residual_doubles_from_the_start(self):
+        """A nan g leaves the bracket at ``[0, +inf)``; the doubling then
+        starts from the entry's start, never from 0, and still finds a root
+        above it."""
+        residual, calls = self.recorder(lambda x: np.where(x == 3.0, np.nan, x - 100.0), np.ones_like)
+        root = ham._newton(residual, np.array([3.0]), math.inf, 0.0, 1e-12, "test")
+        assert [float(x[0]) for x, _ in calls[:2]] == [3.0, 6.0]
+        assert all(np.all(x > 0.0) for x, _ in calls)
+        assert abs(root[0] - 100.0) <= 1e-12 * 100.0
+
+    def test_nan_residuals_never_reach_zero(self):
+        """Residuals that stay nan past 5 are never evaluated at x <= 0, and
+        the failure names ``what``."""
+        residual, calls = self.recorder(lambda x: np.where(x > 5.0, np.nan, x - 3.0), np.ones_like)
+        with pytest.raises(RuntimeError, match="gadget did not converge in 200 steps"):
+            ham._newton(residual, np.array([6.0, 1.0]), math.inf, 0.0, 1e-12, "gadget")
+        assert all(np.all(x > 0.0) for x, _ in calls)
+
     def test_names_what_did_not_converge(self):
         residual, _ = self.recorder(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, np.nan))
         with pytest.raises(RuntimeError, match="widget did not converge in 200 steps"):

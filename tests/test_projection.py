@@ -160,6 +160,18 @@ class TestSetUpLeftOut:
                                                         "--clt-n-list", "8,16"])
         assert {"ygrid", "prereqs"} <= set(model._cache)
 
+    @pytest.mark.parametrize("spec", [ham.quadratic(), ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quadratic", "quartic", "custom"])
+    def test_library_sequence_skips_ygrid_and_scan(self, spec):
+        """The README's library route, ``local_clt_scan`` for ``c_hat``,
+        then ``make_context`` and ``bound_report``, reads no prerequisite of
+        the scan report, so it builds neither the y-grid nor the scan."""
+        model = gibbs1d.solve_energy(spec, 1.0)
+        scan = sumdensity.local_clt_scan(model, (8, 16))
+        report = projection.bound_report(projection.make_context(model, 20, 1), scan.c_hat)
+        assert math.isfinite(report.kl_bound)
+        assert not {"ygrid", "prereqs"} & set(model._cache)
+
 
 class TestClosedFormsByDegree:
     """Closed forms are keyed on (homogeneous degree, support), not on the

@@ -183,6 +183,13 @@ class TestSharedNewtonProjection:
         got = sampler._project_rows(spec, rows, 12.0, energies)
         assert np.array_equal(got, self.reference(spec, rows, 12.0, energies))
 
+    def test_nan_energy_is_a_projection_failure(self):
+        """A row whose R_n at kappa = 1 is nan (f is nan past 5) is never
+        sent to kappa = 0, where f' is undefined: the projection fails."""
+        spec = ham.custom(lambda x: np.where(x > 5.0, np.nan, x + x**3 / 3.0))
+        with pytest.raises(RuntimeError, match="central projection did not converge"):
+            sampler._project_rows(spec, np.array([[1.0, 6.0]]), 3.0)
+
 
 class TestSurfaceCheck:
     """``central_projection`` and both samplers go through one

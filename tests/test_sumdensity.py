@@ -511,6 +511,26 @@ class TestLocalCltScan:
         assert not any(key[0] == "w" for key in model._cache if isinstance(key, tuple))
         assert c_hat == pytest.approx(reference, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("fixture", ["quad_model", "quartic_model"])
+    def test_prerequisites_read_lazily(self, request, fixture, monkeypatch):
+        """The report's ``nu``, ``i_value`` and ``r_used`` are those of
+        ``clt_prerequisites``, whose scan runs on the first read, once."""
+        model = replace(request.getfixturevalue(fixture), _cache={})
+        scans = []
+        original = gibbs1d._scan_prerequisites
+        monkeypatch.setattr(gibbs1d, "_scan_prerequisites", lambda m: scans.append(m) or original(m))
+        report = sumdensity.local_clt_scan(model, (8, 16))
+        assert scans == [] and "prereqs" not in model._cache
+        got = (report.nu, report.i_value, report.r_used, report.nu, report.r_used)
+        prereqs = gibbs1d.clt_prerequisites(model)
+        assert got == (prereqs.nu, prereqs.i_value, prereqs.r_used, prereqs.nu, prereqs.r_used)
+        assert scans == [model]
+
+    def test_report_compares_without_its_model(self, quad_model):
+        report = sumdensity.local_clt_scan(quad_model, (8, 16))
+        again = sumdensity.local_clt_scan(replace(quad_model, _cache={}), (8, 16))
+        assert report == again and "model" not in repr(report)
+
     def test_same_on_any_thread_count(self, quartic_model, monkeypatch):
         devs = []
         for threads in ("1", "2", None):
