@@ -177,53 +177,33 @@ def _check_resolved(c: float, x_max: float, z: float, mu: float) -> None:
 
 def partition_function(spec: HamiltonianSpec, c: float) -> float:
     """``Z_c = \\int exp(-c f) dx`` over the finiteness set, as
-    :func:`model_at` computes it: the Gamma formula of a closed form (which
-    also holds at a c whose weight the quadrature cannot resolve, and is
-    refused only where it overflows), else the first quadrature pass of
-    :func:`_mass_and_mean` alone."""
-    if not spec.closed_form:
-        return _mass_and_mean(spec, c)[2]
-    _check_temperature(c)
-    z = _closed_z(spec, c)
-    if z == math.inf:
-        raise ValueError(f"Z overflows at c={c!r}")
-    return z
+    :func:`model_at` computes it and with its refusals: the first pass of
+    :func:`_model_values` alone, with no kink and no central moments."""
+    return _model_values(spec, c, central=False)[1]
 
 
-def _check_temperature(c: float) -> None:
+def _model_values(
+    spec: HamiltonianSpec, c: float, central: bool = True
+) -> tuple[float, float, float, float, float]:
+    """Cutoff, Z, and the mean, variance and absolute third central moment
+    of ``Y = f(X)`` at c (the last two nan unless ``central``).  Closed-form
+    families of degree d have ``Z = s Gamma(1 + 1/d) c^(-1/d)``, with s = 2
+    on symmetric support."""
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"inverse temperature must be finite and positive; got {c!r}")
-
-
-def _closed_z(spec: HamiltonianSpec, c: float) -> float:
-    """``Z = s Gamma(1 + 1/d) c^(-1/d)`` of a closed-form family of degree
-    d, with s = 2 on symmetric support."""
-    d = spec.homogeneous_degree
-    return (2.0 if spec.support == SYMMETRIC else 1.0) * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
-
-
-def _mass_and_mean(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float]:
-    """The support factor s (2 on symmetric support), the cutoff, Z and the
-    mean energy at c, checked resolved: the Gamma Z and QUADPACK mean of a
-    closed form, else one pass of the rule over the rows ``(1, f)``."""
-    _check_temperature(c)
     factor = 2.0 if spec.support == SYMMETRIC else 1.0
     x_max = _truncation(spec, c)
     if spec.closed_form:
-        z = _closed_z(spec, c)
+        d = spec.homogeneous_degree
+        z = factor * math.gamma(1.0 + 1.0 / d) / c ** (1.0 / d)
         mu = factor * _quadpack_first_moment(spec, c, x_max) / z
     else:
         mass, first = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f), x_max)
         z = factor * float(mass)
         mu = factor * float(first) / z if z > 0 else math.nan
     _check_resolved(c, x_max, z, mu)
-    return factor, x_max, z, mu
-
-
-def _model_values(spec: HamiltonianSpec, c: float) -> tuple[float, float, float, float, float]:
-    """Cutoff, Z, and the mean, variance and absolute third
-    central moment of ``Y = f(X)`` at c."""
-    factor, x_max, z, mu = _mass_and_mean(spec, c)
+    if not central:
+        return x_max, z, mu, math.nan, math.nan
     # the |f - mu| kink sits at f^{-1}(mu)
     kink = float(finv_values(spec, np.asarray([mu]))[0])
     second, third = _halfline_integrals(

@@ -328,18 +328,19 @@ def _newton(
     ``residual(x, live)`` returns the values g and slopes of the entries
     ``live`` (indices into ``x``) at ``x``.  The sign of each g shrinks the
     entry's bracket ``[lo, hi]``, with ``lo`` from 0 and ``hi`` possibly
-    +inf; a point not strictly inside it is replaced by ``2 max(lo, x0)``,
-    x0 the entry's start, while ``hi`` is infinite (so an entry whose first
-    g is nan is never sent to 0) and by bisection after.  An entry stops
+    +inf; a point not strictly inside it is replaced by ``2 max(lo, prev)``,
+    prev the entry's last evaluated point (its start before the first),
+    while ``hi`` is infinite (so an entry whose g is nan keeps doubling and
+    is never sent to 0) and by bisection after.  An entry stops
     once its Newton correction ``g / slope`` or its bracket is at most
     ``rtol * max(x, floor)``; the correction is then applied if it stays in
     the bracket."""
     x = np.array(x, dtype=float)
-    out, live, x0 = np.empty(x.size), np.arange(x.size), x.copy()
+    out, live, prev = np.empty(x.size), np.arange(x.size), x
     lo, hi = np.zeros(x.size), np.full(x.size, hi, dtype=float)
 
     def fallback():
-        return np.where(np.isinf(hi), 2.0 * np.maximum(lo, x0), 0.5 * (lo + hi))
+        return np.where(np.isinf(hi), 2.0 * np.maximum(lo, prev), 0.5 * (lo + hi))
 
     for _ in range(200):
         if not live.size:
@@ -348,6 +349,7 @@ def _newton(
         if not np.all(inside):
             x = np.where(inside, x, fallback())
         g, slope = residual(x, live)
+        prev = x
         hi = np.where(g >= 0.0, x, hi)
         lo = np.where(g <= 0.0, x, lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -358,7 +360,7 @@ def _newton(
         if np.any(done):
             out[live[done]] = np.where((x >= lo) & (x <= hi), x, fallback())[done]
             keep = ~done
-            live, x, x0, lo, hi = live[keep], x[keep], x0[keep], lo[keep], hi[keep]
+            live, x, prev, lo, hi = live[keep], x[keep], prev[keep], lo[keep], hi[keep]
     if live.size:
         raise RuntimeError(f"{what} did not converge in 200 steps")
     return out

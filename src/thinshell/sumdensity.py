@@ -287,7 +287,12 @@ class LocalCltReport:
     ``nu``, ``i_value`` and ``r_used`` describe the local-CLT hypotheses
     only; they read :func:`gibbs1d.clt_prerequisites` of ``model`` on first
     access, so a caller that reads ``c_hat`` alone never builds the y-grid
-    or runs that scan, and a refused scan raises at that first read."""
+    or runs that scan, and a refused scan raises at that first read.
+
+    The report keeps ``model`` alive, and with it the model's memo.  Its
+    ``==`` and hash cover the scan fields alone (``model`` is left out), so
+    two reports of different models with equal scan numbers compare equal
+    although their ``nu``, ``i_value`` and ``r_used`` may differ."""
 
     n_list: tuple[int, ...]
     sup_devs: tuple[float, ...]

@@ -46,26 +46,31 @@ class TestPartitionFunction:
         """One route to Z: the quadrature pass that also gives the mean."""
         assert gibbs1d.partition_function(spec, c) == gibbs1d.model_at(spec, c).z
 
-    @pytest.mark.parametrize("spec,passes", [(ham.quadratic(), 0), (ham.linear_half(), 0), (ham.power(1.5), 1),
-                                             (ham.quartic_perturbed(0.3), 1)],
+    @pytest.mark.parametrize("spec,first", [(ham.quadratic(), "_quadpack_first_moment"),
+                                            (ham.linear_half(), "_quadpack_first_moment"),
+                                            (ham.power(1.5), "_halfline_integrals"),
+                                            (ham.quartic_perturbed(0.3), "_halfline_integrals")],
                              ids=["quadratic", "linear_half", "power1.5", "quartic"])
-    def test_runs_only_what_z_needs(self, monkeypatch, spec, passes):
-        """The Gamma formula for a closed form; else one rule pass, with no
-        inverse for the moment kink and no central-moment pass."""
+    def test_runs_only_what_z_needs(self, monkeypatch, spec, first):
+        """Only the model's first pass (Z and the mean it checks): no inverse
+        for the moment kink and no central-moment pass."""
         calls = []
         for name in ("_halfline_integrals", "finv_values", "_quadpack_first_moment"):
             original = getattr(gibbs1d, name)
             monkeypatch.setattr(gibbs1d, name, lambda *a, name=name, original=original, **kw: calls.append(name)
                                 or original(*a, **kw))
         gibbs1d.partition_function(spec, 0.7)
-        assert calls == ["_halfline_integrals"] * passes
+        assert calls == [first]
 
-    def test_closed_form_refuses_overflow(self):
-        """The Gamma formula holds where the quadrature cannot resolve the
-        weight, but an overflowing Z is refused, not returned as inf."""
-        assert gibbs1d.partition_function(ham.linear_half(), 1e-300) == pytest.approx(1e300, rel=1e-15)
-        with pytest.raises(ValueError, match="Z overflows at c=1e-320"):
-            gibbs1d.partition_function(ham.linear_half(), 1e-320)
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_refuses_what_the_model_refuses(self, c):
+        """One route to Z, so one set of refusals: where the model cannot
+        cut off or resolve the weight, Z is refused with the same error."""
+        with pytest.raises((RuntimeError, ValueError)) as model_error:
+            gibbs1d.model_at(ham.linear_half(), c)
+        with pytest.raises(type(model_error.value)) as z_error:
+            gibbs1d.partition_function(ham.linear_half(), c)
+        assert str(z_error.value) == str(model_error.value)
 
 
 class TestMoments:

@@ -352,12 +352,16 @@ class TestSharedNewton:
         assert abs(root[0] - 100.0) <= 1e-12 * 100.0
 
     def test_nan_residuals_never_reach_zero(self):
-        """Residuals that stay nan past 5 are never evaluated at x <= 0, and
-        the failure names ``what``."""
+        """Residuals that stay nan past 5 are never evaluated at x <= 0: the
+        nan entry doubles from its start on every step, and the failure
+        names ``what``."""
         residual, calls = self.recorder(lambda x: np.where(x > 5.0, np.nan, x - 3.0), np.ones_like)
         with pytest.raises(RuntimeError, match="gadget did not converge in 200 steps"):
             ham._newton(residual, np.array([6.0, 1.0]), math.inf, 0.0, 1e-12, "gadget")
         assert all(np.all(x > 0.0) for x, _ in calls)
+        points = [float(x[list(live).index(0)]) for x, live in calls if 0 in live]
+        assert len(points) == 200
+        assert points == [6.0 * 2.0**k for k in range(200)]
 
     def test_names_what_did_not_converge(self):
         residual, _ = self.recorder(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, np.nan))
