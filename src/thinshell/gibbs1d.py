@@ -350,18 +350,14 @@ def _y_step(model: GibbsModel) -> float:
 
 def _y_grid(model: GibbsModel) -> tuple[DensityGrid, np.ndarray]:
     """The y-grid of :func:`y_density` and the density minus the edge model
-    on its positive nodes."""
+    on its positive nodes; node 0 and the kept model from ``EdgeModel.node0``
+    (0 for an energy density that vanishes at 0)."""
     n = _Y_GRID_SIZE
     dy = _y_step(model)
     ys = dy * np.arange(1, n)
     values = np.empty(n)
     values[1:] = np.exp(log_y_density(model, ys))
-    edge = _edge_model(model)
-    if edge.beta < -1e-6:
-        values[0] = 0.0
-    else:
-        values[0] = math.exp(edge.log_k)
-        edge = None
+    values[0], edge = _edge_model(model).node0()
     grid = make_grid(0.0, dy, values, edge=edge, meta={"kind": "y_density", "c": model.c})
     if abs(grid.mass - 1.0) > 1e-6:
         raise RuntimeError(f"y-density mass off by {grid.mass - 1.0:.3e} (> 1e-6)")

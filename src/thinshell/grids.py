@@ -9,9 +9,10 @@ integrated by one per-cell rule (:meth:`EdgeModel.cell_integrals`), and
 only the smooth model remainder goes through the trapezoid rule, so the
 power-law part never sees the rule that would diverge on it.  The same
 rule gives every edge integral: the mass, the cumulative mass of
-``cdf_values`` and each weighted integral.  The model's transform and
-convolutions take ``log Gamma`` from :mod:`thinshell._special`, so this
-module needs numpy only.
+``cdf_values`` and each weighted integral.  :meth:`EdgeModel.node0` is
+the one rule for node 0 and for whether a grid keeps its model.  The
+model's transform and convolutions take ``log Gamma`` from
+:mod:`thinshell._special`, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ _GL8W = 0.5 * _GL8_WEIGHTS
 
 # number of leading cells integrated against the edge model
 _MODEL_CELLS = 256
+# edge exponents within this of 0 are a jump, and below -_EDGE_TOL singular
+_EDGE_TOL = 1e-9
 
 _LOG_ZERO = -np.inf
 
@@ -100,10 +103,14 @@ class EdgeModel:
                 out = out + self.coef2 * v**self.beta2 * np.exp(-self.rate * v)
         return out
 
-    def edge_value(self) -> float:
-        """Height of a jump at the edge: the amplitudes of the terms with
-        exponent 0 (within 1e-9); vanishing and singular terms add nothing."""
-        return sum((sign * math.exp(log_a) for b, log_a, sign in self._terms if abs(b) <= 1e-9), 0.0)
+    def node0(self) -> tuple[float, "EdgeModel | None"]:
+        """Node 0 of a grid of this density, and the model the grid keeps, for
+        every grid builder: a singular lead (exponent below ``-_EDGE_TOL``)
+        is kept behind a 0 sentinel; otherwise the model is dropped and node 0
+        takes the amplitudes of the terms with exponent 0 (a jump), or 0."""
+        if self.beta < -_EDGE_TOL:
+            return 0.0, self
+        return sum((sign * math.exp(log_a) for b, log_a, sign in self._terms if abs(b) <= _EDGE_TOL), 0.0), None
 
     def transform(self, base: np.ndarray) -> np.ndarray:
         """``\\int_0^inf model(v) exp(iuv) dv`` given ``base = log(rate - iu)``:
@@ -318,8 +325,9 @@ def make_grid(
     edge: EdgeModel | None = None,
     meta: dict | None = None,
 ) -> DensityGrid:
-    """A grid of finite ``values`` at ``x0 + dx * i``; negative values are
-    clipped to 0."""
+    """A grid of finite ``values`` at ``x0 + dx * i``, keeping any ``edge``
+    given (node 0 must then be its 0 sentinel); negative values are clipped to 0,
+    and the L1 mass clipped is recorded as ``meta["l1_clip"]``."""
     values = np.asarray(values, dtype=float)
     if not (math.isfinite(x0) and math.isfinite(dx) and dx > 0):
         raise ValueError(f"a grid needs a finite x0 and a finite dx > 0; got x0={x0!r}, dx={dx!r}")
@@ -327,9 +335,12 @@ def make_grid(
         raise ValueError(f"a grid needs a row of at least 2 values; got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("grid values must be finite (no nan or inf)")
+    l1_clip = 0.0
     if np.any(values < 0):
+        l1_clip = float(np.trapezoid(np.clip(-values, 0.0, None), dx=dx))
         values = np.clip(values, 0.0, None)
     if edge is not None and values[0] != 0.0:
         raise ValueError("singular-edge grids use a 0 sentinel at node 0")
     mass = _integrate(dx, x0, values, edge, None)
+    meta = {**(meta or {}), "l1_clip": l1_clip}
     return DensityGrid(x0=x0, dx=dx, values=values, mass=float(mass), edge=edge, meta=meta)

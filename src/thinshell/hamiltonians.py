@@ -319,9 +319,7 @@ def _memo(cache: dict, key, build: Callable[[], _T]) -> _T:
     return future.result()
 
 
-def _newton(
-    residual: Callable, x: np.ndarray, hi: float | np.ndarray, floor: float, rtol: float, what: str
-) -> np.ndarray:
+def _newton(residual: Callable, x: np.ndarray, hi: float | np.ndarray, rtol: float, what: str) -> np.ndarray:
     """Roots of increasing functions, one per entry, by safeguarded Newton
     (rtsafe; Press et al., Numerical Recipes section 9.4) from ``x``.
 
@@ -333,8 +331,8 @@ def _newton(
     while ``hi`` is infinite (so an entry whose g is nan keeps doubling and
     is never sent to 0) and by bisection after.  An entry stops
     once its Newton correction ``g / slope`` or its bracket is at most
-    ``rtol * max(x, floor)``; the correction is then applied if it stays in
-    the bracket."""
+    ``rtol * x``; the correction is then applied if it stays in the
+    bracket."""
     x = np.array(x, dtype=float)
     out, live, prev = np.empty(x.size), np.arange(x.size), x
     lo, hi = np.zeros(x.size), np.full(x.size, hi, dtype=float)
@@ -354,7 +352,7 @@ def _newton(
         lo = np.where(g <= 0.0, x, lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = g / slope
-        tol = rtol * np.maximum(x, floor)
+        tol = rtol * x
         done = (np.abs(step) <= tol) | (hi - lo <= tol)
         x = x - step
         if np.any(done):
@@ -366,7 +364,7 @@ def _newton(
     return out
 
 
-# Newton correction (relative to max(x, 1)) at which the inverse stops
+# Newton correction (relative to x) at which the inverse stops
 _FINV_RTOL = 1e-12
 # nodes of the geometric table that seeds the inverse, and the ratio of its
 # first positive abscissa to its last
@@ -382,7 +380,8 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
 
     Without an inverse, each node starts from monotone interpolation in a
     geometric table of f over the bracket ``[0, max(1, y)/a1 + a2]`` that
-    the tail witness guarantees, and stops at ``_FINV_RTOL * max(x, 1)``.
+    the tail witness guarantees, and stops at ``_FINV_RTOL * x`` (relative,
+    since an inverse near 0 may be far below y: ``x ~ y^2`` for ``sqrt(x) + x``).
     ``f^{-1}(0) = 0`` exactly.  The table is built once per call, from the
     largest y; the positive targets are then solved in ``_FINV_CHUNK``
     chunks fanned out (:func:`_fan_out`) to the calling thread and helpers.
@@ -419,7 +418,7 @@ def finv_values(spec: HamiltonianSpec, y) -> np.ndarray:
             return spec.fn(x) - target[live], fprime_values(spec, x)
 
         start = np.interp(target, f_tab, x_tab)
-        out[positive[part]] = _newton(residual, start, brackets[part], 1.0, _FINV_RTOL, "inverse")
+        out[positive[part]] = _newton(residual, start, brackets[part], _FINV_RTOL, "inverse")
 
     _fan_out(chunk, range(-(-positive.size // _FINV_CHUNK)))
     return out.reshape(y.shape)

@@ -140,8 +140,7 @@ def _rk_grid(ctx: ProjectionContext) -> DensityGrid:
         values = np.where(finite, ctx.wk.values * np.exp(log_ratio), 0.0)
     edge = None
     if ctx.wk.edge is not None:
-        edge = ctx.wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
-        values[0] = 0.0
+        values[0], edge = ctx.wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt).node0()
     grid = make_grid(ctx.wk.x0, ctx.wk.dx, values, edge=edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
     defect = abs(grid.mass - 1.0)
     if defect >= 1e-4:
@@ -234,8 +233,7 @@ def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, 
     values = rk.values * np.exp(alpha * rk.points() - log_norm)
     edge = None
     if rk.edge is not None:
-        edge = rk.edge.scaled(-log_norm, alpha)
-        values[0] = 0.0
+        values[0], edge = rk.edge.scaled(-log_norm, alpha).node0()
     tilted = make_grid(rk.x0, rk.dx, values, edge=edge, meta={"kind": "rk_tilted", "alpha": alpha}).normalized()
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal

@@ -43,7 +43,7 @@ blocks of 1024 rows for the scaling sampler, and for the rejection sampler
 one chunk of ``max(1, 2**18 // n)`` rows of its block of up to 65536, drawn,
 shell-tested, projected and stored before the next, with the values the
 whole block would have (:meth:`_CoordinateSampler.draw_chunks`; a symmetric
-power(p) draws its blocks whole).
+power(p) draws its blocks whole), up to the chunk that fills the batch.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _project_rows(
             with np.errstate(invalid="ignore", over="ignore"):
                 return g, np.sum(a * fprime_values(spec, np.where(a > 0.0, y, 1.0)), axis=1)
 
-        kappa[block] = _newton(residual, np.ones(a.shape[0]), math.inf, 0.0, _KAPPA_RTOL, "central projection")
+        kappa[block] = _newton(residual, np.ones(a.shape[0]), math.inf, _KAPPA_RTOL, "central projection")
     return kappa
 
 
@@ -434,7 +434,8 @@ def sample_surface_rejection(
     """General sampler: keep product draws inside the energy shell
     ``|R_n/n - t| <= delta``, then project the survivors to the surface.
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
-    default)."""
+    default).  ``acceptance_rate`` is rows accepted over rows drawn, up to
+    the chunk that fills the batch, where drawing stops."""
     _check_delta(delta)
     spec = model.spec
     keep = _check_keep(n, keep)
@@ -448,17 +449,18 @@ def sample_surface_rejection(
     chunk = max(1, _REJECT_CHUNK // n)
     while kept < count:
         size = max(_BLOCK, min(65536, 4 * (count - kept)))
-        # the block's rows past the last one stored still count as kept, so
-        # the acceptance rate reads the whole block
         for rows in sampler.draw_chunks(seed, block, (size, n), chunk):
             energies = _row_energies(spec, rows)
             accept = np.abs(energies / n - t) <= delta
             room = count - kept
-            if room > 0 and np.any(accept):
+            if np.any(accept):
                 _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
+            # accepted rows past the last one stored still count as kept
             kept += int(np.count_nonzero(accept))
+            drawn += rows.shape[0]
+            if kept >= count:
+                break
         block += 1
-        drawn += size
         if drawn >= max_draws:
             rate = kept / drawn
             if rate < 1e-4:

@@ -118,7 +118,8 @@ def _sum_grid_extent(model: GibbsModel, n: int, params: GridParams) -> float:
 
 
 def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
-    """Gamma sum density on a uniform grid, edge-aware for shape < 1."""
+    """Gamma sum density on a uniform grid, its node 0 and kept edge model
+    from ``EdgeModel.node0`` of the exact density (kept for shape < 1)."""
     params = params or GridParams()
     a = gamma_shape(model, n)
     c = model.c
@@ -126,13 +127,9 @@ def w_exact(model: GibbsModel, n: int, params: GridParams | None = None) -> Dens
     m = params.sum_size
     ds = length / m
     ss = ds * np.arange(m)
-    values = np.zeros(m)
+    values = np.empty(m)
     values[1:] = np.exp(log_w_exact(model, n, ss[1:]))
-    edge = None
-    if a < 1.0:
-        edge = EdgeModel(a - 1.0, a * math.log(c) - gammaln(a), c)
-    elif a == 1.0:
-        values[0] = c
+    values[0], edge = EdgeModel(a - 1.0, a * math.log(c) - gammaln(a), c).node0()
     grid = make_grid(0.0, ds, values, edge=edge, meta={"kind": "w_exact", "n": n, "c": c})
     return grid.normalized()
 
@@ -172,10 +169,11 @@ def _power_law_power(edge: EdgeModel, base: np.ndarray, n: int) -> np.ndarray:
 def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> DensityGrid:
     """Sum density via phi**n and FFT inversion.
 
-    Records the L1 mass removed by clipping negative ripple; more than 1e-3
-    aborts with a refinement hint.  Requests with ``n`` below the scanned
-    integrability order are allowed (the exact small cases need them); the
-    build itself never runs that scan.
+    Node 0 and the kept edge model come from ``EdgeModel.node0`` of the
+    convolved model.  Clipped negative ripple (``meta["l1_clip"]``) above
+    1e-3 aborts with a refinement hint.  Requests with ``n`` below the
+    scanned integrability order are allowed (the exact small cases need
+    them); the build itself never runs that scan.
     """
     params = params or GridParams()
     _check_count("n", n)
@@ -205,7 +203,6 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
         w /= ds
         if conv is not None:
             w[1:] += conv.density(ys)
-            w[0] = conv.edge_value()
         # wrap-around guard: the mass sitting in the top of the grid (which
         # is what leaks back in under periodization) must be negligible;
         # pointwise checks would trip on the inversion's noise floor
@@ -216,16 +213,12 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     else:
         raise GridTooCoarseError("could not silence wrap-around; increase sum_size")
 
-    clip = np.clip(-w, 0.0, None)
-    l1_clip = float(np.trapezoid(clip, dx=ds))
-    if l1_clip > 1e-3:
-        raise GridTooCoarseError(f"negative ripple mass {l1_clip:.2e} > 1e-3; increase sum_size")
-    w = np.clip(w, 0.0, None)
     edge = None
-    if conv is not None and conv.beta < -1e-9:
-        w[0] = 0.0
-        edge = conv
-    grid = make_grid(0.0, ds, w, edge=edge, meta={"kind": "w_fft", "n": n, "c": model.c, "l1_clip": l1_clip})
+    if conv is not None:
+        w[0], edge = conv.node0()
+    grid = make_grid(0.0, ds, w, edge=edge, meta={"kind": "w_fft", "n": n, "c": model.c})
+    if grid.meta["l1_clip"] > 1e-3:
+        raise GridTooCoarseError(f"negative ripple mass {grid.meta['l1_clip']:.2e} > 1e-3; increase sum_size")
     return grid.normalized()
 
 

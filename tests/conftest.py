@@ -28,6 +28,18 @@ def quartic_model():
 
 
 @pytest.fixture(scope="session")
+def sqrt_model():
+    """f(x) = sqrt(x) + x with its derivative and inverse: an energy density
+    that vanishes at 0 like 2y (edge exponent 1)."""
+    spec = hamiltonians.custom(
+        lambda x: np.sqrt(x) + x,
+        dfn=lambda x: 0.5 / np.sqrt(x) + 1.0,
+        ifn=lambda y: (0.5 * (np.sqrt(1.0 + 4.0 * y) - 1.0)) ** 2,
+    )
+    return gibbs1d.solve_energy(spec, 1.0)
+
+
+@pytest.fixture(scope="session")
 def lin_scan(lin_model):
     return sumdensity.local_clt_scan(lin_model, CLT_SCAN_NS)
 

@@ -2,6 +2,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -576,8 +577,31 @@ def assert_matches_reference(out: pathlib.Path, reference: pathlib.Path, rows: i
                 assert x == pytest.approx(y, rel=rel, abs=0.0), (row_want[:2], a, b)
 
 
+def _load_bench_child():
+    """``bench/child.py``, loaded from its file (``bench`` is no package)."""
+    spec = importlib.util.spec_from_file_location("bench_child", ROOT / "bench" / "child.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_CHILD = _load_bench_child()
+BENCH_STEPS = [(w, step.name) for w in BENCH_CHILD.WORKLOADS for step in BENCH_CHILD.steps(w, BENCH_CHILD.SHIPPED)]
+
+
 class TestReferenceOutputs:
     """Shipped runs against the benchmark's recorded CSVs."""
+
+    @pytest.mark.parametrize("workload,name", BENCH_STEPS, ids=[f"{w}-{n}" for w, n in BENCH_STEPS])
+    def test_bench_step_within_reference_gate(self, workload, name):
+        """Every benchmark step at its shipped inputs passes the benchmark's
+        own checks and its reference gate (``child.DRIFT_TOL``)."""
+        (step,) = [s for s in BENCH_CHILD.steps(workload, BENCH_CHILD.SHIPPED) if s.name == name]
+        text, problems, _ = step.check(step.produce())
+        assert problems == []
+        reference = (BENCH_CHILD.REFERENCE / workload / f"{name}.csv").read_text(encoding="utf-8")
+        drift, mismatches = BENCH_CHILD.drift(text, reference)
+        assert mismatches == [] and drift <= BENCH_CHILD.DRIFT_TOL, (drift, mismatches)
 
     def test_quartic_sweep_matches_reference(self, tmp_path):
         """The FFT sweep whose single-summand edge model has two terms (the

@@ -330,6 +330,21 @@ class TestYDensity:
         assert grid.mass == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_density_vanishing_at_zero(self, sqrt_model):
+        """An energy density that vanishes at 0 (sqrt(x) + x) gets 0 at node
+        0 and no edge model, and its raw mass is within 1e-6 of 1."""
+        grid = gibbs1d.y_density(sqrt_model)
+        assert gibbs1d._edge_model(sqrt_model).beta == pytest.approx(1.0, abs=1e-6)
+        assert grid.values[0] == 0.0 and grid.edge is None
+        assert grid.meta["norm_defect"] < 1e-6
+
+    def test_vanishing_edge_fitted_without_inverse(self):
+        """Without dfn and ifn the Newton inverse at y = 1e-9 resolves x ~
+        y^2 to its own scale, so the fitted exponent is 1, not 1/2."""
+        model = gibbs1d.solve_energy(ham.custom(lambda x: np.sqrt(x) + x), 1.0)
+        assert gibbs1d._edge_model(model).beta == pytest.approx(1.0, abs=1e-6)
+
+
 class TestCharacteristicFunction:
     def test_exponential_oracle(self, lin_model):
         """Unit exponential: phi(u) = 1/(1 - iu)."""
@@ -344,8 +359,8 @@ class TestCharacteristicFunction:
         np.testing.assert_allclose(got, (1.0 - 2j * us) ** -0.5, rtol=1e-9)
         assert abs(gibbs1d.characteristic_function(quad_model, 1.0)) == pytest.approx(5.0**-0.25, rel=1e-10)
 
-    def test_unit_at_zero(self, lin_model, quad_model, quartic_model):
-        for model in (lin_model, quad_model, quartic_model):
+    def test_unit_at_zero(self, lin_model, quad_model, quartic_model, sqrt_model):
+        for model in (lin_model, quad_model, quartic_model, sqrt_model):
             assert gibbs1d.characteristic_function(model, 0.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_conjugate_symmetry_and_modulus(self, quartic_model):
@@ -411,8 +426,8 @@ class TestCltPrerequisites:
         assert cli.main(["clt-scan", "--kind", "power", "--p", "8", "--clt-n-list", "8,16"]) == 0
         assert capsys.readouterr().out.rstrip().endswith("r = 9)")
 
-    def test_nu_strictly_below_one(self, lin_model, quad_model, quartic_model):
-        for model in (lin_model, quad_model, quartic_model):
+    def test_nu_strictly_below_one(self, lin_model, quad_model, quartic_model, sqrt_model):
+        for model in (lin_model, quad_model, quartic_model, sqrt_model):
             pre = gibbs1d.clt_prerequisites(model)
             assert 0.0 < pre.nu < 1.0
             assert pre.nu_threshold == pytest.approx(model.sigma2 / model.m3)

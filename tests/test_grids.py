@@ -41,8 +41,13 @@ class TestMass:
         assert grid.mass == pytest.approx(1.0, abs=5e-7)
 
     def test_negative_values_clipped(self):
-        grid = make_grid(0.0, 0.1, np.array([1.0, -0.5, 1.0]))
+        """The clipped L1 mass, 0.1 * 0.5 here, is recorded with the caller's meta."""
+        grid = make_grid(0.0, 0.1, np.array([1.0, -0.5, 1.0]), meta={"kind": "test"})
         assert np.all(grid.values >= 0.0)
+        assert grid.meta == {"kind": "test", "l1_clip": pytest.approx(0.05, rel=1e-15)}
+
+    def test_no_clip_recorded_as_zero(self):
+        assert make_grid(0.0, 0.1, np.array([1.0, 0.0, 1.0])).meta == {"l1_clip": 0.0}
 
     @pytest.mark.parametrize("x0,dx", [(0.0, -1.0), (0.0, 0.0), (0.0, math.nan), (0.0, math.inf),
                                        (math.nan, 0.1), (-math.inf, 0.1)])
@@ -187,6 +192,21 @@ class TestCdfAndNormalize:
         assert calls == []
         assert abs(normed.mass - 1.0) <= 2 * np.spacing(1.0)
         assert normed.integrate() == pytest.approx(normed.mass, rel=1e-14)
+
+
+class TestNode0:
+    """``EdgeModel.node0``: the one rule for node 0 and the kept model."""
+
+    def test_singular_edge_is_kept(self):
+        edge = EdgeModel(-0.5, 0.3, 1.0)
+        assert edge.node0() == (0.0, edge)
+
+    def test_jump_takes_its_height(self):
+        assert EdgeModel(0.0, 0.3, 1.0, beta2=0.7, coef2=2.0).node0() == (math.exp(0.3), None)
+
+    @pytest.mark.parametrize("beta", [1e-6, 0.5, 1.0])
+    def test_vanishing_edge_takes_zero(self, beta):
+        assert EdgeModel(beta, 0.3, 1.0).node0() == (0.0, None)
 
 
 class TestEdgeModelAlgebra:

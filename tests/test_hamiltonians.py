@@ -114,7 +114,8 @@ class TestInverse:
 
     @staticmethod
     def _assert_inverse(spec, ys, expected):
-        """Within the stopping rule: ``1e-12 max(x, 1)``."""
+        """Within ``1e-12 max(x, 1)``: the inverse stops at ``1e-12 x``, but the
+        closed forms cancel near 0 and are no closer oracle there."""
         xs = ham.finv_values(spec, ys)
         assert np.all(np.abs(xs - expected) <= 1e-12 * np.maximum(expected, 1.0))
 
@@ -221,8 +222,9 @@ class TestStripedInverse:
 
 def reference_finv(spec, y):
     """The custom inverse as one loop of its own (the table seed, and the
-    chunk loop as it stood before it moved onto ``ham._newton``), run on
-    one thread: the byte oracle of the shared iteration."""
+    chunk loop as it stood before it moved onto ``ham._newton``, with the
+    stop relative to x), run on one thread: the byte oracle of the shared
+    iteration."""
     y = np.asarray(y, dtype=float)
     a1, a2 = ham.check_class_f(spec).tail_slope
     out = np.zeros(y.size)
@@ -248,8 +250,8 @@ def reference_finv(spec, y):
             lo = np.where(fx <= target, x, lo)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 step = (fx - target) / ham.fprime_values(spec, x)
-            newton_done = np.abs(step) <= ham._FINV_RTOL * np.maximum(x, 1.0)
-            done = newton_done | (hi - lo <= ham._FINV_RTOL * np.maximum(hi, 1.0))
+            newton_done = np.abs(step) <= ham._FINV_RTOL * x
+            done = newton_done | (hi - lo <= ham._FINV_RTOL * hi)
             x = x - step
             if np.any(done):
                 final = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
@@ -289,7 +291,7 @@ class TestSharedNewton:
         """With nan slopes and ``hi = +inf`` the points double from the
         start until g changes sign, then bisect."""
         residual, calls = self.recorder(lambda x: x - 100.0, lambda x: np.full_like(x, np.nan))
-        root = ham._newton(residual, np.array([1.0]), math.inf, 0.0, 1e-12, "test")
+        root = ham._newton(residual, np.array([1.0]), math.inf, 1e-12, "test")
         points = [float(x[0]) for x, _ in calls]
         assert points[:8] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
         assert points[8] == 96.0
@@ -297,7 +299,7 @@ class TestSharedNewton:
 
     def test_bisects_on_nan_slopes(self):
         residual, calls = self.recorder(lambda x: x - 1.0 / 3.0, lambda x: np.full_like(x, np.nan))
-        ham._newton(residual, np.array([0.5]), 1.0, 1.0, 1e-12, "test")
+        ham._newton(residual, np.array([0.5]), 1.0, 1e-12, "test")
         lo, hi = 0.0, 1.0
         for x, _ in calls:
             assert x[0] == 0.5 * (lo + hi)
@@ -305,18 +307,19 @@ class TestSharedNewton:
 
     def test_stops_on_bracket_width(self):
         """nan slopes leave only the bracket rule: bisection from [0, 1]
-        stops at the first point whose bracket is at most ``rtol * max(x,
-        floor)`` wide, and returns that bracket's midpoint."""
+        stops at the first point whose bracket is at most ``rtol * x`` wide,
+        and returns that bracket's midpoint."""
         rtol = 1e-6
         residual, calls = self.recorder(lambda x: x - 1.0 / 3.0, lambda x: np.full_like(x, np.nan))
-        root = ham._newton(residual, np.array([0.5]), 1.0, 1.0, rtol, "test")
-        # the k-th midpoint leaves a bracket of width 2^-k
-        assert len(calls) == math.ceil(math.log2(1.0 / rtol))
+        root = ham._newton(residual, np.array([0.5]), 1.0, rtol, "test")
+        # the k-th midpoint leaves a bracket of width 2^-k around 1/3, and
+        # the stop needs it at most rtol/3 wide (22 points; 20 would meet rtol)
+        assert len(calls) == math.ceil(math.log2(3.0 / rtol)) == 22
         assert abs(root[0] - 1.0 / 3.0) <= 0.5 * rtol
 
     def test_empty_input_makes_no_call(self):
         residual, calls = self.recorder(lambda x: x, lambda x: np.ones_like(x))
-        out = ham._newton(residual, np.empty(0), math.inf, 0.0, 1e-12, "test")
+        out = ham._newton(residual, np.empty(0), math.inf, 1e-12, "test")
         assert out.shape == (0,) and calls == []
 
     def test_points_stay_strictly_inside_the_bracket(self):
@@ -332,7 +335,7 @@ class TestSharedNewton:
             calls.append((x.copy(), live.copy()))
             return np.arctan(x - roots[live]), 1.0 / (1.0 + (x - roots[live]) ** 2)
 
-        got = ham._newton(residual, start, hi, 1.0, 1e-13, "test")
+        got = ham._newton(residual, start, hi, 1e-13, "test")
         lo, top = np.zeros(roots.size), hi.copy()
         for x, live in calls:
             assert np.all((lo[live] < x) & (x < top[live]))
@@ -346,7 +349,7 @@ class TestSharedNewton:
         starts from the entry's start, never from 0, and still finds a root
         above it."""
         residual, calls = self.recorder(lambda x: np.where(x == 3.0, np.nan, x - 100.0), np.ones_like)
-        root = ham._newton(residual, np.array([3.0]), math.inf, 0.0, 1e-12, "test")
+        root = ham._newton(residual, np.array([3.0]), math.inf, 1e-12, "test")
         assert [float(x[0]) for x, _ in calls[:2]] == [3.0, 6.0]
         assert all(np.all(x > 0.0) for x, _ in calls)
         assert abs(root[0] - 100.0) <= 1e-12 * 100.0
@@ -357,7 +360,7 @@ class TestSharedNewton:
         names ``what``."""
         residual, calls = self.recorder(lambda x: np.where(x > 5.0, np.nan, x - 3.0), np.ones_like)
         with pytest.raises(RuntimeError, match="gadget did not converge in 200 steps"):
-            ham._newton(residual, np.array([6.0, 1.0]), math.inf, 0.0, 1e-12, "gadget")
+            ham._newton(residual, np.array([6.0, 1.0]), math.inf, 1e-12, "gadget")
         assert all(np.all(x > 0.0) for x, _ in calls)
         points = [float(x[list(live).index(0)]) for x, live in calls if 0 in live]
         assert len(points) == 200
@@ -366,7 +369,7 @@ class TestSharedNewton:
     def test_names_what_did_not_converge(self):
         residual, _ = self.recorder(lambda x: np.full_like(x, -1.0), lambda x: np.full_like(x, np.nan))
         with pytest.raises(RuntimeError, match="widget did not converge in 200 steps"):
-            ham._newton(residual, np.ones(3), math.inf, 0.0, 1e-12, "widget")
+            ham._newton(residual, np.ones(3), math.inf, 1e-12, "widget")
 
 
 class TestInverseRefusals:

@@ -579,9 +579,13 @@ class TestShellEnergyReuse:
 
 def whole_block_rejection(model, n, delta, count, seed):
     """The rejection sampler as it was before its blocks were streamed:
-    each block drawn as one (size, n) array; the oracle of the chunk loop."""
+    each block drawn as one (size, n) array; the oracle of the chunk loop.
+    Its rate counts the rows through the chunk of ``max(1, 2**18 // n)``
+    rows that fills the batch (a symmetric power(p) draws its blocks whole,
+    as one chunk)."""
     spec, t = model.spec, model.mu
     coord = sampler._coordinate_sampler(model)
+    whole = spec.support == ham.SYMMETRIC and spec.kind == "power"
     points = np.empty((count, n))
     kept = drawn = block = 0
     while kept < count:
@@ -589,13 +593,17 @@ def whole_block_rejection(model, n, delta, count, seed):
         block += 1
         size = max(sampler._BLOCK, min(65536, 4 * (count - kept)))
         rows = coord.draw(rng, (size, n))
-        drawn += size
         energies = sampler._row_energies(spec, rows)
         accept = np.abs(energies / n - t) <= delta
+        room = count - kept
+        end = size
+        if np.count_nonzero(accept) >= room:
+            chunk = size if whole else max(1, sampler._REJECT_CHUNK // n)
+            end = min(size, (np.flatnonzero(accept)[room - 1] // chunk + 1) * chunk)
+        drawn += end
         if np.any(accept):
-            room = count - kept
             sampler._store_block(spec, rows[accept][:room], n * t, points, kept, energies[accept][:room])
-            kept += int(np.count_nonzero(accept))
+        kept += int(np.count_nonzero(accept[:end]))
     return points, kept / drawn
 
 
@@ -637,21 +645,27 @@ class TestStreamedRejection:
         if model.spec.kind != "power":
             assert len(chunks) == -(-rows // chunk)
 
-    def test_room_runs_out_inside_a_chunk(self, quartic_model):
-        """The batch fills inside a chunk: the rest of that chunk and the
-        later chunks are shell-tested but not stored, and their accepted
-        rows still count towards the acceptance rate."""
+    def test_room_runs_out_inside_a_chunk(self, monkeypatch, quartic_model):
+        """The batch fills inside a chunk: the rest of that chunk is
+        shell-tested but not stored, and its accepted rows count towards the
+        acceptance rate; no later chunk is drawn."""
         n, count = 300, 700
         delta = 0.5 * math.sqrt(quartic_model.sigma2 / n)
         coord = sampler._coordinate_sampler(quartic_model)
+        chunk = sampler._REJECT_CHUNK // n
         accepted = [
             int(np.count_nonzero(np.abs(sampler._row_energies(quartic_model.spec, rows) / n - quartic_model.mu) <= delta))
-            for rows in coord.draw_chunks(13, 0, (4 * count, n), sampler._REJECT_CHUNK // n)
+            for rows in coord.draw_chunks(13, 0, (4 * count, n), chunk)
         ]
         filled = np.searchsorted(np.cumsum(accepted), count)
         assert np.cumsum(accepted)[filled] > count and filled < len(accepted) - 1
+        drawn = []
+        draw = sampler._CoordinateSampler.draw
+        monkeypatch.setattr(sampler._CoordinateSampler, "draw",
+                            lambda self, rng, shape, signs=None: drawn.append(shape[0]) or draw(self, rng, shape, signs))
         got = sampler.sample_surface_rejection(quartic_model, n, delta, count, seed=13)
-        assert got.acceptance_rate == sum(accepted) / (4 * count)
+        assert sum(drawn) == (filled + 1) * chunk
+        assert got.acceptance_rate == sum(accepted[: filled + 1]) / ((filled + 1) * chunk)
         assert np.array_equal(got.points, whole_block_rejection(quartic_model, n, delta, count, seed=13)[0])
 
 

@@ -13,8 +13,8 @@ from thinshell import cli, gibbs1d, hamiltonians as ham, projection, sampler, su
 
 
 # just above shape 1 the convolved edge exponent n/p - 1 lies in (0, 0.03);
-# w_fft keeps an edge only below -1e-9 and node 0 holds 0, so the grid's
-# norm_defect, about 1.2e-4, is the error (ROADMAP item 4)
+# EdgeModel.node0 keeps an edge only below -1e-9 and node 0 holds 0, so
+# the grid's norm_defect, about 1.2e-4, is the error (ROADMAP item 4)
 NEAR_SHAPE_ONE = "w_fft drops the edge of a convolved exponent just above 0"
 
 
@@ -75,8 +75,8 @@ class TestFftRoute:
         err = _window_error(exact, fft, n * quad_model.mu, 6.0 * math.sqrt(n * quad_model.sigma2))
         assert err < 1e-3
 
-    def test_single_summand_recovers_energy_density(self, lin_model, quad_model, quartic_model):
-        for model in (lin_model, quad_model, quartic_model):
+    def test_single_summand_recovers_energy_density(self, lin_model, quad_model, quartic_model, sqrt_model):
+        for model in (lin_model, quad_model, quartic_model, sqrt_model):
             w1 = sumdensity.w_fft(model, 1)
             g = gibbs1d.y_density(model)
             ys = np.linspace(0.05, 6.0, 200)
