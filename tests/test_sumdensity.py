@@ -86,6 +86,19 @@ class TestFftRoute:
         grid = sumdensity.w_fft(quad_model, 8)
         assert grid.meta["l1_clip"] <= 1e-3
 
+    def test_ripple_above_bound_refused(self, monkeypatch, quad_model):
+        """w_fft refuses on the clipped mass that make_grid records."""
+        build = sumdensity.make_grid
+
+        def make_grid(*args, **kwargs):
+            grid = build(*args, **kwargs)
+            grid.meta["l1_clip"] = 2e-3
+            return grid
+
+        monkeypatch.setattr(sumdensity, "make_grid", make_grid)
+        with pytest.raises(sumdensity.GridTooCoarseError, match="negative ripple mass 2.00e-03"):
+            sumdensity.w_fft(quad_model, 8, gibbs1d.GridParams(sum_size=2**12))
+
     def test_semigroup(self, lin_model):
         """Convolving the n=a density with itself reproduces n=2a."""
         for a in (1, 2, 4):
