@@ -14,8 +14,8 @@ On glibc, :func:`main` first fixes the allocator's settings
 one heap instead of being unmapped and faulted back in on every pass.
 Library callers that never run ``main`` keep glibc's defaults.  ``bounds``
 reads the CLT constant as ``local_clt_scan(...).c_hat``, the sup-deviation
-scan alone; the integrability scan runs only where a report's fields ask for
-it (``clt-scan``).
+scan alone; only ``clt-scan`` runs the integrability scan
+(``clt_prerequisites``), for the order, ``nu`` and ``I`` it prints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import projection, sampler
-from .gibbs1d import GibbsModel, GridParams, solve_energy
+from .gibbs1d import GibbsModel, GridParams, clt_prerequisites, solve_energy
 from .hamiltonians import (
     HALF_LINE,
     _fan_out,
@@ -349,7 +349,8 @@ def run_clt_scan(cfg: ExperimentConfig) -> int:
     model = _solved(cfg)
     report = local_clt_scan(model, cfg.clt_n_list, cfg.grid_params())
     # the prerequisites are read before the CSV, so a refused scan writes nothing
-    summary = f"C_hat = {_fmt(report.c_hat)} (nu = {_fmt(report.nu)}, I = {_fmt(report.i_value)}, r = {report.r_used})"
+    pre = clt_prerequisites(model)
+    summary = f"C_hat = {_fmt(report.c_hat)} (nu = {_fmt(pre.nu)}, I = {_fmt(pre.i_value)}, r = {pre.r_used})"
     rows = [
         [n, dev, math.sqrt(2.0 * math.pi * n) * dev]
         for n, dev in zip(report.n_list, report.sup_devs)
@@ -492,9 +493,10 @@ _SUBCOMMANDS = {
 
 # glibc mallopt parameters (<malloc.h>) and the values main sets: one arena
 # shared by every thread; heap, not mmap, for blocks up to 4 MiB, above the
-# largest per-grid temporary at the default GridParams (the 2^18-node
-# y-grid and its rFFT, 2 MiB each); and up to 32 MiB of free heap top kept
-# rather than returned to the kernel
+# largest temporaries a run frees at the default settings (the 2^17-node
+# arrays of a sum grid, 1 MiB each, and the rejection sampler's 2 MiB
+# ``_REJECT_CHUNK``); and up to 32 MiB of free heap top kept rather than
+# returned to the kernel
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _HEAP_SETTINGS = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs1d import GibbsModel, GridParams, clt_prerequisites
+from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid, make_grid
 from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values
 from .sumdensity import _check_count, log_w, w_density, w_grids
@@ -52,33 +52,20 @@ class ProjectionContext:
     :func:`sumdensity.log_w`.  ``node_log_ratio`` is the one pass of the log
     likelihood ratio over the ``w_k`` nodes, which the ``r_k`` grid, its
     tilts and every divergence of the cell share.
-    ``clt_ok`` tells whether ``n - k`` reaches the scanned integrability
-    order ``r_used`` (the exact small cases deliberately run below it).
-    Both are read lazily: the scan (:func:`gibbs1d.clt_prerequisites`) runs
-    on first read, once per model, and a cell that never asks skips it.
     """
 
     model: GibbsModel
     n: int
     k: int
     t: float
-    params: GridParams
     wk: DensityGrid
     wnk: DensityGrid | None
     log_wn_at_nt: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def r_used(self) -> int:
-        return clt_prerequisites(self.model).r_used
-
-    @property
-    def clt_ok(self) -> bool:
-        return self.n - self.k >= self.r_used
-
     def log_wnk(self, s) -> np.ndarray:
         if self.wnk is None:
-            return log_w(self.model, self.n - self.k, s, self.params)
+            return log_w(self.model, self.n - self.k, s)
         return self.wnk.log_at(s)
 
     @property
@@ -111,7 +98,6 @@ def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = 
         n=n,
         k=k,
         t=model.mu,
-        params=params,
         wk=wk,
         wnk=wnk,
         log_wn_at_nt=log_wn_at_nt,
@@ -132,22 +118,6 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     return _tilted_rk(ctx, 0.0)[0]
 
 
-def _rk_grid(ctx: ProjectionContext) -> DensityGrid:
-    """The ``r_k`` grid of :func:`rk_conditional_density`, built afresh."""
-    nt = ctx.n * ctx.t
-    log_ratio, finite = ctx.node_log_ratio
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.where(finite, ctx.wk.values * np.exp(log_ratio), 0.0)
-    edge = None
-    if ctx.wk.edge is not None:
-        values[0], edge = ctx.wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt).node0()
-    grid = make_grid(ctx.wk.x0, ctx.wk.dx, values, edge=edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
-    defect = abs(grid.mass - 1.0)
-    if defect >= 1e-4:
-        raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
-    return grid.normalized()
-
-
 def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
     """Coordinate-space density of the first coordinate under the uniform
     surface density: ``g_1(y) * w_{n-1}(nt - f(y)) / w_n(nt)`` (k = 1)."""
@@ -156,7 +126,7 @@ def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
     model, spec = ctx.model, ctx.model.spec
     nt = ctx.n * ctx.t
     y_cap = float(finv_values(spec, np.asarray([min(nt, ctx.wk.x_end)]))[0])
-    m = ctx.params.sum_size
+    m = len(ctx.wk)
     if spec.support == SYMMETRIC:
         ys = np.linspace(-y_cap, y_cap, m)
     else:
@@ -215,14 +185,26 @@ def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0
 def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
     """Energy density under the tilt exp(alpha * s), its log-normalizer, and
     the surface-level divergence of the tilt; ``r_k`` itself at alpha = 0.
-    Built once per context and alpha."""
+    Built once per context and alpha; every divergence of the cell reads its
+    normalizer here, so each passes the ``r_k`` defect check."""
     return _memo(ctx._cache, ("rk", alpha), lambda: _tilt_rk(ctx, alpha))
 
 
 def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
     """The entry of :func:`_tilted_rk` for ``alpha``, built afresh."""
     if alpha == 0.0:
-        return _rk_grid(ctx), 0.0, 0.0
+        log_ratio, finite = ctx.node_log_ratio
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.where(finite, ctx.wk.values * np.exp(log_ratio), 0.0)
+        edge = None
+        if ctx.wk.edge is not None:
+            lr0 = float(ctx.log_wnk(np.asarray([ctx.n * ctx.t]))[0]) - ctx.log_wn_at_nt
+            values[0], edge = ctx.wk.edge.scaled(lr0).node0()
+        rk = make_grid(ctx.wk.x0, ctx.wk.dx, values, edge=edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
+        defect = abs(rk.mass - 1.0)
+        if defect >= 1e-4:
+            raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
+        return rk.normalized(), 0.0, 0.0
     rk = rk_conditional_density(ctx)
     if alpha * rk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
@@ -260,8 +242,9 @@ def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     """``d_TV(p, g_k) = \\int w_k(s) |ratio(s) - 1| ds`` in the L1 convention
     (range [0, 2]) for the projection tilted by ``exp(alpha s)``; regions
     where the surface density has no support contribute their full w_k
-    mass.  The untilted distance needs no ``r_k`` grid."""
-    log_norm = 0.0 if alpha == 0.0 else _tilted_rk(ctx, alpha)[1]
+    mass.  The normalizer comes from :func:`_tilted_rk`, whose ``r_k``
+    defect check this distance shares with kl."""
+    log_norm = _tilted_rk(ctx, alpha)[1]
     tv = _integrate_ratio(ctx.wk, lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0))
     if not -1e-9 <= tv <= 2.0 + 1e-9:
         raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
@@ -362,15 +345,17 @@ class ConverseReport:
 
 def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
-    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``."""
+    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, with the ratio's
+    normalizer (and ``r_k`` defect check) from :func:`_tilted_rk`."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"interval half-width eps must be finite and > 0; got {eps!r}")
+    log_norm = _tilted_rk(ctx, 0.0)[1]
     center = ctx.k * ctx.t
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
 
     def fn(ss):
-        gain = np.clip(_ratio(ctx, ss) - 1.0, 0.0, None)
+        gain = np.clip(_ratio(ctx, ss, 0.0, log_norm) - 1.0, 0.0, None)
         ss = ctx.wk.points() if ss is None else np.asarray(ss, dtype=float)
         return np.where((ss >= lo) & (ss <= hi), gain, 0.0)
 

@@ -26,16 +26,15 @@ builds through it too, so a closed-form family's scan reads Gamma grids.
 
 A ``w_fft`` build reads neither the 2^18-node y-grid (the homogeneous
 degree decides whether the remainder is sampled) nor the integrability scan
-(:func:`gibbs1d.clt_prerequisites`).  So its ``meta`` holds ``kind``,
-``n``, ``c``, ``l1_clip`` and ``norm_defect``, and no longer whether n
-reaches the scanned integrability order.  Nor does :func:`local_clt_scan`:
-its report runs that scan when ``nu``, ``i_value`` or ``r_used`` is read.
+(:func:`gibbs1d.clt_prerequisites`); its ``meta`` holds ``kind``, ``n``,
+``c``, ``l1_clip`` and ``norm_defect``.  :func:`local_clt_scan` reads
+neither: it computes the sup deviations and ``c_hat`` alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +48,6 @@ from .gibbs1d import (
     _edge_model,
     _grid_remainder,
     _y_step,
-    clt_prerequisites,
 )
 from .grids import DensityGrid, EdgeModel, make_grid
 from .hamiltonians import _MEMO_LOCK, _fan_out, _memo
@@ -211,7 +209,7 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
             break
         length *= 2.0
     else:
-        raise GridTooCoarseError("could not silence wrap-around; increase sum_size")
+        raise GridTooCoarseError("could not silence wrap-around; increase sd_extent (--grid-extent)")
 
     edge = None
     if conv is not None:
@@ -275,34 +273,13 @@ def log_w(model: GibbsModel, n: int, s, params: GridParams | None = None) -> np.
 @dataclass(frozen=True)
 class LocalCltReport:
     """Sup deviations of the standardized sum density from the standard
-    normal, and the uniform constant they imply.
-
-    ``nu``, ``i_value`` and ``r_used`` describe the local-CLT hypotheses
-    only; they read :func:`gibbs1d.clt_prerequisites` of ``model`` on first
-    access, so a caller that reads ``c_hat`` alone never builds the y-grid
-    or runs that scan, and a refused scan raises at that first read.
-
-    The report keeps ``model`` alive, and with it the model's memo.  Its
-    ``==`` and hash cover the scan fields alone (``model`` is left out), so
-    two reports of different models with equal scan numbers compare equal
-    although their ``nu``, ``i_value`` and ``r_used`` may differ."""
+    normal at each n of ``n_list``, and the uniform constant they imply.
+    The local-CLT hypotheses (``nu``, ``I``, the order ``r``) are not part
+    of the scan; :func:`gibbs1d.clt_prerequisites` gives them."""
 
     n_list: tuple[int, ...]
     sup_devs: tuple[float, ...]
     c_hat: float
-    model: GibbsModel = field(repr=False, compare=False)
-
-    @property
-    def nu(self) -> float:
-        return clt_prerequisites(self.model).nu
-
-    @property
-    def i_value(self) -> float:
-        return clt_prerequisites(self.model).i_value
-
-    @property
-    def r_used(self) -> int:
-        return clt_prerequisites(self.model).r_used
 
 
 def _standard_normal(x: np.ndarray) -> np.ndarray:
@@ -333,4 +310,4 @@ def local_clt_scan(model: GibbsModel, n_list, params: GridParams | None = None) 
     c_hat = float(max(math.sqrt(2.0 * math.pi * n) * d for n, d in zip(n_list, sup_devs)))
     if not (c_hat > 0 and all(math.isfinite(d) for d in sup_devs)):
         raise ValueError("scan produced non-finite deviations")
-    return LocalCltReport(n_list=tuple(int(n) for n in n_list), sup_devs=sup_devs, c_hat=c_hat, model=model)
+    return LocalCltReport(n_list=tuple(int(n) for n in n_list), sup_devs=sup_devs, c_hat=c_hat)

@@ -18,7 +18,7 @@ import typing
 import numpy as np
 import pytest
 
-from thinshell import cli, gibbs1d, hamiltonians, projection, sampler
+from thinshell import cli, gibbs1d, hamiltonians, projection, sampler, sumdensity
 
 BOUNDS_HEADER = "n,k,t,c,alpha,kl,tv,kl_bound,tv_from_kl,df_bound,C_used,pass_kl,pass_tv"
 
@@ -241,11 +241,12 @@ class TestConfig:
 
     def test_converse_ignores_k_list(self, tmp_path):
         """k_list plays no part in converse, so a k_list entry above some n
-        does not refuse the run."""
+        does not refuse the run (the default k_list entry 5 lies above
+        n = 4)."""
         out = tmp_path / "converse.csv"
-        assert run(["converse", "--kind", "quadratic", "--n-list", "2,20", "--out", str(out)]) == 0
+        assert run(["converse", "--kind", "quadratic", "--n-list", "4,20", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()
-        assert rows[1].startswith("2,1,") and rows[2].startswith("20,10,")
+        assert rows[1].startswith("4,2,") and rows[2].startswith("20,10,")
 
     @pytest.mark.parametrize("args", [["--n", "3", "--k-list", "5"], ["--n-list", "4,200", "--k-list", "4"]])
     def test_mixture_checks_its_pair(self, args, capsys):
@@ -420,6 +421,61 @@ class TestSubcommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,k,eps,lower_bound,tv"
         assert lines[1].startswith("20,10,")
+
+    def test_converse_refuses_inadequate_rk(self, tmp_path, capsys):
+        """At (n, k) = (2, 1) the quadratic's r_k misses unit mass by 6.1e-3,
+        so converse exits 1 with the defect error and writes nothing."""
+        out = tmp_path / "converse.csv"
+        assert run(["converse", "--kind", "quadratic", "--n-list", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: r_k normalization defect 6.08e-03 >= 1e-4; grid inadequate\n"
+        assert not out.exists()
+
+    def test_bounds_c_override(self, tmp_path, monkeypatch):
+        """--c-override replaces the scanned constant in every row and in
+        kl_bound, and no CLT scan runs."""
+
+        def no_scan(*args):
+            raise AssertionError("local_clt_scan ran under --c-override")
+
+        monkeypatch.setattr(cli, "local_clt_scan", no_scan)
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--kind", "quadratic", "--n-list", "50,100", "--k-list", "1,3",
+                    "--alpha-list", "0,0.2", "--c-override", "3", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 6
+        model = gibbs1d.solve_energy(hamiltonians.quadratic(), 1.0)
+        for row in rows:
+            n, k, alpha = int(row["n"]), int(row["k"]), float(row["alpha"])
+            d_surface = projection._tilted_rk(projection.make_context(model, n, k), alpha)[2]
+            assert float(row["C_used"]) == 3.0
+            assert float(row["kl_bound"]) == d_surface + math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / 3.0 - 1.0)
+
+    def test_wn_grid_settings(self, tmp_path):
+        """--grid-size and --grid-extent reach the grids wn writes."""
+        out = tmp_path / "wn.csv"
+        assert run(["wn", "--kind", "quadratic", "--n", "8", "--grid-size", "4096", "--grid-extent", "8",
+                    "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        model = gibbs1d.solve_energy(hamiltonians.quadratic(), 1.0)
+        params = gibbs1d.GridParams(4096, 8.0)
+        fft, exact = sumdensity.w_fft(model, 8, params), sumdensity.w_exact(model, 8, params)
+        assert table.shape == (4096, 5)
+        np.testing.assert_array_equal(table[:, 0], fft.points())
+        np.testing.assert_array_equal(table[:, 1], fft.values)
+        np.testing.assert_array_equal(table[:, 3], exact.values)
+        assert fft.dx != sumdensity.w_fft(model, 8, gibbs1d.GridParams(4096)).dx
+
+    @pytest.mark.parametrize("testfn,k", [("const", 1), ("f1", 1), ("f1+f2", 2)])
+    def test_ensembles_test_functions(self, tmp_path, testfn, k):
+        """Each test function writes rows with its own k; the constant one
+        has the same mean under both ensembles."""
+        out = tmp_path / "ens.csv"
+        assert run(["ensembles", "--kind", "quadratic", "--n-list", "20,50", "--count", "500",
+                    "--canonical-count", "500", "--testfn", testfn, "--seed", "3", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(row["n"], row["k"], row["testfn"]) for row in rows] == [("20", str(k), testfn), ("50", str(k), testfn)]
+        if testfn == "const":
+            assert all(float(row["gap"]) == 0.0 for row in rows)
 
     def test_mixture_schema(self, tmp_path):
         out = tmp_path / "mix.csv"

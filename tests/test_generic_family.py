@@ -42,10 +42,10 @@ class TestFamilyConsistency:
 
 
 class TestCubicPipeline:
-    def test_scan_decays(self, cubic_scan):
+    def test_scan_decays(self, cubic_model, cubic_scan):
         devs = np.asarray(cubic_scan.sup_devs)
         assert np.all(np.diff(devs) < 0)
-        assert cubic_scan.r_used == 4  # |phi| ~ u^{-1/3}
+        assert gibbs1d.clt_prerequisites(cubic_model).r_used == 4  # |phi| ~ u^{-1/3}
 
     def test_bounds_hold(self, cubic_model, cubic_scan):
         ctx = projection.make_context(cubic_model, 60, 2)

@@ -42,11 +42,12 @@ class TestContext:
         want = projection.kl_to_gibbs(projection.make_context(lin_model, 50, 3))
         assert projection.kl_to_gibbs(ctx) == pytest.approx(want, rel=1e-15)
 
-    def test_low_order_is_flagged(self, lin_model):
-        """n - k below the integrability order builds a context that says so."""
+    def test_low_order_builds(self, lin_model):
+        """n - k below the integrability order still builds a context, and
+        its divergences (the exact small cases run there)."""
         ctx = projection.make_context(lin_model, 2, 1)
-        assert ctx.clt_ok is False
-        assert ctx.r_used > ctx.n - ctx.k
+        assert gibbs1d.clt_prerequisites(lin_model).r_used > ctx.n - ctx.k
+        assert 0.0 < projection.tv_to_gibbs(ctx) < 2.0
 
     def test_energy_matched(self, small_ctx):
         assert small_ctx.t == pytest.approx(1.0, rel=1e-10)
@@ -104,14 +105,15 @@ class TestContext:
 
     @pytest.mark.parametrize("name,n,k", [("lin_model", 2, 1), ("lin_model", 50, 3), ("quad_model", 4, 2),
                                           ("quartic_model", 20, 3)])
-    def test_clt_order_read_lazily(self, request, name, n, k):
-        """``r_used`` and ``clt_ok`` run the integrability scan on first read,
-        and agree with it."""
+    def test_cell_never_runs_the_scan(self, request, name, n, k):
+        """A context and its divergences never run the integrability scan;
+        its fields are the cell's own."""
         model = dataclasses.replace(request.getfixturevalue(name), _cache={})
         ctx = projection.make_context(model, n, k)
+        projection.kl_to_gibbs(ctx), projection.tv_to_gibbs(ctx), projection.converse_lower_bound(ctx, 1.0)
         assert "prereqs" not in model._cache
-        r_used = gibbs1d.clt_prerequisites(model).r_used
-        assert ctx.r_used == r_used and ctx.clt_ok == (n - k >= r_used)
+        assert [f.name for f in dataclasses.fields(ctx)] == ["model", "n", "k", "t", "wk", "wnk", "log_wn_at_nt",
+                                                             "_cache"]
 
     def test_node_log_ratio_memoised_on_the_context(self, quad_model):
         ctx = projection.make_context(quad_model, 50, 3)
@@ -257,11 +259,41 @@ class TestConditionalDensity:
         assert projection.rk_conditional_density(ctx).meta["norm_defect"] < 1e-4
 
 
+class TestRkDefectGuard:
+    """Every divergence of a cell reads its normalizer from the ``r_k``
+    grid, so a cell whose ``r_k`` misses unit mass by 1e-4 or more is
+    refused by each of them, untilted distances included.  For the
+    quadratic at n - k = 1, ``r_k`` inherits the singular edge of
+    ``w_1(nt - s)`` at s = nt, where the grid keeps no edge model."""
+
+    @pytest.mark.parametrize("n,k,defect", [(2, 1, "6.08e-03"), (3, 2, "2.59e-03")])
+    @pytest.mark.parametrize("divergence", [
+        projection.kl_to_gibbs,
+        projection.tv_to_gibbs,
+        lambda ctx: projection.converse_lower_bound(ctx, 1.0),
+    ], ids=["kl", "tv", "converse"])
+    def test_small_quadratic_cells_refused(self, quad_model, n, k, defect, divergence):
+        ctx = projection.make_context(quad_model, n, k)
+        with pytest.raises(RuntimeError, match=f"^r_k normalization defect {defect} >= 1e-4; grid inadequate$"):
+            divergence(ctx)
+
+    def test_passing_cell_reads_the_memoised_grid(self, quad_model):
+        """At (4, 2) the defect is 1.6e-5: tv and the converse bound pass and
+        read the one ``r_k`` entry kl uses."""
+        ctx = projection.make_context(quad_model, 4, 2)
+        projection.tv_to_gibbs(ctx)
+        entry = ctx._cache[("rk", 0.0)]
+        projection.converse_lower_bound(ctx, 1.0)
+        projection.kl_to_gibbs(ctx)
+        assert ctx._cache[("rk", 0.0)] is entry
+        assert 1e-6 < projection.rk_conditional_density(ctx).meta["norm_defect"] < 1e-4
+
+
 def _pointwise_log_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
     """The log likelihood ratio evaluated afresh at ss, as every integrand
     did before the shared node pass."""
     ss = np.asarray(ss, dtype=float)
-    lr = sumdensity.log_w(ctx.model, ctx.n - ctx.k, ctx.n * ctx.t - ss, ctx.params) - ctx.log_wn_at_nt
+    lr = sumdensity.log_w(ctx.model, ctx.n - ctx.k, ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
     finite = np.isfinite(lr)
     return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
 

@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -147,6 +147,35 @@ class TestFftRoute:
         mask = ref >= 1e-3 * ref.max()
         err = float(np.max(np.abs(grid.values[1:][mask] - ref[mask]) / ref[mask]))
         assert err <= 1e-4, (p, n, err)
+
+
+class TestWrapAround:
+    """w_fft doubles its extent while the top 1/64 of the grid holds more
+    than 1e-9 of mass, at most four tries, then refuses."""
+
+    P, N = 3.0, 5
+
+    def _start(self, monkeypatch, fraction):
+        """Start w_fft at ``fraction`` of its usual extent; return that start."""
+        model = gibbs1d.solve_energy(ham.power(self.P), 1.0)
+        start = fraction * sumdensity._sum_grid_extent(model, self.N, gibbs1d.GridParams())
+        monkeypatch.setattr(sumdensity, "_sum_grid_extent", lambda *args: start)
+        return model, start
+
+    def test_doubling_meets_the_oracle(self, monkeypatch):
+        model, start = self._start(monkeypatch, 0.25)
+        grid = sumdensity.w_fft(model, self.N)
+        assert len(grid) * grid.dx >= 2.0 * start  # at least one doubling ran
+        s = grid.points()[1:]
+        ref = gamma_dist.pdf(s, self.N / self.P, scale=1.0 / model.c)
+        mask = ref >= 1e-3 * ref.max()
+        assert float(np.max(np.abs(grid.values[1:][mask] - ref[mask]) / ref[mask])) <= 1e-4
+
+    def test_four_doublings_fall_short(self, monkeypatch):
+        model, _ = self._start(monkeypatch, 0.01)
+        with pytest.raises(sumdensity.GridTooCoarseError,
+                           match=r"^could not silence wrap-around; increase sd_extent \(--grid-extent\)$"):
+            sumdensity.w_fft(model, self.N)
 
 
 def _polar_route(edge, base, n):
@@ -525,19 +554,16 @@ class TestLocalCltScan:
         assert c_hat == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("fixture", ["quad_model", "quartic_model"])
-    def test_prerequisites_read_lazily(self, request, fixture, monkeypatch):
-        """The report's ``nu``, ``i_value`` and ``r_used`` are those of
-        ``clt_prerequisites``, whose scan runs on the first read, once."""
+    def test_report_is_the_scan(self, request, fixture, monkeypatch):
+        """The report holds what the scan computed and nothing else; the
+        scan never runs ``clt_prerequisites``."""
         model = replace(request.getfixturevalue(fixture), _cache={})
         scans = []
         original = gibbs1d._scan_prerequisites
         monkeypatch.setattr(gibbs1d, "_scan_prerequisites", lambda m: scans.append(m) or original(m))
         report = sumdensity.local_clt_scan(model, (8, 16))
         assert scans == [] and "prereqs" not in model._cache
-        got = (report.nu, report.i_value, report.r_used, report.nu, report.r_used)
-        prereqs = gibbs1d.clt_prerequisites(model)
-        assert got == (prereqs.nu, prereqs.i_value, prereqs.r_used, prereqs.nu, prereqs.r_used)
-        assert scans == [model]
+        assert [f.name for f in fields(report)] == ["n_list", "sup_devs", "c_hat"]
 
     def test_report_compares_without_its_model(self, quad_model):
         report = sumdensity.local_clt_scan(quad_model, (8, 16))
@@ -563,7 +589,7 @@ class TestRatioBound:
     def test_passes_with_scanned_constant(self, lin_model, quad_model, lin_scan, quad_scan, ratio_lemma, n, k):
         for model, scan in ((lin_model, lin_scan), (quad_model, quad_scan)):
             ctx = projection.make_context(model, n, k)
-            assert ctx.clt_ok
+            assert n - k >= gibbs1d.clt_prerequisites(model).r_used
             lhs, rhs = ratio_lemma(ctx, scan.c_hat)
             # at alpha = 0 kl_bound is the lemma's right-hand side, bit for bit
             assert rhs == math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / scan.c_hat - 1.0)
