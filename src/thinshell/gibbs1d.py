@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import _GL_NODES, _GL_WEIGHTS, DensityGrid, EdgeModel, make_grid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values, fprime_values
+from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, _newton, f_values, finv_values, fprime_values
 
 __all__ = [
     "GibbsModel",
@@ -39,10 +39,9 @@ __all__ = [
 _QUAD_RTOL = 1e-14
 _QUAD_PASSES = 60
 _QUAD_MAX_PANELS = 4096
-# relative change of c at which the energy matching stops (brentq's default
-# rtol), and the number of steps after which it gives up
+# relative Newton correction of c at which the energy matching stops
+# (brentq's default rtol)
 _MATCH_CTOL = 8.9e-16
-_MATCH_STEPS = 100
 _Y_GRID_SIZE = 2**18
 # relative miss of the mean energy that solve_energy treats as failure
 _MATCH_RTOL = 1e-10
@@ -85,19 +84,31 @@ class GibbsModel:
 
 
 def _truncation(spec: HamiltonianSpec, c: float) -> float:
-    """Cutoff with ``exp(-c f(x)/2) / ((c/2) f'(x))`` below 1e-16 beyond it.
+    """Cutoff with ``exp(-c f(x)/2) / ((c/2) f'(x))`` below 1e-16 beyond it:
+    x = 1 doubled until the bound holds or, when it holds at 1, halved
+    while it still holds at x/2, so that a weight narrower than 1 keeps the
+    rule's nodes on it.  It halves at most 80 times and gives up past 2^79.
 
     The half rate keeps the same cutoff valid for the energy-weighted
     integrands used by the moments.
     """
-    x = 1.0
-    for _ in range(80):
+
+    def tail(x: float) -> float:
         fx = float(f_values(spec, np.array([x]))[0])
         fp = float(fprime_values(spec, np.array([x]))[0])
-        bound = math.exp(-0.5 * c * fx) / (0.5 * c * fp) if 0.5 * c * fx < 700 else 0.0
-        if bound < 1e-16:
-            return x
+        return math.exp(-0.5 * c * fx) / (0.5 * c * fp) if 0.5 * c * fx < 700 else 0.0
+
+    x = 1.0
+    if tail(x) < 1e-16:
+        for _ in range(80):
+            if not tail(0.5 * x) < 1e-16:
+                break
+            x *= 0.5
+        return x
+    for _ in range(79):
         x *= 2.0
+        if tail(x) < 1e-16:
+            return x
     raise RuntimeError("tail bound did not drop below 1e-16; f may grow too slowly")
 
 
@@ -223,35 +234,23 @@ def model_at(spec: HamiltonianSpec, c: float) -> GibbsModel:
 
 
 def _match_energy(spec: HamiltonianSpec, t: float) -> float:
-    """c with mean energy t, by Newton's method on ``log mu`` against
-    ``log c`` from c = 1.  Since ``dmu/dc = -Var Y``, the slope is
-    ``-c Var Y / mu``; one quadrature pass gives Z, mu and Var.  A pure
-    power law ``mu = 1/(d c)`` is a straight line there, so the first step
-    lands on it.  Each evaluation shrinks the bracket ``[lo, hi]`` on c
-    (``mu`` decreases strictly); a step that leaves it, or is not finite,
-    is replaced by doubling or halving while one end is open and by
-    bisection after.  The iteration stops once the applied change of c is
-    at most ``_MATCH_CTOL * c``, or the bracket is that narrow."""
-    c, lo, hi = 1.0, 0.0, math.inf
-    for _ in range(_MATCH_STEPS):
+    """c with mean energy t: :func:`hamiltonians._newton` from c = 1 on
+    ``g(c) = c (t - mu(c))``, whose sign is that of ``c - c_t`` (``mu``
+    decreases strictly) and whose slope is ``t - mu + c Var Y``, since
+    ``dmu/dc = -Var Y``; one quadrature pass gives Z, mu and Var.  A pure
+    power law ``mu = 1/(d c)`` makes g the line ``c t - 1/d``, so the first
+    step lands on it."""
+
+    def residual(cs, _live):
+        c = float(cs[0])
         x_max = _truncation(spec, c)
         mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
         mu = float(first / mass) if mass > 0 else math.nan
         _check_resolved(c, x_max, float(mass), mu)
         var = float(second / mass) - mu * mu
-        if mu >= t:
-            lo = c
-        if mu <= t:
-            hi = c
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # a variance cancelled to 0 gives no step: the bracket takes over
-            new = float(c * np.exp((math.log(mu) - math.log(t)) * mu / (c * var))) if c * var != 0.0 else math.nan
-        if not lo < new < hi:
-            new = 2.0 * lo if hi == math.inf else 0.5 * hi if lo == 0.0 else 0.5 * (lo + hi)
-        if abs(new - c) <= _MATCH_CTOL * c or hi - lo <= _MATCH_CTOL * lo:
-            return new
-        c = new
-    raise RuntimeError(f"energy matching did not converge in {_MATCH_STEPS} steps")
+        return np.array([c * (t - mu)]), np.array([t - mu + c * var])
+
+    return float(_newton(residual, [1.0], math.inf, _MATCH_CTOL, "energy matching")[0])
 
 
 def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:

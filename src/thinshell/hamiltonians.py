@@ -11,9 +11,9 @@ certifies both on finite scan grids and reports the witnesses found.
 The one fan-out every concurrent build goes through (``_fan_out``, its
 threads capped by ``THINSHELL_THREADS``), the memo every derived value
 of a model or context is built through (``_memo``) and the safeguarded
-Newton that the custom inverse and the central projection share
-(``_newton``) live here, at the bottom of the import graph, since the
-custom inverse fans out too.
+Newton that the custom inverse, the central projection and energy
+matching share (``_newton``) live here, at the bottom of the import
+graph, since the custom inverse fans out too.
 """
 
 from __future__ import annotations

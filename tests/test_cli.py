@@ -287,6 +287,22 @@ class TestConfig:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and key in captured.err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["bounds", "--config", "{tmp}/missing.cfg"], "cannot read config"),
+            (["bounds", "--kind", "quadratic", "--n-list", ","], "n_list and k_list must be nonempty"),
+            (["mixture", "--kind", "quadratic", "--mixture-t-list", "1", "--mixture-weights", "0.5,0.5"],
+             "mixture_t_list and mixture_weights differ in length"),
+        ],
+        ids=["missing_file", "empty_n_list", "mixture_lengths"],
+    )
+    def test_unusable_config_rejected(self, tmp_path, args, message, capsys):
+        assert run([arg.format(tmp=tmp_path) for arg in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and message in captured.err
+
     def test_cli_overrides_file(self, lin_config, tmp_path, capsys):
         out = tmp_path / "row.csv"
         assert run(["solve-c", "--config", lin_config, "--kind", "quadratic", "--t", "0.5", "--out", str(out)]) == 0
@@ -559,6 +575,35 @@ class TestSubcommands:
         row = out.read_text().splitlines()[1]
         c_field = row.split(",")[1]
         assert c_field == format(float(c_field), ".17g")
+
+
+class TestFailedChecks:
+    """A failed bound check is reported, and is an error under --strict
+    only."""
+
+    @pytest.mark.parametrize("strict,code", [([], 0), (["--strict"], 1)])
+    def test_bounds_reports_failed_cells(self, monkeypatch, tmp_path, capsys, strict, code):
+        real = projection.bound_report
+
+        def failing(ctx, C, alpha=0.0):
+            report = real(ctx, C, alpha=alpha)
+            return dataclasses.replace(report, pass_kl=report.k != 1)
+
+        monkeypatch.setattr(projection, "bound_report", failing)
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--kind", "quadratic", "--n-list", "50", "--k-list", "1,3", "--c-override", "2",
+                    "--out", str(out)] + strict) == code
+        assert capsys.readouterr().err == "1 of 2 cells failed their bound\n"
+        assert [row["pass_kl"] for row in csv.DictReader(io.StringIO(out.read_text()))] == ["false", "true"]
+
+    @pytest.mark.parametrize("strict,code", [([], 0), (["--strict"], 1)])
+    def test_mixture_fails_under_strict(self, monkeypatch, tmp_path, strict, code):
+        """Each atom at distance 1 puts tv_sum far above sqrt(2k/(n-k))."""
+        monkeypatch.setattr(projection, "tv_to_gibbs", lambda ctx: 1.0)
+        out = tmp_path / "mixture.csv"
+        assert run(["mixture", "--kind", "quadratic", "--n", "100", "--k-list", "2",
+                    "--mixture-t-list", "0.5,1", "--mixture-weights", "0.5,0.5", "--out", str(out)] + strict) == code
+        assert out.read_text().splitlines()[1].endswith(",false")
 
 
 class TestShippedConfigs:

@@ -245,27 +245,48 @@ class TestEnergyMatching:
             (ham.quadratic(), 1e300),
             (ham.quartic_perturbed(1.0), 1e-300),
             (ham.quartic_perturbed(1.0), 1e300),
-            (ham.linear_half(), 1e-5),
+            # the mean integral, 1.25e-15, lies below QUADPACK's absolute
+            # tolerance epsabs = 1e-12, so dqagse accepts an estimate
+            # 1.9e-9 off and the mean misses t
+            (ham.quadratic(), 1e-10),
         ],
-        ids=["quadratic-1e-300", "quadratic-1e+300", "quartic-1e-300", "quartic-1e+300", "linear_half-1e-05"],
+        ids=["quadratic-1e-300", "quadratic-1e+300", "quartic-1e-300", "quartic-1e+300", "quadratic-1e-10"],
     )
     def test_unreachable_target_names_t(self, spec, t):
         """Weights the quadrature cannot resolve, tails past the cutoff, and
-        a model whose mean misses t (linear_half at 1e-5, whose QUADPACK
-        mean reads 2.2e-48) are all refused with the same ValueError."""
+        a model whose mean misses t (the quadratic at 1e-10, through
+        QUADPACK's ``epsabs``) are all refused with the same ValueError."""
         with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
             gibbs1d.solve_energy(spec, t)
 
+    @pytest.mark.parametrize(
+        "spec,t",
+        [
+            *((ham.custom(lambda x: x + x**3 / 3.0), t) for t in (1e-6, 1e-9, 1e-12)),
+            *((ham.linear_half(), t) for t in (1e-6, 1e-9, 1e-12)),
+            *((ham.quartic_perturbed(1.0), t) for t in (1e-9, 1e-12)),
+        ],
+        ids=lambda v: v.kind if isinstance(v, ham.HamiltonianSpec) else f"{v:g}",
+    )
+    def test_tiny_t_resolves(self, spec, t):
+        """A weight narrower than x = 1 is integrated on a cutoff halved
+        below 1, so its mean meets t instead of being refused."""
+        model = gibbs1d.solve_energy(spec, t)
+        assert model.x_max < 1.0
+        assert abs(model.mu / t - 1.0) <= gibbs1d._MATCH_RTOL
+
     def test_cancelled_variance_takes_the_bracket(self, monkeypatch):
-        """A variance that cancels to 0 gives the Newton step no slope; the
-        first step then doubles c from the bracket, and the matching still
-        meets t instead of dividing by zero."""
+        """A variance that cancels to 0 leaves the Newton step ``c (t - mu)
+        / (t - mu)`` = c, which lands on 0, outside the bracket.  At c = 1
+        the quartic's mean is already below t = 1, so the bracket's upper
+        end is 1 and the first step halves c; the matching still meets t
+        instead of dividing by zero."""
         integrals = gibbs1d._halfline_integrals
         calls = []
 
         def first_without_variance(*args, **kwargs):
             out = integrals(*args, **kwargs)
-            calls.append(None)
+            calls.append(args[1])
             if len(calls) > 1:
                 return out
             mu = float(out[1] / out[0])
@@ -273,12 +294,30 @@ class TestEnergyMatching:
 
         monkeypatch.setattr(gibbs1d, "_halfline_integrals", first_without_variance)
         model = gibbs1d.solve_energy(ham.quartic_perturbed(1.0), 1.0)
+        assert calls[:2] == [1.0, 0.5]
         assert abs(model.mu - 1.0) <= gibbs1d._MATCH_RTOL
 
     def test_unreachable_target_cli(self, capsys):
         assert cli.main(["solve-c", "--kind", "quadratic", "--t", "1e-300"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "t=1e-300" in err
+
+
+class TestEntryChecks:
+    """Bad input to the model layer is refused where it enters."""
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_non_positive_target(self, t):
+        with pytest.raises(ValueError, match="target energy must be positive"):
+            gibbs1d.solve_energy(ham.quadratic(), t)
+
+    def test_y_density_at_zero(self, quad_model):
+        with pytest.raises(ValueError, match="y > 0 only"):
+            gibbs1d.log_y_density(quad_model, [0.0])
+
+    def test_zero_normaliser(self):
+        with pytest.raises(ValueError, match="degenerate model"):
+            gibbs1d.GibbsModel(spec=ham.quadratic(), c=0.5, z=0.0, mu=1.0, sigma2=2.0, m3=3.0, x_max=64.0)
 
 
 class TestGridParams:

@@ -395,6 +395,27 @@ class TestInverseRefusals:
             ham.inverse(ham.quadratic(), math.inf)
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"kind": "cubic", "support": ham.HALF_LINE}, "unknown kind 'cubic'"),
+            ({"kind": "quadratic", "support": "whole_line"}, "unknown support 'whole_line'"),
+            ({"kind": "custom", "support": ham.HALF_LINE}, "custom specs need an evaluator"),
+        ],
+        ids=["kind", "support", "custom_without_fn"],
+    )
+    def test_malformed_spec(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ham.HamiltonianSpec(**kwargs)
+
+    def test_inverse_without_tail_witness(self):
+        """log(1 + x) grows too slowly for any positive tail slope, so no
+        bracket for its inverse exists."""
+        with pytest.raises(ValueError, match="no tail slope witness"):
+            ham.finv_values(ham.custom(np.log1p), [0.5])
+
+
 class TestThreadHelpers:
     def test_helper_never_starts_a_helper(self, monkeypatch):
         """Under a cap of 2, a fan-out starts one helper; while it runs,

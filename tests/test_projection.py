@@ -637,6 +637,18 @@ class TestMixture:
             projection.mixture_bound_check(entries, 100, 2)
 
 
+class TestEntryChecks:
+    def test_coordinate_density_needs_k1(self, quad_model):
+        ctx = projection.make_context(quad_model, 20, 2)
+        with pytest.raises(ValueError, match="built for k = 1"):
+            projection.project_uniform_k1(ctx)
+
+    def test_mixture_refuses_unmatched_model(self, quad_model):
+        """The quadratic model at t = 1 listed as the mixture's t = 0.5 atom."""
+        with pytest.raises(ValueError, match="not energy-matched to t=0.5"):
+            projection.mixture_bound_check([(quad_model, 0.5, 1.0)], 100, 2)
+
+
 class TestMaxEntropy:
     def test_gibbs_maximizes_entropy_at_fixed_energy(self, quad_model):
         """Five tilted, energy-re-matched densities: each has lower entropy

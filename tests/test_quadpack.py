@@ -124,9 +124,16 @@ class TestReturnCodes:
         """epsabs <= 0 with epsrel below 50 eps is refused before any call."""
         assert _port(math.exp, 0.0, 1.0, 0.0, 1e-15, 50) == (0.0, 0.0, 6, 0)
 
-    def test_refused_mean_names_t_without_warning(self):
-        """At this t the quadratic's mean integral ends with code 5 (quad
-        only warned there); solve_energy refuses t."""
+    def test_refused_mean_names_t_without_warning(self, monkeypatch):
+        """A nonzero return code of the mean integral (quad only warned
+        there) reaches solve_energy as a ValueError that names t."""
+        from thinshell import _quadpack
+
+        def code_5(f, a, b, epsabs, epsrel, limit):
+            value, abserr, _ = dqagse(f, a, b, epsabs, epsrel, limit)
+            return value, abserr, 5
+
+        monkeypatch.setattr(_quadpack, "dqagse", code_5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"t=1\.484390141675982e-07") as info:

@@ -745,6 +745,40 @@ class TestEnsembleGap:
             sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="bad", growth="energy")
 
 
+class TestEntryChecks:
+    """Malformed batches, vectors and test functions are refused where they
+    enter."""
+
+    @staticmethod
+    def batch(points, n=4, method="scaling"):
+        return sampler.SampleBatch(points=points, n=n, t=1.0, c=0.5, method=method, delta=None,
+                                   acceptance_rate=1.0, seed=0)
+
+    def test_batch_refuses_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'gibbs'"):
+            self.batch(np.ones((3, 2)), method="gibbs")
+
+    def test_batch_refuses_more_columns_than_n(self):
+        with pytest.raises(ValueError, match="1 <= m <= n"):
+            self.batch(np.ones((3, 5)), n=4)
+
+    def test_central_projection_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match="single vector"):
+            sampler.central_projection(ham.quadratic(), np.ones((2, 3)), 1.0)
+
+    def test_unknown_growth_class(self):
+        with pytest.raises(ValueError, match="unknown growth class 'linear'"):
+            sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="bad", growth="linear")
+
+    @pytest.mark.parametrize("k,n,batch_n,match", [(1, 4, 4, "more coordinates"), (2, 5, 4, "dimension mismatch")],
+                             ids=["testfn_k_above_k", "batch_n_off"])
+    def test_gap_refuses_mismatched_sizes(self, quad_model, k, n, batch_n, match):
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0] + rows[:, 1], k=2, name="x1+x2", growth="bounded")
+        batch = self.batch(np.ones((3, 2)), n=batch_n)
+        with pytest.raises(ValueError, match=match):
+            sampler.ensemble_expectation_gap(quad_model, n, k, fn, batch, 10, seed=0)
+
+
 class TestProjectionCheck:
     def test_inverse_cdf_draw_sits_at_null_level(self, quad_model, sphere_ref):
         """Drawing directly from the reference CDF keeps the statistic below
