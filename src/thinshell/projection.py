@@ -16,6 +16,7 @@ with range [0, 2].
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,10 @@ class ProjectionContext:
     an FFT family, owned by the context (it is memoised only when some
     other use put it there) and freed with it; it is None for closed-form
     families, whose ``log w_{n-k}`` is exact.  ``log w_n(nt)`` comes from
-    :func:`sumdensity.log_w`.  ``node_log_ratio`` is the one pass of the log
-    likelihood ratio over the ``w_k`` nodes, which the ``r_k`` grid, its
-    tilts and every divergence of the cell share.
+    :func:`sumdensity.log_w`.  ``nodes`` (the ``w_k`` abscissae) and
+    ``node_log_ratio`` (the one pass of the log likelihood ratio over them)
+    are built once and read-only; the ``r_k`` grid, its tilts and every
+    divergence of the cell read them.
     """
 
     model: GibbsModel
@@ -69,14 +71,29 @@ class ProjectionContext:
         return self.wnk.log_at(s)
 
     @property
+    def nodes(self) -> np.ndarray:
+        """The ``w_k`` nodes s, ``wk.points()``; built on first use, through
+        ``_memo``."""
+        return _memo(self._cache, "nodes", lambda: _read_only(self.wk.points()))
+
+    @property
     def node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
-        """``log w_{n-k}(nt - s) - log w_n(nt)`` at the ``w_k`` nodes s, and
-        where it is finite; evaluated on first use, through ``_memo``."""
+        """``log w_{n-k}(nt - s) - log w_n(nt)`` at the ``w_k`` nodes s, with 0
+        where it is not finite, and the mask of where it is; evaluated on
+        first use, through ``_memo``."""
         return _memo(self._cache, "node_log_ratio", self._node_log_ratio)
 
     def _node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
-        lr = self.log_wnk(self.n * self.t - self.wk.points()) - self.log_wn_at_nt
-        return lr, np.isfinite(lr)
+        lr = self.log_wnk(self.n * self.t - self.nodes)
+        lr -= self.log_wn_at_nt
+        finite = np.isfinite(lr)
+        lr[~finite] = 0.0
+        return _read_only(lr), _read_only(finite)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = None) -> ProjectionContext:
@@ -148,38 +165,64 @@ def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
 # divergences against the Gibbs product density
 
 
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"tilt alpha must be finite; got {alpha!r}")
+
+
 def _log_ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0):
     """Log likelihood ratio of the projection tilted by ``exp(alpha s)``
     against g_k, as a function of the partial energy s:
-    ``alpha s + log w_{n-k}(nt - s) - log w_n(nt) - log_norm``.
-
-    ``ss=None`` means the ``w_k`` nodes and reads ``ctx.node_log_ratio``;
-    other points (the edge model's quadrature nodes) are evaluated here.
+    ``alpha s + log w_{n-k}(nt - s) - log w_n(nt) - log_norm``, at points
+    ``ss`` off the ``w_k`` nodes (the edge model's quadrature nodes).
     Where ``w_{n-k}`` vanishes the surface density has no mass; there the
     log term reads 0 and the returned mask is False.
     """
-    if ss is None:
-        ss = ctx.wk.points()
-        lr, finite = ctx.node_log_ratio
-    else:
-        ss = np.asarray(ss, dtype=float)
-        lr = ctx.log_wnk(ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
-        finite = np.isfinite(lr)
+    ss = np.asarray(ss, dtype=float)
+    lr = ctx.log_wnk(ctx.n * ctx.t - ss) - ctx.log_wn_at_nt
+    finite = np.isfinite(lr)
     return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
 
 
-def _integrate_ratio(grid: DensityGrid, fn) -> float:
-    """``grid.integrate(fn)`` for an integrand of the log ratio on a grid
-    that shares the ``w_k`` nodes: ``fn(None)`` gives its node values from
-    the cached pass."""
-    return grid.integrate(fn, fn(None))
+# the tilted node log ratio of the row that bound_report is assembling on
+# this thread, as (ctx, alpha, array): its kl and tv share it, and it goes
+# with the row
+_ROW = threading.local()
+
+
+def _node_tilted_log_ratio(ctx: ProjectionContext, alpha: float, log_norm: float) -> np.ndarray:
+    """:func:`_log_ratio` at the ``w_k`` nodes, ``alpha s + masked - log_norm``
+    from the context's node arrays, in the same operation order: the row's
+    array when ``bound_report`` is assembling this tilt's row, else built
+    here for the caller alone.  Untilted, it is the masked node pass itself
+    (``0 s + masked - 0`` differs from it at most in the sign of a zero)."""
+    if alpha == 0.0 and log_norm == 0.0:
+        return ctx.node_log_ratio[0]
+    row = getattr(_ROW, "nodes", None)
+    if row is not None and row[0] is ctx and row[1] == alpha:
+        return row[2]
+    out = alpha * ctx.nodes
+    out += ctx.node_log_ratio[0]
+    out -= log_norm
+    return out
+
+
+def _exp_ratio(lr: np.ndarray, finite: np.ndarray) -> np.ndarray:
+    """The likelihood ratio from its log, 0 where the surface density has no mass."""
+    with np.errstate(over="ignore"):
+        out = np.exp(lr)
+    out[~finite] = 0.0
+    return out
 
 
 def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0) -> np.ndarray:
-    """The likelihood ratio itself, 0 where the surface density has no mass."""
-    lr, finite = _log_ratio(ctx, ss, alpha, log_norm)
-    with np.errstate(over="ignore"):
-        return np.where(finite, np.exp(lr), 0.0)
+    """The likelihood ratio at points ``ss`` off the nodes."""
+    return _exp_ratio(*_log_ratio(ctx, ss, alpha, log_norm))
+
+
+def _node_ratio(ctx: ProjectionContext, alpha: float, log_norm: float) -> np.ndarray:
+    """The likelihood ratio at the ``w_k`` nodes."""
+    return _exp_ratio(_node_tilted_log_ratio(ctx, alpha, log_norm), ctx.node_log_ratio[1])
 
 
 def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
@@ -193,9 +236,9 @@ def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float
 def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
     """The entry of :func:`_tilted_rk` for ``alpha``, built afresh."""
     if alpha == 0.0:
-        log_ratio, finite = ctx.node_log_ratio
+        masked, finite = ctx.node_log_ratio
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.where(finite, ctx.wk.values * np.exp(log_ratio), 0.0)
+            values = np.where(finite, ctx.wk.values * np.exp(masked), 0.0)
         edge = None
         if ctx.wk.edge is not None:
             lr0 = float(ctx.log_wnk(np.asarray([ctx.n * ctx.t]))[0]) - ctx.log_wn_at_nt
@@ -208,18 +251,21 @@ def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, 
     rk = rk_conditional_density(ctx)
     if alpha * rk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
-    norm = rk.integrate(lambda s: np.exp(alpha * s))
+    # r_k and its tilts share the w_k nodes
+    alpha_s = alpha * ctx.nodes
+    norm = rk.integrate(lambda s: np.exp(alpha * s), np.exp(alpha_s))
     if not (math.isfinite(norm) and norm > 0.0):
         raise OverflowError("tilt normalizer is not finite on the grid")
     log_norm = math.log(norm)
-    values = rk.values * np.exp(alpha * rk.points() - log_norm)
+    alpha_s -= log_norm
+    values = rk.values * np.exp(alpha_s)
     edge = None
     if rk.edge is not None:
         values[0], edge = rk.edge.scaled(-log_norm, alpha).node0()
     tilted = make_grid(rk.x0, rk.dx, values, edge=edge, meta={"kind": "rk_tilted", "alpha": alpha}).normalized()
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
-    d_surface = alpha * tilted.integrate(lambda s: s) - log_norm
+    d_surface = alpha * tilted.integrate(lambda s: s, ctx.nodes) - log_norm
     return tilted, log_norm, d_surface
 
 
@@ -231,8 +277,10 @@ def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     Contributions where the ratio vanishes carry zero r mass and are
     dropped; a negative result beyond -1e-8 signals inconsistent grids.
     """
+    _check_alpha(alpha)
     tilted, log_norm, _ = _tilted_rk(ctx, alpha)
-    kl = _integrate_ratio(tilted, lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0])
+    at_nodes = _node_tilted_log_ratio(ctx, alpha, log_norm)
+    kl = tilted.integrate(lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0], at_nodes)
     if kl < -1e-8:
         raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
     return max(kl, 0.0)
@@ -244,8 +292,12 @@ def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     where the surface density has no support contribute their full w_k
     mass.  The normalizer comes from :func:`_tilted_rk`, whose ``r_k``
     defect check this distance shares with kl."""
+    _check_alpha(alpha)
     log_norm = _tilted_rk(ctx, alpha)[1]
-    tv = _integrate_ratio(ctx.wk, lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0))
+    at_nodes = _node_ratio(ctx, alpha, log_norm)
+    at_nodes -= 1.0
+    np.abs(at_nodes, out=at_nodes)
+    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0), at_nodes)
     if not -1e-9 <= tv <= 2.0 + 1e-9:
         raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
     return float(min(max(tv, 0.0), 2.0))
@@ -303,10 +355,14 @@ def bound_report(ctx: ProjectionContext, C: float, alpha: float = 0.0) -> BoundR
         raise ValueError(f"local-CLT constant C must be finite and > 0; got {C!r}")
     if math.sqrt(ctx.n) / C <= 1.0:
         raise ValueError("bound inapplicable: need sqrt(n)/C > 1")
-    if not math.isfinite(alpha):
-        raise ValueError(f"tilt alpha must be finite; got {alpha!r}")
-    d_surface = _tilted_rk(ctx, alpha)[2]
-    kl, tv = kl_to_gibbs(ctx, alpha), tv_to_gibbs(ctx, alpha)
+    _check_alpha(alpha)
+    _, log_norm, d_surface = _tilted_rk(ctx, alpha)
+    # the row's one tilted node log ratio, shared by kl and tv, then dropped
+    _ROW.nodes = (ctx, alpha, _node_tilted_log_ratio(ctx, alpha, log_norm))
+    try:
+        kl, tv = kl_to_gibbs(ctx, alpha), tv_to_gibbs(ctx, alpha)
+    finally:
+        _ROW.nodes = None
     kl_bound = d_surface + math.log(ctx.n / (ctx.n - ctx.k)) + 2.0 / (math.sqrt(ctx.n) / C - 1.0)
     tv_from_kl = math.sqrt(2.0 * kl)
     # the dimension-free distance bounds cover the uniform surface density
@@ -354,12 +410,13 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
 
-    def fn(ss):
-        gain = np.clip(_ratio(ctx, ss, 0.0, log_norm) - 1.0, 0.0, None)
-        ss = ctx.wk.points() if ss is None else np.asarray(ss, dtype=float)
-        return np.where((ss >= lo) & (ss <= hi), gain, 0.0)
+    def gain(ss, ratio):
+        return np.where((ss >= lo) & (ss <= hi), np.clip(ratio - 1.0, 0.0, None), 0.0)
 
-    lower = 2.0 * _integrate_ratio(ctx.wk, fn)
+    def fn(ss):
+        return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss, 0.0, log_norm))
+
+    lower = 2.0 * ctx.wk.integrate(fn, gain(ctx.nodes, _node_ratio(ctx, 0.0, log_norm)))
     return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 

@@ -91,14 +91,20 @@ def gamma_shape(model: GibbsModel, n: int) -> float:
 
 
 def log_w_exact(model: GibbsModel, n: int, s) -> np.ndarray:
-    """Pointwise log Gamma(shape, rate=c) density, -inf off the support."""
+    """Pointwise log Gamma(shape, rate=c) density, -inf off the support.
+
+    ``a log c - log Gamma(a) + (a - 1) log s - c s`` is taken on the whole
+    array, in place and in that operation order; then ``s <= 0`` and nan
+    read -inf, and ``s = 0`` reads ``log c`` when ``a = 1``."""
     a = gamma_shape(model, n)
     c = model.c
     s = np.asarray(s, dtype=float)
-    out = np.full(s.shape, -np.inf)
-    pos = s > 0
-    with np.errstate(divide="ignore"):
-        out[pos] = a * math.log(c) - gammaln(a) + (a - 1.0) * np.log(s[pos]) - c * s[pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(s, out=np.empty(s.shape))
+        out *= a - 1.0
+        out += a * math.log(c) - gammaln(a)
+        out -= c * s
+    out[~(s > 0)] = -np.inf
     if a == 1.0:
         out[s == 0.0] = math.log(c)
     return out

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 from scipy.stats import gamma as gamma_dist
@@ -149,6 +151,44 @@ class TestIntegrate:
         grid = make_grid(0.0, dx, vals, edge=edge)
         oracle = math.gamma(0.5) + 0.25 * math.gamma(1.5)
         assert grid.mass == pytest.approx(oracle, abs=1e-6)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestInPlaceTrapezoid:
+    """``grids._trapezoid`` is ``np.trapezoid(y, dx=dx)`` bit for bit, and so
+    is every integral of a grid with or without an edge model."""
+
+    @given(y=hnp.arrays(float, st.integers(0, 40), elements=st.floats(allow_nan=True, allow_infinity=True)),
+           dx=st.floats(1e-300, 1e300))
+    @example(y=np.zeros(0), dx=0.5)
+    @example(y=np.ones(1), dx=0.5)
+    @example(y=np.asarray([1.0, 3.0]), dx=0.1)
+    @example(y=np.asarray([1.0, 3.0, 5.0]), dx=0.1)
+    @example(y=np.asarray([6e307, 6e307]), dx=1.5)  # overflows unless dx multiplies before the halving
+    def test_equals_numpy(self, y, dx):
+        with np.errstate(all="ignore"):
+            assert _bits(grids._trapezoid(y, dx)) == _bits(np.trapezoid(y, dx=dx))
+
+    @given(values=hnp.arrays(float, st.integers(2, 600), elements=st.floats(0.0, 1e3)),
+           dx=st.floats(1e-3, 1.0), edge=st.booleans())
+    @example(values=np.ones(2), dx=0.5, edge=True)
+    @example(values=np.ones(3), dx=0.5, edge=False)
+    def test_grid_integrals_equal_numpy_rule(self, values, dx, edge):
+        model = EdgeModel(-0.5, 0.0, 1.0, beta2=0.5, coef2=0.25) if edge else None
+        if edge:
+            values[0] = 0.0
+
+        def integrals():
+            grid = make_grid(0.0, dx, values, edge=model)
+            return [grid.mass, grid.integrate(np.cos), grid.integrate(np.cos, np.cos(grid.points()))]
+
+        got = integrals()
+        with mock.patch.object(grids, "_trapezoid", lambda y, dx: float(np.trapezoid(y, dx=dx))):
+            want = integrals()
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
 
 class TestCdfAndNormalize:

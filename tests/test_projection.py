@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from thinshell import cli, gibbs1d, hamiltonians as ham, projection, sumdensity
+from thinshell import cli, gibbs1d, grids, hamiltonians as ham, projection, sumdensity
 
 # frozen oracles for the two-exponential surface (n=2, k=1, t=1):
 # the projected coordinate is uniform on [0, 2], the divergence integrates
@@ -363,6 +363,78 @@ class TestSharedLogRatioPass:
         assert sizes.count(len(ctx.wk)) == 1
         assert all(size < 4096 for size in sizes if size != len(ctx.wk))
         assert (len(sizes) > 1) == (ctx.wk.edge is not None)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_node_pass_per_cell(self, quad_model, monkeypatch, k):
+        """A cell builds the w_k abscissae once, and each tilt's node log
+        ratio once, shared by the row's kl and tv; untilted, it is the masked
+        node pass itself.  Every integral of a function over the nodes is
+        handed its node values, and no per-tilt array outlives its row."""
+        ctx = projection.make_context(quad_model, 100, k)
+        points, handed, tilted = [], [], []
+        original_points = grids.DensityGrid.points
+        original_integrate = grids._integrate
+        original_tilted = projection._node_tilted_log_ratio
+
+        def counted_points(grid):
+            points.append(len(grid))
+            return original_points(grid)
+
+        def counted_integrate(dx, x0, values, edge, fn, at_nodes=None):
+            handed.append(fn is None or at_nodes is not None)
+            return original_integrate(dx, x0, values, edge, fn, at_nodes)
+
+        def counted_tilted(ctx, alpha, log_norm):
+            tilted.append((alpha, original_tilted(ctx, alpha, log_norm)))
+            return tilted[-1][1]
+
+        monkeypatch.setattr(grids.DensityGrid, "points", counted_points)
+        monkeypatch.setattr(grids, "_integrate", counted_integrate)
+        monkeypatch.setattr(projection, "_node_tilted_log_ratio", counted_tilted)
+        for alpha in (0.0, 0.2, -0.2):
+            projection.bound_report(ctx, 2.0, alpha)
+            assert projection._ROW.nodes is None
+        projection.converse_lower_bound(ctx, 1.0)
+        projection.rk_conditional_density(ctx)
+        assert points == [len(ctx.wk)]
+        assert handed and all(handed)
+        # the references kept in ``tilted`` keep every id distinct
+        built = {alpha: {id(array) for a, array in tilted if a == alpha} for alpha in (0.0, 0.2, -0.2)}
+        assert built[0.0] == {id(ctx.node_log_ratio[0])}
+        assert len(built[0.2]) == len(built[-0.2]) == 1
+        assert {a for a, _ in tilted} == {0.0, 0.2, -0.2}
+        assert set(ctx._cache) == {"nodes", "node_log_ratio", ("rk", 0.0), ("rk", 0.2), ("rk", -0.2)}
+
+    @pytest.mark.parametrize("name,n,k", [("quad_model", 50, 1), ("quartic_model", 20, 3)], ids=str)
+    def test_kept_node_arrays_are_read_only(self, request, name, n, k):
+        ctx = projection.make_context(request.getfixturevalue(name), n, k)
+        projection.bound_report(ctx, 2.0, 0.2)
+        projection.converse_lower_bound(ctx, 1.0)
+        np.testing.assert_array_equal(ctx.nodes, ctx.wk.points())
+        kept = []
+        for entry in ctx._cache.values():
+            value = entry.result()
+            kept += [item for item in (value if isinstance(value, tuple) else (value,)) if isinstance(item, np.ndarray)]
+        assert len(kept) == 3  # the abscissae, the masked log ratio and its mask
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+class TestTiltRefusals:
+    """kl and tv refuse a non-finite tilt where it enters, as bound_report
+    does, and leave the context's memo as it was."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("divergence", [projection.kl_to_gibbs, projection.tv_to_gibbs], ids=["kl", "tv"])
+    def test_non_finite_alpha_refused(self, quad_model, divergence, alpha):
+        ctx = projection.make_context(quad_model, 50, 3)
+        projection.kl_to_gibbs(ctx, 0.2)
+        before = dict(ctx._cache)
+        with pytest.raises(ValueError, match=rf"^tilt alpha must be finite; got {alpha!r}$"):
+            divergence(ctx, alpha)
+        assert ctx._cache == before
 
 
 class TestDimensionFreeBounds:

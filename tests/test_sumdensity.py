@@ -6,10 +6,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.signal import fftconvolve
 from scipy.stats import gamma as gamma_dist
 
 from thinshell import cli, gibbs1d, hamiltonians as ham, projection, sampler, sumdensity
+from thinshell._special import gammaln
 
 
 # just above shape 1 the convolved edge exponent n/p - 1 lies in (0, 0.03);
@@ -58,6 +61,58 @@ class TestExactForms:
             stirling_lgamma = (a - 0.5) * math.log(a) - a + 0.5 * math.log(2 * math.pi) + 1.0 / (12 * a)
             oracle = a * math.log(c) - stirling_lgamma + (a - 1.0) * math.log(s) - c * s
             assert got == pytest.approx(oracle, rel=1e-6)
+
+
+def _log_w_exact_masked(model, n, s):
+    """``log_w_exact`` as written before it ran on the whole array: gather
+    the points s > 0, evaluate there, scatter into a -inf array."""
+    a = sumdensity.gamma_shape(model, n)
+    c = model.c
+    s = np.asarray(s, dtype=float)
+    out = np.full(s.shape, -np.inf)
+    pos = s > 0
+    out[pos] = a * math.log(c) - gammaln(a) + (a - 1.0) * np.log(s[pos]) - c * s[pos]
+    if a == 1.0:
+        out[s == 0.0] = math.log(c)
+    return out
+
+
+# zeros of both signs, negatives, nan, infinities, subnormals and the bulk
+_SPECIAL_S = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 2.2e-308,
+                              1e300])
+_S_ARRAYS = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                       elements=st.one_of(_SPECIAL_S, st.floats(allow_nan=True, allow_infinity=True)))
+
+
+class TestLogWExactInPlace:
+    """The whole-array ``log_w_exact`` equals the masked formula bit for
+    bit, with the same return type and shape; (n, d) = (1, 1) and (2, 2)
+    have shape a = 1, where s = 0 reads log c."""
+
+    @given(s=_S_ARRAYS, case=st.sampled_from([("lin_model", 1), ("lin_model", 7), ("quad_model", 1),
+                                              ("quad_model", 2), ("quad_model", 5)]))
+    @example(s=np.zeros(3), case=("lin_model", 1))
+    @example(s=np.zeros(3), case=("quad_model", 2))
+    def test_bit_equal_to_the_masked_formula(self, request, s, case):
+        model = request.getfixturevalue(case[0])
+        with np.errstate(all="ignore"):
+            want = _log_w_exact_masked(model, case[1], s)
+            got = sumdensity.log_w_exact(model, case[1], s)
+        assert type(got) is np.ndarray and got.shape == want.shape == np.shape(s)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s", [0.0, 2.5, -1.0, np.float64(3.0), np.asarray(0.5), [0.0, 1.0], [[1.0], [0.0]]],
+                             ids=repr)
+    @pytest.mark.parametrize("name,n", [("lin_model", 1), ("quad_model", 5)])
+    def test_return_shapes(self, request, s, name, n):
+        model = request.getfixturevalue(name)
+        got, want = sumdensity.log_w_exact(model, n, s), _log_w_exact_masked(model, n, s)
+        assert type(got) is np.ndarray and got.shape == want.shape == np.shape(s)
+        assert got.tobytes() == want.tobytes()
+
+    def test_s_zero_at_shape_one(self, lin_model):
+        assert sumdensity.log_w_exact(lin_model, 1, 0.0)[()] == math.log(lin_model.c)
+        assert sumdensity.log_w_exact(lin_model, 2, 0.0)[()] == -math.inf
 
 
 class TestFftRoute:
