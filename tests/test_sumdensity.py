@@ -110,10 +110,6 @@ class TestLogWExactInPlace:
         assert type(got) is np.ndarray and got.shape == want.shape == np.shape(s)
         assert got.tobytes() == want.tobytes()
 
-    def test_s_zero_at_shape_one(self, lin_model):
-        assert sumdensity.log_w_exact(lin_model, 1, 0.0)[()] == math.log(lin_model.c)
-        assert sumdensity.log_w_exact(lin_model, 2, 0.0)[()] == -math.inf
-
 
 class TestFftRoute:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
