@@ -139,6 +139,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite and > 0; got {value!r}")
         if self.grid_size is not None and self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2; got {self.grid_size!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0; got {self.seed!r}")
         for name in ("count", "canonical_count"):
             value = getattr(self, name)
             if value < 2:

@@ -16,7 +16,6 @@ with range [0, 2].
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +51,9 @@ class ProjectionContext:
     families, whose ``log w_{n-k}`` is exact.  ``log w_n(nt)`` comes from
     :func:`sumdensity.log_w`.  ``nodes`` (the ``w_k`` abscissae) and
     ``node_log_ratio`` (the one pass of the log likelihood ratio over them)
-    are built once and read-only; the ``r_k`` grid, its tilts and every
-    divergence of the cell read them.
+    are built once and read-only, and ``rk`` (the normalised ``r_k`` grid)
+    is built once from them; every tilt and divergence of the cell reads
+    them.
     """
 
     model: GibbsModel
@@ -89,6 +89,28 @@ class ProjectionContext:
         finite = np.isfinite(lr)
         lr[~finite] = 0.0
         return _read_only(lr), _read_only(finite)
+
+    @property
+    def rk(self) -> DensityGrid:
+        """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the ``w_k`` nodes,
+        normalised; built on first use, through ``_memo``.  An exact identity
+        up to grid error: a normalization defect of 1e-4 or more is
+        refused, so every divergence of the cell that reads it is too."""
+        return _memo(self._cache, "rk", self._rk)
+
+    def _rk(self) -> DensityGrid:
+        masked, finite = self.node_log_ratio
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.where(finite, self.wk.values * np.exp(masked), 0.0)
+        edge = None
+        if self.wk.edge is not None:
+            lr0 = float(self.log_wnk(np.asarray([self.n * self.t]))[0]) - self.log_wn_at_nt
+            values[0], edge = self.wk.edge.scaled(lr0).node0()
+        rk = make_grid(self.wk.x0, self.wk.dx, values, edge=edge, meta={"kind": "rk", "n": self.n, "k": self.k})
+        defect = abs(rk.mass - 1.0)
+        if defect >= 1e-4:
+            raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
+        return rk.normalized()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -129,10 +151,9 @@ def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the w_k grid.
 
     An exact identity up to grid error; the normalization defect is
-    recorded and must stay below 1e-4.  Built once per context, as the
-    ``alpha = 0`` entry of :func:`_tilted_rk`.
+    recorded and must stay below 1e-4.  The context's memoised ``rk``.
     """
-    return _tilted_rk(ctx, 0.0)[0]
+    return ctx.rk
 
 
 def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
@@ -150,9 +171,8 @@ def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
         ys = np.linspace(0.0, y_cap, m)
     fy = f_values(spec, ys)
     log_g1 = -model.c * fy - math.log(model.z)
-    log_ratio = ctx.log_wnk(nt - fy) - ctx.log_wn_at_nt
-    with np.errstate(invalid="ignore"):
-        values = np.where(np.isfinite(log_ratio), np.exp(log_g1 + log_ratio), 0.0)
+    log_ratio, finite = _log_ratio(ctx, fy)
+    values = _exp_ratio(log_g1 + log_ratio, finite)
     if not np.any(values > 0):
         raise RuntimeError("support exhausted: the projected density vanishes on the whole grid")
     grid = make_grid(ys[0], ys[1] - ys[0], values, meta={"kind": "p_proj", "n": ctx.n, "k": 1, "t": ctx.t})
@@ -184,29 +204,6 @@ def _log_ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float =
     return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
 
 
-# the tilted node log ratio of the row that bound_report is assembling on
-# this thread, as (ctx, alpha, array): its kl and tv share it, and it goes
-# with the row
-_ROW = threading.local()
-
-
-def _node_tilted_log_ratio(ctx: ProjectionContext, alpha: float, log_norm: float) -> np.ndarray:
-    """:func:`_log_ratio` at the ``w_k`` nodes, ``alpha s + masked - log_norm``
-    from the context's node arrays, in the same operation order: the row's
-    array when ``bound_report`` is assembling this tilt's row, else built
-    here for the caller alone.  Untilted, it is the masked node pass itself
-    (``0 s + masked - 0`` differs from it at most in the sign of a zero)."""
-    if alpha == 0.0 and log_norm == 0.0:
-        return ctx.node_log_ratio[0]
-    row = getattr(_ROW, "nodes", None)
-    if row is not None and row[0] is ctx and row[1] == alpha:
-        return row[2]
-    out = alpha * ctx.nodes
-    out += ctx.node_log_ratio[0]
-    out -= log_norm
-    return out
-
-
 def _exp_ratio(lr: np.ndarray, finite: np.ndarray) -> np.ndarray:
     """The likelihood ratio from its log, 0 where the surface density has no mass."""
     with np.errstate(over="ignore"):
@@ -220,35 +217,29 @@ def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0
     return _exp_ratio(*_log_ratio(ctx, ss, alpha, log_norm))
 
 
-def _node_ratio(ctx: ProjectionContext, alpha: float, log_norm: float) -> np.ndarray:
-    """The likelihood ratio at the ``w_k`` nodes."""
-    return _exp_ratio(_node_tilted_log_ratio(ctx, alpha, log_norm), ctx.node_log_ratio[1])
+@dataclass(frozen=True)
+class _Tilt:
+    """One tilt ``exp(alpha s)`` of a cell: the tilted, normalised ``r_k``
+    grid, its log-normalizer, the surface-level divergence of the tilt, and
+    :func:`_log_ratio` at the ``w_k`` nodes, ``alpha s + masked - log_norm``.
+    A bounds row builds one and its kl and tv read it."""
+
+    alpha: float
+    rk: DensityGrid
+    log_norm: float
+    d_surface: float
+    log_ratio: np.ndarray
 
 
-def _tilted_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
-    """Energy density under the tilt exp(alpha * s), its log-normalizer, and
-    the surface-level divergence of the tilt; ``r_k`` itself at alpha = 0.
-    Built once per context and alpha; every divergence of the cell reads its
-    normalizer here, so each passes the ``r_k`` defect check."""
-    return _memo(ctx._cache, ("rk", alpha), lambda: _tilt_rk(ctx, alpha))
-
-
-def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, float]:
-    """The entry of :func:`_tilted_rk` for ``alpha``, built afresh."""
+def _tilt(ctx: ProjectionContext, alpha: float) -> _Tilt:
+    """The tilt of ``ctx`` by ``exp(alpha s)``, after the context's ``r_k``
+    defect check; at alpha = 0, ``r_k`` itself and the masked node pass
+    (``0 s + masked - 0`` differs from it at most in the sign of a zero)."""
+    _check_alpha(alpha)
+    rk = ctx.rk
+    masked = ctx.node_log_ratio[0]
     if alpha == 0.0:
-        masked, finite = ctx.node_log_ratio
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.where(finite, ctx.wk.values * np.exp(masked), 0.0)
-        edge = None
-        if ctx.wk.edge is not None:
-            lr0 = float(ctx.log_wnk(np.asarray([ctx.n * ctx.t]))[0]) - ctx.log_wn_at_nt
-            values[0], edge = ctx.wk.edge.scaled(lr0).node0()
-        rk = make_grid(ctx.wk.x0, ctx.wk.dx, values, edge=edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
-        defect = abs(rk.mass - 1.0)
-        if defect >= 1e-4:
-            raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
-        return rk.normalized(), 0.0, 0.0
-    rk = rk_conditional_density(ctx)
+        return _Tilt(alpha, rk, 0.0, 0.0, masked)
     if alpha * rk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
     # r_k and its tilts share the w_k nodes
@@ -257,6 +248,8 @@ def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, 
     if not (math.isfinite(norm) and norm > 0.0):
         raise OverflowError("tilt normalizer is not finite on the grid")
     log_norm = math.log(norm)
+    log_ratio = alpha_s + masked
+    log_ratio -= log_norm
     alpha_s -= log_norm
     values = rk.values * np.exp(alpha_s)
     edge = None
@@ -266,7 +259,24 @@ def _tilt_rk(ctx: ProjectionContext, alpha: float) -> tuple[DensityGrid, float, 
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
     d_surface = alpha * tilted.integrate(lambda s: s, ctx.nodes) - log_norm
-    return tilted, log_norm, d_surface
+    return _Tilt(alpha, tilted, log_norm, d_surface, log_ratio)
+
+
+def _kl(ctx: ProjectionContext, tilt: _Tilt) -> float:
+    kl = tilt.rk.integrate(lambda ss: _log_ratio(ctx, ss, tilt.alpha, tilt.log_norm)[0], tilt.log_ratio)
+    if kl < -1e-8:
+        raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
+    return max(kl, 0.0)
+
+
+def _tv(ctx: ProjectionContext, tilt: _Tilt) -> float:
+    at_nodes = _exp_ratio(tilt.log_ratio, ctx.node_log_ratio[1])
+    at_nodes -= 1.0
+    np.abs(at_nodes, out=at_nodes)
+    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, tilt.alpha, tilt.log_norm) - 1.0), at_nodes)
+    if not -1e-9 <= tv <= 2.0 + 1e-9:
+        raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
+    return float(min(max(tv, 0.0), 2.0))
 
 
 def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
@@ -277,30 +287,16 @@ def kl_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     Contributions where the ratio vanishes carry zero r mass and are
     dropped; a negative result beyond -1e-8 signals inconsistent grids.
     """
-    _check_alpha(alpha)
-    tilted, log_norm, _ = _tilted_rk(ctx, alpha)
-    at_nodes = _node_tilted_log_ratio(ctx, alpha, log_norm)
-    kl = tilted.integrate(lambda ss: _log_ratio(ctx, ss, alpha, log_norm)[0], at_nodes)
-    if kl < -1e-8:
-        raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
-    return max(kl, 0.0)
+    return _kl(ctx, _tilt(ctx, alpha))
 
 
 def tv_to_gibbs(ctx: ProjectionContext, alpha: float = 0.0) -> float:
     """``d_TV(p, g_k) = \\int w_k(s) |ratio(s) - 1| ds`` in the L1 convention
     (range [0, 2]) for the projection tilted by ``exp(alpha s)``; regions
     where the surface density has no support contribute their full w_k
-    mass.  The normalizer comes from :func:`_tilted_rk`, whose ``r_k``
-    defect check this distance shares with kl."""
-    _check_alpha(alpha)
-    log_norm = _tilted_rk(ctx, alpha)[1]
-    at_nodes = _node_ratio(ctx, alpha, log_norm)
-    at_nodes -= 1.0
-    np.abs(at_nodes, out=at_nodes)
-    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, alpha, log_norm) - 1.0), at_nodes)
-    if not -1e-9 <= tv <= 2.0 + 1e-9:
-        raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
-    return float(min(max(tv, 0.0), 2.0))
+    mass.  The normalizer comes from :func:`_tilt`, whose ``r_k`` defect
+    check this distance shares with kl."""
+    return _tv(ctx, _tilt(ctx, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +351,10 @@ def bound_report(ctx: ProjectionContext, C: float, alpha: float = 0.0) -> BoundR
         raise ValueError(f"local-CLT constant C must be finite and > 0; got {C!r}")
     if math.sqrt(ctx.n) / C <= 1.0:
         raise ValueError("bound inapplicable: need sqrt(n)/C > 1")
-    _check_alpha(alpha)
-    _, log_norm, d_surface = _tilted_rk(ctx, alpha)
-    # the row's one tilted node log ratio, shared by kl and tv, then dropped
-    _ROW.nodes = (ctx, alpha, _node_tilted_log_ratio(ctx, alpha, log_norm))
-    try:
-        kl, tv = kl_to_gibbs(ctx, alpha), tv_to_gibbs(ctx, alpha)
-    finally:
-        _ROW.nodes = None
-    kl_bound = d_surface + math.log(ctx.n / (ctx.n - ctx.k)) + 2.0 / (math.sqrt(ctx.n) / C - 1.0)
+    # the row's one tilt, read by its kl and tv, goes with the row
+    tilt = _tilt(ctx, alpha)
+    kl, tv = _kl(ctx, tilt), _tv(ctx, tilt)
+    kl_bound = tilt.d_surface + math.log(ctx.n / (ctx.n - ctx.k)) + 2.0 / (math.sqrt(ctx.n) / C - 1.0)
     tv_from_kl = math.sqrt(2.0 * kl)
     # the dimension-free distance bounds cover the uniform surface density
     # only, so tilted rows fall back to the Pinsker transform of kl_bound
@@ -381,7 +372,7 @@ def bound_report(ctx: ProjectionContext, C: float, alpha: float = 0.0) -> BoundR
         tv_from_kl=tv_from_kl,
         df_bound=df,
         c_used=C,
-        d_surface=d_surface,
+        d_surface=tilt.d_surface,
         pass_kl=kl <= kl_bound,
         pass_tv=bool(pass_tv),
     )
@@ -402,10 +393,10 @@ class ConverseReport:
 def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
     ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, with the ratio's
-    normalizer (and ``r_k`` defect check) from :func:`_tilted_rk`."""
+    normalizer (and ``r_k`` defect check) from :func:`_tilt`."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"interval half-width eps must be finite and > 0; got {eps!r}")
-    log_norm = _tilted_rk(ctx, 0.0)[1]
+    tilt = _tilt(ctx, 0.0)
     center = ctx.k * ctx.t
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
@@ -414,9 +405,9 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
         return np.where((ss >= lo) & (ss <= hi), np.clip(ratio - 1.0, 0.0, None), 0.0)
 
     def fn(ss):
-        return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss, 0.0, log_norm))
+        return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss, 0.0, tilt.log_norm))
 
-    lower = 2.0 * ctx.wk.integrate(fn, gain(ctx.nodes, _node_ratio(ctx, 0.0, log_norm)))
+    lower = 2.0 * ctx.wk.integrate(fn, gain(ctx.nodes, _exp_ratio(tilt.log_ratio, ctx.node_log_ratio[1])))
     return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 

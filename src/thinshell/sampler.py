@@ -59,7 +59,7 @@ import numpy as np
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid
 from .hamiltonians import SYMMETRIC, HamiltonianSpec, _fan_out, _memo, _newton, f_values, fprime_values
-from .sumdensity import w_density
+from .sumdensity import _check_count, w_density
 
 __all__ = [
     "SampleBatch",
@@ -385,6 +385,12 @@ def _check_keep(n: int, keep: int | None) -> int:
     return keep
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an integer >= 0; a bool is not a seed."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0; got {seed!r}")
+
+
 def _check_delta(delta: float) -> None:
     # written so that nan fails too
     if not delta > 0:
@@ -396,6 +402,8 @@ def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, kee
     projected onto the surface.  Only the first ``keep`` coordinates of each
     point are kept (all ``n`` by default); block by block, so memory is
     O(count*keep + block*n)."""
+    _check_count("n", n)
+    _check_seed(seed)
     spec = model.spec
     if spec.homogeneous_degree is None:
         raise ValueError(f"{spec.label} is not homogeneous; use the rejection sampler")
@@ -436,6 +444,8 @@ def sample_surface_rejection(
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
     default).  ``acceptance_rate`` is rows accepted over rows drawn, up to
     the chunk that fills the batch, where drawing stops."""
+    _check_count("n", n)
+    _check_seed(seed)
     _check_delta(delta)
     spec = model.spec
     keep = _check_keep(n, keep)
@@ -623,11 +633,21 @@ def save_batch(batch: SampleBatch, path) -> None:
 
 
 def load_batch(path) -> SampleBatch:
+    """Read a :func:`save_batch` file; a file whose size is not exactly
+    what its header declares, or whose method is unknown, is refused."""
     raw = Path(path).read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
-        raise ValueError("not a surface-batch file (bad magic)")
+        raise ValueError(f"{path}: not a surface-batch file (bad magic)")
+    head = len(_MAGIC) + _HEADER.size
+    if len(raw) < head:
+        raise ValueError(f"{path}: {len(raw)} bytes cannot hold the {head}-byte surface-batch header")
     n, count, t, c, method_idx, delta, seed = _HEADER.unpack_from(raw, len(_MAGIC))
-    data = np.frombuffer(raw, dtype="<f8", offset=len(_MAGIC) + _HEADER.size, count=n * count)
+    if method_idx >= len(_METHODS):
+        raise ValueError(f"{path}: unknown method index {method_idx}")
+    size = head + 8 * n * count
+    if len(raw) != size:
+        raise ValueError(f"{path}: {len(raw)} bytes where the header (n={n}, count={count}) declares {size}")
+    data = np.frombuffer(raw, dtype="<f8", offset=head, count=n * count)
     return SampleBatch(
         points=data.reshape(count, n).copy(),
         n=int(n),

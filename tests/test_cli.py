@@ -462,7 +462,7 @@ class TestSubcommands:
         model = gibbs1d.solve_energy(hamiltonians.quadratic(), 1.0)
         for row in rows:
             n, k, alpha = int(row["n"]), int(row["k"]), float(row["alpha"])
-            d_surface = projection._tilted_rk(projection.make_context(model, n, k), alpha)[2]
+            d_surface = projection._tilt(projection.make_context(model, n, k), alpha).d_surface
             assert float(row["C_used"]) == 3.0
             assert float(row["kl_bound"]) == d_surface + math.log(n / (n - k)) + 2.0 / (math.sqrt(n) / 3.0 - 1.0)
 
@@ -521,6 +521,18 @@ class TestSubcommands:
         assert "acceptance_rate" in text and "ks_vs_reference" in text
         batch = sampler.load_batch(out)
         assert batch.count == 2000 and batch.n == 3
+
+    def test_sample_refuses_zero_n(self, tmp_path, capsys):
+        out = tmp_path / "batch.thnshl"
+        assert run(["sample", "--kind", "quadratic", "--n", "0", "--count", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n must be an integer >= 1; got 0\n"
+        assert not out.exists()
+
+    def test_sample_refuses_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "batch.thnshl"
+        assert run(["sample", "--kind", "quadratic", "--n", "3", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0; got -1\n"
+        assert not out.exists()
 
     def test_sample_rejection_method(self, tmp_path):
         out = tmp_path / "batch2.thnshl"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -282,11 +283,12 @@ class TestRkDefectGuard:
         read the one ``r_k`` entry kl uses."""
         ctx = projection.make_context(quad_model, 4, 2)
         projection.tv_to_gibbs(ctx)
-        entry = ctx._cache[("rk", 0.0)]
+        entry = ctx._cache["rk"]
         projection.converse_lower_bound(ctx, 1.0)
         projection.kl_to_gibbs(ctx)
-        assert ctx._cache[("rk", 0.0)] is entry
-        assert 1e-6 < projection.rk_conditional_density(ctx).meta["norm_defect"] < 1e-4
+        assert ctx._cache["rk"] is entry
+        assert projection.rk_conditional_density(ctx) is ctx.rk
+        assert 1e-6 < ctx.rk.meta["norm_defect"] < 1e-4
 
 
 def _pointwise_log_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
@@ -324,10 +326,11 @@ class TestSharedLogRatioPass:
             edge = wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
             values[0] = 0.0
         rk = projection.make_grid(wk.x0, wk.dx, values, edge=edge).normalized()
-        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, rk.values)
+        np.testing.assert_array_equal(ctx.rk.values, rk.values)
 
         for alpha in (0.0, 0.2, -0.2):
-            tilted, log_norm, _ = projection._tilted_rk(ctx, alpha)
+            tilt = projection._tilt(ctx, alpha)
+            tilted, log_norm = tilt.rk, tilt.log_norm
             kl = tilted.integrate(lambda ss: _pointwise_log_ratio(ctx, ss, alpha, log_norm)[0])
             tv = wk.integrate(lambda ss: np.abs(_pointwise_ratio(ctx, ss, alpha, log_norm) - 1.0))
             assert projection.kl_to_gibbs(ctx, alpha) == max(kl, 0.0)
@@ -366,15 +369,15 @@ class TestSharedLogRatioPass:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_node_pass_per_cell(self, quad_model, monkeypatch, k):
-        """A cell builds the w_k abscissae once, and each tilt's node log
-        ratio once, shared by the row's kl and tv; untilted, it is the masked
-        node pass itself.  Every integral of a function over the nodes is
-        handed its node values, and no per-tilt array outlives its row."""
+        """A cell builds the w_k abscissae once, and each row's tilt once,
+        read by the row's kl and tv; untilted, its node log ratio is the
+        masked node pass itself.  Every integral of a function over the nodes
+        is handed its node values, and the context keeps no per-tilt value."""
         ctx = projection.make_context(quad_model, 100, k)
-        points, handed, tilted = [], [], []
+        points, handed, tilts, read = [], [], [], []
         original_points = grids.DensityGrid.points
         original_integrate = grids._integrate
-        original_tilted = projection._node_tilted_log_ratio
+        original_tilt, original_kl, original_tv = projection._tilt, projection._kl, projection._tv
 
         def counted_points(grid):
             points.append(len(grid))
@@ -384,26 +387,74 @@ class TestSharedLogRatioPass:
             handed.append(fn is None or at_nodes is not None)
             return original_integrate(dx, x0, values, edge, fn, at_nodes)
 
-        def counted_tilted(ctx, alpha, log_norm):
-            tilted.append((alpha, original_tilted(ctx, alpha, log_norm)))
-            return tilted[-1][1]
+        def counted_tilt(ctx, alpha):
+            tilts.append(original_tilt(ctx, alpha))
+            return tilts[-1]
+
+        def reading(original):
+            def divergence(ctx, tilt):
+                read.append(tilt)
+                return original(ctx, tilt)
+            return divergence
 
         monkeypatch.setattr(grids.DensityGrid, "points", counted_points)
         monkeypatch.setattr(grids, "_integrate", counted_integrate)
-        monkeypatch.setattr(projection, "_node_tilted_log_ratio", counted_tilted)
+        monkeypatch.setattr(projection, "_tilt", counted_tilt)
+        monkeypatch.setattr(projection, "_kl", reading(original_kl))
+        monkeypatch.setattr(projection, "_tv", reading(original_tv))
         for alpha in (0.0, 0.2, -0.2):
             projection.bound_report(ctx, 2.0, alpha)
-            assert projection._ROW.nodes is None
         projection.converse_lower_bound(ctx, 1.0)
         projection.rk_conditional_density(ctx)
         assert points == [len(ctx.wk)]
         assert handed and all(handed)
-        # the references kept in ``tilted`` keep every id distinct
-        built = {alpha: {id(array) for a, array in tilted if a == alpha} for alpha in (0.0, 0.2, -0.2)}
-        assert built[0.0] == {id(ctx.node_log_ratio[0])}
-        assert len(built[0.2]) == len(built[-0.2]) == 1
-        assert {a for a, _ in tilted} == {0.0, 0.2, -0.2}
-        assert set(ctx._cache) == {"nodes", "node_log_ratio", ("rk", 0.0), ("rk", 0.2), ("rk", -0.2)}
+        assert [tilt.alpha for tilt in tilts] == [0.0, 0.2, -0.2, 0.0]
+        # each row's kl and tv read that row's tilt
+        assert [id(tilt) for tilt in read] == [id(tilt) for tilt in tilts[:3] for _ in range(2)]
+        assert tilts[0].log_ratio is tilts[3].log_ratio is ctx.node_log_ratio[0]
+        assert tilts[0].rk is tilts[3].rk is ctx.rk
+        assert len({id(tilt.log_ratio) for tilt in tilts}) == 3
+        assert set(ctx._cache) == {"nodes", "node_log_ratio", "rk"}
+
+    @pytest.mark.parametrize("name,n,k", CELLS, ids=str)
+    def test_row_equals_standalone_divergences(self, request, name, n, k):
+        """A row's kl, tv and d_surface, read from its one tilt, equal kl_to_gibbs,
+        tv_to_gibbs and the tilt built alone, bit for bit."""
+        ctx = projection.make_context(request.getfixturevalue(name), n, k)
+        for alpha in (0.0, 0.2, -0.2):
+            row = projection.bound_report(ctx, 2.0, alpha)
+            assert row.kl == projection.kl_to_gibbs(ctx, alpha)
+            assert row.tv == projection.tv_to_gibbs(ctx, alpha)
+            assert row.d_surface == projection._tilt(ctx, alpha).d_surface
+
+    def test_rows_from_two_threads_equal_serial(self, quad_model):
+        """Rows computed at once on one shared context, in opposite orders,
+        equal the rows of a context used by one thread."""
+        alphas = (0.0, 0.2, -0.2, 0.1, -0.1)
+        serial_ctx = projection.make_context(quad_model, 100, 1)
+        serial = [projection.bound_report(serial_ctx, 2.0, alpha) for alpha in alphas]
+        shared = projection.make_context(quad_model, 100, 1)
+        start = threading.Barrier(2, timeout=30.0)
+        results, errors = [None, None], []
+
+        def rows(i):
+            try:
+                start.wait()
+                order = alphas if i == 0 else alphas[::-1]
+                got = {alpha: projection.bound_report(shared, 2.0, alpha) for alpha in order}
+                results[i] = [got[alpha] for alpha in alphas]
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=rows, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert results[0] == results[1] == serial
+        assert set(shared._cache) == {"nodes", "node_log_ratio", "rk"}
 
     @pytest.mark.parametrize("name,n,k", [("quad_model", 50, 1), ("quartic_model", 20, 3)], ids=str)
     def test_kept_node_arrays_are_read_only(self, request, name, n, k):
@@ -500,9 +551,10 @@ class TestKlBound:
 class TestTilted:
     def test_identity_tilt(self, quad_model):
         ctx = projection.make_context(quad_model, 100, 1)
-        tilted, log_norm, d_surface = projection._tilted_rk(ctx, 0.0)
-        assert tilted is projection.rk_conditional_density(ctx)
-        assert log_norm == 0.0 and d_surface == 0.0
+        tilt = projection._tilt(ctx, 0.0)
+        assert tilt.rk is ctx.rk is projection.rk_conditional_density(ctx)
+        assert tilt.log_ratio is ctx.node_log_ratio[0]
+        assert tilt.log_norm == 0.0 and tilt.d_surface == 0.0
         assert projection.bound_report(ctx, 2.0).d_surface == 0.0
 
     def test_small_case_tilt_oracle(self, small_ctx):
@@ -514,7 +566,7 @@ class TestTilted:
         d_oracle = mean_oracle - math.log(norm_oracle)
         assert d_surface == pytest.approx(d_oracle, abs=1e-4)
         # k = 1 of the linear family: the partial energy is the coordinate
-        tilted = projection._tilted_rk(small_ctx, 0.5)[0]
+        tilted = projection._tilt(small_ctx, 0.5).rk
         ys = np.linspace(0.05, 1.95, 64)
         np.testing.assert_allclose(tilted.at(ys), 0.5 * np.exp(0.5 * ys) / norm_oracle, rtol=1e-3)
 

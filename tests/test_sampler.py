@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -779,6 +780,38 @@ class TestEntryChecks:
             sampler.ensemble_expectation_gap(quad_model, n, k, fn, batch, 10, seed=0)
 
 
+class TestSamplerEntryChecks:
+    """Both samplers refuse a bad dimension or seed where it enters, naming
+    it; a count of 0 stays an empty batch."""
+
+    SAMPLERS = {
+        "scaling": lambda model, n, seed: sampler.sample_surface_scaling(model, n, 4, seed),
+        "rejection": lambda model, n, seed: sampler.sample_surface_rejection(model, n, 0.2, 4, seed),
+    }
+
+    @pytest.mark.parametrize("method", sorted(SAMPLERS))
+    @pytest.mark.parametrize("n", [0, -1, 3.0, np.float64(3), True], ids=repr)
+    def test_bad_n_refused(self, quad_model, method, n):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1; got {re.escape(repr(n))}$"):
+            self.SAMPLERS[method](quad_model, n, 1)
+
+    @pytest.mark.parametrize("method", sorted(SAMPLERS))
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.0, True, "1"], ids=repr)
+    def test_bad_seed_refused(self, quad_model, method, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0; got {re.escape(repr(seed))}$"):
+            self.SAMPLERS[method](quad_model, 3, seed)
+
+    @pytest.mark.parametrize("method", sorted(SAMPLERS))
+    def test_numpy_integers_accepted(self, quad_model, method):
+        draw = self.SAMPLERS[method]
+        batch = draw(quad_model, np.int64(3), np.uint32(5))
+        assert np.array_equal(batch.points, draw(quad_model, 3, 5).points)
+        assert draw(quad_model, 3, 0).count == 4
+
+    def test_rejection_empty_batch(self, quad_model):
+        assert sampler.sample_surface_rejection(quad_model, 4, 0.2, 0, seed=1).count == 0
+
+
 class TestProjectionCheck:
     def test_inverse_cdf_draw_sits_at_null_level(self, quad_model, sphere_ref):
         """Drawing directly from the reference CDF keeps the statistic below
@@ -827,6 +860,23 @@ class TestBatchFile:
         with pytest.raises(ValueError, match="2 of 6 coordinates"):
             sampler.save_batch(batch, path)
         assert not path.exists()
+
+    @pytest.fixture()
+    def saved(self, tmp_path, quad_model):
+        path = tmp_path / "b.thnshl"
+        sampler.save_batch(sampler.sample_surface_scaling(quad_model, 3, 5, seed=5), path)
+        return path
+
+    @pytest.mark.parametrize("cut,match", [
+        (lambda raw: raw + b"\x00" * 8, r"192 bytes where the header \(n=3, count=5\) declares 184$"),
+        (lambda raw: raw[:-8], r"176 bytes where the header \(n=3, count=5\) declares 184$"),
+        (lambda raw: raw[:20], r"20 bytes cannot hold the 64-byte surface-batch header$"),
+        (lambda raw: raw[:40] + bytes([7]) + raw[41:], r"unknown method index 7$"),
+    ], ids=["trailing_bytes", "cut_short", "short_header", "method_7"])
+    def test_malformed_file_names_its_path(self, saved, cut, match):
+        saved.write_bytes(cut(saved.read_bytes()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(saved))}: {match}"):
+            sampler.load_batch(saved)
 
     def test_scaling_roundtrip_without_shell(self, tmp_path, quad_model):
         batch = sampler.sample_surface_scaling(quad_model, 3, 64, seed=5)

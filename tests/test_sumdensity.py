@@ -391,7 +391,7 @@ class TestModelMemo:
             lambda: gibbs1d.clt_prerequisites(model),
             lambda: gibbs1d.y_density(model),
             lambda: sampler._coordinate_sampler(model),
-            lambda: projection._tilted_rk(ctx, 0.2),
+            lambda: ctx.rk,
         )
         start = threading.Barrier(8, timeout=30.0)
         results, errors = [None] * 8, []
