@@ -496,8 +496,8 @@ _SUBCOMMANDS = {
 # glibc mallopt parameters (<malloc.h>) and the values main sets: one arena
 # shared by every thread; heap, not mmap, for blocks up to 4 MiB, above the
 # largest temporaries a run frees at the default settings (the 2^17-node
-# arrays of a sum grid, 1 MiB each, and the rejection sampler's 2 MiB
-# ``_REJECT_CHUNK``); and up to 32 MiB of free heap top kept rather than
+# arrays of a sum grid, and the samplers' ``_SLICE`` row slices, 1 MiB
+# each); and up to 32 MiB of free heap top kept rather than
 # returned to the kernel
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _HEAP_SETTINGS = ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 4 << 20), (_M_TRIM_THRESHOLD, 32 << 20))
@@ -518,18 +518,20 @@ def _steady_heap() -> None:
 
 
 def _parser() -> argparse.ArgumentParser:
+    # one flag per config key, built once and shared by every subcommand;
+    # --n-list stores to n_list, and so on
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="key=value config file")
+    for key in _CONVERTERS:
+        flag = "--" + key.replace("_", "-")
+        if _HINTS[key] is bool:
+            flags.add_argument(flag, action="store_true")
+        else:
+            flags.add_argument(flag)
     parser = argparse.ArgumentParser(prog="thinshell", description="Gibbs models, surface projections, bound checks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
-        # one flag per config key; --n-list stores to n_list, and so on
-        for key in _CONVERTERS:
-            flag = "--" + key.replace("_", "-")
-            if _HINTS[key] is bool:
-                p.add_argument(flag, action="store_true")
-            else:
-                p.add_argument(flag)
+        sub.add_parser(name, parents=[flags])
     return parser
 
 

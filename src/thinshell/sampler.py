@@ -38,12 +38,15 @@ chunks the same way.  No draw depends on which thread made it.
 rejection sampler's blocks stay in order, since each block's size depends
 on the rows kept so far.
 
-Memory is O(count*keep) for the kept columns plus the draws in flight: T
-blocks of 1024 rows for the scaling sampler, and for the rejection sampler
-one chunk of ``max(1, 2**18 // n)`` rows of its block of up to 65536, drawn,
-shell-tested, projected and stored before the next, with the values the
-whole block would have (:meth:`_CoordinateSampler.draw_chunks`; a symmetric
-power(p) draws its blocks whole), up to the chunk that fills the batch.
+Memory is O(count*keep + T*_SLICE): the kept columns plus, on each of
+the T threads, the draws in flight.  Every sampler draws its blocks (1024
+rows for the scaling sampler, up to 65536 for the rejection sampler and the
+canonical side of :func:`ensemble_expectation_gap`) in slices of ``_SLICE =
+2**17`` coordinates, 1 MiB of float64, with the values the whole block
+would have (:meth:`_CoordinateSampler.slices`; a symmetric power(p) draws
+its blocks whole), and projects, stores or evaluates each slice before the
+next is drawn.  The rejection sampler still counts its rows by chunks of
+``max(1, 2**18 // n)`` rows and stops after the chunk that fills the batch.
 """
 
 from __future__ import annotations
@@ -80,8 +83,12 @@ _BLOCK = 1024
 # is exact) and the uniforms per inverse-CDF chunk
 _GUIDE = 2**16
 _CHUNK = 32768
-# coordinates per chunk of a rejection block: 2 MiB of float64, below the
-# 4 MiB mmap threshold that cli sets, so chunk buffers reuse the heap
+# coordinates per slice of a block drawn at a time: 1 MiB of float64, so a
+# slice and its temporaries stay below the 4 MiB mmap threshold that cli
+# sets and reuse the heap
+_SLICE = 2**17
+# coordinates per chunk of a rejection block, the unit its acceptance
+# accounting and its stop go by
 _REJECT_CHUNK = 2**18
 _MAGIC = b"THNSHL1\x00"
 _HEADER = struct.Struct("<QQddBxxxxxxxdq")
@@ -223,22 +230,44 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Interior slopes are weighted harmonic means of the neighbouring secant
     slopes, or 0 where those differ in sign or one of them is 0; the end
     slopes are one-sided three-point estimates kept shape-preserving
-    (Moler 2004, pchiptx)."""
+    (Moler 2004, pchiptx).
+
+    Every temporary is dropped once read, or computed in place, so the
+    build holds about eight arrays of the interval count at its peak."""
     hk = x[1:] - x[:-1]
-    mk = (y[1:] - y[:-1]) / hk
+    mk = y[1:] - y[:-1]
+    mk /= hk
     smk = np.sign(mk)
-    condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
-    w1 = 2 * hk[1:] + hk[:-1]
+    condition = smk[1:] != smk[:-1]
+    del smk
+    condition |= mk[1:] == 0
+    condition |= mk[:-1] == 0
+    w1 = 2 * hk[1:]
+    w1 += hk[:-1]
     w2 = hk[1:] + 2 * hk[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        whmean = w1 / mk[:-1]
+        whmean += w2 / mk[1:]
+        w1 += w2
+        whmean /= w1
+    del w1, w2
     dk = np.zeros_like(y)
-    dk[1:-1][~condition] = 1.0 / whmean[~condition]
+    np.divide(1.0, whmean, out=dk[1:-1], where=~condition)
+    del whmean, condition
     dk[0] = _pchip_end_slope(hk[0], hk[1], mk[0], mk[1])
     dk[-1] = _pchip_end_slope(hk[-1], hk[-2], mk[-1], mk[-2])
     # CubicHermiteSpline's secant slopes, np.diff(y) / np.diff(x), are mk
-    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
-    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]), axis=1)
+    t = dk[:-1] + dk[1:]
+    t -= 2 * mk
+    t /= hk
+    coef = np.empty((hk.size, 4))
+    np.divide(t, hk, out=coef[:, 0])
+    np.subtract(mk, dk[:-1], out=coef[:, 1])
+    coef[:, 1] /= hk
+    coef[:, 1] -= t
+    coef[:, 2] = dk[:-1]
+    coef[:, 3] = y[:-1]
+    return coef
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -271,6 +300,22 @@ def _pchip_at(knots: np.ndarray, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _cubic(coef[i], v - knots[i])
 
 
+def _cdf_table(model: GibbsModel) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF of ``|X|`` under the coordinate density exp(-c f)/Z, by the
+    trapezoid rule on ``2**16 + 1`` equal steps of ``[0, x_max]``, and the
+    abscissae where it strictly increases (and 0); the grid's other arrays
+    are dropped on return."""
+    spec = model.spec
+    xs = np.linspace(0.0, model.x_max, 2**16 + 1)
+    pdf = np.exp(-model.c * f_values(spec, xs)) / model.z
+    if spec.support == SYMMETRIC:
+        pdf = 2.0 * pdf  # CDF of |X|
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))))
+    cdf /= cdf[-1]
+    keep = np.concatenate(([True], np.diff(cdf) > 0))
+    return cdf[keep], xs[keep]
+
+
 class _CoordinateSampler:
     """Exact transforms where available, tabulated inverse CDF otherwise."""
 
@@ -280,19 +325,10 @@ class _CoordinateSampler:
         kind = self.spec.kind
         if kind in ("quadratic", "linear_half", "power"):
             return
-        # inverse CDF of the coordinate density exp(-c f)/Z on x >= 0
-        x_max = model.x_max
-        xs = np.linspace(0.0, x_max, 2**16 + 1)
-        pdf = np.exp(-model.c * f_values(self.spec, xs)) / model.z
-        if self.spec.support == SYMMETRIC:
-            pdf = 2.0 * pdf  # CDF of |X|
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))))
-        cdf /= cdf[-1]
-        keep = np.concatenate(([True], np.diff(cdf) > 0))
         # the inverse: knots from 0.0 to 1.0, one coefficient row (cubic
         # first) per interval, and per guide bin j the interval holding
         # j / _GUIDE
-        self._knots, self._values = cdf[keep], xs[keep]
+        self._knots, self._values = _cdf_table(model)
         self._coef = _pchip_coefficients(self._knots, self._values)
         self._guide = np.searchsorted(self._knots, np.arange(_GUIDE) / _GUIDE, "right") - 1
         probe = np.linspace(1e-6, 1.0 - 1e-6, 4001)
@@ -346,12 +382,14 @@ class _CoordinateSampler:
             np.negative(mag, out=mag, where=(rng if signs is None else signs).random(shape) < 0.5)
         return mag
 
-    def draw_chunks(self, seed: int, block: int, shape: tuple[int, int], chunk: int):
-        """The rows of ``draw(_block_rng(seed, block), shape)``, in
-        order, ``chunk`` rows at a time, with the same values.
+    def slices(self, seed: int, block: int, shape: tuple[int, int], chunk: int | None = None):
+        """``(start, rows)`` pairs: the rows of ``draw(_block_rng(seed,
+        block), shape)`` from row ``start`` on, with the same values, in
+        consecutive slices of at most ``max(1, _SLICE // n)`` rows, none
+        crossing a multiple of ``chunk`` rows (when given).
 
         Normal, exponential and gamma draws read the stream in order, so
-        chunks of them continue one another.  The sign uniforms of a
+        slices of them continue one another.  The sign uniforms of a
         symmetric tabulated family follow its ``rows * n`` magnitude
         uniforms; a second generator starts there: Philox yields four
         64-bit words per counter step, and each uniform takes one word.  A
@@ -359,14 +397,18 @@ class _CoordinateSampler:
         draws take a varying number of words."""
         rows, n = shape
         rng, signs = _block_rng(seed, block), None
+        step = max(1, _SLICE // n)
         if self.spec.support == SYMMETRIC and self.spec.kind == "power":
-            chunk = rows
+            step = chunk = rows
         elif self.spec.support == SYMMETRIC and self.spec.kind != "quadratic":
             signs = _block_rng(seed, block)
             signs.bit_generator.advance(rows * n // 4)
             signs.random(rows * n % 4)
-        for start in range(0, rows, chunk):
-            yield self.draw(rng, (min(chunk, rows - start), n), signs)
+        chunk = chunk or rows
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            for start in range(lo, hi, step):
+                yield start, self.draw(rng, (min(step, hi - start), n), signs)
 
 
 def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
@@ -385,10 +427,11 @@ def _check_keep(n: int, keep: int | None) -> int:
     return keep
 
 
-def _check_seed(seed) -> None:
-    """Refuse a seed that is not an integer >= 0; a bool is not a seed."""
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0; got {seed!r}")
+def _check_natural(name: str, value) -> None:
+    """Refuse a seed or count that is not an integer >= 0; a bool is
+    neither."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0; got {value!r}")
 
 
 def _check_delta(delta: float) -> None:
@@ -400,10 +443,11 @@ def _check_delta(delta: float) -> None:
 def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, keep: int | None = None) -> SampleBatch:
     """Exact sampler for homogeneous energies: product draws radially
     projected onto the surface.  Only the first ``keep`` coordinates of each
-    point are kept (all ``n`` by default); block by block, so memory is
-    O(count*keep + block*n)."""
+    point are kept (all ``n`` by default); slice by slice, so memory is
+    O(count*keep + T*_SLICE) on T threads."""
     _check_count("n", n)
-    _check_seed(seed)
+    _check_natural("count", count)
+    _check_natural("seed", seed)
     spec = model.spec
     if spec.homogeneous_degree is None:
         raise ValueError(f"{spec.label} is not homogeneous; use the rejection sampler")
@@ -413,9 +457,9 @@ def sample_surface_scaling(model: GibbsModel, n: int, count: int, seed: int, kee
     points = np.empty((count, keep))
 
     def store(block: int) -> None:
-        start = block * _BLOCK
-        rows = sampler.draw(_block_rng(seed, block), (min(_BLOCK, count - start), n))
-        _store_block(spec, rows, target, points, start)
+        first = block * _BLOCK
+        for start, rows in sampler.slices(seed, block, (min(_BLOCK, count - first), n)):
+            _store_block(spec, rows, target, points, first + start)
 
     _fan_out(store, range(-(-count // _BLOCK)))
     return SampleBatch(
@@ -443,9 +487,11 @@ def sample_surface_rejection(
     ``|R_n/n - t| <= delta``, then project the survivors to the surface.
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
     default).  ``acceptance_rate`` is rows accepted over rows drawn, up to
-    the chunk that fills the batch, where drawing stops."""
+    the chunk that fills the batch, where drawing stops.  Blocks are drawn
+    and tested slice by slice, so memory is O(count*keep + _SLICE)."""
     _check_count("n", n)
-    _check_seed(seed)
+    _check_natural("count", count)
+    _check_natural("seed", seed)
     _check_delta(delta)
     spec = model.spec
     keep = _check_keep(n, keep)
@@ -459,16 +505,17 @@ def sample_surface_rejection(
     chunk = max(1, _REJECT_CHUNK // n)
     while kept < count:
         size = max(_BLOCK, min(65536, 4 * (count - kept)))
-        for rows in sampler.draw_chunks(seed, block, (size, n), chunk):
+        for start, rows in sampler.slices(seed, block, (size, n), chunk):
             energies = _row_energies(spec, rows)
             accept = np.abs(energies / n - t) <= delta
             room = count - kept
-            if np.any(accept):
+            if room > 0 and np.any(accept):
                 _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
             # accepted rows past the last one stored still count as kept
             kept += int(np.count_nonzero(accept))
             drawn += rows.shape[0]
-            if kept >= count:
+            end = start + rows.shape[0]
+            if kept >= count and (end % chunk == 0 or end == size):
                 break
         block += 1
         if drawn >= max_draws:
@@ -547,6 +594,8 @@ def ensemble_expectation_gap(
 ) -> EnsembleGapReport:
     """Surface-sample mean of the test function against a product-measure
     Monte Carlo mean, with both standard errors."""
+    _check_natural("canonical_count", canonical_count)
+    _check_natural("seed", seed)
     if testfn.k > k or k > n:
         raise ValueError("test function uses more coordinates than requested")
     if batch.n != n:
@@ -567,9 +616,10 @@ def ensemble_expectation_gap(
     block = 0
     while done < canonical_count:
         size = min(65536, canonical_count - done)
-        rng = _block_rng(seed, 2_000_000 + block)
+        vals = np.empty(size)
+        for start, rows in sampler.slices(seed, 2_000_000 + block, (size, k)):
+            vals[start : start + rows.shape[0]] = testfn.fn(rows)
         block += 1
-        vals = np.asarray(testfn.fn(sampler.draw(rng, (size, k))), dtype=float)
         sums += float(np.sum(vals))
         sumsq += float(np.sum(vals * vals))
         done += size

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import ctypes
 import dataclasses
@@ -324,6 +325,34 @@ class TestDeclaration:
         text = capsys.readouterr().out
         assert text.endswith("\n\n" + OPTIONS_HELP)
         assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[name]
+
+    def test_shared_flags_parse_as_per_subcommand_flags(self):
+        """The config flags sit on one parent parser that every subcommand
+        takes; each subcommand parses each of them, and no flag, to the same
+        Namespace as a parser that adds every flag to every subcommand."""
+
+        def per_subcommand_parser():
+            parser = argparse.ArgumentParser(prog="thinshell")
+            sub = parser.add_subparsers(dest="subcommand", required=True)
+            for name in cli._SUBCOMMANDS:
+                p = sub.add_parser(name)
+                p.add_argument("--config")
+                for key in cli._CONVERTERS:
+                    flag = "--" + key.replace("_", "-")
+                    if cli._HINTS[key] is bool:
+                        p.add_argument(flag, action="store_true")
+                    else:
+                        p.add_argument(flag)
+            return parser
+
+        shared, reference = cli._parser(), per_subcommand_parser()
+        flags = [[], ["--config", "x.cfg"]] + [["--" + key.replace("_", "-")] + ([] if cli._HINTS[key] is bool else ["7"])
+                                              for key in cli._CONVERTERS]
+        for name in cli._SUBCOMMANDS:
+            for argv in flags:
+                assert vars(shared.parse_args([name, *argv])) == vars(reference.parse_args([name, *argv])), argv
+        everything = [arg for argv in flags for arg in argv]
+        assert vars(shared.parse_args(["bounds", *everything])) == vars(reference.parse_args(["bounds", *everything]))
 
     def test_every_field_has_a_flag_and_a_config_key(self, tmp_path):
         """Each field parses from a config line and from its flag in every

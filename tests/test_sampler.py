@@ -5,10 +5,11 @@ import re
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from thinshell import gibbs1d, hamiltonians as ham, projection, sampler
@@ -498,10 +499,22 @@ class TestStreamedColumns:
         assert batch.points.shape == (20_000, 2)
         assert peak < 32 * 2**20
 
+    def test_scaling_memory_bounded_by_slices(self, lin_model):
+        """One 1024-row block at n = 4000 is 31 MiB; drawn and projected in
+        1 MiB slices, each thread holds a few slices at a time."""
+        tracemalloc.start()
+        try:
+            batch = sampler.sample_surface_scaling(lin_model, 4000, 4096, seed=1, keep=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.points.shape == (4096, 2)
+        assert peak < 16 * 2**20
+
     def test_rejection_memory_bounded_by_chunks(self, quartic_model):
         """One (65536, 200) block drawn whole is 100 MiB of magnitudes and
-        100 MiB of sign uniforms; drawn in 2 MiB row chunks, the result and
-        a few chunks fit well below that."""
+        100 MiB of sign uniforms; drawn in 1 MiB row slices, the result and
+        a few slices fit well below that."""
         delta = 0.5 * math.sqrt(quartic_model.sigma2 / 200)
         tracemalloc.start()
         try:
@@ -618,14 +631,16 @@ STREAMED_FAMILIES = {
 
 
 class TestStreamedRejection:
-    """Rejection blocks drawn in row chunks give the whole-block draws bit
-    for bit."""
+    """Rejection blocks drawn in row slices give the whole-block draws and
+    acceptance rate bit for bit."""
 
     @pytest.fixture(scope="class", params=list(STREAMED_FAMILIES))
     def model(self, request):
         return gibbs1d.solve_energy(STREAMED_FAMILIES[request.param], 1.0)
 
-    # n = 300 makes 873-row chunks; a narrow shell needs several blocks
+    # n = 300 makes 873-row chunks of 436-, 436- and 1-row slices, and 700
+    # rows fill the batch inside a chunk's first slice; a narrow shell needs
+    # several blocks
     @pytest.mark.parametrize("n,delta_sd,count", [(300, 0.5, 700), (7, 0.5, 500), (300, 0.1, 400)],
                              ids=["chunks", "one-chunk", "blocks"])
     def test_same_as_whole_blocks(self, model, n, delta_sd, count):
@@ -635,39 +650,62 @@ class TestStreamedRejection:
         assert np.array_equal(got.points, want)
         assert got.acceptance_rate == rate
 
-    @pytest.mark.parametrize("rows,n,chunk", [(1027, 5, 100), (3, 3, 1), (2000, 301, 871)])
-    def test_chunks_continue_the_block(self, model, rows, n, chunk):
-        """Also when the block's coordinate count is not a multiple of 4,
-        so the sign stream starts inside a Philox counter step."""
-        coord = sampler._coordinate_sampler(model)
-        whole = coord.draw(sampler._block_rng(21, 4), (rows, n))
-        chunks = list(coord.draw_chunks(21, 4, (rows, n), chunk))
-        assert np.array_equal(np.concatenate(chunks), whole)
-        if model.spec.kind != "power":
-            assert len(chunks) == -(-rows // chunk)
-
     def test_room_runs_out_inside_a_chunk(self, monkeypatch, quartic_model):
-        """The batch fills inside a chunk: the rest of that chunk is
-        shell-tested but not stored, and its accepted rows count towards the
-        acceptance rate; no later chunk is drawn."""
+        """The batch fills inside the first slice of a chunk: the chunk's
+        later slices are shell-tested but not stored, and their accepted
+        rows count towards the acceptance rate; no later chunk is drawn."""
         n, count = 300, 700
         delta = 0.5 * math.sqrt(quartic_model.sigma2 / n)
-        coord = sampler._coordinate_sampler(quartic_model)
-        chunk = sampler._REJECT_CHUNK // n
-        accepted = [
-            int(np.count_nonzero(np.abs(sampler._row_energies(quartic_model.spec, rows) / n - quartic_model.mu) <= delta))
-            for rows in coord.draw_chunks(13, 0, (4 * count, n), chunk)
-        ]
-        filled = np.searchsorted(np.cumsum(accepted), count)
-        assert np.cumsum(accepted)[filled] > count and filled < len(accepted) - 1
+        chunk, step = sampler._REJECT_CHUNK // n, sampler._SLICE // n
+        rows = sampler._coordinate_sampler(quartic_model).draw(sampler._block_rng(13, 0), (4 * count, n))
+        accept = np.abs(sampler._row_energies(quartic_model.spec, rows) / n - quartic_model.mu) <= delta
+        fill = np.flatnonzero(accept)[count - 1]
+        filled = fill // chunk
+        assert fill % chunk < step and (filled + 1) * chunk < 4 * count
         drawn = []
         draw = sampler._CoordinateSampler.draw
         monkeypatch.setattr(sampler._CoordinateSampler, "draw",
                             lambda self, rng, shape, signs=None: drawn.append(shape[0]) or draw(self, rng, shape, signs))
         got = sampler.sample_surface_rejection(quartic_model, n, delta, count, seed=13)
         assert sum(drawn) == (filled + 1) * chunk
-        assert got.acceptance_rate == sum(accepted[: filled + 1]) / ((filled + 1) * chunk)
+        assert got.acceptance_rate == np.count_nonzero(accept[: (filled + 1) * chunk]) / ((filled + 1) * chunk)
         assert np.array_equal(got.points, whole_block_rejection(quartic_model, n, delta, count, seed=13)[0])
+
+
+SLICED_FAMILIES = {**STREAMED_FAMILIES, "power3_half_line": ham.power(3)}
+
+
+class TestSlices:
+    """``_CoordinateSampler.slices`` cuts a block into row slices that
+    continue one another: any partition gives the rows of one draw."""
+
+    @pytest.fixture(scope="class", params=list(SLICED_FAMILIES))
+    def coord(self, request):
+        return sampler._CoordinateSampler(gibbs1d.solve_energy(SLICED_FAMILIES[request.param], 1.0))
+
+    # rows * n not a multiple of 4 starts the sign stream inside a Philox
+    # counter step
+    @given(rows=st.integers(1, 1500), n=st.integers(1, 40), coords=st.integers(1, 2**12),
+           chunk=st.none() | st.integers(1, 1500))
+    @example(rows=1027, n=5, coords=500, chunk=None)
+    @example(rows=3, n=3, coords=1, chunk=1)
+    @example(rows=1000, n=30, coords=2**12, chunk=273)
+    def test_any_partition_is_one_draw(self, coord, rows, n, coords, chunk):
+        whole = coord.draw(sampler._block_rng(21, 4), (rows, n))
+        with mock.patch.object(sampler, "_SLICE", coords):
+            got = list(coord.slices(21, 4, (rows, n), chunk))
+        sizes = [part.shape[0] for _, part in got]
+        assert [start for start, _ in got] == [sum(sizes[:i]) for i in range(len(got))]
+        assert np.array_equal(np.concatenate([part for _, part in got]), whole)
+        if coord.spec.kind == "power" and coord.spec.support == ham.SYMMETRIC:
+            assert sizes == [rows]
+            return
+        step, chunk = max(1, coords // n), chunk or rows
+        # as few slices as the step and the chunk boundaries allow
+        bounds = [min(lo + chunk, rows) - lo for lo in range(0, rows, chunk)]
+        assert len(got) == sum(-(-b // step) for b in bounds)
+        for start, size in zip((s for s, _ in got), sizes):
+            assert size <= step and start // chunk == (start + size - 1) // chunk
 
 
 class TestRejectionSampler:
@@ -741,6 +779,27 @@ class TestEnsembleGap:
         assert rep.gap == 0.0
         assert rep.se_micro == 0.0
 
+    def test_canonical_side_same_as_whole_blocks(self, quartic_model):
+        """At k = 5 a 65536-row canonical block is drawn in three slices;
+        the means and standard errors are those of whole-block draws, also
+        for a last block shorter than 65536 rows."""
+        k, canonical_count, seed = 5, 65536 + 4321, 3
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0] * rows[:, 4], k=k, name="x1x5", growth="energy",
+                                  m_const=1.0)
+        batch = sampler.SampleBatch(points=np.ones((4, k)), n=k, t=1.0, c=1.0, method="scaling", delta=None,
+                                    acceptance_rate=1.0, seed=0)
+        rep = sampler.ensemble_expectation_gap(quartic_model, k, k, fn, batch, canonical_count, seed)
+        coord = sampler._coordinate_sampler(quartic_model)
+        sums = sumsq = 0.0
+        for block, start in enumerate(range(0, canonical_count, 65536)):
+            rows = coord.draw(sampler._block_rng(seed, 2_000_000 + block), (min(65536, canonical_count - start), k))
+            vals = fn.fn(rows)
+            sums += float(np.sum(vals))
+            sumsq += float(np.sum(vals * vals))
+        e_canon = sums / canonical_count
+        assert rep.e_canon == e_canon
+        assert rep.se_canon == math.sqrt(max(sumsq / canonical_count - e_canon**2, 0.0) / canonical_count)
+
     def test_undeclared_growth_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
             sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="bad", growth="energy")
@@ -781,12 +840,13 @@ class TestEntryChecks:
 
 
 class TestSamplerEntryChecks:
-    """Both samplers refuse a bad dimension or seed where it enters, naming
-    it; a count of 0 stays an empty batch."""
+    """Both samplers refuse a bad dimension, count or seed where it enters,
+    naming it, and so does the ensemble gap its canonical count and seed; a
+    count of 0 stays an empty batch."""
 
     SAMPLERS = {
-        "scaling": lambda model, n, seed: sampler.sample_surface_scaling(model, n, 4, seed),
-        "rejection": lambda model, n, seed: sampler.sample_surface_rejection(model, n, 0.2, 4, seed),
+        "scaling": lambda model, n, seed, count=4: sampler.sample_surface_scaling(model, n, count, seed),
+        "rejection": lambda model, n, seed, count=4: sampler.sample_surface_rejection(model, n, 0.2, count, seed),
     }
 
     @pytest.mark.parametrize("method", sorted(SAMPLERS))
@@ -802,14 +862,30 @@ class TestSamplerEntryChecks:
             self.SAMPLERS[method](quad_model, 3, seed)
 
     @pytest.mark.parametrize("method", sorted(SAMPLERS))
+    @pytest.mark.parametrize("count", [-1, np.int64(-1), 2.5, np.float64(4), True, "4"], ids=repr)
+    def test_bad_count_refused(self, quad_model, method, count):
+        with pytest.raises(ValueError, match=rf"^count must be an integer >= 0; got {re.escape(repr(count))}$"):
+            self.SAMPLERS[method](quad_model, 3, 1, count)
+
+    @pytest.mark.parametrize("method", sorted(SAMPLERS))
     def test_numpy_integers_accepted(self, quad_model, method):
         draw = self.SAMPLERS[method]
-        batch = draw(quad_model, np.int64(3), np.uint32(5))
+        batch = draw(quad_model, np.int64(3), np.uint32(5), np.int32(4))
         assert np.array_equal(batch.points, draw(quad_model, 3, 5).points)
         assert draw(quad_model, 3, 0).count == 4
 
     def test_rejection_empty_batch(self, quad_model):
         assert sampler.sample_surface_rejection(quad_model, 4, 0.2, 0, seed=1).count == 0
+
+    @pytest.mark.parametrize("key,value", [("canonical_count", 2.5), ("canonical_count", np.float64(100)),
+                                           ("canonical_count", True), ("seed", -1), ("seed", 1.0), ("seed", True)],
+                             ids=repr)
+    def test_gap_refuses_canonical_count_and_seed(self, quad_model, key, value):
+        fn = sampler.TestFunction(fn=lambda rows: rows[:, 0], k=1, name="x1", growth="bounded")
+        batch = sampler.sample_surface_scaling(quad_model, 4, 10, seed=1, keep=1)
+        args = {"canonical_count": 100, "seed": 2, key: value}
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer >= 0; got {re.escape(repr(value))}$"):
+            sampler.ensemble_expectation_gap(quad_model, 4, 1, fn, batch, **args)
 
 
 class TestProjectionCheck:
