@@ -515,6 +515,7 @@ def sample_surface_rejection(
             kept += int(np.count_nonzero(accept))
             drawn += rows.shape[0]
             end = start + rows.shape[0]
+            # drawing stops at the end of the chunk that fills the batch
             if kept >= count and (end % chunk == 0 or end == size):
                 break
         block += 1
