@@ -289,12 +289,13 @@ def _one(v: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
-    """``np.trapezoid(y, dx=dx)`` with one temporary: the same operations in
-    the same order, ``(dx * (y[1:] + y[:-1]) / 2.0).sum()``, taken in place."""
-    acc = y[1:] + y[:-1]
-    acc *= dx
-    acc /= 2.0
-    return float(acc.sum())
+    """The trapezoid rule on nodes ``y`` spaced ``dx``, in one read of ``y``
+    and no temporary: ``np.sum``'s pairwise sum of the interior nodes (a
+    view), the two end nodes at half weight, times ``dx``.  Below two nodes
+    it is 0.0, as for ``np.trapezoid``."""
+    if y.size < 2:
+        return 0.0
+    return float(dx * (y[1:-1].sum() + 0.5 * (y[0] + y[-1])))
 
 
 def _integrate(dx, x0, values, edge, fn, at_nodes=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams
-from .grids import DensityGrid, make_grid
+from .grids import DensityGrid, EdgeModel, _integrate, make_grid
 from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values
 from .sumdensity import _check_count, log_w, w_density, w_grids
 
@@ -42,6 +42,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _NodeDensity:
+    """A density on the ``w_k`` nodes of a cell, not normalised: its node
+    values, the edge model of its first cells (or None) and its mass under
+    that model, ``grids._integrate``'s rule.  Read-only; an integral against
+    it is one sweep of ``values`` times a function's node values."""
+
+    values: np.ndarray
+    edge: EdgeModel | None
+    mass: float
+
+
+@dataclass(frozen=True)
 class ProjectionContext:
     """Solved model plus the sum densities an (n, k) cell needs.
 
@@ -49,11 +61,11 @@ class ProjectionContext:
     an FFT family, owned by the context (it is memoised only when some
     other use put it there) and freed with it; it is None for closed-form
     families, whose ``log w_{n-k}`` is exact.  ``log w_n(nt)`` comes from
-    :func:`sumdensity.log_w`.  ``nodes`` (the ``w_k`` abscissae) and
-    ``node_log_ratio`` (the one pass of the log likelihood ratio over them)
-    are built once and read-only, and ``rk`` (the normalised ``r_k`` grid)
-    is built once from them; every tilt and divergence of the cell reads
-    them.
+    :func:`sumdensity.log_w`.  ``nodes`` (the ``w_k`` abscissae),
+    ``node_log_ratio`` (the one pass of the log likelihood ratio over them),
+    ``_node_ratio`` (its exponential) and ``rk`` (``r_k`` on the nodes, with
+    its raw mass) are built once and read-only; every tilt and divergence of
+    the cell reads them, and none builds a grid.
     """
 
     model: GibbsModel
@@ -91,31 +103,48 @@ class ProjectionContext:
         return _read_only(lr), _read_only(finite)
 
     @property
-    def rk(self) -> DensityGrid:
+    def _node_ratio(self) -> np.ndarray:
+        """The likelihood ratio at the ``w_k`` nodes, ``exp`` of the masked
+        node pass and 0 off its mask; evaluated on first use, through
+        ``_memo``."""
+        return _memo(self._cache, "node_ratio", lambda: _read_only(_exp_ratio(*self.node_log_ratio)))
+
+    @property
+    def rk(self) -> _NodeDensity:
         """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the ``w_k`` nodes,
-        normalised; built on first use, through ``_memo``.  An exact identity
-        up to grid error: a normalization defect of 1e-4 or more is
-        refused, so every divergence of the cell that reads it is too."""
+        ``w_k`` times :attr:`_node_ratio`, with the edge model of ``w_k``
+        scaled by the ratio at s = 0, and its raw mass M; built on first use,
+        through ``_memo``.  An exact identity up to grid error: a
+        normalization defect ``|M - 1|`` of 1e-4 or more (or a mass that is
+        not finite) is refused, so every divergence of the cell is too."""
         return _memo(self._cache, "rk", self._rk)
 
-    def _rk(self) -> DensityGrid:
-        masked, finite = self.node_log_ratio
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.where(finite, self.wk.values * np.exp(masked), 0.0)
+    def _rk(self) -> _NodeDensity:
+        wk = self.wk
+        with np.errstate(invalid="ignore"):
+            values = wk.values * self._node_ratio
         edge = None
-        if self.wk.edge is not None:
+        if wk.edge is not None:
             lr0 = float(self.log_wnk(np.asarray([self.n * self.t]))[0]) - self.log_wn_at_nt
-            values[0], edge = self.wk.edge.scaled(lr0).node0()
-        rk = make_grid(self.wk.x0, self.wk.dx, values, edge=edge, meta={"kind": "rk", "n": self.n, "k": self.k})
-        defect = abs(rk.mass - 1.0)
-        if defect >= 1e-4:
+            values[0], edge = wk.edge.scaled(lr0).node0()
+        mass = _integrate(wk.dx, wk.x0, values, edge, None)
+        defect = abs(mass - 1.0)
+        # written so that a nan or infinite mass fails too
+        if not defect < 1e-4:
             raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
-        return rk.normalized()
+        return _NodeDensity(_read_only(values), edge, mass)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _integral(ctx: ProjectionContext, density, fn=None, at_nodes: np.ndarray | None = None) -> float:
+    """``\\int fn(s) density(s) ds`` (``fn=None`` -> the mass) for a density on
+    the ``w_k`` nodes of ``ctx`` (``w_k`` itself or a :class:`_NodeDensity`),
+    not divided by its mass; ``at_nodes`` is ``fn`` at the nodes."""
+    return _integrate(ctx.wk.dx, ctx.wk.x0, density.values, density.edge, fn, at_nodes)
 
 
 def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = None) -> ProjectionContext:
@@ -148,12 +177,16 @@ def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = 
 
 
 def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
-    """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the w_k grid.
+    """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the w_k grid,
+    normalised.
 
     An exact identity up to grid error; the normalization defect is
-    recorded and must stay below 1e-4.  The context's memoised ``rk``.
+    recorded and must stay below 1e-4.  Built on each call from the
+    context's ``rk`` nodes; no divergence reads the grid.
     """
-    return ctx.rk
+    rk = ctx.rk
+    grid = make_grid(ctx.wk.x0, ctx.wk.dx, rk.values, edge=rk.edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
+    return grid.normalized()
 
 
 def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
@@ -212,68 +245,80 @@ def _exp_ratio(lr: np.ndarray, finite: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, log_norm: float = 0.0) -> np.ndarray:
-    """The likelihood ratio at points ``ss`` off the nodes."""
-    return _exp_ratio(*_log_ratio(ctx, ss, alpha, log_norm))
+def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, norm: float = 1.0) -> np.ndarray:
+    """The likelihood ratio of the projection tilted by ``exp(alpha s)`` at
+    points ``ss`` off the nodes, in the operation order of the tilt's node
+    ratio: ``ratio(s) e^{alpha s} / norm``."""
+    out = _exp_ratio(*_log_ratio(ctx, ss))
+    if alpha != 0.0:
+        out *= np.exp(alpha * np.asarray(ss, dtype=float))
+        out /= norm
+    return out
 
 
 @dataclass(frozen=True)
 class _Tilt:
-    """One tilt ``exp(alpha s)`` of a cell: the tilted, normalised ``r_k``
-    grid, its log-normalizer, the surface-level divergence of the tilt, and
-    :func:`_log_ratio` at the ``w_k`` nodes, ``alpha s + masked - log_norm``.
-    A bounds row builds one and its kl and tv read it."""
+    """One tilt ``exp(alpha s)`` of a cell: the tilted ``r_k`` on the
+    ``w_k`` nodes (``r_k`` times the tilt, its edge model's rate shifted by
+    alpha, its mass Z), the normalizer ``norm = Z / M`` and its log, the
+    surface-level divergence of the tilt, and at the nodes
+    :func:`_log_ratio`, ``alpha s + masked - log_norm``, and :func:`_ratio`,
+    ``ratio e^{alpha s} / norm``.  A bounds row builds one and its kl and
+    tv read it."""
 
     alpha: float
-    rk: DensityGrid
+    rk: _NodeDensity
+    norm: float
     log_norm: float
     d_surface: float
     log_ratio: np.ndarray
+    ratio: np.ndarray
 
 
 def _tilt(ctx: ProjectionContext, alpha: float) -> _Tilt:
     """The tilt of ``ctx`` by ``exp(alpha s)``, after the context's ``r_k``
-    defect check; at alpha = 0, ``r_k`` itself and the masked node pass
-    (``0 s + masked - 0`` differs from it at most in the sign of a zero)."""
+    defect check: one exponential at the nodes, and the normalizer and
+    ``d_surface`` as integrals of ``r_k`` weighted by it.  At alpha = 0,
+    ``r_k`` itself and the context's node arrays (``0 s + masked - 0``
+    differs from the masked pass at most in the sign of a zero)."""
     _check_alpha(alpha)
     rk = ctx.rk
     masked = ctx.node_log_ratio[0]
     if alpha == 0.0:
-        return _Tilt(alpha, rk, 0.0, 0.0, masked)
-    if alpha * rk.x_end > 690.0:
+        return _Tilt(alpha, rk, 1.0, 0.0, 0.0, masked, ctx._node_ratio)
+    if alpha * ctx.wk.x_end > 690.0:
         raise OverflowError(f"tilt normalizer overflows on the grid (alpha = {alpha})")
-    # r_k and its tilts share the w_k nodes
-    alpha_s = alpha * ctx.nodes
-    norm = rk.integrate(lambda s: np.exp(alpha * s), np.exp(alpha_s))
+    log_ratio = alpha * ctx.nodes
+    weight = np.exp(log_ratio)
+    edge = None if rk.edge is None else rk.edge.scaled(0.0, alpha)
+    values = rk.values * weight
+    tilted = _NodeDensity(_read_only(values), edge, _integrate(ctx.wk.dx, ctx.wk.x0, values, edge, None))
+    norm = tilted.mass / rk.mass
     if not (math.isfinite(norm) and norm > 0.0):
         raise OverflowError("tilt normalizer is not finite on the grid")
     log_norm = math.log(norm)
-    log_ratio = alpha_s + masked
+    log_ratio += masked
     log_ratio -= log_norm
-    alpha_s -= log_norm
-    values = rk.values * np.exp(alpha_s)
-    edge = None
-    if rk.edge is not None:
-        values[0], edge = rk.edge.scaled(-log_norm, alpha).node0()
-    tilted = make_grid(rk.x0, rk.dx, values, edge=edge, meta={"kind": "rk_tilted", "alpha": alpha}).normalized()
+    weight *= ctx._node_ratio
+    weight /= norm
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
-    d_surface = alpha * tilted.integrate(lambda s: s, ctx.nodes) - log_norm
-    return _Tilt(alpha, tilted, log_norm, d_surface, log_ratio)
+    d_surface = alpha * (_integral(ctx, tilted, lambda s: s, ctx.nodes) / tilted.mass) - log_norm
+    return _Tilt(alpha, tilted, norm, log_norm, d_surface, _read_only(log_ratio), _read_only(weight))
 
 
 def _kl(ctx: ProjectionContext, tilt: _Tilt) -> float:
-    kl = tilt.rk.integrate(lambda ss: _log_ratio(ctx, ss, tilt.alpha, tilt.log_norm)[0], tilt.log_ratio)
+    lr = _integral(ctx, tilt.rk, lambda ss: _log_ratio(ctx, ss, tilt.alpha, tilt.log_norm)[0], tilt.log_ratio)
+    kl = lr / tilt.rk.mass
     if kl < -1e-8:
         raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
     return max(kl, 0.0)
 
 
 def _tv(ctx: ProjectionContext, tilt: _Tilt) -> float:
-    at_nodes = _exp_ratio(tilt.log_ratio, ctx.node_log_ratio[1])
-    at_nodes -= 1.0
+    at_nodes = tilt.ratio - 1.0
     np.abs(at_nodes, out=at_nodes)
-    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, tilt.alpha, tilt.log_norm) - 1.0), at_nodes)
+    tv = _integral(ctx, ctx.wk, lambda ss: np.abs(_ratio(ctx, ss, tilt.alpha, tilt.norm) - 1.0), at_nodes)
     if not -1e-9 <= tv <= 2.0 + 1e-9:
         raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
     return float(min(max(tv, 0.0), 2.0))
@@ -392,11 +437,11 @@ class ConverseReport:
 
 def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     """Certified lower bound ``2 \\int_L w_k (ratio - 1)^+`` on the interval
-    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, with the ratio's
-    normalizer (and ``r_k`` defect check) from :func:`_tilt`."""
+    ``L = (kt - eps sqrt(n-k), kt + eps sqrt(n-k))``, with the node ratio
+    (and the ``r_k`` defect check) of the untilted :func:`_tilt`."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"interval half-width eps must be finite and > 0; got {eps!r}")
-    tilt = _tilt(ctx, 0.0)
+    ratio = _tilt(ctx, 0.0).ratio
     center = ctx.k * ctx.t
     half = eps * math.sqrt(ctx.n - ctx.k)
     lo, hi = center - half, center + half
@@ -405,9 +450,9 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
         return np.where((ss >= lo) & (ss <= hi), np.clip(ratio - 1.0, 0.0, None), 0.0)
 
     def fn(ss):
-        return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss, 0.0, tilt.log_norm))
+        return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss))
 
-    lower = 2.0 * ctx.wk.integrate(fn, gain(ctx.nodes, _exp_ratio(tilt.log_ratio, ctx.node_log_ratio[1])))
+    lower = 2.0 * _integral(ctx, ctx.wk, fn, gain(ctx.nodes, ratio))
     return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 

@@ -49,7 +49,7 @@ from .gibbs1d import (
     _grid_remainder,
     _y_step,
 )
-from .grids import DensityGrid, EdgeModel, make_grid
+from .grids import DensityGrid, EdgeModel, _trapezoid, make_grid
 from .hamiltonians import _MEMO_LOCK, _fan_out, _memo
 
 __all__ = [
@@ -211,7 +211,7 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
         # is what leaks back in under periodization) must be negligible;
         # pointwise checks would trip on the inversion's noise floor
         top = np.abs(w[-max(16, m // 64) :])
-        if float(np.trapezoid(top, dx=ds)) <= 1e-9:
+        if _trapezoid(top, ds) <= 1e-9:
             break
         length *= 2.0
     else:

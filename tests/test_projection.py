@@ -278,17 +278,21 @@ class TestRkDefectGuard:
         with pytest.raises(RuntimeError, match=f"^r_k normalization defect {defect} >= 1e-4; grid inadequate$"):
             divergence(ctx)
 
-    def test_passing_cell_reads_the_memoised_grid(self, quad_model):
+    def test_passing_cell_reads_the_memoised_nodes(self, quad_model):
         """At (4, 2) the defect is 1.6e-5: tv and the converse bound pass and
-        read the one ``r_k`` entry kl uses."""
+        read the one ``r_k`` entry kl uses; the grid of
+        ``rk_conditional_density`` is built from it on each call and records
+        its defect."""
         ctx = projection.make_context(quad_model, 4, 2)
         projection.tv_to_gibbs(ctx)
         entry = ctx._cache["rk"]
         projection.converse_lower_bound(ctx, 1.0)
         projection.kl_to_gibbs(ctx)
-        assert ctx._cache["rk"] is entry
-        assert projection.rk_conditional_density(ctx) is ctx.rk
-        assert 1e-6 < ctx.rk.meta["norm_defect"] < 1e-4
+        assert ctx._cache["rk"] is entry and ctx.rk is entry.result()
+        grid = projection.rk_conditional_density(ctx)
+        assert grid is not projection.rk_conditional_density(ctx)
+        assert grid.meta["norm_defect"] == abs(ctx.rk.mass - 1.0)
+        assert 1e-6 < grid.meta["norm_defect"] < 1e-4
 
 
 def _pointwise_log_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
@@ -300,16 +304,32 @@ def _pointwise_log_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
     return alpha * ss + np.where(finite, lr, 0.0) - log_norm, finite
 
 
-def _pointwise_ratio(ctx, ss, alpha=0.0, log_norm=0.0):
-    lr, finite = _pointwise_log_ratio(ctx, ss, alpha, log_norm)
+def _pointwise_ratio(ctx, ss, alpha=0.0, norm=1.0):
+    """The likelihood ratio evaluated afresh at ss, ``ratio(s) e^{alpha s} /
+    norm`` in that order."""
+    lr, finite = _pointwise_log_ratio(ctx, ss)
     with np.errstate(over="ignore"):
-        return np.where(finite, np.exp(lr), 0.0)
+        out = np.where(finite, np.exp(lr), 0.0)
+    return out if alpha == 0.0 else out * np.exp(alpha * np.asarray(ss, dtype=float)) / norm
+
+
+def _arrays(value) -> list:
+    """The numpy arrays held by a memo entry or a tilt: the value itself, the
+    items of a tuple, or the fields of a dataclass."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [item for item in value if isinstance(item, np.ndarray)]
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
+    return []
 
 
 class TestSharedLogRatioPass:
     """``r_k``, kl, tv and the converse bound read one pass of the log ratio
-    on the w_k nodes; each equals, bit for bit, the integral of the
-    pointwise integrand."""
+    on the w_k nodes, and each tilt one exponential; each equals, bit for
+    bit, the integral of the pointwise integrand, and no divergence builds a
+    grid."""
 
     CELLS = [("quad_model", 50, 1), ("quad_model", 100, 3), ("lin_model", 50, 3), ("quartic_model", 20, 1)]
 
@@ -318,23 +338,35 @@ class TestSharedLogRatioPass:
         ctx = projection.make_context(request.getfixturevalue(name), n, k)
         assert (ctx.wk.edge is not None) == (k == 1)
         wk, nt = ctx.wk, ctx.n * ctx.t
-        lr = ctx.log_wnk(nt - wk.points()) - ctx.log_wn_at_nt
+        points = wk.points()
+        lr = ctx.log_wnk(nt - points) - ctx.log_wn_at_nt
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.where(np.isfinite(lr), wk.values * np.exp(lr), 0.0)
         edge = None
         if wk.edge is not None:
             edge = wk.edge.scaled(float(ctx.log_wnk(np.asarray([nt]))[0]) - ctx.log_wn_at_nt)
             values[0] = 0.0
-        rk = projection.make_grid(wk.x0, wk.dx, values, edge=edge).normalized()
-        np.testing.assert_array_equal(ctx.rk.values, rk.values)
+        rk = projection.make_grid(wk.x0, wk.dx, values, edge=edge)
+        np.testing.assert_array_equal(ctx.rk.values, values)
+        assert ctx.rk.edge == edge and ctx.rk.mass == rk.mass
+        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, rk.normalized().values)
+
+        def integral(values, edge, fn):
+            """The rule of every grid integral, with fn taken afresh at the nodes."""
+            return grids._integrate(wk.dx, wk.x0, values, edge, fn)
 
         for alpha in (0.0, 0.2, -0.2):
-            tilt = projection._tilt(ctx, alpha)
-            tilted, log_norm = tilt.rk, tilt.log_norm
-            kl = tilted.integrate(lambda ss: _pointwise_log_ratio(ctx, ss, alpha, log_norm)[0])
-            tv = wk.integrate(lambda ss: np.abs(_pointwise_ratio(ctx, ss, alpha, log_norm) - 1.0))
+            tilted = values * np.exp(alpha * points)
+            tilted_edge = None if edge is None else edge.scaled(0.0, alpha)
+            mass = integral(tilted, tilted_edge, None)
+            norm = mass / rk.mass
+            log_norm = math.log(norm)
+            kl = integral(tilted, tilted_edge, lambda ss: _pointwise_log_ratio(ctx, ss, alpha, log_norm)[0]) / mass
+            tv = integral(wk.values, wk.edge, lambda ss: np.abs(_pointwise_ratio(ctx, ss, alpha, norm) - 1.0))
+            d_surface = alpha * (integral(tilted, tilted_edge, lambda ss: ss) / mass) - log_norm
             assert projection.kl_to_gibbs(ctx, alpha) == max(kl, 0.0)
             assert projection.tv_to_gibbs(ctx, alpha) == min(max(tv, 0.0), 2.0)
+            assert projection._tilt(ctx, alpha).d_surface == d_surface
 
         half = math.sqrt(ctx.n - ctx.k)
         lo, hi = ctx.k * ctx.t - half, ctx.k * ctx.t + half
@@ -370,9 +402,10 @@ class TestSharedLogRatioPass:
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_node_pass_per_cell(self, quad_model, monkeypatch, k):
         """A cell builds the w_k abscissae once, and each row's tilt once,
-        read by the row's kl and tv; untilted, its node log ratio is the
-        masked node pass itself.  Every integral of a function over the nodes
-        is handed its node values, and the context keeps no per-tilt value."""
+        read by the row's kl and tv; untilted, its node log ratio, node ratio
+        and ``r_k`` are the context's own.  Every integral of a function over
+        the nodes is handed its node values, and the context keeps no
+        per-tilt value."""
         ctx = projection.make_context(quad_model, 100, k)
         points, handed, tilts, read = [], [], [], []
         original_points = grids.DensityGrid.points
@@ -399,6 +432,7 @@ class TestSharedLogRatioPass:
 
         monkeypatch.setattr(grids.DensityGrid, "points", counted_points)
         monkeypatch.setattr(grids, "_integrate", counted_integrate)
+        monkeypatch.setattr(projection, "_integrate", counted_integrate)
         monkeypatch.setattr(projection, "_tilt", counted_tilt)
         monkeypatch.setattr(projection, "_kl", reading(original_kl))
         monkeypatch.setattr(projection, "_tv", reading(original_tv))
@@ -412,9 +446,33 @@ class TestSharedLogRatioPass:
         # each row's kl and tv read that row's tilt
         assert [id(tilt) for tilt in read] == [id(tilt) for tilt in tilts[:3] for _ in range(2)]
         assert tilts[0].log_ratio is tilts[3].log_ratio is ctx.node_log_ratio[0]
+        assert tilts[0].ratio is tilts[3].ratio is ctx._node_ratio
         assert tilts[0].rk is tilts[3].rk is ctx.rk
-        assert len({id(tilt.log_ratio) for tilt in tilts}) == 3
-        assert set(ctx._cache) == {"nodes", "node_log_ratio", "rk"}
+        assert len({id(tilt.log_ratio) for tilt in tilts}) == len({id(tilt.ratio) for tilt in tilts}) == 3
+        assert set(ctx._cache) == {"nodes", "node_log_ratio", "node_ratio", "rk"}
+
+    @pytest.mark.parametrize("name,n,k", [("quad_model", 100, 1), ("quad_model", 100, 3), ("quartic_model", 20, 1)],
+                             ids=str)
+    def test_bounds_row_builds_no_grid(self, request, monkeypatch, name, n, k):
+        """Once the context is made, its rows, distances and converse bound
+        build no ``DensityGrid``; ``rk_conditional_density`` builds its grid
+        and the grid's normalised copy on each call."""
+        ctx = projection.make_context(request.getfixturevalue(name), n, k)
+        built = []
+        original = grids.DensityGrid.__init__
+
+        def counted(grid, *args, **kwargs):
+            built.append(kwargs.get("meta") or {})
+            original(grid, *args, **kwargs)
+
+        monkeypatch.setattr(grids.DensityGrid, "__init__", counted)
+        for alpha in (0.0, 0.2, -0.2):
+            projection.bound_report(ctx, 2.0, alpha)
+            projection.kl_to_gibbs(ctx, alpha), projection.tv_to_gibbs(ctx, alpha)
+        projection.converse_lower_bound(ctx, 1.0)
+        assert built == []
+        projection.rk_conditional_density(ctx)
+        assert [meta.get("kind") for meta in built] == ["rk", "rk"]
 
     @pytest.mark.parametrize("name,n,k", CELLS, ids=str)
     def test_row_equals_standalone_divergences(self, request, name, n, k):
@@ -454,7 +512,7 @@ class TestSharedLogRatioPass:
         assert not any(th.is_alive() for th in threads)
         assert errors == []
         assert results[0] == results[1] == serial
-        assert set(shared._cache) == {"nodes", "node_log_ratio", "rk"}
+        assert set(shared._cache) == {"nodes", "node_log_ratio", "node_ratio", "rk"}
 
     @pytest.mark.parametrize("name,n,k", [("quad_model", 50, 1), ("quartic_model", 20, 3)], ids=str)
     def test_kept_node_arrays_are_read_only(self, request, name, n, k):
@@ -462,12 +520,12 @@ class TestSharedLogRatioPass:
         projection.bound_report(ctx, 2.0, 0.2)
         projection.converse_lower_bound(ctx, 1.0)
         np.testing.assert_array_equal(ctx.nodes, ctx.wk.points())
-        kept = []
-        for entry in ctx._cache.values():
-            value = entry.result()
-            kept += [item for item in (value if isinstance(value, tuple) else (value,)) if isinstance(item, np.ndarray)]
-        assert len(kept) == 3  # the abscissae, the masked log ratio and its mask
-        for array in kept:
+        kept = [array for entry in ctx._cache.values() for array in _arrays(entry.result())]
+        # the abscissae, the masked log ratio and its mask, the ratio and r_k
+        assert len(kept) == 5
+        tilt = projection._tilt(ctx, 0.2)
+        assert len(_arrays(tilt)) == 3  # the tilted r_k, the log ratio and the ratio
+        for array in kept + _arrays(tilt):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
@@ -552,9 +610,10 @@ class TestTilted:
     def test_identity_tilt(self, quad_model):
         ctx = projection.make_context(quad_model, 100, 1)
         tilt = projection._tilt(ctx, 0.0)
-        assert tilt.rk is ctx.rk is projection.rk_conditional_density(ctx)
-        assert tilt.log_ratio is ctx.node_log_ratio[0]
-        assert tilt.log_norm == 0.0 and tilt.d_surface == 0.0
+        assert tilt.rk is ctx.rk
+        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, ctx.rk.values * (1.0 / ctx.rk.mass))
+        assert tilt.log_ratio is ctx.node_log_ratio[0] and tilt.ratio is ctx._node_ratio
+        assert tilt.norm == 1.0 and tilt.log_norm == 0.0 and tilt.d_surface == 0.0
         assert projection.bound_report(ctx, 2.0).d_surface == 0.0
 
     def test_small_case_tilt_oracle(self, small_ctx):
@@ -565,10 +624,13 @@ class TestTilted:
         mean_oracle = (0.5 * 2.0 * math.exp(1.0) - math.e + 1.0) / norm_oracle  # E_tilted[s/2]
         d_oracle = mean_oracle - math.log(norm_oracle)
         assert d_surface == pytest.approx(d_oracle, abs=1e-4)
-        # k = 1 of the linear family: the partial energy is the coordinate
+        # k = 1 of the linear family: the partial energy is the coordinate;
+        # the tilted density at the nodes is the tilt's node weights over its mass
         tilted = projection._tilt(small_ctx, 0.5).rk
-        ys = np.linspace(0.05, 1.95, 64)
-        np.testing.assert_allclose(tilted.at(ys), 0.5 * np.exp(0.5 * ys) / norm_oracle, rtol=1e-3)
+        ss = small_ctx.nodes
+        inside = (ss >= 0.05) & (ss <= 1.95)
+        np.testing.assert_allclose(tilted.values[inside] / tilted.mass, 0.5 * np.exp(0.5 * ss[inside]) / norm_oracle,
+                                   rtol=1e-3)
 
     # (kl, tv, d_surface, kl_bound) at C = 2 from the build that computed
     # tilted rows through their own integrands
@@ -584,20 +646,20 @@ class TestTilted:
     @pytest.mark.parametrize("key", list(FROZEN), ids=lambda key: f"{key[0]}-n{key[1]}-alpha{key[2]:+g}")
     def test_tilted_row_frozen(self, request, monkeypatch, key):
         """Tilted rows go through the same integrand as untilted ones, build
-        their tilted r_k once, and keep their values."""
+        one tilt and no grid, and keep their values."""
         name, n, alpha = key
         ctx = projection.make_context(request.getfixturevalue(name), n, 1)
-        tilts = []
-        original = projection.make_grid
+        tilts, built = [], []
+        original_tilt, original_init = projection._tilt, grids.DensityGrid.__init__
 
-        def counted(*args, **kwargs):
-            if (kwargs.get("meta") or {}).get("kind") == "rk_tilted":
-                tilts.append(kwargs["meta"]["alpha"])
-            return original(*args, **kwargs)
+        def counted_init(grid, *args, **kwargs):
+            built.append(kwargs.get("meta"))
+            original_init(grid, *args, **kwargs)
 
-        monkeypatch.setattr(projection, "make_grid", counted)
+        monkeypatch.setattr(projection, "_tilt", lambda ctx, alpha: tilts.append(alpha) or original_tilt(ctx, alpha))
+        monkeypatch.setattr(grids.DensityGrid, "__init__", counted_init)
         report = projection.bound_report(ctx, 2.0, alpha=alpha)
-        assert tilts == [alpha]
+        assert tilts == [alpha] and built == []
         got = (report.kl, report.tv, report.d_surface, report.kl_bound)
         assert got == pytest.approx(self.FROZEN[key], rel=1e-12)
         assert report.df_bound is None
@@ -641,6 +703,78 @@ class TestTilted:
         ctx = projection.make_context(quad_model, 100, 1)
         with pytest.raises(OverflowError):
             projection.bound_report(ctx, 2.0, alpha=50.0)
+
+
+def _tilted_oracle(model, d, n, k, alpha):
+    """(kl, tv, d_surface) of the projection tilted by ``exp(alpha s)``, with
+    no grid machinery: adaptive quadrature of Gamma log-densities (``R_j``
+    is Gamma(j/d, rate c), so ``r_k`` is a scaled Beta(k/d, (n-k)/d)),
+    over ``s = u^2``, which absorbs the ``s^{k/d - 1}`` edge."""
+    from scipy.optimize import brentq
+    from scipy.stats import gamma as gamma_dist
+
+    c, nt = model.c, n * model.mu
+    a, b = k / d, (n - k) / d
+    log_wn = gamma_dist.logpdf(nt, n / d, scale=1 / c)
+
+    def log_wk(s):
+        return gamma_dist.logpdf(s, a, scale=1 / c)
+
+    def integral(fn, lo, hi):
+        return quad(lambda u: 2.0 * u * fn(u * u), math.sqrt(lo), math.sqrt(hi), limit=400, epsabs=1e-15,
+                    epsrel=1e-13)[0]
+
+    def log_tilt(s):  # alpha s + log w_{n-k}(nt - s) - log w_n(nt)
+        return alpha * s + gamma_dist.logpdf(nt - s, b, scale=1 / c) - log_wn
+
+    log_norm = math.log(integral(lambda s: math.exp(log_wk(s) + log_tilt(s)), 0.0, nt))
+
+    def log_ratio(s):
+        return log_tilt(s) - log_norm
+
+    def r(s):
+        return math.exp(log_wk(s) + log_ratio(s))
+
+    d_surface = alpha * integral(lambda s: s * r(s), 0.0, nt) - log_norm
+    kl = integral(lambda s: r(s) * log_ratio(s), 0.0, nt)
+    # log_ratio is concave with its top at nt - (b-1)/(alpha+c), so r - w_k
+    # changes sign at most twice; past nt only w_k has mass
+    top = min(max(nt - (b - 1) / (alpha + c), 0.0), nt)
+    cuts = [brentq(log_ratio, lo, hi, xtol=1e-15) for lo, hi in ((0.0, top), (top, nt * (1 - 1e-15)))
+            if lo < hi and log_ratio(lo) * log_ratio(hi) < 0]
+    ends = [0.0] + cuts + [nt]
+    tv = sum(abs(integral(lambda s: r(s) - math.exp(log_wk(s)), lo, hi)) for lo, hi in zip(ends, ends[1:]))
+    return kl, tv + gamma_dist.sf(nt, a, scale=1 / c), d_surface
+
+
+class TestTiltedOracle:
+    """Tilted rows of the Gamma families against :func:`_tilted_oracle`.
+    The oracle agrees with mpmath's tanh-sinh quadrature at 30 digits to
+    2e-16 on the quadratic's kl at (50, 1, 0.2).  Each tolerance is twice
+    the error of kl, tv and d_surface measured at the commit before the
+    node-sweep divergences, listed as measured."""
+
+    MEASURED = {
+        ("quadratic", 50, 0.2): (2.07e-09, 2.09e-09, 1.23e-09),
+        ("quadratic", 50, -0.2): (2.13e-09, 2.91e-09, 6.79e-10),
+        ("quadratic", 100, 0.2): (2.32e-09, 5.62e-09, 1.88e-09),
+        ("quadratic", 100, -0.2): (1.75e-09, 2.91e-09, 9.11e-10),
+        ("linear_half", 50, 0.2): (2.12e-11, 1.05e-09, 2.67e-10),
+        ("linear_half", 50, -0.2): (2.28e-10, 1.85e-11, 2.67e-10),
+        ("linear_half", 100, 0.2): (1.22e-10, 2.61e-10, 2.67e-10),
+        ("linear_half", 100, -0.2): (1.67e-11, 1.32e-09, 2.68e-10),
+    }
+
+    @pytest.mark.parametrize("key", list(MEASURED), ids=lambda key: f"{key[0]}-n{key[1]}-alpha{key[2]:+g}")
+    def test_kl_tv_and_surface_divergence(self, request, key):
+        family, n, alpha = key
+        model, d = (request.getfixturevalue("quad_model"), 2.0) if family == "quadratic" else \
+            (request.getfixturevalue("lin_model"), 1.0)
+        report = projection.bound_report(projection.make_context(model, n, 1), 2.0, alpha)
+        want = _tilted_oracle(model, d, n, 1, alpha)
+        for name, got, oracle, measured in zip(("kl", "tv", "d_surface"), (report.kl, report.tv, report.d_surface),
+                                               want, self.MEASURED[key]):
+            assert abs(got - oracle) <= 2.0 * measured, name
 
 
 class TestCellProperties:
