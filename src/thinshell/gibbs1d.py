@@ -239,20 +239,66 @@ def _match_energy(spec: HamiltonianSpec, t: float) -> float:
     decreases strictly) and whose slope is ``t - mu + c Var Y``, since
     ``dmu/dc = -Var Y``; one quadrature pass gives Z, mu and Var.  A pure
     power law ``mu = 1/(d c)`` makes g the line ``c t - 1/d``, so the first
-    step lands on it."""
+    step lands on it.  A t so large that the step from 1 lands exactly on 0
+    starts where :func:`_match_start` puts it."""
+    passes = {}
+
+    def newton_terms(c: float) -> tuple[np.ndarray, np.ndarray, bool]:
+        """g and its slope at c, and whether ``t - mu == t``; one quadrature
+        pass per c."""
+        if c not in passes:
+            x_max = _truncation(spec, c)
+            mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
+            mu = float(first / mass) if mass > 0 else math.nan
+            _check_resolved(c, x_max, float(mass), mu)
+            var = float(second / mass) - mu * mu
+            passes[c] = np.array([c * (t - mu)]), np.array([t - mu + c * var]), t - mu == t
+        return passes[c]
 
     def residual(cs, _live):
-        c = float(cs[0])
-        x_max = _truncation(spec, c)
-        mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
-        mu = float(first / mass) if mass > 0 else math.nan
-        _check_resolved(c, x_max, float(mass), mu)
-        var = float(second / mass) - mu * mu
-        return np.array([c * (t - mu)]), np.array([t - mu + c * var])
+        return newton_terms(float(cs[0]))[:2]
 
-    return float(_newton(residual, [1.0], math.inf, _MATCH_CTOL, "energy matching")[0])
+    start, hi = _match_start(newton_terms)
+    return float(_newton(residual, [start], hi, _MATCH_CTOL, "energy matching")[0])
 
 
+# steps of a Newton run (hamiltonians._newton)
+_NEWTON_STEPS = 200
+
+
+def _match_start(newton_terms) -> tuple[float, float]:
+    """Start and upper bracket of :func:`_match_energy`'s Newton run: 1 and
+    +inf, unless the step from 1 lands exactly on 0 (``t - mu == t`` in
+    floating point).  ``_newton`` then halves c, one quadrature pass per
+    halving, up to the first ``2^-j`` whose step does not land on 0, and
+    runs on from there with the bracket ``(0, 2^(1-j))``.  The halvings
+    whose step lands on 0 come first (mu grows as c falls), so doubling j
+    and then bisecting finds that j in about 2 log2(j) + 2 passes, and the
+    run starts there in the same state.  If the last of its 200 steps would still land on 0, the
+    run would have failed: it is refused as before.  A pass that raises
+    ends the halvings too; the run raises there again."""
+
+    def lands_on_zero(j: int) -> bool:
+        c = 2.0**-j
+        try:
+            g, slope, unresolved = newton_terms(c)
+        except (ValueError, RuntimeError):
+            return False
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return unresolved and c - g[0] / slope[0] == 0.0
+
+    if not lands_on_zero(0):
+        return 1.0, math.inf
+    last = _NEWTON_STEPS - 1
+    if lands_on_zero(last):
+        raise RuntimeError(f"energy matching did not converge in {_NEWTON_STEPS} steps")
+    lo, hi = 0, 1
+    while hi < last and lands_on_zero(hi):
+        lo, hi = hi, min(2 * hi, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if lands_on_zero(mid) else (lo, mid)
+    return 2.0**-hi, 2.0**-lo
 def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
     """Unique c with mean energy t.  A homogeneous f of degree d has
     ``E f(X) = 1/(d c)``, so ``c = 1/(d t)``; other families go through

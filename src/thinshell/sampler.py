@@ -32,7 +32,7 @@ Randomness uses counter-based Philox streams derived from ``(seed, block
 index)``, so identical configurations reproduce batches bit for bit.  Each
 block writes its own rows, so the scaling sampler hands its blocks out, one
 at a time, to the calling thread and T - 1 helper threads
-(``hamiltonians._fan_out``); the inverse CDF hands out its 32768-point
+(``hamiltonians._fan_out``); the inverse CDF hands out its 16384-point
 chunks the same way.  No draw depends on which thread made it.
 ``THINSHELL_THREADS`` caps T; by default it is the CPU count.  The
 rejection sampler's blocks stay in order, since each block's size depends
@@ -80,9 +80,11 @@ __all__ = [
 
 _BLOCK = 1024
 # guide-table bins of the inverse CDF (a power of two, so floor(u * _GUIDE)
-# is exact) and the uniforms per inverse-CDF chunk
+# is exact) and the uniforms per inverse-CDF chunk; a chunk's working set
+# (its interval indices, local variable, powers and one gathered
+# coefficient column) is under 1 MiB per thread
 _GUIDE = 2**16
-_CHUNK = 32768
+_CHUNK = 16384
 # coordinates per slice of a block drawn at a time: 1 MiB of float64, so a
 # slice and its temporaries stay below the 4 MiB mmap threshold that cli
 # sets and reuse the heap
@@ -260,7 +262,9 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     t = dk[:-1] + dk[1:]
     t -= 2 * mk
     t /= hk
-    coef = np.empty((hk.size, 4))
+    # stored column by column, so each column is contiguous for the gathers
+    # of the inverse
+    coef = np.empty((4, hk.size)).T
     np.divide(t, hk, out=coef[:, 0])
     np.subtract(mk, dk[:-1], out=coef[:, 1])
     coef[:, 1] /= hk
@@ -279,16 +283,22 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _cubic(coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _cubic(coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
     """``coef[:, 0] s^3 + ... + coef[:, 3]`` summed in scipy's ``PPoly``
     order, ``((c3 + c2 s) + c1 s^2) + c0 (s^2 s)``, into ``out`` when given
-    (an array other than ``s``); + and * commute exactly."""
+    (an array other than ``s``); + and * commute exactly.  Given ``rows``,
+    the coefficients are those of ``coef[rows]``, gathered one column at a
+    time as each term reads it."""
+
+    def column(j: int) -> np.ndarray:
+        return coef[:, j] if rows is None else coef[:, j].take(rows)
+
     s2 = s * s
-    out = np.multiply(coef[:, 2], s, out=out)
-    out += coef[:, 3]
-    out += coef[:, 1] * s2
+    out = np.multiply(column(2), s, out=out)
+    out += column(3)
+    out += column(1) * s2
     s2 *= s
-    s2 *= coef[:, 0]
+    s2 *= column(0)
     out += s2
     return out
 
@@ -354,7 +364,7 @@ class _CoordinateSampler:
             wide = knots.take(i + 1) <= v  # in a bin wider than two knots
             if np.any(wide):
                 i[wide] = np.searchsorted(knots, v[wide], "right") - 1
-            _cubic(coef.take(i, axis=0), v - knots.take(i), out=v)
+            _cubic(coef, v - knots.take(i), out=v, rows=i)
 
         _fan_out(chunk, range(-(-flat.size // _CHUNK)))
         return flat.reshape(u.shape)

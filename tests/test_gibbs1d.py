@@ -297,6 +297,51 @@ class TestEnergyMatching:
         assert calls[:2] == [1.0, 0.5]
         assert abs(model.mu - 1.0) <= gibbs1d._MATCH_RTOL
 
+    @pytest.mark.parametrize("t", [1e100, 1e200, 1e300])
+    def test_huge_t_answered_in_few_passes(self, monkeypatch, t):
+        """Past t ~ 1e75 the quartic's step from c = 1 lands exactly on 0 at
+        every halving a 200-step run can make, which took 200 quadrature
+        passes (about 190 ms) to refuse; the start search decides within 10
+        passes, and a refusal names t."""
+        passes = []
+        integrals = gibbs1d._halfline_integrals
+
+        def counted(spec, c, *args, **kwargs):
+            passes.append(c)
+            return integrals(spec, c, *args, **kwargs)
+
+        monkeypatch.setattr(gibbs1d, "_halfline_integrals", counted)
+        try:
+            model = gibbs1d.solve_energy(ham.quartic_perturbed(1.0), t)
+        except ValueError as exc:
+            assert f"t={t!r}" in str(exc)
+        else:
+            assert abs(model.mu / t - 1.0) <= gibbs1d._MATCH_RTOL
+        assert 0 < len(passes) <= 10
+
+    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
+                             ids=["quartic", "cubic_plus_linear"])
+    def test_start_search_keeps_every_c(self, spec):
+        """c equals, bit for bit, the c of the plain Newton run from 1 that
+        halves c one quadrature pass at a time: on 200 log-spaced t in [1e-3,
+        1e3], where no step lands on 0, and on 12 in [1e16, 1e50], where the
+        halvings run (both families converge there)."""
+
+        def plain(t):
+            def residual(cs, _live):
+                c = float(cs[0])
+                x_max = gibbs1d._truncation(spec, c)
+                mass, first, second = gibbs1d._halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f),
+                                                                  x_max)
+                mu = float(first / mass)
+                var = float(second / mass) - mu * mu
+                return np.array([c * (t - mu)]), np.array([t - mu + c * var])
+
+            return float(ham._newton(residual, [1.0], math.inf, gibbs1d._MATCH_CTOL, "energy matching")[0])
+
+        for t in [*np.geomspace(1e-3, 1e3, 200), *np.geomspace(1e16, 1e50, 12)]:
+            assert gibbs1d._match_energy(spec, float(t)) == plain(float(t)), t
+
     def test_unreachable_target_cli(self, capsys):
         assert cli.main(["solve-c", "--kind", "quadratic", "--t", "1e-300"]) == 1
         err = capsys.readouterr().err

@@ -525,6 +525,24 @@ class TestStreamedColumns:
         assert batch.points.shape == (20_000, 2)
         assert peak < 32 * 2**20
 
+    def test_inverse_chunks_bounded_on_two_threads(self, quartic_model, monkeypatch):
+        """The inverse CDF gathers its coefficients one column at a time, so
+        two threads' chunks together stay within what one thread's chunks
+        held with whole-row gathers: the quartic rejection at n = 20 (table
+        built) peaked at 5.07 MiB traced on one thread and 6.85 MiB on two
+        before, 4.2 MiB on two after."""
+        sampler._coordinate_sampler(quartic_model)
+        monkeypatch.setenv("THINSHELL_THREADS", "2")
+        delta = 0.5 * math.sqrt(quartic_model.sigma2 / 20)
+        tracemalloc.start()
+        try:
+            batch = sampler.sample_surface_rejection(quartic_model, 20, delta, 20_000, seed=1, keep=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.points.shape == (20_000, 2)
+        assert peak <= 5.07 * 2**20
+
     def test_row_energies_match_whole_array_sum(self, quartic_model):
         rows = sampler._CoordinateSampler(quartic_model).draw(sampler._block_rng(6, 0), (2500, 9))
         reference = np.sum(ham.f_values(quartic_model.spec, rows), axis=1)
