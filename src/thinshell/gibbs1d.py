@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import _GL_NODES, _GL_WEIGHTS, DensityGrid, EdgeModel, make_grid
-from .hamiltonians import SYMMETRIC, HamiltonianSpec, _memo, _newton, f_values, finv_values, fprime_values
+from .hamiltonians import (
+    _NEWTON_STEPS,
+    SYMMETRIC,
+    HamiltonianSpec,
+    _memo,
+    _newton,
+    f_values,
+    finv_values,
+    fprime_values,
+)
 
 __all__ = [
     "GibbsModel",
@@ -262,10 +271,6 @@ def _match_energy(spec: HamiltonianSpec, t: float) -> float:
     return float(_newton(residual, [start], hi, _MATCH_CTOL, "energy matching")[0])
 
 
-# steps of a Newton run (hamiltonians._newton)
-_NEWTON_STEPS = 200
-
-
 def _match_start(newton_terms) -> tuple[float, float]:
     """Start and upper bracket of :func:`_match_energy`'s Newton run: 1 and
     +inf, unless the step from 1 lands exactly on 0 (``t - mu == t`` in
@@ -273,10 +278,11 @@ def _match_start(newton_terms) -> tuple[float, float]:
     halving, up to the first ``2^-j`` whose step does not land on 0, and
     runs on from there with the bracket ``(0, 2^(1-j))``.  The halvings
     whose step lands on 0 come first (mu grows as c falls), so doubling j
-    and then bisecting finds that j in about 2 log2(j) + 2 passes, and the
-    run starts there in the same state.  If the last of its 200 steps would still land on 0, the
-    run would have failed: it is refused as before.  A pass that raises
-    ends the halvings too; the run raises there again."""
+    and then bisecting finds that j in about ``2 log2(j) + 2`` passes, and
+    the run starts there in the same state.  If the step from the last
+    halving a run has steps for still lands on 0, the run would fail: it is
+    refused as before.  A pass that raises ends the halvings too; the run
+    raises there again."""
 
     def lands_on_zero(j: int) -> bool:
         c = 2.0**-j
@@ -299,6 +305,8 @@ def _match_start(newton_terms) -> tuple[float, float]:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if lands_on_zero(mid) else (lo, mid)
     return 2.0**-hi, 2.0**-lo
+
+
 def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
     """Unique c with mean energy t.  A homogeneous f of degree d has
     ``E f(X) = 1/(d c)``, so ``c = 1/(d t)``; other families go through

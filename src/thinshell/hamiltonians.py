@@ -319,6 +319,10 @@ def _memo(cache: dict, key, build: Callable[[], _T]) -> _T:
     return future.result()
 
 
+# steps a Newton run may take
+_NEWTON_STEPS = 200
+
+
 def _newton(residual: Callable, x: np.ndarray, hi: float | np.ndarray, rtol: float, what: str) -> np.ndarray:
     """Roots of increasing functions, one per entry, by safeguarded Newton
     (rtsafe; Press et al., Numerical Recipes section 9.4) from ``x``.
@@ -340,7 +344,7 @@ def _newton(residual: Callable, x: np.ndarray, hi: float | np.ndarray, rtol: flo
     def fallback():
         return np.where(np.isinf(hi), 2.0 * np.maximum(lo, prev), 0.5 * (lo + hi))
 
-    for _ in range(200):
+    for _ in range(_NEWTON_STEPS):
         if not live.size:
             return out
         inside = (x > lo) & (x < hi)
@@ -360,7 +364,7 @@ def _newton(residual: Callable, x: np.ndarray, hi: float | np.ndarray, rtol: flo
             keep = ~done
             live, x, prev, lo, hi = live[keep], x[keep], prev[keep], lo[keep], hi[keep]
     if live.size:
-        raise RuntimeError(f"{what} did not converge in 200 steps")
+        raise RuntimeError(f"{what} did not converge in {_NEWTON_STEPS} steps")
     return out
 
 

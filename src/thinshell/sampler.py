@@ -283,7 +283,9 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _cubic(coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
+def _cubic(
+    coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
+) -> np.ndarray:
     """``coef[:, 0] s^3 + ... + coef[:, 3]`` summed in scipy's ``PPoly``
     order, ``((c3 + c2 s) + c1 s^2) + c0 (s^2 s)``, into ``out`` when given
     (an array other than ``s``); + and * commute exactly.  Given ``rows``,

@@ -611,7 +611,8 @@ class TestTilted:
         ctx = projection.make_context(quad_model, 100, 1)
         tilt = projection._tilt(ctx, 0.0)
         assert tilt.rk is ctx.rk
-        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, ctx.rk.values * (1.0 / ctx.rk.mass))
+        normalised = ctx.rk.values * (1.0 / ctx.rk.mass)
+        np.testing.assert_array_equal(projection.rk_conditional_density(ctx).values, normalised)
         assert tilt.log_ratio is ctx.node_log_ratio[0] and tilt.ratio is ctx._node_ratio
         assert tilt.norm == 1.0 and tilt.log_norm == 0.0 and tilt.d_surface == 0.0
         assert projection.bound_report(ctx, 2.0).d_surface == 0.0
