@@ -287,11 +287,11 @@ def _match_start(newton_terms) -> tuple[float, float]:
     def lands_on_zero(j: int) -> bool:
         c = 2.0**-j
         try:
-            g, slope, unresolved = newton_terms(c)
+            g, slope, mu_lost = newton_terms(c)
         except (ValueError, RuntimeError):
             return False
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return unresolved and c - g[0] / slope[0] == 0.0
+            return mu_lost and c - g[0] / slope[0] == 0.0
 
     if not lands_on_zero(0):
         return 1.0, math.inf

@@ -9,10 +9,14 @@ integrated by one per-cell rule (:meth:`EdgeModel.cell_integrals`), and
 only the smooth model remainder goes through the trapezoid rule, so the
 power-law part never sees the rule that would diverge on it.  The same
 rule gives every edge integral: the mass, the cumulative mass of
-``cdf_values`` and each weighted integral.  :meth:`EdgeModel.node0` is
-the one rule for node 0 and for whether a grid keeps its model.  The
-model's transform and convolutions take ``log Gamma`` from
-:mod:`thinshell._special`, so this module needs numpy only.
+``cdf_values`` and each weighted integral.  Every trapezoid sum is
+``_trapezoid``, one read of the nodes with no temporary; ``_integrate``
+takes node arrays that need not belong to a grid, so the projection's
+node densities are integrated by the same rule without building one.
+:meth:`EdgeModel.node0` is the one rule for node 0 and for whether a
+grid keeps its model.  The model's transform and convolutions take
+``log Gamma`` from :mod:`thinshell._special`, so this module needs numpy
+only.
 """
 
 from __future__ import annotations

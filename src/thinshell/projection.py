@@ -7,7 +7,10 @@ through ``R_k(y)``.  All divergences and distances are therefore computed
 through one-dimensional integrals against ``w_k`` or against ``r_k``, the
 conditional density of the partial energy given the total -- an identity,
 not an approximation, which keeps k-dimensional quadrature out of the
-picture entirely.
+picture entirely.  Every such integral is one sweep over the ``w_k``
+nodes: ``r_k`` and its tilts are node arrays with an edge model and a
+mass, never grids, and :func:`rk_conditional_density` builds the
+normalised ``r_k`` grid only for a caller that asks for it.
 
 The total variation convention is the full L1 distance ``\\int |p - q|``
 with range [0, 2].

@@ -283,24 +283,19 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _cubic(
-    coef: np.ndarray, s: np.ndarray, out: np.ndarray | None = None, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """``coef[:, 0] s^3 + ... + coef[:, 3]`` summed in scipy's ``PPoly``
-    order, ``((c3 + c2 s) + c1 s^2) + c0 (s^2 s)``, into ``out`` when given
-    (an array other than ``s``); + and * commute exactly.  Given ``rows``,
-    the coefficients are those of ``coef[rows]``, gathered one column at a
-    time as each term reads it."""
-
-    def column(j: int) -> np.ndarray:
-        return coef[:, j] if rows is None else coef[:, j].take(rows)
-
+def _cubic(coef: np.ndarray, rows: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The cubics of rows ``rows`` of ``coef`` at ``s``, ``coef[rows, 0] s^3
+    + ... + coef[rows, 3]``, summed in scipy's ``PPoly`` order, ``((c3 + c2
+    s) + c1 s^2) + c0 (s^2 s)``, into ``out`` when given (an array other
+    than ``s``); + and * commute exactly.  Each coefficient column is
+    gathered as its term reads it, so one gathered column is held at a
+    time."""
     s2 = s * s
-    out = np.multiply(column(2), s, out=out)
-    out += column(3)
-    out += column(1) * s2
+    out = np.multiply(coef[:, 2].take(rows), s, out=out)
+    out += coef[:, 3].take(rows)
+    out += coef[:, 1].take(rows) * s2
     s2 *= s
-    s2 *= column(0)
+    s2 *= coef[:, 0].take(rows)
     out += s2
     return out
 
@@ -309,7 +304,7 @@ def _pchip_at(knots: np.ndarray, coef: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The piecewise cubic at ``v``, continued past either end by the end
     intervals' cubics."""
     i = np.clip(np.searchsorted(knots, v, "right") - 1, 0, len(knots) - 2)
-    return _cubic(coef[i], v - knots[i])
+    return _cubic(coef, i, v - knots[i])
 
 
 def _cdf_table(model: GibbsModel) -> tuple[np.ndarray, np.ndarray]:
@@ -366,7 +361,7 @@ class _CoordinateSampler:
             wide = knots.take(i + 1) <= v  # in a bin wider than two knots
             if np.any(wide):
                 i[wide] = np.searchsorted(knots, v[wide], "right") - 1
-            _cubic(coef, v - knots.take(i), out=v, rows=i)
+            _cubic(coef, i, v - knots.take(i), out=v)
 
         _fan_out(chunk, range(-(-flat.size // _CHUNK)))
         return flat.reshape(u.shape)

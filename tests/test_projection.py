@@ -546,6 +546,48 @@ class TestTiltRefusals:
         assert ctx._cache == before
 
 
+class TestNodeSweepGuards:
+    """The guards of the node sweeps stay hard errors: an integral that
+    comes back out of range (forced here by replacing the rule) is refused,
+    never clipped into a plausible row."""
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_rk_mass_refused(self, quad_model, monkeypatch, mass):
+        ctx = projection.make_context(quad_model, 50, 3)
+        monkeypatch.setattr(projection, "_integrate", lambda *args: mass)
+        with pytest.raises(RuntimeError, match=r"^r_k normalization defect (nan|inf) >= 1e-4; grid inadequate$"):
+            projection.kl_to_gibbs(ctx)
+        assert "rk" not in ctx._cache
+
+    @pytest.mark.parametrize("tilted_mass", [math.inf, math.nan, 0.0], ids=repr)
+    def test_non_finite_or_vanishing_normalizer_refused(self, quad_model, monkeypatch, tilted_mass):
+        ctx = projection.make_context(quad_model, 50, 3)
+        ctx.rk
+        monkeypatch.setattr(projection, "_integrate", lambda *args: tilted_mass)
+        with pytest.raises(OverflowError, match="^tilt normalizer is not finite on the grid$"):
+            projection.bound_report(ctx, 2.0, 0.2)
+
+    def test_negative_kl_refused(self, quad_model, monkeypatch):
+        ctx = projection.make_context(quad_model, 50, 3)
+        mass = ctx.rk.mass
+        monkeypatch.setattr(projection, "_integrate", lambda *args: -1e-6 * mass)
+        with pytest.raises(RuntimeError, match=r"^divergence clipped beyond tolerance: -1\.000e-06$"):
+            projection.kl_to_gibbs(ctx)
+
+    @pytest.mark.parametrize("tv", [2.5, -1e-6], ids=repr)
+    def test_tv_outside_range_refused(self, quad_model, monkeypatch, tv):
+        ctx = projection.make_context(quad_model, 50, 3)
+        ctx.rk
+        monkeypatch.setattr(projection, "_integrate", lambda *args: tv)
+        with pytest.raises(RuntimeError, match=rf"^total variation {tv!r} outside \[0, 2\]$"):
+            projection.tv_to_gibbs(ctx)
+
+    def test_pinsker_violation_refused(self, quad_model):
+        row = projection.bound_report(projection.make_context(quad_model, 50, 3), 2.0)
+        with pytest.raises(ValueError, match="^Pinsker relation violated"):
+            dataclasses.replace(row, tv=row.tv_from_kl + 1e-6)
+
+
 class TestDimensionFreeBounds:
     @pytest.mark.parametrize("n", [50, 100, 200])
     @pytest.mark.parametrize("k", [1, 3, 5])
