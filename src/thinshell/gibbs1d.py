@@ -356,8 +356,8 @@ def _fit_edge_model(model: GibbsModel) -> EdgeModel:
     """Two-term origin model for the energy density: the leading power law
     ``log g(y) ~ log_k + beta log y - c y``, fitted from the density itself
     at two tiny ordinates, plus the next-order power fitted from the
-    residual.  The leading fit is exact whenever g is exactly a power law
-    times an exponential (all built-ins except the perturbed quartic)."""
+    residual.  A homogeneous f has g exactly ``K y^beta exp(-cy)``, so its
+    model is the lead term alone."""
     ya, yb = 1e-9, 5e-10
     la = float(log_y_density(model, np.asarray([ya]))[0]) + model.c * ya
     lb = float(log_y_density(model, np.asarray([yb]))[0]) + model.c * yb
@@ -366,6 +366,8 @@ def _fit_edge_model(model: GibbsModel) -> EdgeModel:
         beta = 0.0
     log_k = la - beta * math.log(ya)
     lead = EdgeModel(beta, log_k, model.c)
+    if model.spec.homogeneous_degree is not None:
+        return lead
     ya, yb = np.asarray([1e-5]), np.asarray([5e-6])
     ra = float(np.exp(log_y_density(model, ya))[0] - lead.density(ya)[0])
     rb = float(np.exp(log_y_density(model, yb))[0] - lead.density(yb)[0])

@@ -11,8 +11,8 @@ power-law part never sees the rule that would diverge on it.  The same
 rule gives every edge integral: the mass, the cumulative mass of
 ``cdf_values`` and each weighted integral.  Every trapezoid sum is
 ``_trapezoid``, one read of the nodes with no temporary; ``_integrate``
-takes node arrays that need not belong to a grid, so the projection's
-node densities are integrated by the same rule without building one.
+takes bare node arrays, so a grid built with the plain constructor (the
+projection's ``r_k`` and its tilts) takes its mass by the same rule.
 :meth:`EdgeModel.node0` is the one rule for node 0 and for whether a
 grid keeps its model.  The model's transform and convolutions take
 ``log Gamma`` from :mod:`thinshell._special`, so this module needs numpy

@@ -7,10 +7,10 @@ through ``R_k(y)``.  All divergences and distances are therefore computed
 through one-dimensional integrals against ``w_k`` or against ``r_k``, the
 conditional density of the partial energy given the total -- an identity,
 not an approximation, which keeps k-dimensional quadrature out of the
-picture entirely.  Every such integral is one sweep over the ``w_k``
-nodes: ``r_k`` and its tilts are node arrays with an edge model and a
-mass, never grids, and :func:`rk_conditional_density` builds the
-normalised ``r_k`` grid only for a caller that asks for it.
+picture entirely.  Every such integral is one ``DensityGrid.integrate``
+sweep over the ``w_k`` nodes: ``r_k`` and its tilts are grids on those
+nodes, built from the context's read-only arrays with no ``make_grid``
+pass.
 
 The total variation convention is the full L1 distance ``\\int |p - q|``
 with range [0, 2].
@@ -19,13 +19,13 @@ with range [0, 2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gibbs1d import GibbsModel, GridParams
 from .grids import DensityGrid, EdgeModel, _integrate, make_grid
-from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, _memo, f_values, finv_values
+from .hamiltonians import CLOSED_FORMS, SYMMETRIC, HamiltonianSpec, f_values, finv_values
 from .sumdensity import _check_count, log_w, w_density, w_grids
 
 __all__ = [
@@ -45,30 +45,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _NodeDensity:
-    """A density on the ``w_k`` nodes of a cell, not normalised: its node
-    values, the edge model of its first cells (or None) and its mass under
-    that model, ``grids._integrate``'s rule.  Read-only; an integral against
-    it is one sweep of ``values`` times a function's node values."""
-
-    values: np.ndarray
-    edge: EdgeModel | None
-    mass: float
-
-
-@dataclass(frozen=True)
 class ProjectionContext:
-    """Solved model plus the sum densities an (n, k) cell needs.
+    """Everything an (n, k) cell's divergences read, built once by
+    :func:`make_context` and read-only.
 
     ``wk`` is the memoised ``w_k`` grid.  ``wnk`` is the ``w_{n-k}`` grid of
-    an FFT family, owned by the context (it is memoised only when some
-    other use put it there) and freed with it; it is None for closed-form
-    families, whose ``log w_{n-k}`` is exact.  ``log w_n(nt)`` comes from
-    :func:`sumdensity.log_w`.  ``nodes`` (the ``w_k`` abscissae),
-    ``node_log_ratio`` (the one pass of the log likelihood ratio over them),
-    ``_node_ratio`` (its exponential) and ``rk`` (``r_k`` on the nodes, with
-    its raw mass) are built once and read-only; every tilt and divergence of
-    the cell reads them, and none builds a grid.
+    an FFT family, owned by the context (memoised only when some other use
+    put it there); it is None for closed-form families, whose ``log
+    w_{n-k}`` is exact.  ``nodes`` are the ``w_k`` abscissae s,
+    ``node_log_ratio`` is ``log w_{n-k}(nt - s) - log w_n(nt)`` there, 0
+    where it is not finite, with the mask of where it is, and
+    ``_node_ratio`` its exponential, 0 off the mask.  ``rk`` is the grid of
+    ``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)``: ``w_k`` times the
+    ratio, the edge model of ``w_k`` scaled by the ratio at s = 0, and its
+    raw mass M, whose defect :func:`_checked_rk` checks where it is read.
     """
 
     model: GibbsModel
@@ -78,64 +68,19 @@ class ProjectionContext:
     wk: DensityGrid
     wnk: DensityGrid | None
     log_wn_at_nt: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    nodes: np.ndarray
+    node_log_ratio: tuple[np.ndarray, np.ndarray]
+    _node_ratio: np.ndarray
+    rk: DensityGrid
 
     def log_wnk(self, s) -> np.ndarray:
-        if self.wnk is None:
-            return log_w(self.model, self.n - self.k, s)
-        return self.wnk.log_at(s)
+        return _log_wnk(self.model, self.n - self.k, self.wnk, s)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        """The ``w_k`` nodes s, ``wk.points()``; built on first use, through
-        ``_memo``."""
-        return _memo(self._cache, "nodes", lambda: _read_only(self.wk.points()))
 
-    @property
-    def node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
-        """``log w_{n-k}(nt - s) - log w_n(nt)`` at the ``w_k`` nodes s, with 0
-        where it is not finite, and the mask of where it is; evaluated on
-        first use, through ``_memo``."""
-        return _memo(self._cache, "node_log_ratio", self._node_log_ratio)
-
-    def _node_log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
-        lr = self.log_wnk(self.n * self.t - self.nodes)
-        lr -= self.log_wn_at_nt
-        finite = np.isfinite(lr)
-        lr[~finite] = 0.0
-        return _read_only(lr), _read_only(finite)
-
-    @property
-    def _node_ratio(self) -> np.ndarray:
-        """The likelihood ratio at the ``w_k`` nodes, ``exp`` of the masked
-        node pass and 0 off its mask; evaluated on first use, through
-        ``_memo``."""
-        return _memo(self._cache, "node_ratio", lambda: _read_only(_exp_ratio(*self.node_log_ratio)))
-
-    @property
-    def rk(self) -> _NodeDensity:
-        """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the ``w_k`` nodes,
-        ``w_k`` times :attr:`_node_ratio`, with the edge model of ``w_k``
-        scaled by the ratio at s = 0, and its raw mass M; built on first use,
-        through ``_memo``.  An exact identity up to grid error: a
-        normalization defect ``|M - 1|`` of 1e-4 or more (or a mass that is
-        not finite) is refused, so every divergence of the cell is too."""
-        return _memo(self._cache, "rk", self._rk)
-
-    def _rk(self) -> _NodeDensity:
-        wk = self.wk
-        with np.errstate(invalid="ignore"):
-            values = wk.values * self._node_ratio
-        edge = None
-        if wk.edge is not None:
-            lr0 = float(self.log_wnk(np.asarray([self.n * self.t]))[0]) - self.log_wn_at_nt
-            values[0], edge = wk.edge.scaled(lr0).node0()
-        mass = _integrate(wk.dx, wk.x0, values, edge, None)
-        defect = abs(mass - 1.0)
-        # written so that a nan or infinite mass fails too
-        if not defect < 1e-4:
-            raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
-        return _NodeDensity(_read_only(values), edge, mass)
+def _log_wnk(model: GibbsModel, m: int, wnk: DensityGrid | None, s) -> np.ndarray:
+    """``log w_m(s)``: from the cell's own grid ``wnk``, or exact when the
+    family has a closed form (``wnk`` None)."""
+    return log_w(model, m, s) if wnk is None else wnk.log_at(s)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -143,11 +88,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integral(ctx: ProjectionContext, density, fn=None, at_nodes: np.ndarray | None = None) -> float:
-    """``\\int fn(s) density(s) ds`` (``fn=None`` -> the mass) for a density on
-    the ``w_k`` nodes of ``ctx`` (``w_k`` itself or a :class:`_NodeDensity`),
-    not divided by its mass; ``at_nodes`` is ``fn`` at the nodes."""
-    return _integrate(ctx.wk.dx, ctx.wk.x0, density.values, density.edge, fn, at_nodes)
+def _node_grid(wk: DensityGrid, values: np.ndarray, edge: EdgeModel | None, meta: dict | None = None) -> DensityGrid:
+    """A read-only density on the nodes of ``wk`` with its mass, no ``make_grid`` pass."""
+    mass = _integrate(wk.dx, wk.x0, values, edge, None)
+    return DensityGrid(wk.x0, wk.dx, _read_only(values), mass, edge=edge, meta=meta)
 
 
 def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = None) -> ProjectionContext:
@@ -161,35 +105,48 @@ def make_context(model: GibbsModel, n: int, k: int, params: GridParams | None = 
     else:
         # w_k and w_n are shared with other cells; w_{n-k} is this cell's
         wk, _, wnk = w_grids(model, [k, n, n - k], params, shared=(k, n))
-    log_wn_at_nt = float(log_w(model, n, np.asarray([n * model.mu]), params)[0])
+    nt = n * model.mu
+    log_wn_at_nt = float(log_w(model, n, np.asarray([nt]), params)[0])
     if not math.isfinite(log_wn_at_nt):
         raise ValueError("w_n vanishes at the surface level nt; context is degenerate")
-    return ProjectionContext(
-        model=model,
-        n=n,
-        k=k,
-        t=model.mu,
-        wk=wk,
-        wnk=wnk,
-        log_wn_at_nt=log_wn_at_nt,
-    )
+    # the one node pass of the cell
+    nodes = _read_only(wk.points())
+    lr = _log_wnk(model, n - k, wnk, nt - nodes)
+    lr -= log_wn_at_nt
+    finite = np.isfinite(lr)
+    lr[~finite] = 0.0
+    ratio = _read_only(_exp_ratio(lr, finite))
+    with np.errstate(invalid="ignore"):
+        values = wk.values * ratio
+    edge = None
+    if wk.edge is not None:
+        lr0 = float(_log_wnk(model, n - k, wnk, np.asarray([nt]))[0]) - log_wn_at_nt
+        values[0], edge = wk.edge.scaled(lr0).node0()
+    node_log_ratio = (_read_only(lr), _read_only(finite))
+    rk = _node_grid(wk, values, edge, {"kind": "rk", "n": n, "k": k, "l1_clip": 0.0})
+    return ProjectionContext(model, n, k, model.mu, wk, wnk, log_wn_at_nt, nodes, node_log_ratio, ratio, rk)
 
 
 # ---------------------------------------------------------------------------
 # conditional density of the partial energy
 
 
+def _checked_rk(ctx: ProjectionContext) -> DensityGrid:
+    """``ctx.rk``, refused when its normalization defect ``|M - 1|`` is 1e-4
+    or more: ``r_k`` is an exact identity up to grid error, so a larger
+    defect means the grid is inadequate."""
+    defect = abs(ctx.rk.mass - 1.0)
+    # written so that a nan or infinite mass fails too
+    if not defect < 1e-4:
+        raise RuntimeError(f"r_k normalization defect {defect:.2e} >= 1e-4; grid inadequate")
+    return ctx.rk
+
+
 def rk_conditional_density(ctx: ProjectionContext) -> DensityGrid:
     """``r_k(s) = w_k(s) w_{n-k}(nt - s) / w_n(nt)`` on the w_k grid,
-    normalised.
-
-    An exact identity up to grid error; the normalization defect is
-    recorded and must stay below 1e-4.  Built on each call from the
-    context's ``rk`` nodes; no divergence reads the grid.
-    """
-    rk = ctx.rk
-    grid = make_grid(ctx.wk.x0, ctx.wk.dx, rk.values, edge=rk.edge, meta={"kind": "rk", "n": ctx.n, "k": ctx.k})
-    return grid.normalized()
+    normalised: a copy of ``ctx.rk`` after its defect check, which records
+    the defect in ``meta["norm_defect"]``."""
+    return _checked_rk(ctx).normalized()
 
 
 def project_uniform_k1(ctx: ProjectionContext) -> DensityGrid:
@@ -261,7 +218,7 @@ def _ratio(ctx: ProjectionContext, ss, alpha: float = 0.0, norm: float = 1.0) ->
 
 @dataclass(frozen=True)
 class _Tilt:
-    """One tilt ``exp(alpha s)`` of a cell: the tilted ``r_k`` on the
+    """One tilt ``exp(alpha s)`` of a cell: the tilted ``r_k`` grid on the
     ``w_k`` nodes (``r_k`` times the tilt, its edge model's rate shifted by
     alpha, its mass Z), the normalizer ``norm = Z / M`` and its log, the
     surface-level divergence of the tilt, and at the nodes
@@ -270,7 +227,7 @@ class _Tilt:
     tv read it."""
 
     alpha: float
-    rk: _NodeDensity
+    rk: DensityGrid
     norm: float
     log_norm: float
     d_surface: float
@@ -285,7 +242,7 @@ def _tilt(ctx: ProjectionContext, alpha: float) -> _Tilt:
     ``r_k`` itself and the context's node arrays (``0 s + masked - 0``
     differs from the masked pass at most in the sign of a zero)."""
     _check_alpha(alpha)
-    rk = ctx.rk
+    rk = _checked_rk(ctx)
     masked = ctx.node_log_ratio[0]
     if alpha == 0.0:
         return _Tilt(alpha, rk, 1.0, 0.0, 0.0, masked, ctx._node_ratio)
@@ -294,8 +251,7 @@ def _tilt(ctx: ProjectionContext, alpha: float) -> _Tilt:
     log_ratio = alpha * ctx.nodes
     weight = np.exp(log_ratio)
     edge = None if rk.edge is None else rk.edge.scaled(0.0, alpha)
-    values = rk.values * weight
-    tilted = _NodeDensity(_read_only(values), edge, _integrate(ctx.wk.dx, ctx.wk.x0, values, edge, None))
+    tilted = _node_grid(ctx.wk, rk.values * weight, edge)
     norm = tilted.mass / rk.mass
     if not (math.isfinite(norm) and norm > 0.0):
         raise OverflowError("tilt normalizer is not finite on the grid")
@@ -306,12 +262,12 @@ def _tilt(ctx: ProjectionContext, alpha: float) -> _Tilt:
     weight /= norm
     # tilt weight depends on projected coordinates only, so the divergence
     # from the uniform surface density reduces to the energy marginal
-    d_surface = alpha * (_integral(ctx, tilted, lambda s: s, ctx.nodes) / tilted.mass) - log_norm
+    d_surface = alpha * (tilted.integrate(lambda s: s, ctx.nodes) / tilted.mass) - log_norm
     return _Tilt(alpha, tilted, norm, log_norm, d_surface, _read_only(log_ratio), _read_only(weight))
 
 
 def _kl(ctx: ProjectionContext, tilt: _Tilt) -> float:
-    lr = _integral(ctx, tilt.rk, lambda ss: _log_ratio(ctx, ss, tilt.alpha, tilt.log_norm)[0], tilt.log_ratio)
+    lr = tilt.rk.integrate(lambda ss: _log_ratio(ctx, ss, tilt.alpha, tilt.log_norm)[0], tilt.log_ratio)
     kl = lr / tilt.rk.mass
     if kl < -1e-8:
         raise RuntimeError(f"divergence clipped beyond tolerance: {kl:.3e}")
@@ -321,7 +277,7 @@ def _kl(ctx: ProjectionContext, tilt: _Tilt) -> float:
 def _tv(ctx: ProjectionContext, tilt: _Tilt) -> float:
     at_nodes = tilt.ratio - 1.0
     np.abs(at_nodes, out=at_nodes)
-    tv = _integral(ctx, ctx.wk, lambda ss: np.abs(_ratio(ctx, ss, tilt.alpha, tilt.norm) - 1.0), at_nodes)
+    tv = ctx.wk.integrate(lambda ss: np.abs(_ratio(ctx, ss, tilt.alpha, tilt.norm) - 1.0), at_nodes)
     if not -1e-9 <= tv <= 2.0 + 1e-9:
         raise RuntimeError(f"total variation {tv!r} outside [0, 2]")
     return float(min(max(tv, 0.0), 2.0))
@@ -455,7 +411,7 @@ def converse_lower_bound(ctx: ProjectionContext, eps: float) -> ConverseReport:
     def fn(ss):
         return gain(np.asarray(ss, dtype=float), _ratio(ctx, ss))
 
-    lower = 2.0 * _integral(ctx, ctx.wk, fn, gain(ctx.nodes, ratio))
+    lower = 2.0 * ctx.wk.integrate(fn, gain(ctx.nodes, ratio))
     return ConverseReport(n=ctx.n, k=ctx.k, eps=eps, lower_bound=lower)
 
 

@@ -7,8 +7,8 @@ with ``log Gamma`` from :mod:`thinshell._special` (no scipy at run time),
 and a characteristic-function route (sample phi on the output
 grid's nonnegative conjugate frequencies, raise to the n-th power in polar
 form, invert by a real inverse FFT, since w_n is real).  When the energy
-density is exactly ``K y^beta exp(-cy)`` (a homogeneous f with a
-single-term edge model, as for ``power(p)``), phi is
+density is exactly ``K y^beta exp(-cy)`` (a homogeneous f, as for
+``power(p)``, whose edge model is that one term), phi is
 ``K Gamma(beta+1) (c - iu)^{-(beta+1)}`` and phi**n is evaluated in closed
 form, ``exp(n log(K Gamma(beta+1)) - n (beta+1) log(c - iu))``: with
 ``arg(c - iu)`` in ``(-pi/2, 0]`` for u >= 0 the principal logarithm is
@@ -184,8 +184,8 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     # edge terms of w_n that would ring in a plain inversion
     edge = _edge_model(model)
     conv = edge.convolve(n, below=2.0)
-    homogeneous = model.spec.homogeneous_degree is not None
-    power_law = homogeneous and (edge.beta2 is None or edge.coef2 == 0.0)
+    # a homogeneous f's energy density is exactly its one-term edge model
+    power_law = model.spec.homogeneous_degree is not None
     length = _sum_grid_extent(model, n, params)
     for _ in range(4):
         m = params.sum_size
@@ -196,8 +196,7 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
             _, base = _conjugate_base(model.c, m, ds)
             psi = _power_law_power(edge, base, n)
         else:
-            rem = None if homogeneous else _grid_remainder(model, ys)
-            _, base, phi = _conjugate_phi(model, m, ds, rem)
+            _, base, phi = _conjugate_phi(model, m, ds, _grid_remainder(model, ys))
             psi = _polar_power(phi, n)
         if conv is not None:
             psi -= conv.transform(base)
@@ -221,8 +220,9 @@ def w_fft(model: GibbsModel, n: int, params: GridParams | None = None) -> Densit
     if conv is not None:
         w[0], edge = conv.node0()
     grid = make_grid(0.0, ds, w, edge=edge, meta={"kind": "w_fft", "n": n, "c": model.c})
-    if grid.meta["l1_clip"] > 1e-3:
-        raise GridTooCoarseError(f"negative ripple mass {grid.meta['l1_clip']:.2e} > 1e-3; increase sum_size")
+    clip = grid.meta["l1_clip"]
+    if clip > 1e-3:
+        raise GridTooCoarseError(f"negative ripple mass {clip:.2e} > 1e-3; increase sum_size (--grid-size)")
     return grid.normalized()
 
 

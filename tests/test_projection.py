@@ -114,13 +114,17 @@ class TestContext:
         projection.kl_to_gibbs(ctx), projection.tv_to_gibbs(ctx), projection.converse_lower_bound(ctx, 1.0)
         assert "prereqs" not in model._cache
         assert [f.name for f in dataclasses.fields(ctx)] == ["model", "n", "k", "t", "wk", "wnk", "log_wn_at_nt",
-                                                             "_cache"]
+                                                             "nodes", "node_log_ratio", "_node_ratio", "rk"]
 
-    def test_node_log_ratio_memoised_on_the_context(self, quad_model):
+    def test_node_log_ratio_kept_on_the_context(self, quad_model):
+        """The node log ratio is built with the context and kept there: rows
+        read the same arrays, and the context takes no new value."""
         ctx = projection.make_context(quad_model, 50, 3)
-        assert "node_log_ratio" not in ctx._cache
         first = ctx.node_log_ratio
-        assert ctx.node_log_ratio is first and "node_log_ratio" in ctx._cache
+        projection.bound_report(ctx, 2.0, 0.2), projection.converse_lower_bound(ctx, 1.0)
+        assert ctx.node_log_ratio is first and projection._tilt(ctx, 0.0).log_ratio is first[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.node_log_ratio = first
 
 
 class TestSetUpLeftOut:
@@ -261,9 +265,10 @@ class TestConditionalDensity:
 
 
 class TestRkDefectGuard:
-    """Every divergence of a cell reads its normalizer from the ``r_k``
-    grid, so a cell whose ``r_k`` misses unit mass by 1e-4 or more is
-    refused by each of them, untilted distances included.  For the
+    """Every divergence of a cell reads its normalizer from the context's
+    ``r_k`` grid, so a cell whose ``r_k`` misses unit mass by 1e-4 or more
+    is refused by each of them, untilted distances included, and by
+    ``rk_conditional_density``; the context itself builds.  For the
     quadratic at n - k = 1, ``r_k`` inherits the singular edge of
     ``w_1(nt - s)`` at s = nt, where the grid keeps no edge model."""
 
@@ -272,26 +277,28 @@ class TestRkDefectGuard:
         projection.kl_to_gibbs,
         projection.tv_to_gibbs,
         lambda ctx: projection.converse_lower_bound(ctx, 1.0),
-    ], ids=["kl", "tv", "converse"])
+        lambda ctx: projection.bound_report(ctx, 1.0, 0.2),
+        projection.rk_conditional_density,
+    ], ids=["kl", "tv", "converse", "tilted-row", "rk-density"])
     def test_small_quadratic_cells_refused(self, quad_model, n, k, defect, divergence):
         ctx = projection.make_context(quad_model, n, k)
+        assert f"{abs(ctx.rk.mass - 1.0):.2e}" == defect
         with pytest.raises(RuntimeError, match=f"^r_k normalization defect {defect} >= 1e-4; grid inadequate$"):
             divergence(ctx)
 
-    def test_passing_cell_reads_the_memoised_nodes(self, quad_model):
-        """At (4, 2) the defect is 1.6e-5: tv and the converse bound pass and
-        read the one ``r_k`` entry kl uses; the grid of
-        ``rk_conditional_density`` is built from it on each call and records
-        its defect."""
+    def test_passing_cell_reads_the_contexts_rk(self, quad_model, monkeypatch):
+        """At (4, 2) the defect is 1.6e-5: tv, the converse bound and kl pass,
+        each after the defect check of the one ``r_k`` the context holds; the
+        grid of ``rk_conditional_density`` is a new normalised copy on each
+        call and records its defect."""
         ctx = projection.make_context(quad_model, 4, 2)
-        projection.tv_to_gibbs(ctx)
-        entry = ctx._cache["rk"]
-        projection.converse_lower_bound(ctx, 1.0)
-        projection.kl_to_gibbs(ctx)
-        assert ctx._cache["rk"] is entry and ctx.rk is entry.result()
+        checked, original = [], projection._checked_rk
+        monkeypatch.setattr(projection, "_checked_rk", lambda ctx: checked.append(original(ctx)) or checked[-1])
+        projection.tv_to_gibbs(ctx), projection.converse_lower_bound(ctx, 1.0), projection.kl_to_gibbs(ctx)
         grid = projection.rk_conditional_density(ctx)
-        assert grid is not projection.rk_conditional_density(ctx)
-        assert grid.meta["norm_defect"] == abs(ctx.rk.mass - 1.0)
+        assert len(checked) == 4 and all(rk is ctx.rk for rk in checked)
+        assert grid is not projection.rk_conditional_density(ctx) and grid is not ctx.rk
+        assert grid.meta == {"kind": "rk", "n": 4, "k": 2, "l1_clip": 0.0, "norm_defect": abs(ctx.rk.mass - 1.0)}
         assert 1e-6 < grid.meta["norm_defect"] < 1e-4
 
 
@@ -314,8 +321,8 @@ def _pointwise_ratio(ctx, ss, alpha=0.0, norm=1.0):
 
 
 def _arrays(value) -> list:
-    """The numpy arrays held by a memo entry or a tilt: the value itself, the
-    items of a tuple, or the fields of a dataclass."""
+    """The numpy arrays held by a context field or a tilt: the value itself,
+    the items of a tuple, or the fields of a dataclass."""
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, tuple):
@@ -325,11 +332,16 @@ def _arrays(value) -> list:
     return []
 
 
+def _held(ctx) -> list:
+    """The identity of each value a context holds."""
+    return [id(getattr(ctx, f.name)) for f in dataclasses.fields(ctx)]
+
+
 class TestSharedLogRatioPass:
     """``r_k``, kl, tv and the converse bound read one pass of the log ratio
-    on the w_k nodes, and each tilt one exponential; each equals, bit for
-    bit, the integral of the pointwise integrand, and no divergence builds a
-    grid."""
+    on the w_k nodes, made with the context, and each tilt one exponential;
+    each equals, bit for bit, the integral of the pointwise integrand, and no
+    divergence runs ``make_grid``."""
 
     CELLS = [("quad_model", 50, 1), ("quad_model", 100, 3), ("lin_model", 50, 3), ("quartic_model", 20, 1)]
 
@@ -380,9 +392,10 @@ class TestSharedLogRatioPass:
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_full_grid_log_w_pass_per_cell(self, quad_model, monkeypatch, k):
         """A closed-form cell evaluates log w_{n-k} on the whole w_k grid once,
-        however many tilts and divergences it reports; only the edge model's
-        quadrature points come on top."""
-        ctx = projection.make_context(quad_model, 100, k)
+        when the context is made, however many tilts and divergences it
+        reports; only single points and the edge model's quadrature points
+        come on top."""
+        projection.make_context(quad_model, 100, k)  # w_k is memoised from here on
         sizes = []
         original = sumdensity.log_w_exact
 
@@ -391,22 +404,25 @@ class TestSharedLogRatioPass:
             return original(model, n, s)
 
         monkeypatch.setattr(sumdensity, "log_w_exact", counted)
+        ctx = projection.make_context(quad_model, 100, k)
+        # log w_n(nt), the node pass, and log w_{n-k}(nt) for an edge model
+        assert sizes == [1, len(ctx.wk)] + [1] * (ctx.wk.edge is not None)
+        sizes.clear()
         for alpha in (0.0, 0.2, -0.2):
             projection.bound_report(ctx, 2.0, alpha)
         projection.converse_lower_bound(ctx, 1.0)
         projection.rk_conditional_density(ctx)
-        assert sizes.count(len(ctx.wk)) == 1
-        assert all(size < 4096 for size in sizes if size != len(ctx.wk))
-        assert (len(sizes) > 1) == (ctx.wk.edge is not None)
+        assert all(size < 4096 for size in sizes)
+        assert bool(sizes) == (ctx.wk.edge is not None)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_one_node_pass_per_cell(self, quad_model, monkeypatch, k):
-        """A cell builds the w_k abscissae once, and each row's tilt once,
-        read by the row's kl and tv; untilted, its node log ratio, node ratio
-        and ``r_k`` are the context's own.  Every integral of a function over
-        the nodes is handed its node values, and the context keeps no
-        per-tilt value."""
-        ctx = projection.make_context(quad_model, 100, k)
+        """A cell builds the w_k abscissae once, with the context, and each
+        row's tilt once, read by the row's kl and tv; untilted, its node log
+        ratio, node ratio and ``r_k`` are the context's own.  Every integral
+        of a function over the nodes is handed its node values, and the
+        context keeps no per-tilt value."""
+        projection.make_context(quad_model, 100, k)  # w_k is memoised from here on
         points, handed, tilts, read = [], [], [], []
         original_points = grids.DensityGrid.points
         original_integrate = grids._integrate
@@ -436,6 +452,8 @@ class TestSharedLogRatioPass:
         monkeypatch.setattr(projection, "_tilt", counted_tilt)
         monkeypatch.setattr(projection, "_kl", reading(original_kl))
         monkeypatch.setattr(projection, "_tv", reading(original_tv))
+        ctx = projection.make_context(quad_model, 100, k)
+        held = _held(ctx)
         for alpha in (0.0, 0.2, -0.2):
             projection.bound_report(ctx, 2.0, alpha)
         projection.converse_lower_bound(ctx, 1.0)
@@ -449,30 +467,70 @@ class TestSharedLogRatioPass:
         assert tilts[0].ratio is tilts[3].ratio is ctx._node_ratio
         assert tilts[0].rk is tilts[3].rk is ctx.rk
         assert len({id(tilt.log_ratio) for tilt in tilts}) == len({id(tilt.ratio) for tilt in tilts}) == 3
-        assert set(ctx._cache) == {"nodes", "node_log_ratio", "node_ratio", "rk"}
+        assert _held(ctx) == held
 
     @pytest.mark.parametrize("name,n,k", [("quad_model", 100, 1), ("quad_model", 100, 3), ("quartic_model", 20, 1)],
                              ids=str)
     def test_bounds_row_builds_no_grid(self, request, monkeypatch, name, n, k):
         """Once the context is made, its rows, distances and converse bound
-        build no ``DensityGrid``; ``rk_conditional_density`` builds its grid
-        and the grid's normalised copy on each call."""
+        run no ``make_grid``: a tilt builds its one tilted ``r_k`` with the
+        plain constructor, and the untilted case builds none.
+        ``rk_conditional_density`` builds the normalised copy of ``r_k`` on
+        each call."""
         ctx = projection.make_context(request.getfixturevalue(name), n, k)
-        built = []
-        original = grids.DensityGrid.__init__
+        built, made = [], []
+        original_init, original_make = grids.DensityGrid.__init__, grids.make_grid
 
         def counted(grid, *args, **kwargs):
             built.append(kwargs.get("meta") or {})
-            original(grid, *args, **kwargs)
+            original_init(grid, *args, **kwargs)
+
+        def counted_make(*args, **kwargs):
+            made.append(1)
+            return original_make(*args, **kwargs)
 
         monkeypatch.setattr(grids.DensityGrid, "__init__", counted)
+        monkeypatch.setattr(grids, "make_grid", counted_make)
+        monkeypatch.setattr(projection, "make_grid", counted_make)
         for alpha in (0.0, 0.2, -0.2):
             projection.bound_report(ctx, 2.0, alpha)
             projection.kl_to_gibbs(ctx, alpha), projection.tv_to_gibbs(ctx, alpha)
         projection.converse_lower_bound(ctx, 1.0)
-        assert built == []
+        # three tilts for each of the two alphas that are not 0
+        assert made == [] and built == [{}] * 6
+        built.clear()
         projection.rk_conditional_density(ctx)
-        assert [meta.get("kind") for meta in built] == ["rk", "rk"]
+        assert made == [] and [meta.get("kind") for meta in built] == ["rk"]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_row_integrals_go_through_density_grid(self, quad_model, monkeypatch, alpha):
+        """A bounds row's kl integrates over the row's ``r_k`` grid and its tv
+        over ``w_k``, each in one ``DensityGrid.integrate`` call, the span the
+        benchmark's tracer times; a tilt adds the one for its ``d_surface``."""
+        ctx = projection.make_context(quad_model, 100, 1)
+        calls, tilts, phase = [], [], ["tilt"]
+        original_integrate, original_tilt = grids.DensityGrid.integrate, projection._tilt
+
+        def counted(grid, fn=None, at_nodes=None):
+            calls.append((phase[0], id(grid)))
+            return original_integrate(grid, fn, at_nodes)
+
+        def entering(name, original):
+            def divergence(ctx, tilt):
+                phase[0] = name
+                return original(ctx, tilt)
+            return divergence
+
+        monkeypatch.setattr(grids.DensityGrid, "integrate", counted)
+        monkeypatch.setattr(projection, "_tilt",
+                            lambda ctx, alpha: tilts.append(original_tilt(ctx, alpha)) or tilts[-1])
+        monkeypatch.setattr(projection, "_kl", entering("kl", projection._kl))
+        monkeypatch.setattr(projection, "_tv", entering("tv", projection._tv))
+        projection.bound_report(ctx, 2.0, alpha)
+        (tilt,) = tilts
+        assert (tilt.rk is ctx.rk) == (alpha == 0.0)
+        want = [("tilt", id(tilt.rk))] * (alpha != 0.0) + [("kl", id(tilt.rk)), ("tv", id(ctx.wk))]
+        assert calls == want
 
     @pytest.mark.parametrize("name,n,k", CELLS, ids=str)
     def test_row_equals_standalone_divergences(self, request, name, n, k):
@@ -492,6 +550,7 @@ class TestSharedLogRatioPass:
         serial_ctx = projection.make_context(quad_model, 100, 1)
         serial = [projection.bound_report(serial_ctx, 2.0, alpha) for alpha in alphas]
         shared = projection.make_context(quad_model, 100, 1)
+        held = _held(shared)
         start = threading.Barrier(2, timeout=30.0)
         results, errors = [None, None], []
 
@@ -512,7 +571,7 @@ class TestSharedLogRatioPass:
         assert not any(th.is_alive() for th in threads)
         assert errors == []
         assert results[0] == results[1] == serial
-        assert set(shared._cache) == {"nodes", "node_log_ratio", "node_ratio", "rk"}
+        assert _held(shared) == held
 
     @pytest.mark.parametrize("name,n,k", [("quad_model", 50, 1), ("quartic_model", 20, 3)], ids=str)
     def test_kept_node_arrays_are_read_only(self, request, name, n, k):
@@ -520,7 +579,8 @@ class TestSharedLogRatioPass:
         projection.bound_report(ctx, 2.0, 0.2)
         projection.converse_lower_bound(ctx, 1.0)
         np.testing.assert_array_equal(ctx.nodes, ctx.wk.points())
-        kept = [array for entry in ctx._cache.values() for array in _arrays(entry.result())]
+        kept = [array for name in ("nodes", "node_log_ratio", "_node_ratio", "rk") for array in
+                _arrays(getattr(ctx, name))]
         # the abscissae, the masked log ratio and its mask, the ratio and r_k
         assert len(kept) == 5
         tilt = projection._tilt(ctx, 0.2)
@@ -533,36 +593,40 @@ class TestSharedLogRatioPass:
 
 class TestTiltRefusals:
     """kl and tv refuse a non-finite tilt where it enters, as bound_report
-    does, and leave the context's memo as it was."""
+    does, and leave the context as it was."""
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=repr)
     @pytest.mark.parametrize("divergence", [projection.kl_to_gibbs, projection.tv_to_gibbs], ids=["kl", "tv"])
     def test_non_finite_alpha_refused(self, quad_model, divergence, alpha):
         ctx = projection.make_context(quad_model, 50, 3)
         projection.kl_to_gibbs(ctx, 0.2)
-        before = dict(ctx._cache)
+        held = _held(ctx)
         with pytest.raises(ValueError, match=rf"^tilt alpha must be finite; got {alpha!r}$"):
             divergence(ctx, alpha)
-        assert ctx._cache == before
+        assert _held(ctx) == held
 
 
 class TestNodeSweepGuards:
     """The guards of the node sweeps stay hard errors: an integral that
-    comes back out of range (forced here by replacing the rule) is refused,
-    never clipped into a plausible row."""
+    comes back out of range (forced here by replacing the rule, for a mass
+    or for ``DensityGrid.integrate``) is refused, never clipped into a
+    plausible row."""
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf], ids=repr)
     def test_non_finite_rk_mass_refused(self, quad_model, monkeypatch, mass):
-        ctx = projection.make_context(quad_model, 50, 3)
-        monkeypatch.setattr(projection, "_integrate", lambda *args: mass)
-        with pytest.raises(RuntimeError, match=r"^r_k normalization defect (nan|inf) >= 1e-4; grid inadequate$"):
-            projection.kl_to_gibbs(ctx)
-        assert "rk" not in ctx._cache
+        """The context builds with any ``r_k`` mass; its readers refuse it."""
+        projection.make_context(quad_model, 50, 3)  # w_k is memoised from here on
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, "_integrate", lambda *args: mass)
+            ctx = projection.make_context(quad_model, 50, 3)
+        assert ctx.rk.mass is mass
+        for reader in (projection.kl_to_gibbs, projection.rk_conditional_density):
+            with pytest.raises(RuntimeError, match=r"^r_k normalization defect (nan|inf) >= 1e-4; grid inadequate$"):
+                reader(ctx)
 
     @pytest.mark.parametrize("tilted_mass", [math.inf, math.nan, 0.0], ids=repr)
     def test_non_finite_or_vanishing_normalizer_refused(self, quad_model, monkeypatch, tilted_mass):
         ctx = projection.make_context(quad_model, 50, 3)
-        ctx.rk
         monkeypatch.setattr(projection, "_integrate", lambda *args: tilted_mass)
         with pytest.raises(OverflowError, match="^tilt normalizer is not finite on the grid$"):
             projection.bound_report(ctx, 2.0, 0.2)
@@ -570,15 +634,14 @@ class TestNodeSweepGuards:
     def test_negative_kl_refused(self, quad_model, monkeypatch):
         ctx = projection.make_context(quad_model, 50, 3)
         mass = ctx.rk.mass
-        monkeypatch.setattr(projection, "_integrate", lambda *args: -1e-6 * mass)
+        monkeypatch.setattr(grids.DensityGrid, "integrate", lambda *args: -1e-6 * mass)
         with pytest.raises(RuntimeError, match=r"^divergence clipped beyond tolerance: -1\.000e-06$"):
             projection.kl_to_gibbs(ctx)
 
     @pytest.mark.parametrize("tv", [2.5, -1e-6], ids=repr)
     def test_tv_outside_range_refused(self, quad_model, monkeypatch, tv):
         ctx = projection.make_context(quad_model, 50, 3)
-        ctx.rk
-        monkeypatch.setattr(projection, "_integrate", lambda *args: tv)
+        monkeypatch.setattr(grids.DensityGrid, "integrate", lambda *args: tv)
         with pytest.raises(RuntimeError, match=rf"^total variation {tv!r} outside \[0, 2\]$"):
             projection.tv_to_gibbs(ctx)
 
@@ -689,7 +752,8 @@ class TestTilted:
     @pytest.mark.parametrize("key", list(FROZEN), ids=lambda key: f"{key[0]}-n{key[1]}-alpha{key[2]:+g}")
     def test_tilted_row_frozen(self, request, monkeypatch, key):
         """Tilted rows go through the same integrand as untilted ones, build
-        one tilt and no grid, and keep their values."""
+        one tilt, whose one grid is its tilted ``r_k`` (no ``make_grid``
+        pass), and keep their values."""
         name, n, alpha = key
         ctx = projection.make_context(request.getfixturevalue(name), n, 1)
         tilts, built = [], []
@@ -699,10 +763,14 @@ class TestTilted:
             built.append(kwargs.get("meta"))
             original_init(grid, *args, **kwargs)
 
+        def no_make_grid(*args, **kwargs):
+            raise AssertionError("a bounds row ran make_grid")
+
         monkeypatch.setattr(projection, "_tilt", lambda ctx, alpha: tilts.append(alpha) or original_tilt(ctx, alpha))
         monkeypatch.setattr(grids.DensityGrid, "__init__", counted_init)
+        monkeypatch.setattr(projection, "make_grid", no_make_grid)
         report = projection.bound_report(ctx, 2.0, alpha=alpha)
-        assert tilts == [alpha] and built == []
+        assert tilts == [alpha] and built == [None]
         got = (report.kl, report.tv, report.d_surface, report.kl_bound)
         assert got == pytest.approx(self.FROZEN[key], rel=1e-12)
         assert report.df_bound is None

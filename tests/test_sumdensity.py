@@ -147,7 +147,8 @@ class TestFftRoute:
             return grid
 
         monkeypatch.setattr(sumdensity, "make_grid", make_grid)
-        with pytest.raises(sumdensity.GridTooCoarseError, match="negative ripple mass 2.00e-03"):
+        with pytest.raises(sumdensity.GridTooCoarseError,
+                           match=r"^negative ripple mass 2\.00e-03 > 1e-3; increase sum_size \(--grid-size\)$"):
             sumdensity.w_fft(quad_model, 8, gibbs1d.GridParams(sum_size=2**12))
 
     def test_semigroup(self, lin_model):
@@ -263,6 +264,17 @@ class TestPowerLawRoute:
             mask = ref >= 1e-3 * ref.max()
             err = float(np.max(np.abs(fast.values[1:][mask] - ref[mask]) / ref[mask]))
             assert err <= 1.01e-5, (p, n, err)  # the polar route's worst is 1.0022e-5 (p = 4, n = 5)
+
+    @pytest.mark.parametrize("support", [ham.HALF_LINE, ham.SYMMETRIC])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.5, 6.0])
+    def test_homogeneous_f_takes_the_one_term_route(self, p, support, monkeypatch):
+        """A homogeneous f's edge model is its lead term alone, and its w_fft
+        takes phi**n in closed form, never sampling a remainder."""
+        model = gibbs1d.solve_energy(ham.power(p, support=support), 1.0)
+        assert gibbs1d._edge_model(model).beta2 is None
+        monkeypatch.setattr(sumdensity, "_grid_remainder", None)
+        monkeypatch.setattr(sumdensity, "_polar_power", None)
+        assert sumdensity.w_fft(model, 4).meta["kind"] == "w_fft"
 
     def test_two_term_edge_keeps_the_polar_route(self, quartic_model, monkeypatch):
         monkeypatch.setattr(sumdensity, "_power_law_power", None)
@@ -469,7 +481,7 @@ class TestRemainderDecision:
         edge = gibbs1d._edge_model(model)
         # the degree rule's claim, measured on the grid: the remainder is noise
         assert np.max(np.abs(rem)) < 1e-12 * np.max(grid.values)
-        assert edge.beta2 is None or edge.coef2 == 0.0
+        assert edge.beta2 is None
         assert grid.dx == dy and grid.x_end == dy * (gibbs1d._Y_GRID_SIZE - 1)
 
 
