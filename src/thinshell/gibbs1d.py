@@ -162,9 +162,9 @@ def _halfline_integrals(spec: HamiltonianSpec, c: float, weights, x_max: float, 
 
 def _quadpack_first_moment(spec: HamiltonianSpec, c: float, x_max: float) -> float:
     """``\\int_0^{x_max} f exp(-c f) dx`` by QUADPACK's ``dqagse``
-    (:mod:`thinshell._quadpack`, bit-equal to scipy's ``quad``), scalar
-    integrand and tolerances as before the Gauss-Legendre rule.  A nonzero
-    QUADPACK return code raises RuntimeError.
+    (:mod:`thinshell._quadpack`, bit-equal to scipy's ``quad``), with a
+    scalar integrand, epsabs 1e-12, epsrel 1e-10 and 200 subintervals.  A
+    nonzero QUADPACK return code raises RuntimeError.
 
     Only the closed-form families use it, for their mean energy.  The
     reference CSVs of their bounds sweeps (``bench/reference``) were written
@@ -281,7 +281,7 @@ def _match_start(newton_terms) -> tuple[float, float]:
     and then bisecting finds that j in about ``2 log2(j) + 2`` passes, and
     the run starts there in the same state.  If the step from the last
     halving a run has steps for still lands on 0, the run would fail: it is
-    refused as before.  A pass that raises ends the halvings too; the run
+    refused.  A pass that raises ends the halvings too; the run
     raises there again."""
 
     def lands_on_zero(j: int) -> bool:

@@ -45,8 +45,8 @@ canonical side of :func:`ensemble_expectation_gap`) in slices of ``_SLICE =
 2**17`` coordinates, 1 MiB of float64, with the values the whole block
 would have (:meth:`_CoordinateSampler.slices`; a symmetric power(p) draws
 its blocks whole), and projects, stores or evaluates each slice before the
-next is drawn.  The rejection sampler still counts its rows by chunks of
-``max(1, 2**18 // n)`` rows and stops after the chunk that fills the batch.
+next is drawn.  The rejection sampler stops drawing at the row that fills
+the batch.
 """
 
 from __future__ import annotations
@@ -89,9 +89,6 @@ _CHUNK = 16384
 # slice and its temporaries stay below the 4 MiB mmap threshold that cli
 # sets and reuse the heap
 _SLICE = 2**17
-# coordinates per chunk of a rejection block, the unit its acceptance
-# accounting and its stop go by
-_REJECT_CHUNK = 2**18
 _MAGIC = b"THNSHL1\x00"
 _HEADER = struct.Struct("<QQddBxxxxxxxdq")
 _METHODS = ("scaling", "rejection")
@@ -389,11 +386,10 @@ class _CoordinateSampler:
             np.negative(mag, out=mag, where=(rng if signs is None else signs).random(shape) < 0.5)
         return mag
 
-    def slices(self, seed: int, block: int, shape: tuple[int, int], chunk: int | None = None):
+    def slices(self, seed: int, block: int, shape: tuple[int, int]):
         """``(start, rows)`` pairs: the rows of ``draw(_block_rng(seed,
         block), shape)`` from row ``start`` on, with the same values, in
-        consecutive slices of at most ``max(1, _SLICE // n)`` rows, none
-        crossing a multiple of ``chunk`` rows (when given).
+        consecutive slices of at most ``max(1, _SLICE // n)`` rows.
 
         Normal, exponential and gamma draws read the stream in order, so
         slices of them continue one another.  The sign uniforms of a
@@ -406,16 +402,13 @@ class _CoordinateSampler:
         rng, signs = _block_rng(seed, block), None
         step = max(1, _SLICE // n)
         if self.spec.support == SYMMETRIC and self.spec.kind == "power":
-            step = chunk = rows
+            step = rows
         elif self.spec.support == SYMMETRIC and self.spec.kind != "quadratic":
             signs = _block_rng(seed, block)
             signs.bit_generator.advance(rows * n // 4)
             signs.random(rows * n % 4)
-        chunk = chunk or rows
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            for start in range(lo, hi, step):
-                yield start, self.draw(rng, (min(step, hi - start), n), signs)
+        for start in range(0, rows, step):
+            yield start, self.draw(rng, (min(step, rows - start), n), signs)
 
 
 def _coordinate_sampler(model: GibbsModel) -> _CoordinateSampler:
@@ -493,8 +486,9 @@ def sample_surface_rejection(
     """General sampler: keep product draws inside the energy shell
     ``|R_n/n - t| <= delta``, then project the survivors to the surface.
     Only the first ``keep`` coordinates of each point are kept (all ``n`` by
-    default).  ``acceptance_rate`` is rows accepted over rows drawn, up to
-    the chunk that fills the batch, where drawing stops.  Blocks are drawn
+    default).  ``acceptance_rate`` is ``count`` over the rows drawn through
+    the row that fills the batch, where drawing stops; the ``max_draws``
+    budget refuses only a batch still short of ``count``.  Blocks are drawn
     and tested slice by slice, so memory is O(count*keep + _SLICE)."""
     _check_count("n", n)
     _check_natural("count", count)
@@ -509,31 +503,27 @@ def sample_surface_rejection(
     kept = 0
     drawn = 0
     block = 0
-    chunk = max(1, _REJECT_CHUNK // n)
     while kept < count:
         size = max(_BLOCK, min(65536, 4 * (count - kept)))
-        for start, rows in sampler.slices(seed, block, (size, n), chunk):
+        for _, rows in sampler.slices(seed, block, (size, n)):
             energies = _row_energies(spec, rows)
-            accept = np.abs(energies / n - t) <= delta
-            room = count - kept
-            if room > 0 and np.any(accept):
-                _store_block(spec, rows[accept][:room], target, points, kept, energies[accept][:room])
-            # accepted rows past the last one stored still count as kept
-            kept += int(np.count_nonzero(accept))
-            drawn += rows.shape[0]
-            end = start + rows.shape[0]
-            # drawing stops at the end of the chunk that fills the batch
-            if kept >= count and (end % chunk == 0 or end == size):
+            accepted = np.flatnonzero(np.abs(energies / n - t) <= delta)[: count - kept]
+            if accepted.size:
+                _store_block(spec, rows[accepted], target, points, kept, energies[accepted])
+            kept += accepted.size
+            if kept == count:
+                # drawing stops at the row that fills the batch
+                drawn += int(accepted[-1]) + 1
                 break
+            drawn += rows.shape[0]
         block += 1
-        if drawn >= max_draws:
+        if kept < count and drawn >= max_draws:
             rate = kept / drawn
             if rate < 1e-4:
                 raise RuntimeError(
                     f"acceptance rate {rate:.2e} below 1e-4 after {drawn} draws; widen the shell (delta)"
                 )
-            if kept < count:
-                raise RuntimeError(f"draw budget exhausted at {kept}/{count} accepted; widen the shell or budget")
+            raise RuntimeError(f"draw budget exhausted at {kept}/{count} accepted; widen the shell or budget")
     return SampleBatch(
         points=points,
         n=n,

@@ -397,6 +397,25 @@ class TestSubcommands:
         text = capsys.readouterr().out
         assert "overall=true" in text and "ADMISSIBLE" in text
 
+    def test_analyze_f_without_origin_exponent(self, capsys):
+        """power(40) is increasing with a tail slope, but no q of the grid
+        gives a positive origin margin: not admissible, and --strict fails."""
+        assert run(["analyze-f", "--kind", "power", "--p", "40"]) == 0
+        text = capsys.readouterr().out
+        assert "  origin exponent:     NO admissible exponent found\n" in text
+        assert "origin_q=none\norigin_a3=none\noverall=false\n" in text
+        assert run(["analyze-f", "--kind", "power", "--p", "40", "--strict"]) == 1
+
+    def test_analyze_f_block_to_file(self, capsys, tmp_path):
+        """--out takes the key=value block; stdout keeps the summary."""
+        out = tmp_path / "report.txt"
+        assert run(["analyze-f", "--kind", "quadratic", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        block = out.read_text()
+        assert block.startswith("f0_ok=true\nmonotone_ok=true\n") and block.endswith("overall=true\n")
+        assert len(block.splitlines()) == 8 and not set(block.splitlines()) & set(text.splitlines())
+        assert "overall:             ADMISSIBLE" in text
+
     def test_analyze_f_failure_strict(self, capsys):
         # a bounded family cannot be expressed through the CLI's builtin
         # kinds, so exercise strict mode through the library path instead
@@ -575,8 +594,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("n,digest", sorted(QUARTIC_BATCH_SHA256.items()))
     def test_quartic_rejection_batch_bytes(self, tmp_path, n, digest):
         """Pins the bytes of a rejection batch, so that no refactor moves a
-        Philox stream silently; at n = 300 each block is drawn in two row
-        chunks."""
+        Philox stream silently; at n = 300 each block is drawn in 436-row
+        slices."""
         out = tmp_path / f"quartic{n}.thnshl"
         code = run(["sample", "--kind", "quartic_perturbed", "--epsilon", "1", "--method", "rejection", "--n", str(n),
                     "--count", "99", "--seed", "4", "--out", str(out)])

@@ -511,6 +511,15 @@ class TestClassMembership:
         assert report.tail_slope is None
         assert not report.overall
 
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning),
+                       reason="(1e-8)^p underflows to 0 for p >= 41, so f looks non-increasing and both "
+                       "witnesses drop; from p = 52 on f(1e6) also overflows with a RuntimeWarning")
+    @pytest.mark.parametrize("p", [41, 52])
+    def test_steep_power_increasing_with_tail_witness(self, p):
+        report = ham.check_class_f(ham.power(p))
+        assert report.monotone_ok
+        assert report.tail_slope == (p / 2.0, 1.0)
+
     def test_report_overall_is_conjunction(self):
         report = ham.check_class_f(ham.quadratic())
         assert report.overall == (

@@ -1018,6 +1018,39 @@ class TestEntryChecks:
             projection.mixture_bound_check([(quad_model, 0.5, 1.0)], 100, 2)
 
 
+class TestUnreachedGuards:
+    """Guards of the context, the coordinate density and the bounds row
+    that no shipped input reaches; each stays a hard error."""
+
+    def test_w_n_vanishing_at_nt(self, quad_model, monkeypatch):
+        monkeypatch.setattr(projection, "log_w", lambda model, n, s, params=None: np.full(np.shape(s), -np.inf))
+        with pytest.raises(ValueError, match="^w_n vanishes at the surface level nt; context is degenerate$"):
+            projection.make_context(quad_model, 20, 1)
+
+    def test_coordinate_support_exhausted(self, quad_model, monkeypatch):
+        ctx = projection.make_context(quad_model, 20, 1)
+        monkeypatch.setattr(projection, "_exp_ratio", lambda lr, finite: np.zeros_like(lr))
+        with pytest.raises(RuntimeError, match="^support exhausted: the projected density vanishes on the whole grid$"):
+            projection.project_uniform_k1(ctx)
+
+    def test_coordinate_mass_off(self, quad_model):
+        """At (n, k) = (2, 1) ``w_1(2t - f(y))`` is singular where f(y) = 2t,
+        and the projected mass misses 1 by 2.6e-3."""
+        ctx = projection.make_context(quad_model, 2, 1)
+        with pytest.raises(RuntimeError, match=r"^projected density mass 0\.99743\d* off by more than 1e-4$"):
+            projection.project_uniform_k1(ctx)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("kl", -1e-3, "divergence must be nonnegative"),
+        ("tv", 2.5, r"total variation must lie in \[0, 2\]"),
+        ("tv", -1e-6, r"total variation must lie in \[0, 2\]"),
+    ], ids=["kl-negative", "tv-above-2", "tv-negative"])
+    def test_bound_report_refuses_out_of_range(self, quad_model, field, value, message):
+        row = projection.bound_report(projection.make_context(quad_model, 50, 3), 2.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(row, **{field: value})
+
+
 class TestMaxEntropy:
     def test_gibbs_maximizes_entropy_at_fixed_energy(self, quad_model):
         """Five tilted, energy-re-matched densities: each has lower entropy

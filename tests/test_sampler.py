@@ -322,6 +322,14 @@ class TestIndexedSearch:
         assert sampler._coordinate_sampler(model) is model._cache["coordinate_sampler"].result()
 
 
+def test_inverse_table_residual_refused(quartic_model, monkeypatch):
+    """An inverse whose forward check misses by 1e-9 is refused, not used."""
+    pchip_at = sampler._pchip_at
+    monkeypatch.setattr(sampler, "_pchip_at", lambda knots, coef, v: pchip_at(knots, coef, v) + 1e-9)
+    with pytest.raises(RuntimeError, match=r"^inverse-CDF table misses tolerance: residual 1\.0\de-09$"):
+        sampler._CoordinateSampler(quartic_model)
+
+
 class TestStriping:
     """Blocks and inverse-CDF chunks fanned out over threads change no draw;
     the fan-out itself (``hamiltonians._fan_out``) runs every item once and
@@ -611,13 +619,11 @@ class TestShellEnergyReuse:
 
 def whole_block_rejection(model, n, delta, count, seed):
     """The rejection sampler as it was before its blocks were streamed:
-    each block drawn as one (size, n) array; the oracle of the chunk loop.
-    Its rate counts the rows through the chunk of ``max(1, 2**18 // n)``
-    rows that fills the batch (a symmetric power(p) draws its blocks whole,
-    as one chunk)."""
+    each block drawn as one (size, n) array; the oracle of the slice loop.
+    Its rate is ``count`` over the rows drawn through the row that fills
+    the batch."""
     spec, t = model.spec, model.mu
     coord = sampler._coordinate_sampler(model)
-    whole = spec.support == ham.SYMMETRIC and spec.kind == "power"
     points = np.empty((count, n))
     kept = drawn = block = 0
     while kept < count:
@@ -628,15 +634,12 @@ def whole_block_rejection(model, n, delta, count, seed):
         energies = sampler._row_energies(spec, rows)
         accept = np.abs(energies / n - t) <= delta
         room = count - kept
-        end = size
-        if np.count_nonzero(accept) >= room:
-            chunk = size if whole else max(1, sampler._REJECT_CHUNK // n)
-            end = min(size, (np.flatnonzero(accept)[room - 1] // chunk + 1) * chunk)
-        drawn += end
-        if np.any(accept):
+        taken = np.count_nonzero(accept)
+        drawn += np.flatnonzero(accept)[room - 1] + 1 if taken >= room else size
+        if taken:
             sampler._store_block(spec, rows[accept][:room], n * t, points, kept, energies[accept][:room])
-        kept += int(np.count_nonzero(accept[:end]))
-    return points, kept / drawn
+        kept += min(taken, room)
+    return points, count / drawn
 
 
 STREAMED_FAMILIES = {
@@ -656,11 +659,11 @@ class TestStreamedRejection:
     def model(self, request):
         return gibbs1d.solve_energy(STREAMED_FAMILIES[request.param], 1.0)
 
-    # n = 300 makes 873-row chunks of 436-, 436- and 1-row slices, and 700
-    # rows fill the batch inside a chunk's first slice; a narrow shell needs
-    # several blocks
+    # n = 300 cuts the 2800-row block into 436-row slices, and 700 rows fill
+    # the batch inside one; at n = 7 a block is one slice; a narrow shell
+    # needs several blocks
     @pytest.mark.parametrize("n,delta_sd,count", [(300, 0.5, 700), (7, 0.5, 500), (300, 0.1, 400)],
-                             ids=["chunks", "one-chunk", "blocks"])
+                             ids=["slices", "one-slice", "blocks"])
     def test_same_as_whole_blocks(self, model, n, delta_sd, count):
         delta = delta_sd * math.sqrt(model.sigma2 / n)
         want, rate = whole_block_rejection(model, n, delta, count, seed=13)
@@ -668,25 +671,25 @@ class TestStreamedRejection:
         assert np.array_equal(got.points, want)
         assert got.acceptance_rate == rate
 
-    def test_room_runs_out_inside_a_chunk(self, monkeypatch, quartic_model):
-        """The batch fills inside the first slice of a chunk: the chunk's
-        later slices are shell-tested but not stored, and their accepted
-        rows count towards the acceptance rate; no later chunk is drawn."""
+    def test_stops_at_the_filling_row(self, monkeypatch, quartic_model):
+        """The batch fills inside a slice short of the block's end: no later
+        slice is drawn, and the rate counts the rows through the filling
+        row, not the rest of its slice."""
         n, count = 300, 700
         delta = 0.5 * math.sqrt(quartic_model.sigma2 / n)
-        chunk, step = sampler._REJECT_CHUNK // n, sampler._SLICE // n
+        step = sampler._SLICE // n
         rows = sampler._coordinate_sampler(quartic_model).draw(sampler._block_rng(13, 0), (4 * count, n))
         accept = np.abs(sampler._row_energies(quartic_model.spec, rows) / n - quartic_model.mu) <= delta
         fill = np.flatnonzero(accept)[count - 1]
-        filled = fill // chunk
-        assert fill % chunk < step and (filled + 1) * chunk < 4 * count
+        through = (fill // step + 1) * step
+        assert fill + 1 < through < 4 * count
         drawn = []
         draw = sampler._CoordinateSampler.draw
         monkeypatch.setattr(sampler._CoordinateSampler, "draw",
                             lambda self, rng, shape, signs=None: drawn.append(shape[0]) or draw(self, rng, shape, signs))
         got = sampler.sample_surface_rejection(quartic_model, n, delta, count, seed=13)
-        assert sum(drawn) == (filled + 1) * chunk
-        assert got.acceptance_rate == np.count_nonzero(accept[: (filled + 1) * chunk]) / ((filled + 1) * chunk)
+        assert sum(drawn) == through
+        assert got.acceptance_rate == count / (fill + 1)
         assert np.array_equal(got.points, whole_block_rejection(quartic_model, n, delta, count, seed=13)[0])
 
 
@@ -703,27 +706,23 @@ class TestSlices:
 
     # rows * n not a multiple of 4 starts the sign stream inside a Philox
     # counter step
-    @given(rows=st.integers(1, 1500), n=st.integers(1, 40), coords=st.integers(1, 2**12),
-           chunk=st.none() | st.integers(1, 1500))
-    @example(rows=1027, n=5, coords=500, chunk=None)
-    @example(rows=3, n=3, coords=1, chunk=1)
-    @example(rows=1000, n=30, coords=2**12, chunk=273)
-    def test_any_partition_is_one_draw(self, coord, rows, n, coords, chunk):
+    @given(rows=st.integers(1, 1500), n=st.integers(1, 40), coords=st.integers(1, 2**12))
+    @example(rows=1027, n=5, coords=500)
+    @example(rows=3, n=3, coords=1)
+    @example(rows=1000, n=30, coords=2**12)
+    def test_any_partition_is_one_draw(self, coord, rows, n, coords):
         whole = coord.draw(sampler._block_rng(21, 4), (rows, n))
         with mock.patch.object(sampler, "_SLICE", coords):
-            got = list(coord.slices(21, 4, (rows, n), chunk))
+            got = list(coord.slices(21, 4, (rows, n)))
         sizes = [part.shape[0] for _, part in got]
         assert [start for start, _ in got] == [sum(sizes[:i]) for i in range(len(got))]
         assert np.array_equal(np.concatenate([part for _, part in got]), whole)
         if coord.spec.kind == "power" and coord.spec.support == ham.SYMMETRIC:
             assert sizes == [rows]
             return
-        step, chunk = max(1, coords // n), chunk or rows
-        # as few slices as the step and the chunk boundaries allow
-        bounds = [min(lo + chunk, rows) - lo for lo in range(0, rows, chunk)]
-        assert len(got) == sum(-(-b // step) for b in bounds)
-        for start, size in zip((s for s, _ in got), sizes):
-            assert size <= step and start // chunk == (start + size - 1) // chunk
+        step = max(1, coords // n)
+        # full slices of the step, then the remainder
+        assert sizes == [step] * (rows // step) + [rows % step] * (rows % step > 0)
 
 
 class TestRejectionSampler:
@@ -756,6 +755,26 @@ class TestRejectionSampler:
     def test_narrow_shell_aborts_with_advice(self, quad_model):
         with pytest.raises(RuntimeError, match="delta|budget"):
             sampler.sample_surface_rejection(quad_model, 50, 1e-7, 50_000, seed=1, max_draws=200_000)
+
+    def test_budget_keeps_a_batch_that_fills(self, quad_model):
+        """The block that crosses the budget fills the batch at a rate below
+        1e-4: the batch is returned, its rate read through the filling
+        row."""
+        want, rate = whole_block_rejection(quad_model, 50, 8e-6, 3, seed=1)
+        assert rate < 1e-4 and 3 / rate < 103424
+        got = sampler.sample_surface_rejection(quad_model, 50, 8e-6, 3, seed=1, max_draws=103424)
+        assert np.array_equal(got.points, want)
+        assert got.acceptance_rate == rate
+
+    def test_budget_refuses_a_short_batch_at_a_low_rate(self, quad_model):
+        with pytest.raises(RuntimeError, match=r"acceptance rate 0\.00e\+00 below 1e-4 after 1024 draws; widen the shell"):
+            sampler.sample_surface_rejection(quad_model, 50, 8e-6, 3, seed=1, max_draws=1000)
+
+    def test_budget_refuses_a_short_batch_at_a_fair_rate(self, quad_model):
+        """One 65536-row block at a rate of at least 1e-4 still leaves the
+        batch short of its count."""
+        with pytest.raises(RuntimeError, match=r"draw budget exhausted at \d+/100000 accepted; widen the shell or budget"):
+            sampler.sample_surface_rejection(quad_model, 10, 0.05, 100_000, seed=1, max_draws=1000, keep=1)
 
     def test_matches_reference_with_shell_bias(self, quad_model, sphere_ref):
         batch = sampler.sample_surface_rejection(quad_model, 3, 0.02, 10_000, seed=7)

@@ -644,6 +644,12 @@ class TestLocalCltScan:
         assert devs[0] == devs[1] == devs[2]
 
 
+def test_scan_refuses_non_finite_deviations(quad_model, monkeypatch):
+    monkeypatch.setattr(sumdensity, "_sup_deviation", lambda model, grid, n: math.nan)
+    with pytest.raises(ValueError, match="^scan produced non-finite deviations$"):
+        sumdensity.local_clt_scan(quad_model, (8, 16))
+
+
 class TestRatioBound:
     """The ratio lemma ``sup_s log w_{n-k}(nt - s) - log w_n(nt) <= log(n/(n-k))
     + 2/(sqrt(n)/C - 1)``, read off the cell's own log-ratio pass."""
