@@ -17,7 +17,6 @@ import numpy as np
 
 from .grids import _GL_NODES, _GL_WEIGHTS, DensityGrid, EdgeModel, make_grid
 from .hamiltonians import (
-    _NEWTON_STEPS,
     SYMMETRIC,
     HamiltonianSpec,
     _memo,
@@ -118,7 +117,7 @@ def _truncation(spec: HamiltonianSpec, c: float) -> float:
         x *= 2.0
         if tail(x) < 1e-16:
             return x
-    raise RuntimeError("tail bound did not drop below 1e-16; f may grow too slowly")
+    raise RuntimeError(f"tail bound at c={c!r} did not drop below 1e-16 by x = 2^79")
 
 
 def _halfline_integrals(spec: HamiltonianSpec, c: float, weights, x_max: float, breaks=()) -> np.ndarray:
@@ -243,68 +242,24 @@ def model_at(spec: HamiltonianSpec, c: float) -> GibbsModel:
 
 
 def _match_energy(spec: HamiltonianSpec, t: float) -> float:
-    """c with mean energy t: :func:`hamiltonians._newton` from c = 1 on
+    """c with mean energy t: :func:`hamiltonians._newton` from c = 1/t on
     ``g(c) = c (t - mu(c))``, whose sign is that of ``c - c_t`` (``mu``
     decreases strictly) and whose slope is ``t - mu + c Var Y``, since
     ``dmu/dc = -Var Y``; one quadrature pass gives Z, mu and Var.  A pure
-    power law ``mu = 1/(d c)`` makes g the line ``c t - 1/d``, so the first
-    step lands on it.  A t so large that the step from 1 lands exactly on 0
-    starts where :func:`_match_start` puts it."""
-    passes = {}
-
-    def newton_terms(c: float) -> tuple[np.ndarray, np.ndarray, bool]:
-        """g and its slope at c, and whether ``t - mu == t``; one quadrature
-        pass per c."""
-        if c not in passes:
-            x_max = _truncation(spec, c)
-            mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
-            mu = float(first / mass) if mass > 0 else math.nan
-            _check_resolved(c, x_max, float(mass), mu)
-            var = float(second / mass) - mu * mu
-            passes[c] = np.array([c * (t - mu)]), np.array([t - mu + c * var]), t - mu == t
-        return passes[c]
+    power law of degree d has ``c_t = 1/(d t)``, so the start is within a
+    factor d of the root and ``mu`` is comparable to t there: ``t - mu``
+    keeps its bits at every scale of t."""
 
     def residual(cs, _live):
-        return newton_terms(float(cs[0]))[:2]
+        c = float(cs[0])
+        x_max = _truncation(spec, c)
+        mass, first, second = _halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f), x_max)
+        mu = float(first / mass) if mass > 0 else math.nan
+        _check_resolved(c, x_max, float(mass), mu)
+        var = float(second / mass) - mu * mu
+        return np.array([c * (t - mu)]), np.array([t - mu + c * var])
 
-    start, hi = _match_start(newton_terms)
-    return float(_newton(residual, [start], hi, _MATCH_CTOL, "energy matching")[0])
-
-
-def _match_start(newton_terms) -> tuple[float, float]:
-    """Start and upper bracket of :func:`_match_energy`'s Newton run: 1 and
-    +inf, unless the step from 1 lands exactly on 0 (``t - mu == t`` in
-    floating point).  ``_newton`` then halves c, one quadrature pass per
-    halving, up to the first ``2^-j`` whose step does not land on 0, and
-    runs on from there with the bracket ``(0, 2^(1-j))``.  The halvings
-    whose step lands on 0 come first (mu grows as c falls), so doubling j
-    and then bisecting finds that j in about ``2 log2(j) + 2`` passes, and
-    the run starts there in the same state.  If the step from the last
-    halving a run has steps for still lands on 0, the run would fail: it is
-    refused.  A pass that raises ends the halvings too; the run
-    raises there again."""
-
-    def lands_on_zero(j: int) -> bool:
-        c = 2.0**-j
-        try:
-            g, slope, mu_lost = newton_terms(c)
-        except (ValueError, RuntimeError):
-            return False
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return mu_lost and c - g[0] / slope[0] == 0.0
-
-    if not lands_on_zero(0):
-        return 1.0, math.inf
-    last = _NEWTON_STEPS - 1
-    if lands_on_zero(last):
-        raise RuntimeError(f"energy matching did not converge in {_NEWTON_STEPS} steps")
-    lo, hi = 0, 1
-    while hi < last and lands_on_zero(hi):
-        lo, hi = hi, min(2 * hi, last)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if lands_on_zero(mid) else (lo, mid)
-    return 2.0**-hi, 2.0**-lo
+    return float(_newton(residual, [1.0 / t], math.inf, _MATCH_CTOL, "energy matching")[0])
 
 
 def solve_energy(spec: HamiltonianSpec, t: float) -> GibbsModel:
@@ -540,7 +495,7 @@ def _scan_prerequisites(model: GibbsModel) -> CltPrereqs:
     # the smallest r with gamma * r > 1.05: a tail u^(-gamma r) that is
     # integrable, and not too close to call
     if not gamma > 0.0:
-        raise RuntimeError(f"|phi| does not decay (fitted exponent {gamma!r}); hypotheses fail")
+        raise RuntimeError(f"|phi| does not decay (fitted exponent {float(gamma)!r}); hypotheses fail")
     r_used = math.floor(1.05 / gamma) + 1
     window = np.trapezoid(phi_abs**r_used, us)
     tail = phi_abs[-1] ** r_used * us[-1] / (gamma * r_used - 1.0)

@@ -297,12 +297,11 @@ class TestEnergyMatching:
         assert calls[:2] == [1.0, 0.5]
         assert abs(model.mu - 1.0) <= gibbs1d._MATCH_RTOL
 
-    @pytest.mark.parametrize("t", [1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("t", [1e100, 1e200, 1e300, 1e308])
     def test_huge_t_answered_in_few_passes(self, monkeypatch, t):
-        """Past t ~ 1e75 the quartic's step from c = 1 lands exactly on 0 at
-        every halving a 200-step run can make, which took 200 quadrature
-        passes (about 190 ms) to refuse; the start search decides within 10
-        passes, and a refusal names t."""
+        """The quartic at a huge t is answered within 10 quadrature passes
+        (none when the cutoff refuses the start c = 1/t), and a refusal
+        names t."""
         passes = []
         integrals = gibbs1d._halfline_integrals
 
@@ -317,30 +316,67 @@ class TestEnergyMatching:
             assert f"t={t!r}" in str(exc)
         else:
             assert abs(model.mu / t - 1.0) <= gibbs1d._MATCH_RTOL
-        assert 0 < len(passes) <= 10
+        assert len(passes) <= 10
 
-    @pytest.mark.parametrize("spec", [ham.quartic_perturbed(1.0), ham.custom(lambda x: x + x**3 / 3.0)],
-                             ids=["quartic", "cubic_plus_linear"])
-    def test_start_search_keeps_every_c(self, spec):
-        """c equals, bit for bit, the c of the plain Newton run from 1 that
-        halves c one quadrature pass at a time: on 200 log-spaced t in [1e-3,
-        1e3], where no step lands on 0, and on 12 in [1e16, 1e50], where the
-        halvings run (both families converge there)."""
+    def test_huge_t_names_the_cutoff(self):
+        """At t = 1e300 the start c = 1e-300 leaves the quartic's tail bound
+        above 1e-16 at every doubling of the cutoff: the refusal names c and
+        the cutoff's limit, not a slowly growing f."""
+        t = 1e300
+        message = f"t={t!r}: tail bound at c={1.0 / t!r} did not drop below 1e-16 by x = 2^79"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            gibbs1d.solve_energy(ham.quartic_perturbed(1.0), t)
 
-        def plain(t):
-            def residual(cs, _live):
-                c = float(cs[0])
-                x_max = gibbs1d._truncation(spec, c)
-                mass, first, second = gibbs1d._halfline_integrals(spec, c, lambda f: (np.ones_like(f), f, f * f),
-                                                                  x_max)
-                mu = float(first / mass)
-                var = float(second / mass) - mu * mu
-                return np.array([c * (t - mu)]), np.array([t - mu + c * var])
+    @pytest.mark.parametrize(
+        "spec,c_hex",
+        [
+            (ham.quartic_perturbed(1.0), "0x1.4f98a3aed6f20p-2"),
+            (ham.quartic_perturbed(0.5), "0x1.6a5b5297bd46bp-2"),
+            (ham.custom(lambda x: x + x**3 / 3.0), "0x1.36fc1e0fc7a4cp-1"),
+        ],
+        ids=["quartic", "quartic-0.5", "cubic_plus_linear"],
+    )
+    def test_c_at_unit_t_keeps_its_bits(self, spec, c_hex):
+        """At t = 1 the Newton run starts at c = 1/t = 1, so c keeps every
+        bit the bench's step CSVs were written with."""
+        assert gibbs1d.solve_energy(spec, 1.0).c.hex() == c_hex
 
-            return float(ham._newton(residual, [1.0], math.inf, gibbs1d._MATCH_CTOL, "energy matching")[0])
+    @pytest.mark.parametrize(
+        "family,solved_up_to",
+        [("quartic", 1e88), ("cubic_plus_linear", 1e48), ("sqrt_model", None)],
+    )
+    def test_matching_over_scales(self, request, monkeypatch, family, solved_up_to):
+        """Over t from 1e-12 to 1e300 each target is either met to
+        ``_MATCH_RTOL`` within 8 quadrature passes (the matching and the
+        model's own two) or refused with a ValueError naming t; the quartic
+        meets every t in [1e-12, 1e88] and ``x + x^3/3`` every t in
+        [1e-12, 1e48]."""
+        if family == "quartic":
+            spec = ham.quartic_perturbed(1.0)
+        elif family == "cubic_plus_linear":
+            spec = ham.custom(lambda x: x + x**3 / 3.0)
+        else:
+            spec = request.getfixturevalue(family).spec
+        passes = []
+        integrals = gibbs1d._halfline_integrals
 
-        for t in [*np.geomspace(1e-3, 1e3, 200), *np.geomspace(1e16, 1e50, 12)]:
-            assert gibbs1d._match_energy(spec, float(t)) == plain(float(t)), t
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return integrals(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs1d, "_halfline_integrals", counted)
+        grid = [*np.geomspace(1e-12, 1e-3, 10), *np.geomspace(1e-3, 1e3, 25), *np.geomspace(1e3, 1e300, 20),
+                0.8, 1.25, 1e48, 1e88]
+        for t in map(float, grid):
+            passes.clear()
+            try:
+                model = gibbs1d.solve_energy(spec, t)
+            except ValueError as exc:
+                assert f"t={t!r}" in str(exc), t
+                assert solved_up_to is None or t > solved_up_to, t
+            else:
+                assert abs(model.mu / t - 1.0) <= gibbs1d._MATCH_RTOL, t
+                assert len(passes) <= 8, t
 
     def test_unreachable_target_cli(self, capsys):
         assert cli.main(["solve-c", "--kind", "quadratic", "--t", "1e-300"]) == 1
@@ -458,7 +494,7 @@ class TestUnreachedGuards:
             return us, log_base, 1.0 + np.abs(us)
 
         monkeypatch.setattr(gibbs1d, "_conjugate_phi", growing)
-        with pytest.raises(RuntimeError, match=r"^\|phi\| does not decay \(fitted exponent .*-0\.99.*\); hypotheses fail$"):
+        with pytest.raises(RuntimeError, match=r"^\|phi\| does not decay \(fitted exponent -0\.99\d*\); hypotheses fail$"):
             gibbs1d.clt_prerequisites(model)
 
 
